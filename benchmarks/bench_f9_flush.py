@@ -20,7 +20,7 @@ import time
 
 from repro.clock import VirtualClock
 from repro.engine.engine import ProcessEngine
-from repro.engine.instance import InstanceState
+from repro.engine.instance import INSTANCE_PREFIX, InstanceState
 from repro.model.builder import ProcessBuilder
 from repro.storage.kvstore import DurableKV
 from repro.worklist.allocation import ShortestQueueAllocator
@@ -68,16 +68,20 @@ def populate(engine, n):
 def legacy_flush(engine):
     """The seed's ``_flush``: whole-collection exports, every call."""
     store = engine.store
+    writes = engine._writes
+    touched = sorted(writes.puts(INSTANCE_PREFIX))
     with store.transaction():
-        for instance_id in sorted(engine._dirty):
-            instance = engine._instances.get(instance_id)
-            if instance is not None:
-                store.put(f"instance/{instance_id}", instance.to_dict())
+        for instance_id in touched:
+            instance = engine._instances[instance_id]
+            store.put(INSTANCE_PREFIX + instance_id, instance.to_dict())
         store.put("engine/jobs", engine.scheduler.export())
         store.put("engine/workitems", engine.worklist.export_items())
         store.put("engine/message_waits", list(engine._message_waits))
-        store.put("engine/meta", {"instance_seq": engine._instance_seq})
-    engine._dirty.clear()
+        store.put(
+            "engine/meta", {"instance_seq": engine._seqs.value("instance_seq")}
+        )
+    for instance_id in touched:
+        writes.discard(INSTANCE_PREFIX, instance_id)
 
 
 def run_policy(tmp_dir, policy, n):

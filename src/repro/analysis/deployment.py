@@ -157,6 +157,30 @@ def analyze_deployment(
     return report
 
 
+def candidate_findings(
+    candidate: ProcessDefinition,
+    deployed: Iterable[ProcessDefinition],
+    cache: AnalysisCache,
+    severity_overrides: Mapping[str, Severity] | None = None,
+) -> list[Diagnostic]:
+    """Interprocess findings (MSG*/CALL*) for one deploy candidate.
+
+    The candidate is checked against ``deployed`` — the latest version of
+    every definition in the registry; one with the candidate's own key is
+    replaced by it.  Results are memoized in ``cache``, keyed on the
+    candidate's content hash plus the registry's interface fingerprint,
+    so redeploys and interface-neutral edits skip the graph walk.
+    """
+    snapshot = [d for d in deployed if d.key != candidate.key]
+    snapshot.append(candidate)
+    interfaces = {d.key: cache.interface(d) for d in snapshot}
+    graph = DeploymentGraph.build(snapshot, interfaces=interfaces)
+    extra = _interproc_diagnostics(
+        candidate, graph, graph.fingerprint(), severity_overrides, cache
+    )
+    return _merge(candidate, AnalysisReport(candidate.key), extra).diagnostics
+
+
 def render_deployment_console(report: DeploymentReport) -> str:
     """Human-readable deployment report: summary line + per-definition."""
     from repro.analysis.reporting import render_console

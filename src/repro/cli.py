@@ -97,6 +97,7 @@ def _load_deployment(path: str):
     """
     import os
 
+    from repro.engine.engine import DEFINITION_PREFIX
     from repro.model.serialization import definition_from_dict
     from repro.storage.kvstore import DurableKV
 
@@ -118,7 +119,8 @@ def _load_deployment(path: str):
     if "journal.log" in entries or "snapshot.json" in entries:
         store = DurableKV(path, sync_writes=False)
         definitions = [
-            definition_from_dict(raw) for _, raw in store.scan("definition/")
+            definition_from_dict(raw)
+            for _, raw in store.scan(DEFINITION_PREFIX)
         ]
         store.close()
         if not definitions:
@@ -405,11 +407,12 @@ def cmd_commands(args: argparse.Namespace) -> int:
     ]
     history = None
     if args.store:
+        from repro.engine.dispatch import DISPATCH_PREFIX
         from repro.storage.kvstore import DurableKV
 
         store = DurableKV(args.store, sync_writes=False)
         history = sorted(
-            (raw for _, raw in store.scan("dispatch/")),
+            (raw for _, raw in store.scan(DISPATCH_PREFIX)),
             key=lambda r: r.get("seq", 0),
         )
         if args.limit:
@@ -441,8 +444,10 @@ def cmd_commands(args: argparse.Namespace) -> int:
 
 def _max_dispatch_seq(store: Any) -> int:
     """Highest persisted dispatch sequence in a store (0 when empty)."""
+    from repro.engine.dispatch import DISPATCH_PREFIX
+
     seq = 0
-    for _, raw in store.scan("dispatch/"):
+    for _, raw in store.scan(DISPATCH_PREFIX):
         seq = max(seq, int(raw.get("seq", 0)))
     return seq
 
@@ -493,7 +498,12 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     """
     import os
 
+    from repro.cluster.outbox import OUTBOX_PREFIX
+    from repro.engine.dispatch import DISPATCH_PREFIX
+    from repro.engine.instance import INSTANCE_PREFIX
+    from repro.engine.jobs import JOBS_PREFIX
     from repro.storage.kvstore import DurableKV
+    from repro.worklist.service import WORKITEM_PREFIX
 
     try:
         entries = sorted(os.listdir(args.store))
@@ -524,7 +534,7 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
             by_state: dict[str, int] = dict(summary["by_state"])
         else:
             by_state = {}
-            for _, raw in store.scan("instance/"):
+            for _, raw in store.scan(INSTANCE_PREFIX):
                 state = raw.get("state", "?")
                 by_state[state] = by_state.get(state, 0) + 1
         row = {
@@ -532,13 +542,13 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
             "topology": meta,
             "instances": sum(by_state.values()),
             "by_state": by_state,
-            "jobs": len(store.keys("jobs/")),
-            "workitems": len(store.keys("workitem/")),
-            "commands": len(store.keys("dispatch/")),
+            "jobs": len(store.keys(JOBS_PREFIX)),
+            "workitems": len(store.keys(WORKITEM_PREFIX)),
+            "commands": len(store.keys(DISPATCH_PREFIX)),
             # outbox records persisted but not yet drained to their
             # target shard — nonzero after a crash means recovery will
             # redeliver these cross-shard messages
-            "pending_forwards": len(store.keys("outbox/")),
+            "pending_forwards": len(store.keys(OUTBOX_PREFIX)),
         }
         if summary is not None:
             row["views"] = {
@@ -630,11 +640,12 @@ def _dlq_store_paths(root: str) -> list[tuple[str, str]]:
 def cmd_dlq_list(args: argparse.Namespace) -> int:
     """Offline listing of dead-lettered invocations in one or N stores."""
     from repro.storage.kvstore import DurableKV
+    from repro.workers.ledger import DLQ_PREFIX
 
     rows = []
     for label, path in _dlq_store_paths(args.store):
         store = DurableKV(path, sync_writes=False)
-        for _, raw in store.scan("dlq/"):
+        for _, raw in store.scan(DLQ_PREFIX):
             entry = dict(raw)
             entry["store"] = label
             rows.append(entry)
@@ -661,10 +672,11 @@ def cmd_dlq_list(args: argparse.Namespace) -> int:
 def cmd_dlq_show(args: argparse.Namespace) -> int:
     """Full record of one dead-lettered invocation."""
     from repro.storage.kvstore import DurableKV
+    from repro.workers.ledger import DLQ_PREFIX
 
     for label, path in _dlq_store_paths(args.store):
         store = DurableKV(path, sync_writes=False)
-        raw = store.get(f"dlq/{args.invocation_id}", None)
+        raw = store.get(DLQ_PREFIX + args.invocation_id, None)
         store.close()
         if raw is not None:
             payload = dict(raw)
@@ -685,19 +697,20 @@ def cmd_dlq_requeue(args: argparse.Namespace) -> int:
     engine re-enqueues it to the pool on its next ``recover()``.
     """
     from repro.storage.kvstore import DurableKV
+    from repro.workers.ledger import DLQ_PREFIX, INVOCATION_PREFIX
     from repro.workers.records import InvocationRecord
 
     for _label, path in _dlq_store_paths(args.store):
         store = DurableKV(path)
-        raw = store.get(f"dlq/{args.invocation_id}", None)
+        raw = store.get(DLQ_PREFIX + args.invocation_id, None)
         if raw is None:
             store.close()
             continue
         record = InvocationRecord.from_dict(raw)
         record.requeues += 1
         with store.transaction():
-            store.delete(f"dlq/{record.id}")
-            store.put(f"invocation/{record.id}", record.to_dict())
+            store.delete(DLQ_PREFIX + record.id)
+            store.put(INVOCATION_PREFIX + record.id, record.to_dict())
         store.sync()
         store.close()
         print(

@@ -53,18 +53,17 @@ from typing import Any, Callable, Iterable
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.cluster.router import message_home_shard, parse_shard_tag, shard_of_key
 from repro.engine import commands as cmds
-from repro.engine.commands import Command
-from repro.engine.engine import ProcessEngine, _creation_rank
+from repro.engine.commands import Command, CommandClient
+from repro.engine.engine import ProcessEngine
 from repro.engine.errors import EngineError, InstanceNotFoundError
 from repro.engine.instance import InstanceState, ProcessInstance
-from repro.engine.migration import MigrationPlan
 from repro.model.process import ProcessDefinition
 from repro.obs import Observability
 from repro.services.bus import Message, MessageBus
 from repro.services.registry import ServiceRegistry
 from repro.storage.kvstore import KeyValueStore, MemoryKV
 from repro.views.cluster import ClusterViews
-from repro.views.projections import merge_ranked
+from repro.views.projections import creation_rank, merge_ranked
 from repro.worklist.allocation import Allocator
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
@@ -118,11 +117,12 @@ class _ClusterBus(MessageBus):
                 return sum(len(queue) for queue in self._retained.values())
 
 
-class ShardedEngine:
+class ShardedEngine(CommandClient):
     """A cluster of independently locked engine shards, one facade.
 
     The public surface mirrors :class:`ProcessEngine` — clients swap a
-    constructor call, not their code.  ``store_factory(index)`` supplies
+    constructor call, not their code; the command-constructor methods are
+    the shared :class:`~repro.engine.commands.CommandClient`.  ``store_factory(index)`` supplies
     one backing store per shard (separate stores, separate journals,
     separate group commits — the parallelism comes from here); omitted,
     every shard gets its own :class:`MemoryKV`.
@@ -385,7 +385,7 @@ class ShardedEngine:
                 self._local.expect = None
                 return False
             bus.adjust_delivered(-1)
-            shard.enqueue_outbox_forward(message)
+            shard.outbox.claim(message)
             return True
 
         return forward
@@ -401,7 +401,7 @@ class ShardedEngine:
         next drain trigger or recovery — and ends the loop so a poison
         record cannot spin.
         """
-        while any(shard._outbox for shard in self.shards):
+        while any(shard.outbox for shard in self.shards):
             if not self._drain_lock.acquire(blocking=False):
                 return
             try:
@@ -415,12 +415,12 @@ class ShardedEngine:
         """One pass over every shard's outbox; False if any record failed."""
         clean = True
         for index, shard in enumerate(self.shards):
-            if not shard._outbox:
+            if not shard.outbox:
                 # racy read, safely so: a claim landing right now happens
                 # inside a dispatch whose own post-dispatch drain follows
                 continue
             with shard._dispatch_lock:
-                records = shard.outbox_records()
+                records = shard.outbox.records()
             for record in records:
                 if not self._forward_record(index, record):
                     clean = False
@@ -469,7 +469,7 @@ class ShardedEngine:
             return False
         origin_shard = self.shards[origin]
         with origin_shard._dispatch_lock:
-            origin_shard.remove_outbox_record(record.seq)
+            origin_shard.outbox.remove(record.seq)
         return True
 
     def _probe_target(self, name: str, correlation: Any) -> int:
@@ -529,18 +529,7 @@ class ShardedEngine:
             target=target,
         )
 
-    # -- public surface (mirrors ProcessEngine) ---------------------------------
-
-    def deploy(
-        self,
-        definition: ProcessDefinition,
-        verify: bool | None = None,
-        force: bool = False,
-    ) -> str:
-        """Deploy to every shard; returns the ``key:version`` identifier."""
-        return self._broadcast_deploy(
-            cmds.DeployDefinition(definition=definition, verify=verify, force=force)
-        )
+    # -- deployment and queries (mirror ProcessEngine) --------------------------
 
     def _broadcast_deploy(self, command: cmds.DeployDefinition) -> str:
         """Deploy to every shard, running the static analysis exactly once.
@@ -567,25 +556,6 @@ class ShardedEngine:
     def definitions(self) -> list[ProcessDefinition]:
         """All deployed definitions."""
         return self.shards[0].definitions()
-
-    def start_instance(
-        self,
-        key: str,
-        variables: dict[str, Any] | None = None,
-        business_key: str | None = None,
-        version: int | None = None,
-        dedup_key: str | None = None,
-    ) -> ProcessInstance:
-        """Create and advance an instance on its routed shard."""
-        return self.dispatch(
-            cmds.StartInstance(
-                key=key,
-                variables=dict(variables or {}),
-                business_key=business_key,
-                version=version,
-                dedup_key=dedup_key,
-            )
-        )
 
     def instance(self, instance_id: str) -> ProcessInstance:
         """Look up an instance on its routed shard."""
@@ -638,79 +608,7 @@ class ShardedEngine:
         produce the same (rank, shard) interleaving.
         """
         return merge_ranked(
-            list(per_shard), lambda instance: _creation_rank(instance.id)
-        )
-
-    def terminate_instance(
-        self,
-        instance_id: str,
-        reason: str = "user request",
-        dedup_key: str | None = None,
-    ) -> None:
-        self.dispatch(
-            cmds.TerminateInstance(
-                instance_id=instance_id, reason=reason, dedup_key=dedup_key
-            )
-        )
-
-    def compensate_instance(
-        self, instance_id: str, dedup_key: str | None = None
-    ) -> dict[str, Any]:
-        result = self.dispatch(
-            cmds.CompensateInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
-        return result  # type: ignore[no-any-return]
-
-    def suspend_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
-        self.dispatch(
-            cmds.SuspendInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
-
-    def resume_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
-        self.dispatch(
-            cmds.ResumeInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
-
-    def migrate_instance(
-        self,
-        instance_id: str,
-        target_version: int,
-        plan: MigrationPlan | None = None,
-        dedup_key: str | None = None,
-    ) -> ProcessInstance:
-        return self.dispatch(
-            cmds.MigrateInstance(
-                instance_id=instance_id,
-                target_version=target_version,
-                node_mapping=dict(plan.node_mapping) if plan is not None else {},
-                dedup_key=dedup_key,
-            )
-        )
-
-    def claim_work_item(
-        self, item_id: str, resource_id: str, dedup_key: str | None = None
-    ) -> WorkItem:
-        return self.dispatch(
-            cmds.ClaimWorkItem(
-                item_id=item_id, resource_id=resource_id, dedup_key=dedup_key
-            )
-        )
-
-    def start_work_item(self, item_id: str, dedup_key: str | None = None) -> WorkItem:
-        return self.dispatch(
-            cmds.StartWorkItem(item_id=item_id, dedup_key=dedup_key)
-        )
-
-    def complete_work_item(
-        self,
-        item_id: str,
-        result: dict[str, Any] | None = None,
-        dedup_key: str | None = None,
-    ) -> WorkItem:
-        return self.dispatch(
-            cmds.CompleteWorkItem(
-                item_id=item_id, result=dict(result or {}), dedup_key=dedup_key
-            )
+            list(per_shard), lambda instance: creation_rank(instance.id)
         )
 
     def work_items(self, state: WorkItemState | None = None) -> list[WorkItem]:
@@ -725,34 +623,6 @@ class ShardedEngine:
         for shard in self.shards:
             items.extend(shard.worklist.items(state))
         return items
-
-    def correlate_message(
-        self,
-        name: str,
-        correlation: Any = None,
-        payload: dict[str, Any] | None = None,
-        dedup_key: str | None = None,
-    ) -> Message:
-        """Broadcast-correlate: deliver to the first shard with a
-        matching running wait, else retain on the message's home shard."""
-        return self._correlate(
-            cmds.CorrelateMessage(
-                message_name=name,
-                correlation=correlation,
-                payload=dict(payload or {}),
-                dedup_key=dedup_key,
-            )
-        )
-
-    def requeue_dead_letter(
-        self, invocation_id: str, dedup_key: str | None = None
-    ) -> dict[str, Any]:
-        """Requeue a dead-lettered invocation on its owning shard."""
-        return self.dispatch(
-            cmds.RequeueDeadLetter(
-                invocation_id=invocation_id, dedup_key=dedup_key
-            )
-        )
 
     def dead_letters(self) -> list[dict[str, Any]]:
         """Dead-lettered invocations across every shard, oldest first."""
@@ -784,14 +654,6 @@ class ShardedEngine:
                 for key, value in counts.items():
                     slot[key] += value
         return merged
-
-    def run_due_jobs(self) -> int:
-        """Fire due jobs on every shard; returns the merged count."""
-        return self.dispatch(cmds.RunDueJobs())
-
-    def advance_time(self, seconds: float) -> int:
-        """Advance the shared virtual clock once, then pump every shard."""
-        return self.dispatch(cmds.AdvanceTime(seconds=seconds))
 
     def _advance_time(self, seconds: float) -> int:
         if not isinstance(self.clock, VirtualClock):
@@ -843,7 +705,7 @@ class ShardedEngine:
                 for key in counts:
                     totals[key] = totals.get(key, 0) + counts[key]
                 with self._route_lock:
-                    for dedup_key in shard._dedup:
+                    for dedup_key in shard.dispatch_log.dedup:
                         self._dedup_route[dedup_key] = index
                 self._g_queue_depth[index].set(len(shard.scheduler))
         # deployed definitions must agree shard-to-shard; recovery is the
@@ -892,14 +754,14 @@ class ShardedEngine:
                     "open_work_items": shard.worklist.open_count,
                     "dispatches": self._c_dispatches[index].value,
                     "retained_messages": shard.bus.retained_count,
-                    "pending_invocations": len(shard._invocations),
-                    "dead_letters": len(shard._dead_letters),
-                    "pending_forwards": len(shard._outbox),
+                    "pending_invocations": shard.ledger.pending_count,
+                    "dead_letters": shard.ledger.dead_letter_count,
+                    "pending_forwards": len(shard.outbox),
                 }
                 if shard.views is not None:
                     entry["views"] = {
                         "applied_seq": shard.views.applied_seq,
-                        "lag": shard._dispatch_seq - shard.views.applied_seq,
+                        "lag": shard.dispatch_log.seq - shard.views.applied_seq,
                     }
                 per_shard.append(entry)
         return {

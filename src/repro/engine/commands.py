@@ -28,7 +28,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.instance import ProcessInstance
+    from repro.engine.migration import MigrationPlan
+    from repro.model.process import ProcessDefinition
+    from repro.services.bus import Message
+    from repro.worklist.items import WorkItem
 
 #: name -> command class, populated by :func:`register_command`.
 COMMAND_TYPES: dict[str, type["Command"]] = {}
@@ -366,3 +373,182 @@ class AdvanceTime(Command):
     name: ClassVar[str] = "advance_time"
 
     seconds: float = 0.0
+
+
+# -- the client surface -------------------------------------------------------
+
+
+class CommandClient:
+    """The command-constructor methods shared by every engine facade.
+
+    Each method only builds a typed command and hands it to
+    :meth:`dispatch` — the one abstract method.  :class:`~repro.engine.
+    engine.ProcessEngine` dispatches through its middleware pipeline;
+    :class:`~repro.cluster.sharded.ShardedEngine` routes to a shard (or
+    fans out) first.
+    """
+
+    def dispatch(self, command: Command) -> Any:
+        raise NotImplementedError
+
+    def deploy(
+        self,
+        definition: ProcessDefinition,
+        verify: bool | None = None,
+        force: bool = False,
+    ) -> str:
+        """Deploy a definition; returns its ``key:version`` identifier.
+
+        The full static analysis (:func:`repro.analysis.analyze`) always
+        runs.  Structural errors block deployment; behavioural errors
+        (deadlock, lack of synchronization, ...) block when ``verify``
+        (or the engine-wide ``verify_soundness``) is true.  Unresolved
+        references (services, roles, decisions) block only for engines
+        constructed with ``strict_references=True`` — otherwise they are
+        warnings, since registration order is a legitimate workflow.
+        ``force=True`` deploys despite errors (they are still recorded).
+        Every non-info finding is emitted as a ``lint.diagnostic``
+        observability event.
+        """
+        return self.dispatch(
+            DeployDefinition(definition=definition, verify=verify, force=force)
+        )
+
+    def start_instance(
+        self,
+        key: str,
+        variables: dict[str, Any] | None = None,
+        business_key: str | None = None,
+        version: int | None = None,
+        dedup_key: str | None = None,
+    ) -> ProcessInstance:
+        """Create and advance a new instance of a deployed definition."""
+        return self.dispatch(
+            StartInstance(
+                key=key,
+                variables=dict(variables or {}),
+                business_key=business_key,
+                version=version,
+                dedup_key=dedup_key,
+            )
+        )
+
+    def terminate_instance(
+        self,
+        instance_id: str,
+        reason: str = "user request",
+        dedup_key: str | None = None,
+    ) -> None:
+        """Administratively cancel a running instance."""
+        self.dispatch(
+            TerminateInstance(
+                instance_id=instance_id, reason=reason, dedup_key=dedup_key
+            )
+        )
+
+    def compensate_instance(
+        self, instance_id: str, dedup_key: str | None = None
+    ) -> dict[str, Any]:
+        """Run the instance's compensation handlers in reverse order (saga)."""
+        result = self.dispatch(
+            CompensateInstance(instance_id=instance_id, dedup_key=dedup_key)
+        )
+        return result  # type: ignore[no-any-return]
+
+    def suspend_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
+        """Pause an instance: waiting triggers are deferred until resume."""
+        self.dispatch(SuspendInstance(instance_id=instance_id, dedup_key=dedup_key))
+
+    def resume_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
+        """Resume a suspended instance and advance it."""
+        self.dispatch(ResumeInstance(instance_id=instance_id, dedup_key=dedup_key))
+
+    def migrate_instance(
+        self,
+        instance_id: str,
+        target_version: int,
+        plan: MigrationPlan | None = None,
+        dedup_key: str | None = None,
+    ) -> ProcessInstance:
+        """Move a running instance to another deployed version.
+
+        See :mod:`repro.engine.migration` for the compatibility rules.
+        """
+        return self.dispatch(
+            MigrateInstance(
+                instance_id=instance_id,
+                target_version=target_version,
+                node_mapping=dict(plan.node_mapping) if plan is not None else {},
+                dedup_key=dedup_key,
+            )
+        )
+
+    def claim_work_item(
+        self, item_id: str, resource_id: str, dedup_key: str | None = None
+    ) -> WorkItem:
+        """A resource pulls an offered item from its role queue."""
+        return self.dispatch(
+            ClaimWorkItem(
+                item_id=item_id, resource_id=resource_id, dedup_key=dedup_key
+            )
+        )
+
+    def start_work_item(self, item_id: str, dedup_key: str | None = None) -> WorkItem:
+        """The allocated resource begins work on an item."""
+        return self.dispatch(StartWorkItem(item_id=item_id, dedup_key=dedup_key))
+
+    def complete_work_item(
+        self,
+        item_id: str,
+        result: dict[str, Any] | None = None,
+        dedup_key: str | None = None,
+    ) -> WorkItem:
+        """Complete a started work item; the owning token advances."""
+        return self.dispatch(
+            CompleteWorkItem(
+                item_id=item_id, result=dict(result or {}), dedup_key=dedup_key
+            )
+        )
+
+    def correlate_message(
+        self,
+        name: str,
+        correlation: Any = None,
+        payload: dict[str, Any] | None = None,
+        dedup_key: str | None = None,
+    ) -> Message:
+        """Publish a message into the engine's bus (external entry point).
+
+        If a waiting catch matches it is delivered immediately; otherwise
+        the message is retained for a future receiver.
+        """
+        return self.dispatch(
+            CorrelateMessage(
+                message_name=name,
+                correlation=correlation,
+                payload=dict(payload or {}),
+                dedup_key=dedup_key,
+            )
+        )
+
+    def requeue_dead_letter(
+        self, invocation_id: str, dedup_key: str | None = None
+    ) -> dict[str, Any]:
+        """Move a dead-lettered invocation back onto its service queue."""
+        return self.dispatch(
+            RequeueDeadLetter(invocation_id=invocation_id, dedup_key=dedup_key)
+        )
+
+    def run_due_jobs(self) -> int:
+        """Fire every due job; returns the number processed.
+
+        Jobs whose instance is suspended are *deferred* (re-queued with
+        their original due time) so they fire after the instance resumes.
+        Jobs whose instance no longer exists are dropped — counted under
+        ``engine.jobs.orphaned``, not in the returned total.
+        """
+        return self.dispatch(RunDueJobs())
+
+    def advance_time(self, seconds: float) -> int:
+        """Advance a virtual clock and fire everything that became due."""
+        return self.dispatch(AdvanceTime(seconds=seconds))

@@ -33,17 +33,96 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.commands import Command
-from repro.engine.instance import ProcessInstance
+from repro.engine.instance import INSTANCE_PREFIX, ProcessInstance
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
 from repro.services.bus import Message
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.writeset import WriteSet
 from repro.worklist.items import WorkItem
+from repro.worklist.service import WORKITEM_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ProcessEngine
 
 #: middleware signature: ``(engine, command, call_next) -> result``
 Middleware = Callable[["ProcessEngine", Command, Callable[[Command], Any]], Any]
+
+#: store-key family of dispatch-log entries (``dispatch/<zero-padded seq>``)
+DISPATCH_PREFIX = "dispatch/"
+
+
+class DispatchLog:
+    """The bounded, persisted command log and its idempotency window.
+
+    Bounded by ``retention``: pruned entries are deleted from the store
+    at the next commit, and dedup keys whose recording entry fell out of
+    the window are evicted — the idempotency guarantee holds within the
+    retention window.
+    """
+
+    def __init__(self, writes: WriteSet, retention: int) -> None:
+        self._writes = writes
+        self.retention = max(1, int(retention))
+        #: retained entries, oldest first, contiguous in ``seq``
+        self.records: list[dict[str, Any]] = []
+        #: sequence number of the newest entry ever appended
+        self.seq = 0
+        #: client dedup key -> ``{"result", "seq"}`` of its first apply
+        self.dedup: dict[str, dict[str, Any]] = {}
+
+    def append(self, record: dict[str, Any]) -> None:
+        """Assign the next sequence number, store the entry, prune."""
+        self.seq += 1
+        record["seq"] = self.seq
+        self.records.append(record)
+        self._writes.put(DISPATCH_PREFIX, f"{self.seq:010d}", record)
+        while len(self.records) > self.retention:
+            old = self.records.pop(0)
+            seq = old["seq"]
+            record_id = f"{seq:010d}"
+            # an entry appended and pruned inside one batch() never
+            # reached the store: nothing to delete
+            if not self._writes.discard(DISPATCH_PREFIX, record_id):
+                self._writes.delete(DISPATCH_PREFIX, record_id)
+            key = old.get("dedup_key")
+            if key is not None:
+                hit = self.dedup.get(key)
+                if hit is not None and hit.get("seq") == seq:
+                    del self.dedup[key]
+
+    def state_changed(self) -> bool:
+        """Whether any record besides log entries awaits commit — the
+        trigger for logging a command that is otherwise not loggable."""
+        return len(self._writes) > self._writes.count(DISPATCH_PREFIX)
+
+    def history(self, limit: int | None = None) -> list[dict[str, Any]]:
+        """Recent entries, oldest first."""
+        log = list(self.records)
+        if limit is not None and limit >= 0:
+            log = log[len(log) - min(limit, len(log)):]
+        return log
+
+    def load(self, store: KeyValueStore) -> int:
+        """Restore the ``dispatch/`` records of a store; returns entries
+        retained.  Restores the idempotency window with them, so a client
+        retrying a dedup-keyed command across a crash still gets the
+        recorded (summarized) result instead of a double apply."""
+        log = sorted(
+            (raw for _, raw in store.scan(DISPATCH_PREFIX)),
+            key=lambda r: r.get("seq", 0),
+        )
+        self.records = log[max(0, len(log) - self.retention):]
+        if log:
+            self.seq = max(self.seq, log[-1].get("seq", 0))
+        for record in self.records:
+            key = record.get("dedup_key")
+            if key is not None and record.get("status") == "applied":
+                self.dedup[key] = {
+                    "result": record.get("result"),
+                    "seq": record.get("seq", 0),
+                }
+        return len(self.records)
 
 
 def summarize_result(result: Any) -> Any:
@@ -83,12 +162,13 @@ def idempotency_middleware(
     key = cmd.dedup_key
     if key is None:
         return call_next(cmd)
-    hit = engine._dedup.get(key)
+    log = engine.dispatch_log
+    hit = log.dedup.get(key)
     if hit is not None:
         engine._c_commands_deduped.inc()
         return hit["result"]
     result = call_next(cmd)
-    engine._dedup[key] = {"result": result, "seq": engine._dispatch_seq}
+    log.dedup[key] = {"result": result, "seq": log.seq}
     return result
 
 
@@ -145,16 +225,14 @@ TOUCHED_STAMP_CAP = 64
 def _touched_snapshot(engine: "ProcessEngine") -> dict[str, list[str]] | None:
     """The view-relevant dirty ids at log time, or ``None`` if over cap.
 
-    Dirty sets only grow between flushes, so the stamp on the *last*
-    entry of any un-flushed window is a superset of every earlier
+    Pending puts only grow between commits, so the stamp on the *last*
+    entry of any uncommitted window is a superset of every earlier
     entry's touches — which is exactly what makes replaying only the
     tail's touched entities from final base state sufficient (see
     ``ProjectionManager.recover``).
     """
-    # raw dirty sets, not the sorted-tuple accessor: this runs on every
-    # logged record, and one sorted() per set is the whole cost
-    instance_ids = engine._dirty
-    item_ids = engine.worklist._dirty
+    instance_ids = engine._writes.puts(INSTANCE_PREFIX)
+    item_ids = engine._writes.puts(WORKITEM_PREFIX)
     if len(instance_ids) + len(item_ids) > TOUCHED_STAMP_CAP:
         return None
     return {"instances": sorted(instance_ids), "items": sorted(item_ids)}
@@ -166,7 +244,7 @@ def dispatch_log_middleware(
     """Record the command in the dispatch log and the history stream.
 
     Skips only commands that report themselves unloggable (idle pumps)
-    *and* left no dirty state behind — everything that mutated the engine
+    *and* left no pending writes behind — everything that mutated the engine
     is in the log, which is what makes a sequential replay of the log
     equivalent to the original concurrent run.
 
@@ -192,7 +270,7 @@ def dispatch_log_middleware(
             record["touched"] = _touched_snapshot(engine)
         _log(engine, record)
         raise
-    if cmd.loggable(result) or engine._has_pending_dirty():
+    if cmd.loggable(result) or engine.dispatch_log.state_changed():
         record["result"] = summarize_result(result)
         if engine.views is not None:
             record["touched"] = _touched_snapshot(engine)
@@ -201,7 +279,7 @@ def dispatch_log_middleware(
 
 
 def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
-    engine._append_dispatch_record(record)
+    engine.dispatch_log.append(record)
     engine.history.record(
         HistoryService.ENGINE_STREAM,
         EventTypes.COMMAND_DISPATCHED,

@@ -12,17 +12,19 @@ For durability pass a :class:`~repro.storage.kvstore.DurableKV`; after a
 crash, construct an engine over the same store (with services re-registered
 — code is not persisted, state is) and call :meth:`ProcessEngine.recover`.
 
-Persistence is incremental: every flush writes only the records that
-changed since the last one (``instance/<id>``, ``jobs/<id>``,
-``workitem/<id>``, ``dispatch/<seq>``), and the commit policy decides when
-flushes happen — per call (default), every ``commit_interval`` records, or
-once per :meth:`ProcessEngine.batch` block (group commit for bulk traffic).
+Persistence is incremental: the engine and its components record every
+changed record in one shared :class:`~repro.storage.writeset.WriteSet`,
+a flush commits exactly that set in one transaction, and the commit
+policy decides when flushes happen — per call (default), every
+``commit_interval`` records, or once per :meth:`ProcessEngine.batch`
+block (group commit for bulk traffic).
 
 Every public mutation is a typed :class:`~repro.engine.commands.Command`
 executed through :meth:`ProcessEngine.dispatch` — one path carrying the
 serialization gate (thread safety), idempotent dedup keys, observability,
-the dispatch log, and the commit policy.  The public methods below are
-thin command constructors; node semantics live in
+the dispatch log, and the commit policy.  The public mutation methods
+are the thin command constructors of
+:class:`~repro.engine.commands.CommandClient`; node semantics live in
 :mod:`repro.engine.executors` and the interpreter core in
 :mod:`repro.engine.execution`.
 """
@@ -30,14 +32,14 @@ thin command constructors; node semantics live in
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.engine import commands as cmds
 from repro.engine import execution as core
 from repro.engine import executors as _executors  # noqa: F401 - registry load
-from repro.engine.commands import Command
-from repro.engine.dispatch import Dispatcher
+from repro.engine.commands import Command, CommandClient
+from repro.engine.dispatch import DISPATCH_PREFIX, DispatchLog, Dispatcher
 from repro.engine.errors import (
     DefinitionNotFoundError,
     EngineError,
@@ -45,9 +47,17 @@ from repro.engine.errors import (
     InstanceNotFoundError,
 )
 from repro.engine.executors.subprocesses import on_mi_child_finished
-from repro.engine.executors.tasks import perform_service_invocation
-from repro.engine.instance import InstanceState, ProcessInstance, TokenState
-from repro.engine.jobs import JobScheduler
+from repro.engine.executors.tasks import (
+    apply_invocation_outcome,
+    perform_service_invocation,
+)
+from repro.engine.instance import (
+    INSTANCE_PREFIX,
+    InstanceState,
+    ProcessInstance,
+    TokenState,
+)
+from repro.engine.jobs import JOBS_PREFIX, JobScheduler
 from repro.engine.metrics import EngineMetrics
 from repro.engine.migration import MigrationPlan, apply_migration
 from repro.history.audit import HistoryService
@@ -60,14 +70,25 @@ from repro.services.bus import Message, MessageBus
 from repro.services.invoker import ServiceInvoker
 from repro.services.registry import ServiceRegistry
 from repro.storage.kvstore import KeyValueStore, MemoryKV
-from repro.views.manager import ProjectionManager
+from repro.storage.writeset import Sequences, WriteSet
+from repro.views.projections import creation_rank
+from repro.workers.ledger import DLQ_PREFIX, INVOCATION_PREFIX, InvocationLedger
 from repro.worklist.allocation import Allocator
 from repro.worklist.items import WorkItem
 from repro.worklist.resources import OrganizationalModel
-from repro.worklist.service import WorklistService
+from repro.worklist.service import WORKITEM_PREFIX, WorklistService
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.views.manager import ProjectionManager
+
+#: store-key family of deployed definitions (``definition/<key>:<version>``)
+DEFINITION_PREFIX = "definition/"
+#: store-key family of the engine's singleton records: ``engine/meta``
+#: (id sequences), ``engine/message_waits``, ``engine/latest_versions``
+ENGINE_PREFIX = "engine/"
 
 
-class ProcessEngine:
+class ProcessEngine(CommandClient):
     """The workflow enactment service."""
 
     def __init__(
@@ -100,7 +121,7 @@ class ProcessEngine:
         generated instance and work-item ids (``order-s2-7``, ``wi-s2-3``)
         so several engines can coexist without id collisions.  ``views``
         maintains the materialized read models of :mod:`repro.views`
-        write-behind: commits note dirty entity ids, reads materialize
+        write-behind: commits note touched entity ids, reads materialize
         them, and the ``view/<name>/…`` records persist inside the first
         group commit after the stored image lags ``views_flush_lag``
         dispatch seqs (default: retention/4, always within the
@@ -129,11 +150,37 @@ class ProcessEngine:
         self.shard_tag = shard_tag
         self._id_ns = f"{shard_tag}-" if shard_tag else ""
 
+        from repro.cluster.outbox import OUTBOX_PREFIX, Outbox  # cycle guard
         from repro.decisions.table import DecisionRegistry
+        from repro.views.manager import VIEW_PREFIX, ProjectionManager  # cycle guard
 
+        # every record changed since the last commit, whoever owns it:
+        # the components below write into this one set at mutation time
+        # and _flush commits it whole (families in this order)
+        self._writes = WriteSet(
+            (
+                DEFINITION_PREFIX,
+                INSTANCE_PREFIX,
+                JOBS_PREFIX,
+                WORKITEM_PREFIX,
+                DISPATCH_PREFIX,
+                INVOCATION_PREFIX,
+                DLQ_PREFIX,
+                OUTBOX_PREFIX,
+                ENGINE_PREFIX,
+                VIEW_PREFIX,
+            )
+        )
+        self._seqs = Sequences(
+            self._writes,
+            ENGINE_PREFIX,
+            "meta",
+            ("instance_seq", "invocation_seq", "outbox_seq"),
+        )
         self.decisions = DecisionRegistry()
         self.metrics = EngineMetrics(self.obs.registry)
         self.scheduler = JobScheduler()
+        self.scheduler.bind_writes(self._writes)
         self.worklist = WorklistService(
             organization=self.organization,
             allocator=allocator,
@@ -142,6 +189,7 @@ class ProcessEngine:
             obs=self.obs,
             id_namespace=shard_tag,
         )
+        self.worklist.bind_writes(self._writes)
         self.worklist.on_completion(self._on_work_item_completed)
         self.invoker = ServiceInvoker(self.services, clock=self.clock, obs=self.obs)
         self.bus.subscribe(self._on_bus_message)
@@ -176,15 +224,10 @@ class ProcessEngine:
         self._c_commands_deduped = self.obs.registry.counter(
             "engine.commands.deduped"
         )
-        self._c_inv_enqueued = self.obs.registry.counter("workers.enqueued")
-        self._c_inv_completed = self.obs.registry.counter("workers.completed")
         self._c_inv_duplicates = self.obs.registry.counter(
             "workers.duplicate_completions"
         )
-        self._c_inv_cancelled = self.obs.registry.counter("workers.cancelled")
-        self._c_inv_requeued = self.obs.registry.counter("workers.requeued")
         self._c_compensations = self.obs.registry.counter("engine.compensations")
-        self._g_dead_letters = self.obs.registry.gauge("workers.dead_letters")
         self._command_counters: dict[str, Any] = {}
         self._instance_spans: dict[str, Span] = {}
         self._engine_span: Span | None = (
@@ -196,8 +239,6 @@ class ProcessEngine:
         self._instances: dict[str, ProcessInstance] = {}
         self._message_waits: list[dict[str, Any]] = []
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
-        self._instance_seq = 0
-        self._dirty: set[str] = set()
         self._advancing: set[str] = set()
         # secondary indexes: instance ids by state and by business key,
         # maintained solely by _register_instance/_set_instance_state so
@@ -207,56 +248,29 @@ class ProcessEngine:
         }
         self._by_business_key: dict[str, dict[str, None]] = {}
         self._creation_order: dict[str, int] = {}
-        # incremental-persistence bookkeeping: the commit policy, the
-        # batch() nesting depth, whether the message-wait list changed,
-        # and the last instance_seq written to engine/meta
+        # the commit policy and the batch() nesting depth
         self._commit_interval = max(1, int(commit_interval))
         self._batch_depth = 0
-        self._waits_dirty = False
-        self._persisted_seq = 0
-        # asynchronous service execution (see repro.workers): the pending-
-        # invocation table is the at-least-once ledger — records are
-        # persisted in the same group commit as the enqueueing dispatch,
-        # handed to the pool only after that commit, and removed in the
-        # same commit as their completion.  Dead letters are invocations
-        # whose retries exhausted; per-service enqueued/completed counters
-        # back the workers_status() invariant.
+        # asynchronous service execution (see repro.workers): the ledger
+        # of pending invocations and dead letters, and the attached pool
         self.workers = None  # type: Any
-        self._invocations: dict[str, Any] = {}
-        self._invocations_dirty: set[str] = set()
-        self._invocations_removed: set[str] = set()
-        self._invocations_to_submit: list[str] = []
-        self._dead_letters: dict[str, dict[str, Any]] = {}
-        self._dead_letters_dirty: set[str] = set()
-        self._dead_letters_removed: set[str] = set()
-        self._invocation_seq = 0
-        self._persisted_invocation_seq = 0
-        self._inv_enqueued: dict[str, int] = {}
-        self._inv_completed: dict[str, int] = {}
+        self.ledger = InvocationLedger(
+            self._writes, self._seqs, self.obs.registry, f"inv-{self._id_ns}"
+        )
         # cross-shard forwarding outbox (see repro.cluster.outbox): records
         # a forwarder claims under this shard's dispatch lock, persisted in
         # the same group commit as the claiming dispatch and deleted only
-        # after the target shard's delivery flushed.  The sequence is
-        # persisted in engine/meta because records are removed after drain
-        # — a restart must never re-mint a fwd:<origin>:<seq> key that may
-        # still sit in a target's dedup window.
-        self._outbox: dict[int, Any] = {}
-        self._outbox_dirty: set[int] = set()
-        self._outbox_removed: set[int] = set()
-        self._outbox_seq = 0
-        self._persisted_outbox_seq = 0
+        # after the target shard's delivery flushed
+        self.outbox = Outbox(self._writes, self._seqs, shard_tag, self.clock)
+        # its deletes are garbage collection: see has_pending_writes()
+        self._gc_family = OUTBOX_PREFIX
         # the command pipeline: a single re-entrant serialization gate
-        # shared with the worklist and the bus, the idempotency window,
-        # and the bounded persisted dispatch log
+        # shared with the worklist and the bus, and the bounded persisted
+        # dispatch log with its idempotency window
         self._dispatch_lock = threading.RLock()
         self.worklist.bind_lock(self._dispatch_lock)
         self.bus.bind_lock(self._dispatch_lock)
-        self._dedup: dict[str, dict[str, Any]] = {}
-        self._dispatch_log: list[dict[str, Any]] = []
-        self._dispatch_seq = 0
-        self._dispatch_log_retention = max(1, int(dispatch_log_retention))
-        self._dispatch_dirty: set[int] = set()
-        self._dispatch_removed: set[int] = set()
+        self.dispatch_log = DispatchLog(self._writes, dispatch_log_retention)
         self._dispatcher = Dispatcher(
             self, handlers=self._command_handlers(), lock=self._dispatch_lock
         )
@@ -269,7 +283,7 @@ class ProcessEngine:
             ProjectionManager(obs=self.obs) if views else None
         )
         self._views_flush_lag = (
-            max(1, self._dispatch_log_retention // 4)
+            max(1, self.dispatch_log.retention // 4)
             if views_flush_lag is None
             else max(1, int(views_flush_lag))
         )
@@ -304,97 +318,40 @@ class ProcessEngine:
             cmds.RequeueDeadLetter: self._handle_requeue_dead_letter,
         }
 
-    def _append_dispatch_record(self, record: dict[str, Any]) -> None:
-        """Assign the next sequence number and store the log entry.
-
-        The log is bounded by ``dispatch_log_retention``: pruned entries
-        are deleted from the store on the next flush, and dedup keys
-        whose recording entry fell out of the window are evicted — the
-        idempotency guarantee holds within the retention window.
-        """
-        self._dispatch_seq += 1
-        record["seq"] = self._dispatch_seq
-        self._dispatch_log.append(record)
-        self._dispatch_dirty.add(record["seq"])
-        while len(self._dispatch_log) > self._dispatch_log_retention:
-            old = self._dispatch_log.pop(0)
-            seq = old["seq"]
-            if seq in self._dispatch_dirty:
-                self._dispatch_dirty.discard(seq)  # never reached the store
-            else:
-                self._dispatch_removed.add(seq)
-            key = old.get("dedup_key")
-            if key is not None:
-                hit = self._dedup.get(key)
-                if hit is not None and hit.get("seq") == seq:
-                    del self._dedup[key]
-
-    def _has_pending_dirty(self) -> bool:
-        """Whether any state changed since the last flush (log trigger)."""
-        if self._dirty or self._waits_dirty:
-            return True
-        if self._instance_seq != self._persisted_seq:
-            return True
-        if self._invocation_seq != self._persisted_invocation_seq:
-            return True
-        if self._invocations_dirty or self._invocations_removed:
-            return True
-        if self._dead_letters_dirty or self._dead_letters_removed:
-            return True
-        if self._outbox_dirty or self._outbox_removed:
-            return True
-        if self._outbox_seq != self._persisted_outbox_seq:
-            return True
-        dirty_jobs, removed_jobs = self.scheduler.pending_changes()
-        if dirty_jobs or removed_jobs:
-            return True
-        return bool(self.worklist.dirty_item_ids())
-
     def dispatch_history(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Recent dispatch-log entries, oldest first (``repro commands``)."""
-        log = list(self._dispatch_log)
-        if limit is not None and limit >= 0:
-            log = log[len(log) - min(limit, len(log)):]
-        return log
+        return self.dispatch_log.history(limit)
+
+    def _touch(self, instance: ProcessInstance) -> None:
+        """Mark an instance changed: its record joins the next commit."""
+        self._writes.put(INSTANCE_PREFIX, instance.id, instance.to_dict)
+
+    def _touch_waits(self) -> None:
+        """Mark the message-wait list changed (snapshot at commit time)."""
+        self._writes.put(
+            ENGINE_PREFIX, "message_waits", lambda: list(self._message_waits)
+        )
 
     # -- deployment -----------------------------------------------------------
 
-    def deploy(
-        self,
-        definition: ProcessDefinition,
-        verify: bool | None = None,
-        force: bool = False,
-    ) -> str:
-        """Deploy a definition; returns its ``key:version`` identifier.
-
-        The full static analysis (:func:`repro.analysis.analyze`) always
-        runs.  Structural errors block deployment; behavioural errors
-        (deadlock, lack of synchronization, ...) block when ``verify``
-        (or the engine-wide ``verify_soundness``) is true.  Unresolved
-        references (services, roles, decisions) block only for engines
-        constructed with ``strict_references=True`` — otherwise they are
-        warnings, since registration order is a legitimate workflow.
-        ``force=True`` deploys despite errors (they are still recorded).
-        Every non-info finding is emitted as a ``lint.diagnostic``
-        observability event.
-        """
-        return self.dispatch(
-            cmds.DeployDefinition(definition=definition, verify=verify, force=force)
-        )
-
     def _handle_deploy(self, cmd: cmds.DeployDefinition) -> str:
-        from repro.analysis import AnalysisContext, Severity, analyze
+        from repro.analysis import AnalysisCache, AnalysisContext, Severity, analyze
+        from repro.analysis.deployment import candidate_findings
 
         definition = cmd.definition
         if cmd.pre_verified:
             return self._register_deployment(definition)
         behavioral = cmd.verify if cmd.verify is not None else self.verify_soundness
-        overrides = None
+        # unless strict_references, unresolved references (REF00x, and
+        # CALL001: call target not deployed) are warnings — registration
+        # and deploy order are legitimate workflows
+        overrides = interproc_overrides = None
         if not self.strict_references:
             overrides = {
                 rule_id: Severity.WARNING
                 for rule_id in ("REF001", "REF002", "REF003", "REF004")
             }
+            interproc_overrides = {"CALL001": Severity.WARNING}
         report = analyze(
             definition,
             context=AnalysisContext.from_engine(self),
@@ -402,48 +359,34 @@ class ProcessEngine:
             max_states=self.soundness_max_states,
             severity_overrides=overrides,
         )
-        for diagnostic in report.diagnostics:
-            if diagnostic.severity is Severity.INFO:
-                continue
-            self.obs.event(
-                "lint.diagnostic",
-                process=definition.key,
-                rule=diagnostic.rule,
-                severity=diagnostic.severity.value,
-                element=diagnostic.element_id,
-                message=diagnostic.message,
-            )
+        self._emit_findings("lint.diagnostic", definition, report.diagnostics)
         self._c_lint_warnings.inc(len(report.warnings))
-        interproc = self._interproc_findings(definition)
-        for diagnostic in interproc:
-            if diagnostic.severity is Severity.INFO:
-                continue
-            self.obs.event(
-                "lint.interproc",
-                process=definition.key,
-                rule=diagnostic.rule,
-                severity=diagnostic.severity.value,
-                element=diagnostic.element_id,
-                message=diagnostic.message,
-            )
+        if self._analysis_cache is None:
+            self._analysis_cache = AnalysisCache()
+        interproc = candidate_findings(
+            definition,
+            (
+                self._definitions[f"{key}:{version}"]
+                for key, version in self._latest_version.items()
+            ),
+            self._analysis_cache,
+            interproc_overrides,
+        )
+        self._emit_findings("lint.interproc", definition, interproc)
         self._c_interproc_warnings.inc(
             sum(1 for d in interproc if d.severity is Severity.WARNING)
         )
-        if not report.ok:
+        if not report.ok and not cmd.force:
             behavioural_rules = {"SND001", "SND002", "SND003", "SND005"}
             structural = [
                 d for d in report.errors if d.rule not in behavioural_rules
             ]
-            errors = structural if structural else report.errors
-            kind = "invalid" if structural else "unsound"
-            if not cmd.force:
-                self._c_lint_blocked.inc()
-                raise EngineError(
-                    f"definition {definition.key!r} {kind}: "
-                    + "; ".join(
-                        f"[{d.rule}] {d.element_id}: {d.message}" for d in errors
-                    )
-                )
+            self._c_lint_blocked.inc()
+            raise EngineError(
+                f"definition {definition.key!r} "
+                f"{'invalid' if structural else 'unsound'}: "
+                + _describe(structural if structural else report.errors)
+            )
         interproc_errors = [
             d for d in interproc if d.severity is Severity.ERROR
         ]
@@ -451,71 +394,42 @@ class ProcessEngine:
             self._c_interproc_blocked.inc()
             raise EngineError(
                 f"definition {definition.key!r} breaks the deployment: "
-                + "; ".join(
-                    f"[{d.rule}] {d.element_id}: {d.message}"
-                    for d in interproc_errors
-                )
+                + _describe(interproc_errors)
             )
         return self._register_deployment(definition)
 
-    def _interproc_findings(self, definition: ProcessDefinition) -> list:
-        """Deployment-wide findings (MSG*/CALL*) for a deploy candidate.
+    def _emit_findings(
+        self, event: str, definition: ProcessDefinition, diagnostics: list
+    ) -> None:
+        """One observability event per non-info finding of a deploy."""
+        from repro.analysis import Severity
 
-        The candidate is checked against the latest version of every other
-        deployed definition.  Results are memoized in an
-        :class:`~repro.analysis.cache.AnalysisCache` keyed on the
-        candidate's content hash plus the registry's interface
-        fingerprint, so redeploys and interface-neutral edits skip the
-        graph walk.  Unless ``strict_references``, CALL001 (call target
-        not deployed) is downgraded to a warning — deploy order is a
-        legitimate workflow, mirroring REF004.
-        """
-        from dataclasses import replace as _replace
-
-        from repro.analysis import (
-            AnalysisCache,
-            DeploymentGraph,
-            Severity,
-            interproc_pass,
-        )
-        from repro.analysis import _apply_suppressions, _with_provenance
-
-        if self._analysis_cache is None:
-            self._analysis_cache = AnalysisCache()
-        cache = self._analysis_cache
-        snapshot = [
-            self._definitions[f"{key}:{version}"]
-            for key, version in self._latest_version.items()
-            if key != definition.key
-        ]
-        snapshot.append(definition)
-        interfaces = {d.key: cache.interface(d) for d in snapshot}
-        graph = DeploymentGraph.build(snapshot, interfaces=interfaces)
-        cache_key = cache.interproc_key(definition, graph.fingerprint())
-        raw = cache.get_interproc(cache_key)
-        if raw is None:
-            raw = interproc_pass(definition, graph)
-            cache.put_interproc(cache_key, raw)
-        if not self.strict_references:
-            raw = [
-                _replace(d, severity=Severity.WARNING)
-                if d.rule == "CALL001" and d.severity is Severity.ERROR
-                else d
-                for d in raw
-            ]
-        decorated = [_with_provenance(definition, d) for d in raw]
-        kept, _suppressed = _apply_suppressions(definition, decorated)
-        return kept
+        for diagnostic in diagnostics:
+            if diagnostic.severity is Severity.INFO:
+                continue
+            self.obs.event(
+                event,
+                process=definition.key,
+                rule=diagnostic.rule,
+                severity=diagnostic.severity.value,
+                element=diagnostic.element_id,
+                message=diagnostic.message,
+            )
 
     def _register_deployment(self, definition: ProcessDefinition) -> str:
         version = self._latest_version.get(definition.key, 0) + 1
         deployed = definition.with_version(version)
         self._definitions[deployed.identifier] = deployed
         self._latest_version[definition.key] = version
-        self.store.put(
-            f"definition/{deployed.identifier}", definition_to_dict(deployed)
+        # both records join the deploy dispatch's commit: a crash leaves
+        # either a findable definition or none, never a stored version
+        # the next deploy would re-mint and overwrite
+        self._writes.put(
+            DEFINITION_PREFIX, deployed.identifier, definition_to_dict(deployed)
         )
-        self.store.put("engine/latest_versions", dict(self._latest_version))
+        self._writes.put(
+            ENGINE_PREFIX, "latest_versions", dict(self._latest_version)
+        )
         self.history.record(
             HistoryService.ENGINE_STREAM,
             EventTypes.DEFINITION_DEPLOYED,
@@ -555,25 +469,6 @@ class ProcessEngine:
 
     # -- instances -------------------------------------------------------------
 
-    def start_instance(
-        self,
-        key: str,
-        variables: dict[str, Any] | None = None,
-        business_key: str | None = None,
-        version: int | None = None,
-        dedup_key: str | None = None,
-    ) -> ProcessInstance:
-        """Create and advance a new instance of a deployed definition."""
-        return self.dispatch(
-            cmds.StartInstance(
-                key=key,
-                variables=dict(variables or {}),
-                business_key=business_key,
-                version=version,
-                dedup_key=dedup_key,
-            )
-        )
-
     def _handle_start_instance(self, cmd: cmds.StartInstance) -> ProcessInstance:
         return self._start_instance_internal(
             key=cmd.key,
@@ -597,9 +492,9 @@ class ProcessEngine:
         starts = definition.start_events()
         if len(starts) != 1:
             raise EngineError(f"definition {key!r} needs exactly one start event")
-        self._instance_seq += 1
+        rank = self._seqs.next("instance_seq")
         instance = ProcessInstance(
-            id=f"{key}-{self._id_ns}{self._instance_seq}",
+            id=f"{key}-{self._id_ns}{rank}",
             definition_id=definition.identifier,
             business_key=business_key,
             variables=variables,
@@ -607,7 +502,7 @@ class ProcessEngine:
             parent_instance_id=parent_instance_id,
             parent_token_id=parent_token_id,
         )
-        self._register_instance(instance, self._instance_seq)
+        self._register_instance(instance, rank)
         instance.new_token(starts[0].id)
         self.metrics.instances_started += 1
         if self.obs.enabled:
@@ -732,7 +627,7 @@ class ProcessEngine:
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_COMPLETED)
         self._finish_instance_span(instance, "ok")
-        self._dirty.add(instance.id)
+        self._touch(instance)
         self._notify_parent(instance)
 
     def _terminate_instance(self, instance: ProcessInstance, reason: str) -> None:
@@ -741,7 +636,7 @@ class ProcessEngine:
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_TERMINATED, reason=reason)
         self._finish_instance_span(instance, "ok")
-        self._dirty.add(instance.id)
+        self._touch(instance)
         self._notify_parent(instance)
 
     def _terminate_instance_internal(
@@ -758,7 +653,7 @@ class ProcessEngine:
         instance.failure = reason
         self._record(instance, EventTypes.INSTANCE_FAILED, reason=reason)
         self._finish_instance_span(instance, "error")
-        self._dirty.add(instance.id)
+        self._touch(instance)
         self._notify_parent(instance, failed=True)
 
     def _notify_parent(self, child: ProcessInstance, failed: bool = False) -> None:
@@ -824,19 +719,6 @@ class ProcessEngine:
         token.resume(flow.target, arrived_via=flow.id)
         core.advance(self, parent)
 
-    def terminate_instance(
-        self,
-        instance_id: str,
-        reason: str = "user request",
-        dedup_key: str | None = None,
-    ) -> None:
-        """Administratively cancel a running instance."""
-        self.dispatch(
-            cmds.TerminateInstance(
-                instance_id=instance_id, reason=reason, dedup_key=dedup_key
-            )
-        )
-
     def _handle_terminate_instance(self, cmd: cmds.TerminateInstance) -> None:
         instance = self.instance(cmd.instance_id)
         if instance.state.is_finished:
@@ -844,15 +726,6 @@ class ProcessEngine:
                 f"instance {cmd.instance_id!r} already {instance.state.value}"
             )
         self._terminate_instance_internal(instance, cmd.reason)
-
-    def compensate_instance(
-        self, instance_id: str, dedup_key: str | None = None
-    ) -> dict[str, Any]:
-        """Run the instance's compensation handlers in reverse order (saga)."""
-        result = self.dispatch(
-            cmds.CompensateInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
-        return result  # type: ignore[no-any-return]
 
     def _handle_compensate_instance(
         self, cmd: cmds.CompensateInstance
@@ -874,12 +747,6 @@ class ProcessEngine:
             "pending": len(instance.compensations),
         }
 
-    def suspend_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
-        """Pause an instance: waiting triggers are deferred until resume."""
-        self.dispatch(
-            cmds.SuspendInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
-
     def _handle_suspend_instance(self, cmd: cmds.SuspendInstance) -> None:
         instance = self.instance(cmd.instance_id)
         if instance.state is not InstanceState.RUNNING:
@@ -888,13 +755,7 @@ class ProcessEngine:
             )
         self._set_instance_state(instance, InstanceState.SUSPENDED)
         self._record(instance, EventTypes.INSTANCE_SUSPENDED)
-        self._dirty.add(instance.id)
-
-    def resume_instance(self, instance_id: str, dedup_key: str | None = None) -> None:
-        """Resume a suspended instance and advance it."""
-        self.dispatch(
-            cmds.ResumeInstance(instance_id=instance_id, dedup_key=dedup_key)
-        )
+        self._touch(instance)
 
     def _handle_resume_instance(self, cmd: cmds.ResumeInstance) -> None:
         instance = self.instance(cmd.instance_id)
@@ -904,44 +765,17 @@ class ProcessEngine:
             )
         self._set_instance_state(instance, InstanceState.RUNNING)
         self._record(instance, EventTypes.INSTANCE_RESUMED)
-        self._dirty.add(instance.id)
+        self._touch(instance)
         core.advance(self, instance)
         self._redeliver_retained(instance)
 
     # -- work items -------------------------------------------------------------
 
-    def claim_work_item(
-        self, item_id: str, resource_id: str, dedup_key: str | None = None
-    ) -> WorkItem:
-        """A resource pulls an offered item from its role queue."""
-        return self.dispatch(
-            cmds.ClaimWorkItem(
-                item_id=item_id, resource_id=resource_id, dedup_key=dedup_key
-            )
-        )
-
     def _handle_claim_work_item(self, cmd: cmds.ClaimWorkItem) -> WorkItem:
         return self.worklist.claim(cmd.item_id, cmd.resource_id)
 
-    def start_work_item(self, item_id: str, dedup_key: str | None = None) -> WorkItem:
-        """The allocated resource begins work on an item."""
-        return self.dispatch(cmds.StartWorkItem(item_id=item_id, dedup_key=dedup_key))
-
     def _handle_start_work_item(self, cmd: cmds.StartWorkItem) -> WorkItem:
         return self.worklist.start(cmd.item_id)
-
-    def complete_work_item(
-        self,
-        item_id: str,
-        result: dict[str, Any] | None = None,
-        dedup_key: str | None = None,
-    ) -> WorkItem:
-        """Complete a started work item; the owning token advances."""
-        return self.dispatch(
-            cmds.CompleteWorkItem(
-                item_id=item_id, result=dict(result or {}), dedup_key=dedup_key
-            )
-        )
 
     def _handle_complete_work_item(self, cmd: cmds.CompleteWorkItem) -> WorkItem:
         return self.worklist.complete(cmd.item_id, dict(cmd.result))
@@ -977,19 +811,9 @@ class ProcessEngine:
         if instance.state is InstanceState.RUNNING:
             core.advance(self, instance)
         else:
-            self._dirty.add(instance.id)
+            self._touch(instance)
 
     # -- timers ------------------------------------------------------------------
-
-    def run_due_jobs(self) -> int:
-        """Fire every due job; returns the number processed.
-
-        Jobs whose instance is suspended are *deferred* (re-queued with
-        their original due time) so they fire after the instance resumes.
-        Jobs whose instance no longer exists are dropped — counted under
-        ``engine.jobs.orphaned``, not in the returned total.
-        """
-        return self.dispatch(cmds.RunDueJobs())
 
     def _handle_run_due_jobs(self, cmd: cmds.RunDueJobs) -> int:
         processed = 0
@@ -1015,10 +839,6 @@ class ProcessEngine:
         self.worklist.check_deadlines()
         self._g_queue_depth.set(len(self.scheduler))
         return processed
-
-    def advance_time(self, seconds: float) -> int:
-        """Advance a virtual clock and fire everything that became due."""
-        return self.dispatch(cmds.AdvanceTime(seconds=seconds))
 
     def _handle_advance_time(self, cmd: cmds.AdvanceTime) -> int:
         if not isinstance(self.clock, VirtualClock):
@@ -1087,27 +907,6 @@ class ProcessEngine:
 
     # -- messages ----------------------------------------------------------------
 
-    def correlate_message(
-        self,
-        name: str,
-        correlation: Any = None,
-        payload: dict[str, Any] | None = None,
-        dedup_key: str | None = None,
-    ) -> Message:
-        """Publish a message into the engine's bus (external entry point).
-
-        If a waiting catch matches it is delivered immediately; otherwise
-        the message is retained for a future receiver.
-        """
-        return self.dispatch(
-            cmds.CorrelateMessage(
-                message_name=name,
-                correlation=correlation,
-                payload=dict(payload or {}),
-                dedup_key=dedup_key,
-            )
-        )
-
     def _handle_correlate_message(self, cmd: cmds.CorrelateMessage) -> Message:
         return self.bus.publish(
             cmd.message_name, correlation=cmd.correlation, payload=dict(cmd.payload)
@@ -1156,7 +955,7 @@ class ProcessEngine:
             instance = self._instances.get(wait["instance_id"])
             if instance is None or instance.state.is_finished:
                 self._message_waits.remove(wait)
-                self._waits_dirty = True
+                self._touch_waits()
                 continue
             if instance.state is not InstanceState.RUNNING:
                 # suspended: keep the subscription, let the message be
@@ -1165,7 +964,7 @@ class ProcessEngine:
             token = instance.token(wait["token_id"])
             if token is None or token.state is not TokenState.WAITING:
                 self._message_waits.remove(wait)
-                self._waits_dirty = True
+                self._touch_waits()
                 continue
             self._deliver_to_wait(instance, token, wait, message.payload)
             return True
@@ -1184,7 +983,7 @@ class ProcessEngine:
             core.deliver_race_message(self, instance, definition, token, wait, payload)
         else:
             self._message_waits.remove(wait)
-            self._waits_dirty = True
+            self._touch_waits()
             node = definition.node(wait["node_id"])
             core.apply_message(self, instance, node, payload)
             token.waiting_on = {}
@@ -1215,26 +1014,6 @@ class ProcessEngine:
 
     # -- migration ---------------------------------------------------------------
 
-    def migrate_instance(
-        self,
-        instance_id: str,
-        target_version: int,
-        plan: MigrationPlan | None = None,
-        dedup_key: str | None = None,
-    ) -> ProcessInstance:
-        """Move a running instance to another deployed version.
-
-        See :mod:`repro.engine.migration` for the compatibility rules.
-        """
-        return self.dispatch(
-            cmds.MigrateInstance(
-                instance_id=instance_id,
-                target_version=target_version,
-                node_mapping=dict(plan.node_mapping) if plan is not None else {},
-                dedup_key=dedup_key,
-            )
-        )
-
     def _handle_migrate_instance(self, cmd: cmds.MigrateInstance) -> ProcessInstance:
         instance = self.instance(cmd.instance_id)
         target = self.definition(instance.definition_key, cmd.target_version)
@@ -1261,135 +1040,23 @@ class ProcessEngine:
             raise EngineError("engine already has a worker pool attached")
         self.workers = pool
         pool.bind(self)
-        if self._invocations_to_submit:
-            self._submit_pending_invocations()
+        self._submit_pending_invocations()
 
     def _submit_pending_invocations(self) -> None:
         """Hand durably committed invocation records to the pool."""
-        pending, self._invocations_to_submit = self._invocations_to_submit, []
-        for invocation_id in pending:
-            record = self._invocations.get(invocation_id)
-            if record is not None:
-                self.workers.submit(self, record)
-
-    def _enqueue_invocation(
-        self, instance: ProcessInstance, token, node, arguments: dict[str, Any]
-    ) -> Any:
-        """Register a pending invocation and park the token on it.
-
-        The record is persisted by the surrounding dispatch's group commit
-        and submitted to the pool only after that commit (see
-        :meth:`_flush`) — at-least-once from the moment the client call
-        returns.
-        """
-        from repro.workers.records import InvocationRecord  # cycle guard
-
-        self._invocation_seq += 1
-        invocation_id = f"inv-{self._id_ns}{self._invocation_seq}"
-        record = InvocationRecord.for_node(
-            invocation_id,
-            instance.id,
-            token.id,
-            node,
-            arguments,
-            enqueued_at=self.clock.now(),
-        )
-        self._invocations[invocation_id] = record
-        self._invocations_dirty.add(invocation_id)
-        self._invocations_removed.discard(invocation_id)
-        self._invocations_to_submit.append(invocation_id)
-        self._inv_enqueued[node.service] = (
-            self._inv_enqueued.get(node.service, 0) + 1
-        )
-        self._c_inv_enqueued.inc()
-        token.wait("service", invocation_id=invocation_id, node_id=node.id)
-        self._record(
-            instance,
-            EventTypes.SERVICE_ENQUEUED,
-            node_id=node.id,
-            service=node.service,
-            invocation_id=invocation_id,
-        )
-        self._dirty.add(instance.id)
-        return record
-
-    def _take_invocation(self, invocation_id: str) -> Any:
-        """Resolve a pending record (its deletion joins the next commit)."""
-        record = self._invocations.pop(invocation_id, None)
-        if record is not None:
-            self._invocations_dirty.discard(invocation_id)
-            self._invocations_removed.add(invocation_id)
-            try:
-                self._invocations_to_submit.remove(invocation_id)
-            except ValueError:
-                pass
-        return record
-
-    def _count_completed(self, service: str) -> None:
-        self._inv_completed[service] = self._inv_completed.get(service, 0) + 1
-        self._c_inv_completed.inc()
-
-    def _drop_invocation(self, invocation_id: str) -> None:
-        """Cancel a pending invocation (token released — boundary timer,
-        terminate, migration).  A pool execution already in flight turns
-        into a stale completion, absorbed as a duplicate."""
-        record = self._take_invocation(invocation_id)
-        if record is None:
-            return
-        self._count_completed(record.service)
-        self._c_inv_cancelled.inc()
-
-    # -- cross-shard forwarding outbox (repro.cluster) ---------------------------
-
-    def enqueue_outbox_forward(self, message: Message) -> Any:
-        """Record a claimed cross-shard forward in this shard's outbox.
-
-        Called by the cluster forwarder *inside* the originating dispatch
-        (under this shard's lock), so the record joins the same group
-        commit as the publish that produced the message — the forward
-        intent is durable before the originating call returns.
-        """
-        from repro.cluster.outbox import OutboxRecord  # cycle guard
-
-        self._outbox_seq += 1
-        record = OutboxRecord(
-            seq=self._outbox_seq,
-            origin=self.shard_tag,
-            name=message.name,
-            correlation=message.correlation,
-            payload=dict(message.payload),
-            created_at=self.clock.now(),
-        )
-        self._outbox[record.seq] = record
-        self._outbox_dirty.add(record.seq)
-        self._outbox_removed.discard(record.seq)
-        return record
-
-    def outbox_records(self) -> list[Any]:
-        """Undrained outbox records, oldest (lowest seq) first."""
-        return [self._outbox[seq] for seq in sorted(self._outbox)]
-
-    def remove_outbox_record(self, seq: int) -> None:
-        """Delete a drained record (joins the next commit on this shard).
-
-        Only called after the *target* shard's delivery dispatch flushed:
-        a crash between that flush and this deletion re-delivers, and the
-        target's dedup window absorbs the duplicate.
-        """
-        if self._outbox.pop(seq, None) is not None:
-            self._outbox_dirty.discard(seq)
-            self._outbox_removed.add(seq)
+        for record in self.ledger.take_unsubmitted():
+            self.workers.submit(self, record)
 
     def _handle_complete_invocation(
         self, cmd: cmds.CompleteServiceInvocation
     ) -> dict[str, Any]:
         """Apply one pooled invocation outcome, exactly once.
 
-        The pending table is the intrinsic idempotency check: a completion
-        whose record is already resolved (pool retry after crash, client
+        The ledger is the intrinsic idempotency check: a completion whose
+        record is already resolved (pool retry after crash, client
         duplicate, post-cancellation straggler) is a recorded no-op.
         """
-        record = self._take_invocation(cmd.invocation_id)
+        record = self.ledger.take(cmd.invocation_id)
         if record is None:
             self._c_inv_duplicates.inc()
             return {"invocation_id": cmd.invocation_id, "status": "duplicate"}
@@ -1406,122 +1073,24 @@ class ProcessEngine:
         )
         definition = self._definition_of(instance) if live else None
         node = definition.nodes.get(record.node_id) if live else None
-        if cmd.outcome == "failure" and live and node is not None:
-            # poison invocation: retries exhausted — park it in the DLQ
-            # with the token still waiting, so an operator requeue (or a
-            # boundary timer on the activity) can still resolve the token
-            raw = record.to_dict()
-            raw["error"] = cmd.error
-            raw["attempts"] = cmd.attempts
-            raw["failed_at"] = self.clock.now()
-            self._dead_letters[record.id] = raw
-            self._dead_letters_dirty.add(record.id)
-            self._dead_letters_removed.discard(record.id)
-            self._g_dead_letters.inc()
-            self._record(
-                instance,
-                EventTypes.SERVICE_FAILED,
-                node_id=node.id,
-                service=record.service,
-                attempts=cmd.attempts,
-                error=cmd.error,
-            )
-            self._record(
-                instance,
-                EventTypes.SERVICE_DEAD_LETTERED,
-                node_id=node.id,
-                service=record.service,
-                invocation_id=record.id,
-                error=cmd.error,
-            )
-            self.obs.event(
-                "workers.dead_letter",
-                service=record.service,
-                invocation_id=record.id,
-                error=cmd.error,
-            )
-            self._dirty.add(instance.id)
-            return {"invocation_id": record.id, "status": "dead_lettered"}
-        if not live or node is None:
+        if node is None:
             # the token moved on (cancelled, boundary-routed, migrated) or
             # the instance finished: the outcome has nowhere to land
-            self._count_completed(record.service)
+            self.ledger.settle(record.service)
             return {"invocation_id": record.id, "status": "orphaned"}
-        self._count_completed(record.service)
-        self._record(
-            instance,
-            EventTypes.SERVICE_INVOKED,
-            node_id=node.id,
-            service=record.service,
-            invocation_id=record.id,
+        status = apply_invocation_outcome(
+            self, instance, definition, token, node, record, cmd
         )
-        core.cancel_boundary_jobs(self, instance, token)
-        token.waiting_on = {}
-        if cmd.outcome == "bpmn_error":
-            code = cmd.error_code or core.TECHNICAL_ERROR_CODE
-            self._record(
-                instance,
-                EventTypes.ERROR_RAISED,
-                node_id=node.id,
-                code=code,
-                message=cmd.error,
-            )
-            core.handle_error(
-                self, instance, definition, token, code, cmd.error or ""
-            )
-            core.advance(self, instance)
-            self._dirty.add(instance.id)
-            return {"invocation_id": record.id, "status": "error_routed"}
-        if cmd.outcome == "failure":
-            # unreachable for live tokens (handled above) except when the
-            # node vanished mid-flight; kept as a defensive technical error
-            core.handle_error(
-                self,
-                instance,
-                definition,
-                token,
-                core.TECHNICAL_ERROR_CODE,
-                cmd.error or "service failed",
-            )
-            core.advance(self, instance)
-            self._dirty.add(instance.id)
-            return {"invocation_id": record.id, "status": "failed"}
-        if node.output_variable is not None:
-            instance.variables[node.output_variable] = cmd.value
-            self._record(
-                instance,
-                EventTypes.VARIABLES_UPDATED,
-                node_id=node.id,
-                keys=[node.output_variable],
-            )
-        core.move_through(
-            self, instance, definition, token, node, is_activity=True,
-            attempts=cmd.attempts,
-        )
-        core.advance(self, instance)
-        self._dirty.add(instance.id)
-        return {"invocation_id": record.id, "status": "completed"}
+        return {"invocation_id": record.id, "status": status}
 
     def _handle_requeue_dead_letter(
         self, cmd: cmds.RequeueDeadLetter
     ) -> dict[str, Any]:
-        from repro.workers.records import InvocationRecord  # cycle guard
-
-        raw = self._dead_letters.pop(cmd.invocation_id, None)
-        if raw is None:
+        record = self.ledger.requeue(cmd.invocation_id)
+        if record is None:
             raise EngineError(
                 f"no dead-lettered invocation {cmd.invocation_id!r}"
             )
-        self._dead_letters_dirty.discard(cmd.invocation_id)
-        self._dead_letters_removed.add(cmd.invocation_id)
-        self._g_dead_letters.dec()
-        record = InvocationRecord.from_dict(raw)
-        record.requeues += 1
-        self._invocations[record.id] = record
-        self._invocations_dirty.add(record.id)
-        self._invocations_removed.discard(record.id)
-        self._invocations_to_submit.append(record.id)
-        self._c_inv_requeued.inc()
         instance = self._instances.get(record.instance_id)
         if instance is not None:
             self._record(
@@ -1544,47 +1113,18 @@ class ProcessEngine:
             "requeues": record.requeues,
         }
 
-    def requeue_dead_letter(
-        self, invocation_id: str, dedup_key: str | None = None
-    ) -> dict[str, Any]:
-        """Move a dead-lettered invocation back onto its service queue."""
-        return self.dispatch(
-            cmds.RequeueDeadLetter(
-                invocation_id=invocation_id, dedup_key=dedup_key
-            )
-        )
-
     def dead_letters(self) -> list[dict[str, Any]]:
         """Dead-lettered invocations, oldest first (``repro dlq list``)."""
-        return sorted(
-            (dict(raw) for raw in self._dead_letters.values()),
-            key=lambda raw: (raw.get("failed_at", 0.0), raw.get("id", "")),
-        )
+        return self.ledger.dead_letters()
 
     def workers_status(self) -> dict[str, dict[str, int]]:
-        """Per-service invocation accounting.
+        """Per-service invocation accounting (``enqueued == completed +
+        pending + dead_lettered``; see :meth:`InvocationLedger.status`)."""
+        return self.ledger.status()
 
-        For every service, ``enqueued == completed + pending +
-        dead_lettered`` — the conservation invariant the property tests
-        check after arbitrary completion/requeue/duplicate interleavings.
-        """
-        per_service: dict[str, dict[str, int]] = {}
-
-        def slot(service: str) -> dict[str, int]:
-            return per_service.setdefault(
-                service,
-                {"enqueued": 0, "completed": 0, "pending": 0, "dead_lettered": 0},
-            )
-
-        for service, count in self._inv_enqueued.items():
-            slot(service)["enqueued"] = count
-        for service, count in self._inv_completed.items():
-            slot(service)["completed"] = count
-        for record in self._invocations.values():
-            slot(record.service)["pending"] += 1
-        for raw in self._dead_letters.values():
-            slot(raw.get("service", ""))["dead_lettered"] += 1
-        return per_service
+    def outbox_records(self) -> list[Any]:
+        """Undrained cross-shard forwards, oldest (lowest seq) first."""
+        return self.outbox.records()
 
     # -- persistence & recovery ---------------------------------------------------
 
@@ -1606,7 +1146,7 @@ class ProcessEngine:
         return _EngineBatch(self)
 
     def flush(self) -> None:
-        """Force-persist all pending dirty state now, whatever the policy."""
+        """Force-persist all pending writes now, whatever the policy."""
         self._flush(force=True)
 
     def has_pending_writes(self) -> bool:
@@ -1617,106 +1157,47 @@ class ProcessEngine:
         origin may forget a forwarded message, the target's delivery must
         be durable.  When the delivering thread sees nothing pending here
         its own delivery has committed, so it can skip taking the target's
-        dispatch lock for a no-op flush.  Tombstones (``_outbox_removed``)
-        are excluded on purpose — they never need fencing, because a
-        record that outlives its delivery is absorbed by dedup on
-        redelivery.  Racing writers can only make this spuriously True
-        (an extra no-op flush), never hide the caller's own writes.
+        dispatch lock for a no-op flush.  Outbox deletes are excluded on
+        purpose — they never need fencing, because a record that outlives
+        its delivery is absorbed by dedup on redelivery.  Racing writers
+        can only make this spuriously True (an extra no-op flush), never
+        hide the caller's own writes.
         """
-        dirty_jobs, removed_jobs = self.scheduler.pending_changes()
-        return bool(
-            self._dirty
-            or dirty_jobs
-            or removed_jobs
-            or self.worklist.dirty_item_ids()
-            or self._dispatch_dirty
-            or self._dispatch_removed
-            or self._invocations_dirty
-            or self._invocations_removed
-            or self._dead_letters_dirty
-            or self._dead_letters_removed
-            or self._outbox_dirty
-            or self._waits_dirty
-            or self._instance_seq != self._persisted_seq
-            or self._invocation_seq != self._persisted_invocation_seq
-            or self._outbox_seq != self._persisted_outbox_seq
-        )
+        return self._writes.has_pending(ignoring_deletes_of=self._gc_family)
 
     def _flush(self, force: bool = False) -> None:
-        """Persist the differential write-set in one transaction.
+        """Commit the write-set in one transaction, per the commit policy.
 
-        Per-record layout: dirty instances to ``instance/<id>``, changed
-        jobs to ``jobs/<id>`` (fired/cancelled ones deleted), changed work
-        items to ``workitem/<id>``, new dispatch-log entries to
-        ``dispatch/<seq>`` (pruned ones deleted); ``engine/message_waits``
-        and ``engine/meta`` only when they actually changed.  Writes
-        nothing — not even an empty transaction — when nothing is dirty.
-        Honours the commit policy: inside :meth:`batch` or below
-        ``commit_interval`` pending records the flush is deferred (unless
-        ``force``).
+        Writes nothing — not even an empty transaction — when nothing is
+        pending.  Inside :meth:`batch` or below ``commit_interval`` pending
+        records the flush is deferred (unless ``force``).  The write-set
+        (and the views' differential sets) are cleared only after the
+        transaction and sync succeeded, so a failed commit leaves
+        everything pending for the next flush to retry.
         """
         if self._batch_depth > 0 and not force:
             return
-        dirty_jobs, removed_jobs = self.scheduler.pending_changes()
-        dirty_items = self.worklist.dirty_item_ids()
-        meta_dirty = (
-            self._instance_seq != self._persisted_seq
-            or self._invocation_seq != self._persisted_invocation_seq
-            or self._outbox_seq != self._persisted_outbox_seq
-        )
-        # an id both re-added (requeue) and previously removed in the same
-        # window persists — the dirty write wins over the stale delete
-        removed_invocations = self._invocations_removed - self._invocations_dirty
-        removed_dead = self._dead_letters_removed - self._dead_letters_dirty
-        removed_outbox = self._outbox_removed - self._outbox_dirty
-        records = (
-            len(self._dirty)
-            + len(dirty_jobs)
-            + len(removed_jobs)
-            + len(dirty_items)
-            + len(self._dispatch_dirty)
-            + len(self._dispatch_removed)
-            + len(self._invocations_dirty)
-            + len(removed_invocations)
-            + len(self._dead_letters_dirty)
-            + len(removed_dead)
-            + len(self._outbox_dirty)
-            + len(removed_outbox)
-            + (1 if self._waits_dirty else 0)
-            + (1 if meta_dirty else 0)
-        )
-        views_relevant = self.views is not None and bool(
-            self._dirty or dirty_items or self.views.has_pending()
-        )
-        if records == 0 and not (force and views_relevant):
+        writes, views = self._writes, self.views
+        records = len(writes)
+        if records == 0 and not (
+            force and views is not None and views.has_pending()
+        ):
             # read-only call: zero store writes, zero syncs (a *forced*
             # flush still drains write-behind view dirt noted earlier)
             return
         if not force and records < self._commit_interval:
             return  # defer until the record-count policy is met
-        # read-model maintenance is write-behind: flushes carrying dirty
-        # instances or work items note the ids (two set unions), and the
-        # view records join a commit transaction only when forced (an
-        # explicit flush / batch exit — the group-commit boundary) or
-        # when the persisted image has lagged `views_flush_lag` seqs.
-        # The lag stays strictly inside the retained dispatch-log tail,
-        # so a crash between drains recovers by touched-id tail replay.
-        view_writes: dict[str, Any] = {}
-        if views_relevant:
-            views = self.views
-            # ``views.note_flush(self, seq, dirty_items)`` inlined: this
-            # runs once per autocommitted dispatch, and the call frame is
-            # measurable against the F15 <10% maintenance gate
-            views._pending_instances.update(self._dirty)
-            views._pending_items.update(dirty_items)
-            views._source = self
-            views._noted_seq = self._dispatch_seq
-            if force or (
-                self._dispatch_seq - views.persisted_seq
-                >= self._views_flush_lag
-            ):
-                view_writes = views.drain(self, self._dispatch_seq)
-                records += len(view_writes)
+        seq = self.dispatch_log.seq
+        if views is not None:
+            # write-behind read models: the touched ids are noted now; the
+            # view records join this commit only when forced (the group-
+            # commit boundary) or when their persisted image lags
+            # `views_flush_lag` seqs — always inside the retained log
+            # tail, so a crash between drains recovers by tail replay
+            persist = force or seq - views.persisted_seq >= self._views_flush_lag
+            views.note_commit(self, writes, seq, persist)
+            if persist:
+                records = len(writes)
         span = (
             self._tracer.start_span(
                 "engine.flush", parent=self._engine_span, records=records
@@ -1724,128 +1205,40 @@ class ProcessEngine:
             if self.obs.enabled
             else None
         )
-        with self.store.transaction():
-            for instance_id in sorted(self._dirty):
-                instance = self._instances.get(instance_id)
-                if instance is not None:
-                    self.store.put(f"instance/{instance_id}", instance.to_dict())
-            for job_id in dirty_jobs:
-                job = self.scheduler.get(job_id)
-                if job is not None:
-                    self.store.put(f"jobs/{job_id}", job.to_dict())
-            for job_id in removed_jobs:
-                self.store.delete(f"jobs/{job_id}")
-            for item_id in dirty_items:
-                self.store.put(
-                    f"workitem/{item_id}", self.worklist.item(item_id).to_dict()
-                )
-            if self._dispatch_dirty:
-                # the log holds contiguous seqs (appended +1, pruned from
-                # the front), so a dirty seq is found by offset, not scan
-                log = self._dispatch_log
-                base = log[0]["seq"] if log else 0
-                for seq in sorted(self._dispatch_dirty):
-                    index = seq - base
-                    if 0 <= index < len(log):
-                        self.store.put(f"dispatch/{seq:010d}", log[index])
-            for seq in sorted(self._dispatch_removed):
-                self.store.delete(f"dispatch/{seq:010d}")
-            for invocation_id in sorted(self._invocations_dirty):
-                record = self._invocations.get(invocation_id)
-                if record is not None:
-                    self.store.put(
-                        f"invocation/{invocation_id}", record.to_dict()
-                    )
-            for invocation_id in sorted(removed_invocations):
-                self.store.delete(f"invocation/{invocation_id}")
-            for invocation_id in sorted(self._dead_letters_dirty):
-                raw = self._dead_letters.get(invocation_id)
-                if raw is not None:
-                    self.store.put(f"dlq/{invocation_id}", raw)
-            for invocation_id in sorted(removed_dead):
-                self.store.delete(f"dlq/{invocation_id}")
-            for outbox_seq in sorted(self._outbox_dirty):
-                outbox_record = self._outbox.get(outbox_seq)
-                if outbox_record is not None:
-                    self.store.put(
-                        f"outbox/{outbox_seq:010d}", outbox_record.to_dict()
-                    )
-            for outbox_seq in sorted(removed_outbox):
-                self.store.delete(f"outbox/{outbox_seq:010d}")
-            if self._waits_dirty:
-                self.store.put("engine/message_waits", list(self._message_waits))
-            if meta_dirty:
-                self.store.put(
-                    "engine/meta",
-                    {
-                        "instance_seq": self._instance_seq,
-                        "invocation_seq": self._invocation_seq,
-                        "outbox_seq": self._outbox_seq,
-                    },
-                )
-            for view_key in sorted(view_writes):
-                self.store.put(view_key, view_writes[view_key])
-        # group-commit boundary for deferred-sync stores (no-op otherwise)
-        self.store.sync()
-        if self.views is not None:
-            if view_writes:
-                self.views.confirm()
-            # whether this flush drained, deferred (write-behind), or was
-            # view-irrelevant (deploy, jobs, log pruning), the image —
-            # counting noted ids that reads will materialize — is current
-            # through this seq; any persisted-cursor lag is bounded and
-            # recovery catches it up by tail replay.  (This is
-            # ``views.note_applied`` inlined: one per autocommit dispatch.)
-            if self._dispatch_seq > self.views.applied_seq:
-                self.views.applied_seq = self._dispatch_seq
-        self._dirty.clear()
-        self.scheduler.clear_changes()
-        self.worklist.clear_dirty()
-        self._dispatch_dirty.clear()
-        self._dispatch_removed.clear()
-        self._invocations_dirty.clear()
-        self._invocations_removed.clear()
-        self._dead_letters_dirty.clear()
-        self._dead_letters_removed.clear()
-        self._outbox_dirty.clear()
-        self._outbox_removed.clear()
-        self._waits_dirty = False
-        self._persisted_seq = self._instance_seq
-        self._persisted_invocation_seq = self._invocation_seq
-        self._persisted_outbox_seq = self._outbox_seq
+        writes.commit(self.store)
+        if views is not None:
+            views.committed(seq)
         self._c_flush_commits.inc()
         self._c_flush_records.inc(records)
         self._h_flush_batch.observe(records)
         if span is not None:
             span.finish()
-        # the enqueue→submit ordering contract: invocation records reach
-        # the pool only after the commit that made them durable, so a
-        # crash can never lose an acknowledged enqueue
-        if self._invocations_to_submit and self.workers is not None:
+        # invocation records reach the pool only after the commit that
+        # made them durable
+        if self.workers is not None:
             self._submit_pending_invocations()
 
     def recover(self) -> dict[str, int]:
         """Rebuild engine state from the backing store after a restart.
 
         Definitions, instances, pending jobs, work items, message waits,
-        and the dispatch log (with its idempotency keys) are restored;
-        services and resources must be re-registered by the host
-        application (code is not persisted).  Returns counts per category.
+        pending invocations, dead letters, the outbox, and the dispatch
+        log (with its idempotency keys) are restored; services and
+        resources must be re-registered by the host application (code is
+        not persisted).  Returns counts per category.
         """
-        counts = {
-            "definitions": 0,
-            "instances": 0,
-            "jobs": 0,
-            "workitems": 0,
-            "commands": 0,
-            "invocations": 0,
-            "dead_letters": 0,
-            "outbox": 0,
-        }
-        self._latest_version = dict(self.store.get("engine/latest_versions", {}))
-        for key, raw in self.store.scan("definition/"):
+        store = self.store
+        counts = {"definitions": 0, "instances": 0}
+        self._latest_version = dict(
+            store.get(ENGINE_PREFIX + "latest_versions", {})
+        )
+        for _, raw in store.scan(DEFINITION_PREFIX):
             definition = definition_from_dict(raw)
             self._definitions[definition.identifier] = definition
+            # a store whose deploy tore before both records were atomic
+            # may hold a definition its version table does not know
+            if definition.version > self._latest_version.get(definition.key, 0):
+                self._latest_version[definition.key] = definition.version
             counts["definitions"] += 1
         # register in creation-rank order (store keys sort lexically, so
         # "…-10" would otherwise precede "…-2"): _instances iteration —
@@ -1854,95 +1247,20 @@ class ProcessEngine:
         # a live engine
         recovered_instances = [
             ProcessInstance.from_dict(raw)
-            for _, raw in self.store.scan("instance/")
+            for _, raw in store.scan(INSTANCE_PREFIX)
         ]
-        recovered_instances.sort(key=lambda inst: _creation_rank(inst.id))
+        recovered_instances.sort(key=lambda inst: creation_rank(inst.id))
         for instance in recovered_instances:
-            self._register_instance(instance, _creation_rank(instance.id))
+            self._register_instance(instance, creation_rank(instance.id))
             counts["instances"] += 1
-        # jobs and work items: read the per-record layout (``jobs/<id>``,
-        # ``workitem/<id>``) and, for stores written before the incremental
-        # layout, the legacy whole-collection blobs.  Per-record wins on
-        # conflict: import_jobs skips ids it already has, import_items
-        # overwrites, so ordering below gives per-record precedence.
-        legacy_jobs = self.store.get("engine/jobs", None)
-        self.scheduler.import_jobs([raw for _, raw in self.store.scan("jobs/")])
-        if legacy_jobs:
-            self.scheduler.import_jobs(legacy_jobs)
-        counts["jobs"] = len(self.scheduler)
-        legacy_items = self.store.get("engine/workitems", None)
-        if legacy_items:
-            self.worklist.import_items(legacy_items)
-        self.worklist.import_items([raw for _, raw in self.store.scan("workitem/")])
-        counts["workitems"] = len(self.worklist.items())
-        self._message_waits = list(self.store.get("engine/message_waits", []))
-        meta = self.store.get("engine/meta", {})
-        self._instance_seq = max(meta.get("instance_seq", 0), self._instance_seq)
-        self._persisted_seq = self._instance_seq
-        self._invocation_seq = max(
-            meta.get("invocation_seq", 0), self._invocation_seq
-        )
-        self._persisted_invocation_seq = self._invocation_seq
-        self._outbox_seq = max(meta.get("outbox_seq", 0), self._outbox_seq)
-        self._persisted_outbox_seq = self._outbox_seq
-        # pending invocations: exactly the acknowledged-but-unresolved set
-        # at crash time — re-enqueued for (at-least-once) re-execution;
-        # the completion path dedupes, so effects stay exactly-once
-        from repro.workers.records import InvocationRecord
-
-        for key, raw in self.store.scan("invocation/"):
-            record = InvocationRecord.from_dict(raw)
-            self._invocations[record.id] = record
-            self._invocations_to_submit.append(record.id)
-            counts["invocations"] += 1
-        for key, raw in self.store.scan("dlq/"):
-            self._dead_letters[raw["id"]] = dict(raw)
-            self._g_dead_letters.inc()
-            counts["dead_letters"] += 1
-        # undrained outbox records: exactly the cross-shard forwards that
-        # were claimed but not yet confirmed delivered at crash time — the
-        # cluster layer re-drains them (redelivery dedupes at the target)
-        from repro.cluster.outbox import OutboxRecord  # cycle guard
-
-        for key, raw in self.store.scan("outbox/"):
-            outbox_record = OutboxRecord.from_dict(raw)
-            self._outbox[outbox_record.seq] = outbox_record
-            self._outbox_seq = max(self._outbox_seq, outbox_record.seq)
-            counts["outbox"] += 1
-        self._persisted_outbox_seq = self._outbox_seq
-        # per-service invariant counters restart from the durable state:
-        # enqueued := pending + dead_lettered (completions already settled)
-        for record in self._invocations.values():
-            self._inv_enqueued[record.service] = (
-                self._inv_enqueued.get(record.service, 0) + 1
-            )
-        for raw in self._dead_letters.values():
-            service = raw.get("service", "")
-            self._inv_enqueued[service] = self._inv_enqueued.get(service, 0) + 1
-        # the dispatch log: restores the idempotency window, so a client
-        # retrying a dedup-keyed command across the crash still gets the
-        # recorded (summarized) result instead of a double apply
-        log = sorted(
-            (raw for _, raw in self.store.scan("dispatch/")),
-            key=lambda r: r.get("seq", 0),
-        )
-        self._dispatch_log = log[max(0, len(log) - self._dispatch_log_retention):]
-        if log:
-            self._dispatch_seq = max(self._dispatch_seq, log[-1].get("seq", 0))
-        for record in self._dispatch_log:
-            key = record.get("dedup_key")
-            if key is not None and record.get("status") == "applied":
-                self._dedup[key] = {
-                    "result": record.get("result"),
-                    "seq": record.get("seq", 0),
-                }
-        counts["commands"] = len(self._dispatch_log)
-        # recovery imports are clean, not dirty — only changes made after
-        # this point need flushing
-        self.scheduler.clear_changes()
-        self.worklist.clear_dirty()
-        if legacy_jobs is not None or legacy_items is not None:
-            self._migrate_legacy_layout()
+        self._seqs.load(store)
+        counts["jobs"] = self.scheduler.load(store)
+        counts["workitems"] = self.worklist.load(store)
+        counts["invocations"] = self.ledger.load(store)
+        counts["dead_letters"] = self.ledger.load_dead_letters(store)
+        counts["outbox"] = self.outbox.load(store)
+        counts["commands"] = self.dispatch_log.load(store)
+        self._message_waits = list(store.get(ENGINE_PREFIX + "message_waits", []))
         # the read models catch up last (they need base state + the log):
         # cursor current → load; log tail covered → replay touched
         # entities; otherwise → full rebuild, persisted before returning
@@ -1952,28 +1270,9 @@ class ProcessEngine:
             self._submit_pending_invocations()
         return counts
 
-    def _migrate_legacy_layout(self) -> None:
-        """Rewrite legacy whole-collection blobs as per-record keys.
 
-        Runs once, at the first :meth:`recover` over a pre-incremental
-        store: afterwards the blob keys are gone and every job/work item
-        lives under its own key, so later flushes and recoveries never
-        consult (or resurrect state from) a stale blob.
-        """
-        with self.store.transaction():
-            for job in self.scheduler.pending():
-                self.store.put(f"jobs/{job.id}", job.to_dict())
-            for item in self.worklist.items():
-                self.store.put(f"workitem/{item.id}", item.to_dict())
-            self.store.delete("engine/jobs")
-            self.store.delete("engine/workitems")
-        self.store.sync()
-
-
-def _creation_rank(instance_id: str) -> int:
-    """Creation order of a recovered instance (ids end in the seq)."""
-    tail = instance_id.rsplit("-", 1)[-1]
-    return int(tail) if tail.isdigit() else 0
+def _describe(diagnostics: list) -> str:
+    return "; ".join(f"[{d.rule}] {d.element_id}: {d.message}" for d in diagnostics)
 
 
 class _EngineBatch:

@@ -63,7 +63,7 @@ def advance(engine, instance: ProcessInstance) -> None:
             engine._complete_instance(instance)
     finally:
         engine._advancing.discard(instance.id)
-    engine._dirty.add(instance.id)
+    engine._touch(instance)
 
 
 def execute_token(
@@ -315,7 +315,7 @@ def await_message(
             "is_activity": is_activity,
         }
     )
-    engine._waits_dirty = True
+    engine._touch_waits()
     token.wait(
         "message",
         message_name=message_name,
@@ -359,14 +359,19 @@ def settle_race(engine, instance: ProcessInstance, token: Token) -> None:
     job_ids = set(token.waiting_on.get("job_ids", ()))
     for job_id in job_ids:
         engine.scheduler.cancel(job_id)
+    drop_message_waits(engine, instance, token)
+
+
+def drop_message_waits(engine, instance: ProcessInstance, token: Token) -> None:
+    """Unsubscribe every message wait of one token."""
     kept = [
         w
         for w in engine._message_waits
         if not (w["instance_id"] == instance.id and w["token_id"] == token.id)
     ]
     if len(kept) != len(engine._message_waits):
-        engine._waits_dirty = True
-    engine._message_waits = kept
+        engine._message_waits = kept
+        engine._touch_waits()
 
 
 # -- token cancellation ------------------------------------------------------------------------
@@ -389,16 +394,7 @@ def release_waits(engine, instance: ProcessInstance, token: Token) -> None:
         if job_id is not None:
             engine.scheduler.cancel(job_id)
     elif reason == "message":
-        kept = [
-            w
-            for w in engine._message_waits
-            if not (
-                w["instance_id"] == instance.id and w["token_id"] == token.id
-            )
-        ]
-        if len(kept) != len(engine._message_waits):
-            engine._waits_dirty = True
-        engine._message_waits = kept
+        drop_message_waits(engine, instance, token)
     elif reason == "event_race":
         settle_race(engine, instance, token)
     elif reason == "service":
@@ -406,7 +402,7 @@ def release_waits(engine, instance: ProcessInstance, token: Token) -> None:
         # (possibly already executing) lands as a counted duplicate
         invocation_id = token.waiting_on.get("invocation_id")
         if invocation_id is not None:
-            engine._drop_invocation(invocation_id)
+            engine.ledger.cancel(invocation_id)
     elif reason == "child":
         child_id = token.waiting_on.get("child_id")
         # clear the linkage FIRST so the child's completion callback

@@ -55,7 +55,7 @@ def run_compensation(engine: Any, instance: Any, definition: Any) -> list[str]:
         EventTypes.COMPENSATION_TRIGGERED,
         pending=len(instance.compensations),
     )
-    engine._dirty.add(instance.id)
+    engine._touch(instance)
     while instance.compensations:
         entry = instance.compensations[-1]
         handler_id = entry["handler_id"]
@@ -72,7 +72,7 @@ def run_compensation(engine: Any, instance: Any, definition: Any) -> list[str]:
             node_id=handler.id,
             for_node=entry["node_id"],
         )
-        engine._dirty.add(instance.id)
+        engine._touch(instance)
         compensated.append(handler.id)
     return compensated
 

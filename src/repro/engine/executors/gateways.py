@@ -175,7 +175,7 @@ def execute_event_gateway(
                     "race_event": target.id,
                 }
             )
-            engine._waits_dirty = True
+            engine._touch_waits()
             wait_count += 1
         else:
             raise EngineError(

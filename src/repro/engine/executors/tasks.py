@@ -117,7 +117,102 @@ def enqueue_service_invocation(
             engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
         )
         return
-    engine._enqueue_invocation(instance, token, node, arguments)
+    # the record is persisted by the surrounding dispatch's group commit
+    # and submitted to the pool only after that commit — at-least-once
+    # from the moment the client call returns
+    record = engine.ledger.enqueue(
+        instance.id, token.id, node, arguments, engine.clock.now()
+    )
+    token.wait("service", invocation_id=record.id, node_id=node.id)
+    engine._record(
+        instance,
+        EventTypes.SERVICE_ENQUEUED,
+        node_id=node.id,
+        service=node.service,
+        invocation_id=record.id,
+    )
+    engine._touch(instance)
+
+
+def apply_invocation_outcome(
+    engine, instance, definition, token, node: ServiceTask, record, cmd
+) -> str:
+    """Land a pooled invocation's outcome on its (still waiting) token.
+
+    The asynchronous twin of :func:`perform_service_invocation`'s tail:
+    ``cmd`` is the ``CompleteServiceInvocation`` carrying what the pool
+    produced for ``record``, already taken off the ledger.  Returns the
+    completion status.
+    """
+    if cmd.outcome == "failure":
+        # poison invocation: retries exhausted — park it in the DLQ with
+        # the token still waiting, so an operator requeue (or a boundary
+        # timer on the activity) can still resolve the token
+        engine.ledger.dead_letter(
+            record, cmd.error, cmd.attempts, engine.clock.now()
+        )
+        engine._record(
+            instance,
+            EventTypes.SERVICE_FAILED,
+            node_id=node.id,
+            service=record.service,
+            attempts=cmd.attempts,
+            error=cmd.error,
+        )
+        engine._record(
+            instance,
+            EventTypes.SERVICE_DEAD_LETTERED,
+            node_id=node.id,
+            service=record.service,
+            invocation_id=record.id,
+            error=cmd.error,
+        )
+        engine.obs.event(
+            "workers.dead_letter",
+            service=record.service,
+            invocation_id=record.id,
+            error=cmd.error,
+        )
+        engine._touch(instance)
+        return "dead_lettered"
+    engine.ledger.settle(record.service)
+    engine._record(
+        instance,
+        EventTypes.SERVICE_INVOKED,
+        node_id=node.id,
+        service=record.service,
+        invocation_id=record.id,
+    )
+    core.cancel_boundary_jobs(engine, instance, token)
+    token.waiting_on = {}
+    if cmd.outcome == "bpmn_error":
+        code = cmd.error_code or core.TECHNICAL_ERROR_CODE
+        engine._record(
+            instance,
+            EventTypes.ERROR_RAISED,
+            node_id=node.id,
+            code=code,
+            message=cmd.error,
+        )
+        core.handle_error(engine, instance, definition, token, code, cmd.error or "")
+        status = "error_routed"
+    else:
+        if node.output_variable is not None:
+            instance.variables[node.output_variable] = cmd.value
+            engine._record(
+                instance,
+                EventTypes.VARIABLES_UPDATED,
+                node_id=node.id,
+                keys=[node.output_variable],
+            )
+        core.move_through(
+            engine, instance, definition, token, node, is_activity=True,
+            attempts=cmd.attempts,
+        )
+        status = "completed"
+    core.advance(engine, instance)
+    engine._touch(instance)
+    return status
 
 
 def perform_service_invocation(

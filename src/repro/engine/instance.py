@@ -13,6 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+#: store-key family of process instances (``instance/<instance id>``)
+INSTANCE_PREFIX = "instance/"
+
 
 class InstanceState(enum.Enum):
     RUNNING = "running"

@@ -13,6 +13,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.writeset import WriteSet
+
+#: store-key family of pending jobs (``jobs/<job id>``)
+JOBS_PREFIX = "jobs/"
+
 
 @dataclass(frozen=True)
 class Job:
@@ -51,11 +57,13 @@ class JobScheduler:
         self._heap: list[tuple[float, int, str]] = []
         self._jobs: dict[str, Job] = {}
         self._seq = itertools.count(1)
-        # differential write-set for the engine's incremental persistence:
-        # ids scheduled (or re-scheduled) since the last flush, and ids
-        # removed (fired or cancelled) whose store records must be deleted
-        self._dirty: set[str] = set()
-        self._removed: set[str] = set()
+        # scheduled jobs are put, fired/cancelled ones deleted; an engine
+        # binds its shared write-set in place of this private one
+        self._writes = WriteSet((JOBS_PREFIX,))
+
+    def bind_writes(self, writes: WriteSet) -> None:
+        """Share the caller's (engine's) write-set."""
+        self._writes = writes
 
     def schedule(
         self,
@@ -78,15 +86,14 @@ class JobScheduler:
             raise ValueError(f"duplicate job id {job.id!r}")
         self._jobs[job.id] = job
         heapq.heappush(self._heap, (due, seq, job.id))
-        self._dirty.add(job.id)
-        self._removed.discard(job.id)
+        self._writes.put(JOBS_PREFIX, job.id, job.to_dict)
         return job
 
     def cancel(self, job_id: str) -> bool:
         """Remove a job by id (lazy heap deletion); returns existence."""
         if self._jobs.pop(job_id, None) is None:
             return False
-        self._note_removed(job_id)
+        self._writes.delete(JOBS_PREFIX, job_id)
         return True
 
     def cancel_where(self, predicate: Callable[[Job], bool]) -> int:
@@ -94,7 +101,7 @@ class JobScheduler:
         doomed = [job_id for job_id, job in self._jobs.items() if predicate(job)]
         for job_id in doomed:
             del self._jobs[job_id]
-            self._note_removed(job_id)
+            self._writes.delete(JOBS_PREFIX, job_id)
         return len(doomed)
 
     def cancel_for_instance(self, instance_id: str) -> int:
@@ -108,7 +115,7 @@ class JobScheduler:
             _, _, job_id = heapq.heappop(self._heap)
             job = self._jobs.pop(job_id, None)
             if job is not None:  # skip lazily cancelled entries
-                self._note_removed(job_id)
+                self._writes.delete(JOBS_PREFIX, job_id)
                 ready.append(job)
         return ready
 
@@ -134,25 +141,6 @@ class JobScheduler:
 
     # -- persistence ----------------------------------------------------------
 
-    def _note_removed(self, job_id: str) -> None:
-        self._dirty.discard(job_id)
-        self._removed.add(job_id)
-
-    def pending_changes(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """``(changed_ids, removed_ids)`` since :meth:`clear_changes`.
-
-        ``changed_ids`` are pending jobs whose records must be (re)written;
-        ``removed_ids`` are fired/cancelled jobs whose records must be
-        deleted.  The sets are left intact so a failed commit can retry —
-        call :meth:`clear_changes` only after the write succeeded.
-        """
-        return tuple(sorted(self._dirty)), tuple(sorted(self._removed))
-
-    def clear_changes(self) -> None:
-        """Forget the differential write-set (after a successful commit)."""
-        self._dirty.clear()
-        self._removed.clear()
-
     def export(self) -> list[dict[str, Any]]:
         """Serializable snapshot of pending jobs."""
         return [job.to_dict() for job in self.pending()]
@@ -173,3 +161,8 @@ class JobScheduler:
         ]
         if numeric:
             self._seq = itertools.count(max(numeric) + 1)
+
+    def load(self, store: KeyValueStore) -> int:
+        """Restore the ``jobs/`` records of a store; returns jobs held."""
+        self.import_jobs([raw for _, raw in store.scan(JOBS_PREFIX)])
+        return len(self)

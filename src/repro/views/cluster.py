@@ -82,7 +82,7 @@ class ClusterViews:
 
     def _fingerprint(self) -> tuple[int, ...]:
         return tuple(
-            shard._dispatch_seq for shard in self._cluster.shards
+            shard.dispatch_log.seq for shard in self._cluster.shards
         )
 
     # -- per-shard reads (each under that shard's dispatch lock) ---------------
@@ -230,8 +230,8 @@ class ClusterViews:
                         "shard": index,
                         "enabled": True,
                         "applied_seq": manager.applied_seq,
-                        "dispatch_seq": shard._dispatch_seq,
-                        "lag": shard._dispatch_seq - manager.applied_seq,
+                        "dispatch_seq": shard.dispatch_log.seq,
+                        "lag": shard.dispatch_log.seq - manager.applied_seq,
                         "recovered_mode": manager.recovered_mode,
                     }
                 )

@@ -1,14 +1,15 @@
 """``ProjectionManager``: maintains the read models at group-commit time.
 
 The manager hangs off :meth:`ProcessEngine._flush` as a *write-behind*
-consumer of the engine's dirty sets.  Every flush that carries dirty
-instances or work items notes their ids (:meth:`note_flush` — two set
+consumer of the engine's write-set.  Every commit that carries instance
+or work-item puts notes their ids (:meth:`note_commit` — two set
 unions, nothing else on the commit hot path); the noted entities are
 *materialized* into the in-memory projections lazily, the first time a
-query needs them or when the view write-set is persisted.  Persistence
-itself (:meth:`drain`) happens **inside the same store transaction** as
-a base flush, but only on flushes where the persisted image has fallen
-``views_flush_lag`` dispatch seqs behind — or on any forced flush
+query needs them or when the view records are persisted.  Persistence
+itself (the *drain*) puts the view records into the same write-set —
+**the same store transaction** as the base records — but only on
+commits where the persisted image has fallen ``views_flush_lag``
+dispatch seqs behind, or on any forced flush
 (:meth:`ProcessEngine.flush`, batch exit), the group-commit boundary.
 
 That shape buys the consistency story and keeps maintenance off the
@@ -38,10 +39,10 @@ manager how much of the dispatch log the persisted image has seen:
   missing/over the cap) → full rebuild from recovered base state,
   linear in state size.
 
-Failure handling mirrors the engine's dirty sets: per-projection dirty
-keys are cleared only by :meth:`confirm` — called after the store
-transaction and sync succeeded — so a failed flush re-emits the
-(converged, idempotent) records on retry.
+Failure handling mirrors the write-set's: per-projection dirty keys are
+cleared only by :meth:`confirm` — called after the store transaction
+and sync succeeded — so a failed commit re-emits the (converged,
+idempotent) records on retry.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ import time
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.engine.instance import INSTANCE_PREFIX
+from repro.storage.writeset import WriteSet
 from repro.views.projections import (
     CURSOR_SUFFIX,
     ByBusinessKey,
@@ -60,6 +63,7 @@ from repro.views.projections import (
     compact_instance_obj,
     compact_item_obj,
 )
+from repro.worklist.service import WORKITEM_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ProcessEngine
@@ -117,6 +121,8 @@ class ProjectionManager:
         self._source: "ProcessEngine | None" = None
         self._noted_seq = 0
         self._drained_seq = 0
+        # a drain's records sit in the write-set awaiting commit
+        self._unconfirmed = False
         self._h_apply = (
             None if obs is None else obs.registry.histogram("views.apply_seconds")
         )
@@ -129,24 +135,40 @@ class ProjectionManager:
             }
         )
 
-    # -- the flush hook ---------------------------------------------------------
+    # -- the commit hooks -------------------------------------------------------
 
-    def note_flush(
-        self, engine: "ProcessEngine", seq: int, item_ids: Iterable[str]
+    def note_commit(
+        self, engine: "ProcessEngine", writes: WriteSet, seq: int, persist: bool
     ) -> None:
-        """Note this flush's dirty entity ids; defer the actual apply.
+        """Note the entity ids this commit touches; drain if ``persist``.
 
-        Called by :meth:`ProcessEngine._flush` under the dispatch lock on
-        every view-relevant flush.  Two set unions — the whole point is
-        that the per-commit cost of view maintenance is O(dirty ids), not
-        O(projection work).  The noted ids materialize lazily (first read
-        or next :meth:`drain`), pulling each entity's *current* state, so
-        an entity flushed five times between drains is applied once.
+        Called by :meth:`ProcessEngine._flush` under the dispatch lock,
+        before the store transaction opens.  The touched ids are the
+        write-set's pending ``instance/`` and ``workitem/`` puts; noting
+        them is two set unions — the per-commit cost of view maintenance
+        is O(touched ids), not O(projection work).  They materialize
+        lazily (first read or next drain), pulling each entity's
+        *current* state, so an entity committed five times between
+        drains is applied once.  A commit that touches neither (deploy,
+        jobs, log pruning) and finds nothing pending leaves the views
+        alone.
         """
-        self._pending_instances.update(engine._dirty)
+        instance_ids = writes.puts(INSTANCE_PREFIX)
+        item_ids = writes.puts(WORKITEM_PREFIX)
+        if not (instance_ids or item_ids or self.has_pending()):
+            return
+        self._pending_instances.update(instance_ids)
         self._pending_items.update(item_ids)
         self._source = engine
         self._noted_seq = seq
+        if persist:
+            # the drain: changed view records plus one cursor per
+            # projection join this commit; committed() confirms them
+            self._materialize()
+            cut = len(VIEW_PREFIX)
+            for key, value in self._write_set(seq).items():
+                writes.put(VIEW_PREFIX, key[cut:], value)
+            self._unconfirmed = True
 
     def has_pending(self) -> bool:
         """Whether noted entities await materialization or persistence.
@@ -190,21 +212,6 @@ class ProjectionManager:
             self._apply_memory(instances, items, self._noted_seq)
             if self._h_apply is not None:
                 self._h_apply.observe(time.perf_counter() - started)
-
-    def drain(self, engine: "ProcessEngine", seq: int) -> dict[str, Any]:
-        """Materialize pending entities; return the view write-set.
-
-        Called by :meth:`ProcessEngine._flush` under the dispatch lock,
-        before the store transaction opens, on flushes that persist the
-        view image (forced flushes and lag-threshold flushes).  The
-        returned ``{store_key: value}`` dict (changed view records plus
-        one cursor per projection) joins the flush transaction; the
-        engine calls :meth:`confirm` once the transaction and sync
-        succeeded.
-        """
-        self._noted_seq = max(self._noted_seq, seq)
-        self._materialize()
-        return self._write_set(seq)
 
     def _apply_memory(
         self,
@@ -266,18 +273,21 @@ class ProjectionManager:
         for projection in self.projections:
             projection.clear_dirty()
         self.persisted_seq = self._drained_seq
+        self._unconfirmed = False
         self._set_lag_gauges(self._noted_seq - self.persisted_seq)
 
-    def note_applied(self, seq: int) -> None:
-        """Mark the image current through ``seq``.
+    def committed(self, seq: int) -> None:
+        """The engine's commit (transaction + sync) succeeded at ``seq``.
 
-        Called after any committed flush: dirt this flush carried was
-        noted (and will materialize on read), and a flush with no
-        view-relevant dirt changes nothing the projections track — either
-        way the image reflects all state through the engine's dispatch
-        seq.  The persisted cursors may lag (deliberately — no gratuitous
-        writes); recovery catches them up by tail replay.
+        Confirms a drain that rode it.  Either way the image is current
+        through ``seq``: touched ids were noted (and will materialize on
+        read), and a commit with no view-relevant records changes
+        nothing the projections track.  The persisted cursors may lag
+        (deliberately — no gratuitous writes); recovery catches them up
+        by tail replay.
         """
+        if self._unconfirmed:
+            self.confirm()
         if seq > self.applied_seq:
             self.applied_seq = seq
 
@@ -308,7 +318,7 @@ class ProjectionManager:
         the next recovery takes the fast load path.
         """
         store = engine.store
-        target = engine._dispatch_seq
+        target = engine.dispatch_log.seq
         self._pending_instances.clear()
         self._pending_items.clear()
         existing_keys: list[str] = []
@@ -342,7 +352,7 @@ class ProjectionManager:
                 return {"mode": "load", "records": loaded, "replayed": 0}
             tail = [
                 record
-                for record in engine._dispatch_log
+                for record in engine.dispatch_log.records
                 if record.get("seq", 0) > cursor
             ]
             covered = (

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.engine.dispatch import DISPATCH_PREFIX
+from repro.engine.instance import INSTANCE_PREFIX
 from repro.views.manager import VIEW_PREFIX, ProjectionManager
 from repro.views.projections import compact_instance, compact_item
+from repro.worklist.service import WORKITEM_PREFIX
 
 
 def rebuild_store_views(store: Any) -> dict[str, int]:
@@ -24,10 +27,10 @@ def rebuild_store_views(store: Any) -> dict[str, int]:
     deleted in the same transaction, so the namespace never mixes
     epochs.  Returns counts for reporting.
     """
-    instances = [compact_instance(raw) for _, raw in store.scan("instance/")]
-    items = [compact_item(raw) for _, raw in store.scan("workitem/")]
+    instances = [compact_instance(raw) for _, raw in store.scan(INSTANCE_PREFIX)]
+    items = [compact_item(raw) for _, raw in store.scan(WORKITEM_PREFIX)]
     seq = 0
-    for _, raw in store.scan("dispatch/"):
+    for _, raw in store.scan(DISPATCH_PREFIX):
         seq = max(seq, int(raw.get("seq", 0)))
     manager = ProjectionManager()
     writes = manager.rebuild(instances, items, seq)

@@ -24,12 +24,23 @@ from repro.history.audit import HistoryService
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 from repro.history.events import EventTypes
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.writeset import WriteSet
 from repro.worklist.allocation import Allocator, OfferOnlyAllocator
 from repro.worklist.errors import UnknownWorkItemError, WorklistError
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
 
 CompletionListener = Callable[[WorkItem], None]
+
+#: store-key family of work items (``workitem/<item id>``)
+WORKITEM_PREFIX = "workitem/"
+
+
+def _id_counter(item_id: str) -> int:
+    """The creation counter a generated id ends in (``wi-7``, ``wi-s2-7``)."""
+    tail = item_id.rsplit("-", 1)[-1]
+    return int(tail) if tail.isdigit() else 0
 
 
 class WorklistService:
@@ -67,10 +78,9 @@ class WorklistService:
         self._id_counter = itertools.count(1)
         self._id_prefix = f"wi-{id_namespace}-" if id_namespace else "wi-"
         self._lock = threading.RLock()
-        # differential write-set for the engine's incremental persistence:
-        # ids of items created or mutated since the last flush (items are
-        # never deleted, so there is no removed-set)
-        self._dirty: set[str] = set()
+        # created or mutated items are put (items are never deleted); an
+        # engine binds its shared write-set in place of this private one
+        self._writes = WriteSet((WORKITEM_PREFIX,))
         # live open-item counter (create +1, complete/cancel -1): O(1)
         # answer to "how loaded is this worklist" for cluster status —
         # escalation reoffers don't close items, so no other transition
@@ -82,6 +92,13 @@ class WorklistService:
     def bind_lock(self, lock: threading.RLock) -> None:
         """Share the caller's (engine's) serialization lock."""
         self._lock = lock
+
+    def bind_writes(self, writes: WriteSet) -> None:
+        """Share the caller's (engine's) write-set."""
+        self._writes = writes
+
+    def _touch(self, item: WorkItem) -> None:
+        self._writes.put(WORKITEM_PREFIX, item.id, item.to_dict)
 
     def on_completion(self, listener: CompletionListener) -> None:
         """Register a callback fired on every completed item (engine hook)."""
@@ -130,7 +147,7 @@ class WorklistService:
             if item.id in self._items:
                 raise WorklistError(f"duplicate work item id {item.id!r}")
             self._items[item.id] = item
-            self._dirty.add(item.id)
+            self._touch(item)
             self._open_count += 1
             if self._g_open is not None:
                 self._g_open.inc()
@@ -237,7 +254,7 @@ class WorklistService:
                     "(separation of duties)"
                 )
             item.allocate(resource_id, self.clock.now())
-            self._dirty.add(item.id)
+            self._touch(item)
             self._record(item, EventTypes.WORKITEM_ALLOCATED, resource=resource_id)
             return item
 
@@ -246,7 +263,7 @@ class WorklistService:
         with self._lock:
             item = self.item(item_id)
             item.reoffer(self.clock.now())
-            self._dirty.add(item.id)
+            self._touch(item)
             self._record(item, EventTypes.WORKITEM_OFFERED, delegated=True)
             return item
 
@@ -255,7 +272,7 @@ class WorklistService:
         with self._lock:
             item = self.item(item_id)
             item.start(self.clock.now())
-            self._dirty.add(item.id)
+            self._touch(item)
             self._record(
                 item, EventTypes.WORKITEM_STARTED, resource=item.allocated_to
             )
@@ -266,7 +283,7 @@ class WorklistService:
         with self._lock:
             item = self.item(item_id)
             item.complete(result, self.clock.now())
-            self._dirty.add(item.id)
+            self._touch(item)
             self._open_count -= 1
             if self._g_open is not None:
                 self._g_open.dec()
@@ -288,7 +305,7 @@ class WorklistService:
         with self._lock:
             item = self.item(item_id)
             item.cancel(self.clock.now())
-            self._dirty.add(item.id)
+            self._touch(item)
             self._open_count -= 1
             if self._g_open is not None:
                 self._g_open.dec()
@@ -325,7 +342,7 @@ class WorklistService:
                 item.priority += 1
                 item.escalations += 1
                 item.due_at = None  # one escalation per deadline
-                self._dirty.add(item.id)
+                self._touch(item)
                 if item.state is WorkItemState.ALLOCATED:
                     item.reoffer(now)
                 self._record(
@@ -341,18 +358,6 @@ class WorklistService:
         """Open (non-terminal) items, O(1) — no scan of ``items()``."""
         return self._open_count
 
-    def dirty_item_ids(self) -> tuple[str, ...]:
-        """Ids of items changed since :meth:`clear_dirty` (sorted).
-
-        The set is left intact so a failed commit can retry — call
-        :meth:`clear_dirty` only after the write succeeded.
-        """
-        return tuple(sorted(self._dirty))
-
-    def clear_dirty(self) -> None:
-        """Forget the differential write-set (after a successful commit)."""
-        self._dirty.clear()
-
     def export_items(self) -> list[dict[str, Any]]:
         """Serializable snapshot of all items (engine persistence)."""
         return [item.to_dict() for item in self._items.values()]
@@ -365,12 +370,22 @@ class WorklistService:
         self._open_count = sum(
             1 for item in self._items.values() if not item.state.is_terminal
         )
-        # keep generated ids unique after recovery: the counter is the
-        # trailing segment (``wi-7`` and namespaced ``wi-s2-7`` alike)
+        # keep generated ids unique after recovery
         numeric = [
-            int(i.id.rsplit("-", 1)[-1]) for i in self._items.values()
-            if i.id.startswith(self._id_prefix)
-            and i.id.rsplit("-", 1)[-1].isdigit()
+            _id_counter(item_id) for item_id in self._items
+            if item_id.startswith(self._id_prefix)
         ]
-        if numeric:
+        if any(numeric):
             self._id_counter = itertools.count(max(numeric) + 1)
+
+    def load(self, store: KeyValueStore) -> int:
+        """Restore the ``workitem/`` records of a store; returns items held.
+
+        Store keys sort lexically (``wi-10`` before ``wi-2``); importing
+        by creation counter keeps :meth:`items` in creation order after a
+        restart, exactly as in a live service.
+        """
+        raws = [raw for _, raw in store.scan(WORKITEM_PREFIX)]
+        raws.sort(key=lambda raw: _id_counter(raw["id"]))
+        self.import_items(raws)
+        return len(self._items)

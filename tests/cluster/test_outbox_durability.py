@@ -103,14 +103,14 @@ class TestOutboxClaim:
 
         with cluster._drain_lock:  # a concurrent drainer owns the backlog
             send_from(cluster, "X", shard=0)
-            assert len(cluster.shards[0]._outbox) == 1
+            assert len(cluster.shards[0].outbox) == 1
             assert cluster.shards[0].store.keys("outbox/")  # same commit
             assert cluster.instance(receiver.id).state is InstanceState.RUNNING
             assert cluster.status()["pending_forwards"] == 1
 
         cluster._drain_forwards()
         assert cluster.instance(receiver.id).state is InstanceState.COMPLETED
-        assert not cluster.shards[0]._outbox
+        assert not cluster.shards[0].outbox
         assert cluster.status()["pending_forwards"] == 0
         # the delete is garbage collection riding the next commit, not a
         # per-record fsync — a forced flush persists it
@@ -187,15 +187,15 @@ class TestCrashWindows:
         cluster.deploy(sender_model())
         start_waiter(cluster, "A", shard=1)
         send_from(cluster, "A", shard=0)
-        assert cluster.shards[0]._outbox_seq == 1
+        assert cluster.shards[0].outbox.seq == 1
         cluster.close()
 
         recovered = build_cluster(factory, clock)
         recovered.recover()
-        assert recovered.shards[0]._outbox_seq == 1
+        assert recovered.shards[0].outbox.seq == 1
         start_waiter(recovered, "B", shard=1)
         send_from(recovered, "B", shard=0)
-        assert recovered.shards[0]._outbox_seq == 2  # not reused
+        assert recovered.shards[0].outbox.seq == 2  # not reused
         recovered.close()
 
 
@@ -222,12 +222,12 @@ class TestFailedForward:
         send_from(cluster, "X", shard=0)
         failures = cluster.obs.registry.counter("cluster.forward_failures")
         assert failures.value == 1
-        assert len(cluster.shards[0]._outbox) == 1  # survived the failure
+        assert len(cluster.shards[0].outbox) == 1  # survived the failure
         assert cluster.instance(receiver.id).state is InstanceState.RUNNING
 
         cluster._drain_forwards()  # next drain redelivers
         assert cluster.instance(receiver.id).state is InstanceState.COMPLETED
-        assert not cluster.shards[0]._outbox
+        assert not cluster.shards[0].outbox
         cluster.close()
 
 

@@ -284,14 +284,14 @@ class TestIdempotency:
         )
         shard_b = parse_shard_tag(other.id)
         assert shard_b != shard_a
-        assert "SHARED" in c.shards[shard_a]._dedup
-        assert "SHARED" not in c.shards[shard_b]._dedup
+        assert "SHARED" in c.shards[shard_a].dispatch_log.dedup
+        assert "SHARED" not in c.shards[shard_b].dispatch_log.dedup
         # the same client key against shard B's instance executes (no
         # collision with shard A's record) and lands in B's window only
         c.terminate_instance(other.id, dedup_key="SHARED")
         assert c.instance(other.id).state is InstanceState.TERMINATED
         assert c.instance(keyed.id).state is InstanceState.COMPLETED
-        assert "SHARED" in c.shards[shard_b]._dedup
+        assert "SHARED" in c.shards[shard_b].dispatch_log.dedup
 
     def test_correlate_dedup_routes_to_recorded_shard(self):
         c = cluster()

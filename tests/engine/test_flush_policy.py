@@ -209,6 +209,21 @@ class TestCommitPolicies:
         assert store.commits == 1
         assert store.keys("instance/")
 
+    def test_log_entries_pruned_inside_a_batch_never_touch_the_store(self):
+        store = CountingKV()
+        engine = build_engine(store, dispatch_log_retention=4)
+        engine.deploy(approval_model())  # entry 1, persisted
+        store.reset_counts()
+        with engine.batch():
+            for _ in range(10):  # entries 2..11; 8..11 are retained
+                engine.start_instance("approval")
+        dispatch_puts = [k for k in store.put_keys if k.startswith("dispatch/")]
+        assert dispatch_puts == [f"dispatch/{seq:010d}" for seq in range(8, 12)]
+        # entry 1 reached the store and is deleted; entries 2..7 were
+        # appended and pruned inside the batch: no put, no delete
+        assert store.deletes == 1
+        assert store.keys("dispatch/") == dispatch_puts
+
     def test_commit_interval_defers_until_threshold(self):
         store = CountingKV()
         engine = build_engine(store, commit_interval=1000)

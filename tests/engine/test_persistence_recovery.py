@@ -219,79 +219,169 @@ class TestBatchedCommitCrashConsistency:
         store2.close()
 
 
-class TestLegacyLayoutMigration:
-    """Stores written by the pre-incremental engine (whole-collection
-    blobs under engine/jobs, engine/workitems) must restore cleanly and
-    be migrated to the per-record layout."""
+class FailingCommitKV(DurableKV):
+    """DurableKV whose n-th ``commit()`` (1-based) raises, once."""
 
-    def _make_legacy_store(self, store_path, model):
-        """Run a current engine, then rewrite its store into the legacy
-        whole-blob layout (what the seed engine used to write)."""
+    def __init__(self, directory, fail_on):
+        super().__init__(directory)
+        self.commits = 0
+        self.fail_on = fail_on
+
+    def commit(self):
+        self.commits += 1
+        if self.commits == self.fail_on:
+            self.rollback()
+            raise OSError("disk full")
+        super().commit()
+
+
+class TestDeployCrashAtomicity:
+    """The definition record and the version table commit together, with
+    the deploy's dispatch-log entry: a crash leaves both or neither."""
+
+    def test_failed_deploy_commit_leaves_no_half_deployment(self, store_path):
         clock = VirtualClock(0)
-        store = DurableKV(store_path)
+        store = FailingCommitKV(store_path, fail_on=2)
         engine = build_engine(store, clock)
-        engine.deploy(model)
-        instance_id = engine.start_instance("approval", {"amount": 3}).id
-        item_id = engine.worklist.items()[0].id
-        with store.transaction():
-            store.put("engine/jobs", engine.scheduler.export())
-            store.put("engine/workitems", engine.worklist.export_items())
-            for key in list(store.keys("jobs/")) + list(store.keys("workitem/")):
-                store.delete(key)
-        store.close()
-        return instance_id, item_id
+        assert engine.deploy(approval_model()) == "approval:1"
+        with pytest.raises(OSError):
+            engine.deploy(approval_model())  # v2: its one commit fails
+        store.close()  # crash: drop the engine with v2 uncommitted
 
-    def test_legacy_blob_store_recovers_and_migrates(self, store_path):
-        instance_id, item_id = self._make_legacy_store(
-            store_path, approval_model()
-        )
-
-        store = DurableKV(store_path)
-        engine = build_engine(store, VirtualClock(0))
-        counts = engine.recover()
-        assert counts["instances"] == 1
-        assert counts["workitems"] == 1
-        # the blob keys are gone, every item now has its own record
-        assert store.get("engine/jobs") is None
-        assert store.get("engine/workitems") is None
-        assert store.get(f"workitem/{item_id}") is not None
-        # and the recovered run completes normally
-        engine.worklist.start(item_id)
-        engine.complete_work_item(item_id, {"approved": True})
-        assert engine.instance(instance_id).state is InstanceState.COMPLETED
-        store.close()
-
-        # a second recovery reads the migrated (per-record) layout
         store2 = DurableKV(store_path)
-        engine2 = build_engine(store2, VirtualClock(0))
-        counts2 = engine2.recover()
-        assert counts2["instances"] == 1
-        assert engine2.instance(instance_id).state is InstanceState.COMPLETED
+        engine2 = build_engine(store2, clock)
+        assert engine2.recover()["definitions"] == 1
+        assert store2.keys("definition/") == ["definition/approval:1"]
+        assert store2.get("engine/latest_versions") == {"approval": 1}
+        assert engine2.definition("approval").version == 1
+        # the redeploy mints the version the lost deploy never persisted
+        assert engine2.deploy(approval_model()) == "approval:2"
+        assert engine2.definition("approval").version == 2
         store2.close()
 
-    def test_per_record_wins_over_stale_legacy_blob(self, store_path):
-        """A store holding both layouts (mid-upgrade) trusts per-record."""
+    def test_deploy_is_one_store_commit(self, store_path):
+        store = FailingCommitKV(store_path, fail_on=0)
+        engine = build_engine(store, VirtualClock(0))
+        engine.deploy(approval_model())
+        assert store.commits == 1
+        store.close()
+
+    def test_recover_derives_versions_from_a_torn_legacy_deploy(self, store_path):
+        """A store torn by the old two-put deploy — definition written,
+        version table not — still recovers a findable definition and
+        never re-mints its version."""
         clock = VirtualClock(0)
         store = DurableKV(store_path)
         engine = build_engine(store, clock)
         engine.deploy(approval_model())
-        engine.start_instance("approval")
-        item = engine.worklist.items()[0]
-        # stale legacy blob: claims the item is still offered
-        stale = item.to_dict()
-        with store.transaction():
-            store.put("engine/workitems", [stale])
-            store.put("engine/jobs", [])
-        engine.worklist.start(item.id)
-        engine.flush()
+        engine.deploy(approval_model())
+        store.put("engine/latest_versions", {"approval": 1})  # the tear
         store.close()
 
         store2 = DurableKV(store_path)
         engine2 = build_engine(store2, clock)
         engine2.recover()
-        from repro.worklist.items import WorkItemState
+        assert engine2.definition("approval").version == 2
+        assert engine2.deploy(approval_model()) == "approval:3"
+        store2.close()
 
-        assert engine2.worklist.item(item.id).state is WorkItemState.STARTED
+
+class TestFailedCommitRetries:
+    """A commit that raises leaves the whole write-set pending: the next
+    flush persists the full state, and only then do invocation records
+    reach the pool."""
+
+    def test_failed_commit_keeps_everything_and_retry_persists_it(self, store_path):
+        from repro.workers import WorkerPool
+
+        model = (
+            ProcessBuilder("svc")
+            .start()
+            .service_task("call", service="echo", inputs={"n": "n"})
+            .end()
+            .build()
+        )
+        clock = VirtualClock(0)
+        store = FailingCommitKV(store_path, fail_on=2)
+        engine = build_engine(store, clock)
+        engine.services.register("echo", lambda n: n)
+        pool = WorkerPool(workers=0)
+        engine.attach_workers(pool)
+        engine.deploy(model)  # commit 1
+
+        with pytest.raises(OSError):
+            engine.start_instance("svc", {"n": 1})  # commit 2 fails
+        # nothing reached the store, nothing reached the pool, and the
+        # write-set still holds every record of the failed dispatch
+        assert store.keys("instance/") == []
+        assert store.keys("invocation/") == []
+        assert pool.status()["queued"] == {}
+        assert engine.has_pending_writes()
+        pending = len(engine._writes)
+        assert pending >= 4  # instance, invocation, dispatch entry, meta
+
+        engine.flush()  # the retry commits the full state
+        assert len(engine._writes) == 0
+        assert not engine.has_pending_writes()
+        assert len(store.keys("instance/")) == 1
+        assert len(store.keys("invocation/")) == 1
+        assert len(store.keys("dispatch/")) == 2
+        assert store.get("engine/meta")["instance_seq"] == 1
+        # ...and only now was the committed invocation submitted
+        assert pool.status()["queued"] == {"echo": 1}
+        command = pool.run_next()
+        assert command.outcome == "success"
+        assert engine.instances()[0].state is InstanceState.COMPLETED
+        pool.close()
+        store.close()
+
+        store2 = DurableKV(store_path)
+        engine2 = build_engine(store2, clock)
+        counts = engine2.recover()
+        assert counts["instances"] == 1 and counts["invocations"] == 0
+        assert engine2.instances()[0].state is InstanceState.COMPLETED
+        store2.close()
+
+    def test_views_confirm_only_after_a_successful_commit(self, store_path):
+        clock = VirtualClock(0)
+        store = FailingCommitKV(store_path, fail_on=3)
+        engine = build_engine(store, clock)
+        engine.deploy(approval_model())  # commit 1
+        engine.start_instance("approval")  # commit 2
+        persisted = engine.views.persisted_seq
+        with pytest.raises(OSError):
+            engine.flush()  # commit 3: the forced view drain fails
+        assert engine.views.persisted_seq == persisted
+        assert store.get("view/by_state/__cursor") is None
+        engine.flush()
+        assert engine.views.persisted_seq == engine.dispatch_log.seq
+        assert store.get("view/by_state/__cursor") == {
+            "seq": engine.dispatch_log.seq
+        }
+        store.close()
+
+
+class TestWorklistOrderSurvivesRestart:
+    def test_recovered_items_iterate_in_creation_order(self, store_path):
+        """Store keys sort lexically (wi-10 before wi-2); the worklist
+        must still come back in creation order."""
+        clock = VirtualClock(0)
+        store = DurableKV(store_path)
+        engine = build_engine(store, clock)
+        engine.deploy(approval_model())
+        for _ in range(12):
+            engine.start_instance("approval")
+        before = [item.id for item in engine.worklist.items()]
+        assert before == [f"wi-{n}" for n in range(1, 13)]
+        store.close()
+
+        store2 = DurableKV(store_path)
+        engine2 = build_engine(store2, clock)
+        engine2.recover()
+        assert [item.id for item in engine2.worklist.items()] == before
+        # and new ids continue after the highest recovered one
+        engine2.start_instance("approval")
+        assert engine2.worklist.items()[-1].id == "wi-13"
         store2.close()
 
 

@@ -60,7 +60,7 @@ def rebuilt_view_image(engine):
             for instance in engine._instances.values()
         ],
         [compact_item_obj(item) for item in engine.worklist.items()],
-        engine._dispatch_seq,
+        engine.dispatch_log.seq,
     )
     return {
         key: value

@@ -21,11 +21,10 @@ def cluster(shards=4, **kwargs):
 
 def scatter_instances(c, state=None):
     """The legacy path: scan every shard, merge by creation rank."""
-    from repro.cluster.sharded import _creation_rank
-    from repro.views.projections import merge_ranked
+    from repro.views.projections import creation_rank, merge_ranked
 
     per_shard = [shard.instances(state) for shard in c.shards]
-    return merge_ranked(per_shard, lambda i: _creation_rank(i.id))
+    return merge_ranked(per_shard, lambda i: creation_rank(i.id))
 
 
 class TestQueryEquivalence:

@@ -38,7 +38,7 @@ class TestFlushHook:
         assert record["state"] == "running"
         assert record["business_key"] == "bk-1"
         cursor = store.get("view/by_state/__cursor")
-        assert cursor == {"seq": engine._dispatch_seq}
+        assert cursor == {"seq": engine.dispatch_log.seq}
         assert store.get("view/by_key/bk-1") == {"ids": [instance.id]}
 
     def test_lifecycle_updates_propagate_to_all_projections(self):
@@ -84,7 +84,7 @@ class TestFlushHook:
         engine.deploy(approval_model())
         engine.start_instance("approval", business_key="bk-1")
         status = engine.views.status()
-        assert status["applied_seq"] == engine._dispatch_seq
+        assert status["applied_seq"] == engine.dispatch_log.seq
         assert status["projections"]["by_state"] == 1
         assert status["projections"]["by_key"] == 1
         assert status["projections"]["worklist"] == 1
@@ -118,7 +118,7 @@ class TestWriteGating:
         engine.flush()
         cursor = store.get("view/by_state/__cursor")["seq"]
         engine.deploy(auto_model())  # logs a dispatch, dirties no entities
-        assert engine._dispatch_seq > cursor
+        assert engine.dispatch_log.seq > cursor
         assert store.get("view/by_state/__cursor")["seq"] == cursor
 
 
@@ -153,7 +153,7 @@ class TestWriteBehind:
         assert not any(k.startswith("view/") for k in store.put_keys)
         engine.flush()  # force: the deferred dirt drains in one batch
         assert any(k.startswith("view/") for k in store.put_keys)
-        assert store.get("view/by_state/__cursor")["seq"] == engine._dispatch_seq
+        assert store.get("view/by_state/__cursor")["seq"] == engine.dispatch_log.seq
 
     def test_read_then_forced_flush_still_persists(self):
         # a read materializes the noted dirt (clearing the pending sets);
@@ -167,7 +167,7 @@ class TestWriteBehind:
         engine.flush()
         assert store.get(f"view/by_state/{instance.id}")["state"] == "running"
         assert store.get("view/by_state/__cursor") == {
-            "seq": engine._dispatch_seq
+            "seq": engine.dispatch_log.seq
         }
         store.reset_counts()
         engine.flush()  # drained and confirmed: nothing left to persist
@@ -247,4 +247,4 @@ class TestExtraProjections:
         engine.start_instance("approval")
         engine.flush()
         assert store.get("view/started/total") == {"count": 2}
-        assert store.get("view/started/__cursor")["seq"] == engine._dispatch_seq
+        assert store.get("view/started/__cursor")["seq"] == engine.dispatch_log.seq

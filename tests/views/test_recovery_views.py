@@ -45,12 +45,12 @@ class TestRecoveryModes:
         path = str(tmp_path / "store")
         engine = build_engine(store=DurableKV(path))
         run_some_work(engine)
-        seq = engine._dispatch_seq
+        seq = engine.dispatch_log.seq
         engine.store.close()
 
         recovered = reopen(path)
         assert recovered.views.recovered_mode == "load"
-        assert recovered.views.applied_seq == seq == recovered._dispatch_seq
+        assert recovered.views.applied_seq == seq == recovered.dispatch_log.seq
         assert recovered.views.instance_ids("completed") == ["approval-1"]
         assert recovered.views.open_work_items() == 2
         assert_byte_identical(recovered.store, recovered)
@@ -75,12 +75,12 @@ class TestRecoveryModes:
         # or a views-irrelevant tail produces)
         engine.deploy(auto_model())
         cursor = engine.store.get("view/by_state/__cursor")["seq"]
-        assert cursor < engine._dispatch_seq
+        assert cursor < engine.dispatch_log.seq
         engine.store.close()
 
         recovered = reopen(path)
         assert recovered.views.recovered_mode == "tail"
-        assert recovered.views.applied_seq == recovered._dispatch_seq
+        assert recovered.views.applied_seq == recovered.dispatch_log.seq
         # the catch-up was persisted: next open is a plain load
         recovered.store.close()
         third = reopen(path)
@@ -92,7 +92,7 @@ class TestRecoveryModes:
         path = str(tmp_path / "store")
         engine = build_engine(store=DurableKV(path))
         run_some_work(engine)
-        seq = engine._dispatch_seq
+        seq = engine.dispatch_log.seq
         engine.store.close()
 
         offline = DurableKV(path)
@@ -116,7 +116,7 @@ class TestRecoveryModes:
 
         recovered = reopen(path)
         assert recovered.views.recovered_mode == "rebuild"
-        assert recovered.views.applied_seq == recovered._dispatch_seq
+        assert recovered.views.applied_seq == recovered.dispatch_log.seq
         assert recovered.views.instance_ids("completed") == ["approval-1"]
         assert_byte_identical(recovered.store, recovered)
         recovered.store.close()
@@ -170,13 +170,13 @@ class TestTornCommit:
             path = str(tmp_path / f"store-{cut}")
             engine = build_engine(store=DurableKV(path))
             run_some_work(engine, instances=4)
-            full_seq = engine._dispatch_seq
+            full_seq = engine.dispatch_log.seq
             engine.store.close()
             self._tear(path, cut)
 
             recovered = reopen(path)
-            assert recovered._dispatch_seq <= full_seq
-            assert recovered.views.applied_seq == recovered._dispatch_seq
+            assert recovered.dispatch_log.seq <= full_seq
+            assert recovered.views.applied_seq == recovered.dispatch_log.seq
             assert_byte_identical(recovered.store, recovered)
             recovered.store.close()
 

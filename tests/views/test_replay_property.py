@@ -112,6 +112,6 @@ def test_image_survives_recovery_after_any_interleaving(tmp_path_factory, ops):
 
     recovered = build_engine(store=DurableKV(path))
     recovered.recover()
-    assert recovered.views.applied_seq == recovered._dispatch_seq
+    assert recovered.views.applied_seq == recovered.dispatch_log.seq
     assert_byte_identical(recovered.store, recovered)
     recovered.store.close()

@@ -67,7 +67,7 @@ class TestEnqueue:
         events = [e.type for e in engine.history.instance_events(instance.id)]
         assert EventTypes.SERVICE_ENQUEUED in events
         # the record snapshots arguments evaluated at enqueue time
-        record = engine._invocations[invocation_id]
+        record = engine.ledger.get(invocation_id)
         assert record.arguments == {"n": 3}
         assert record.service == "svc"
 
