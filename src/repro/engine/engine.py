@@ -465,7 +465,9 @@ class ProcessEngine(CommandClient):
     # -- history plumbing ------------------------------------------------------
 
     def _record(self, instance: ProcessInstance, event_type: str, **data: Any) -> None:
-        self.history.record(instance.id, event_type, **data)
+        # history.record() without packing the keywords a second time
+        history = self.history
+        history.store.append(instance.id, event_type, history.clock.now(), data)
 
     # -- instances -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, MutableMapping
+from typing import Any, Iterable, Iterator, MutableMapping
 
 from repro.expr.errors import EvaluationError, ParseError
 from repro.expr.evaluator import CompiledExpression, compile_expression
@@ -128,6 +128,29 @@ def parse_script(script: str) -> list[ScriptStatement]:
     return list(iter_statements(script))
 
 
+_SCRIPT_CACHE: dict[str, tuple[ScriptStatement, ...]] = {}
+_SCRIPT_CACHE_LIMIT = 4096
+
+
+def _statements(script: str) -> Iterable[ScriptStatement]:
+    """The script's statements, parsed once per script text.
+
+    Only a script that parses completely is cached; any other is handed
+    back lazily, so its leading statements still execute before the bad
+    one raises.
+    """
+    cached = _SCRIPT_CACHE.get(script)
+    if cached is None:
+        try:
+            cached = tuple(iter_statements(script))
+        except ParseError:
+            return iter_statements(script)
+        if len(_SCRIPT_CACHE) >= _SCRIPT_CACHE_LIMIT:
+            _SCRIPT_CACHE.clear()
+        _SCRIPT_CACHE[script] = cached
+    return cached
+
+
 def run_script(
     script: str,
     variables: MutableMapping[str, Any],
@@ -137,7 +160,7 @@ def run_script(
     Returns the same mapping for chaining.  Raises :class:`ParseError` for
     malformed statements and :class:`EvaluationError` for runtime failures.
     """
-    for statement in iter_statements(script):
+    for statement in _statements(script):
         name = statement.target
         line_no = statement.line_no
         value = statement.expression.evaluate(variables)

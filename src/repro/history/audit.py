@@ -29,14 +29,10 @@ class HistoryService:
         instance_id: str,
         event_type: str,
         **data: Any,
-    ) -> EventRecord:
-        """Append one event stamped with the service clock."""
-        return self.store.append(
-            stream=instance_id,
-            event_type=event_type,
-            timestamp=self.clock.now(),
-            data=data,
-        )
+    ) -> int:
+        """Append one event stamped with the service clock; returns its
+        sequence number (read it back with ``store.since(sequence)``)."""
+        return self.store.append(instance_id, event_type, self.clock.now(), data)
 
     # -- queries --------------------------------------------------------------
 

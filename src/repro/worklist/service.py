@@ -81,11 +81,12 @@ class WorklistService:
         # created or mutated items are put (items are never deleted); an
         # engine binds its shared write-set in place of this private one
         self._writes = WriteSet((WORKITEM_PREFIX,))
-        # live open-item counter (create +1, complete/cancel -1): O(1)
-        # answer to "how loaded is this worklist" for cluster status —
-        # escalation reoffers don't close items, so no other transition
-        # moves it
-        self._open_count = 0
+        # the open (non-terminal) items in creation order: added on create,
+        # dropped on complete/cancel — no other transition closes an item.
+        # Queue queries and the deadline check walk this, not every item
+        # the service has ever held; the queries, which take no lock, walk
+        # a snapshot, since a completion on another thread shrinks it.
+        self._open: dict[str, WorkItem] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -109,14 +110,19 @@ class WorklistService:
         self._cancellation_listeners.append(listener)
 
     def _record(self, item: WorkItem, event_type: str, **data: Any) -> None:
-        if self.history is not None:
-            self.history.record(
+        history = self.history
+        if history is not None:
+            # history.record() without packing the keywords a second time
+            history.store.append(
                 item.instance_id,
                 event_type,
-                work_item_id=item.id,
-                node_id=item.node_id,
-                role=item.role,
-                **data,
+                history.clock.now(),
+                {
+                    "work_item_id": item.id,
+                    "node_id": item.node_id,
+                    "role": item.role,
+                    **data,
+                },
             )
 
     # -- creation & routing -------------------------------------------------------
@@ -146,9 +152,8 @@ class WorklistService:
             )
             if item.id in self._items:
                 raise WorklistError(f"duplicate work item id {item.id!r}")
-            self._items[item.id] = item
+            self._items[item.id] = self._open[item.id] = item
             self._touch(item)
-            self._open_count += 1
             if self._g_open is not None:
                 self._g_open.inc()
             self._record(item, EventTypes.WORKITEM_CREATED, priority=priority)
@@ -194,18 +199,14 @@ class WorklistService:
     def queue_of(self, resource_id: str) -> list[WorkItem]:
         """Open items allocated to (or started by) one resource,
         highest priority first, then oldest first."""
-        mine = [
-            i
-            for i in self._items.values()
-            if i.allocated_to == resource_id and not i.state.is_terminal
-        ]
+        mine = [i for i in list(self._open.values()) if i.allocated_to == resource_id]
         return sorted(mine, key=lambda i: (-i.priority, i.created_at))
 
     def offered_for_role(self, role: str) -> list[WorkItem]:
         """Unclaimed items in a role queue, highest priority first."""
         offered = [
             i
-            for i in self._items.values()
+            for i in list(self._open.values())
             if i.role == role and i.state is WorkItemState.OFFERED
         ]
         return sorted(offered, key=lambda i: (-i.priority, i.created_at))
@@ -226,8 +227,8 @@ class WorklistService:
     def queue_lengths(self) -> dict[str, int]:
         """Open (non-terminal) item count per resource."""
         lengths: dict[str, int] = {}
-        for item in self._items.values():
-            if item.allocated_to and not item.state.is_terminal:
+        for item in list(self._open.values()):
+            if item.allocated_to:
                 lengths[item.allocated_to] = lengths.get(item.allocated_to, 0) + 1
         return lengths
 
@@ -284,7 +285,7 @@ class WorklistService:
             item = self.item(item_id)
             item.complete(result, self.clock.now())
             self._touch(item)
-            self._open_count -= 1
+            del self._open[item.id]
             if self._g_open is not None:
                 self._g_open.dec()
             self._record(
@@ -306,7 +307,7 @@ class WorklistService:
             item = self.item(item_id)
             item.cancel(self.clock.now())
             self._touch(item)
-            self._open_count -= 1
+            del self._open[item.id]
             if self._g_open is not None:
                 self._g_open.dec()
             self._record(item, EventTypes.WORKITEM_CANCELLED)
@@ -318,8 +319,8 @@ class WorklistService:
         """Cancel every live item of one instance; returns the count."""
         with self._lock:
             cancelled = 0
-            for item in list(self._items.values()):
-                if item.instance_id == instance_id and not item.state.is_terminal:
+            for item in list(self._open.values()):
+                if item.instance_id == instance_id:
                     self.cancel(item.id)
                     cancelled += 1
             return cancelled
@@ -336,7 +337,7 @@ class WorklistService:
         with self._lock:
             now = self.clock.now()
             escalated = []
-            for item in self._items.values():
+            for item in self._open.values():
                 if not item.is_overdue(now):
                     continue
                 item.priority += 1
@@ -356,7 +357,7 @@ class WorklistService:
     @property
     def open_count(self) -> int:
         """Open (non-terminal) items, O(1) — no scan of ``items()``."""
-        return self._open_count
+        return len(self._open)
 
     def export_items(self) -> list[dict[str, Any]]:
         """Serializable snapshot of all items (engine persistence)."""
@@ -367,9 +368,15 @@ class WorklistService:
         for raw in raw_items:
             item = WorkItem.from_dict(raw)
             self._items[item.id] = item
-        self._open_count = sum(
-            1 for item in self._items.values() if not item.state.is_terminal
-        )
+        was_open = len(self._open)
+        self._open = {
+            item.id: item
+            for item in self._items.values()
+            if not item.state.is_terminal
+        }
+        if self._g_open is not None:
+            # a delta, not set(): cluster shards share one gauge
+            self._g_open.inc(len(self._open) - was_open)
         # keep generated ids unique after recovery
         numeric = [
             _id_counter(item_id) for item_id in self._items

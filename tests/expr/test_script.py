@@ -3,6 +3,7 @@
 import pytest
 
 from repro.expr import EvaluationError, ParseError, run_script
+from repro.expr import script as script_module
 
 
 class TestAssignments:
@@ -82,3 +83,33 @@ class TestRejection:
     def test_no_access_to_builtins(self):
         with pytest.raises(EvaluationError):
             run_script("x = __import__('os')", {})
+
+
+class TestParsedScriptCache:
+    def test_complete_script_is_parsed_once(self):
+        source = "cache_probe_a = 1\ncache_probe_b = cache_probe_a + 1"
+        script_module._SCRIPT_CACHE.pop(source, None)
+        first, second = {}, {}
+        run_script(source, first)
+        parsed = script_module._SCRIPT_CACHE[source]
+        run_script(source, second)
+        assert script_module._SCRIPT_CACHE[source] is parsed
+        assert first == second == {"cache_probe_a": 1, "cache_probe_b": 2}
+
+    def test_unparsable_script_runs_lazily_and_is_not_cached(self):
+        source = "kept = 1\n???\nnever = 2"
+        for _ in range(2):  # the second run must not come from a cache
+            env = {}
+            with pytest.raises(ParseError, match="line 2"):
+                run_script(source, env)
+            # earlier statements have executed when the bad one is reached
+            assert env == {"kept": 1}
+        assert source not in script_module._SCRIPT_CACHE
+
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(script_module, "_SCRIPT_CACHE", {})
+        monkeypatch.setattr(script_module, "_SCRIPT_CACHE_LIMIT", 8)
+        for n in range(30):
+            run_script(f"bounded_{n} = {n}", {})
+            assert len(script_module._SCRIPT_CACHE) <= 8
+        assert "bounded_29 = 29" in script_module._SCRIPT_CACHE

@@ -14,10 +14,12 @@ def make_history():
 class TestHistoryService:
     def test_record_stamps_clock_time(self):
         history, clock = make_history()
-        event = history.record("inst-1", EventTypes.INSTANCE_STARTED)
-        assert event.timestamp == 100
+        history.record("inst-1", EventTypes.INSTANCE_STARTED)
         clock.advance(5)
-        assert history.record("inst-1", "x").timestamp == 105
+        sequence = history.record("inst-1", "x")
+        stamps = [e.timestamp for e in history.instance_events("inst-1")]
+        assert stamps == [100, 105]
+        assert history.store.since(sequence)[0].timestamp == 105
 
     def test_instance_events_and_listing(self):
         history, _ = make_history()

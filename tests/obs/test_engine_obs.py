@@ -11,6 +11,7 @@ from repro.history.events import EventTypes
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import RetryPolicy
 from repro.obs import InMemorySpanExporter, Observability
+from repro.storage.kvstore import MemoryKV
 from repro.worklist.allocation import ShortestQueueAllocator
 
 
@@ -271,6 +272,40 @@ class TestWorklistInstrumentation:
             engine.worklist.items()[1].instance_id
         )
         assert gauge.value == 0
+
+    def test_open_items_gauge_is_restored_by_recovery(self):
+        store = MemoryKV()
+
+        def build():
+            fresh = ProcessEngine(
+                clock=VirtualClock(1000.0),
+                store=store,
+                obs=Observability(),
+                allocator=ShortestQueueAllocator(),
+            )
+            fresh.organization.add("ana", roles=["clerk"])
+            return fresh
+
+        def finish_one(target):
+            item = next(
+                i for i in target.worklist.items() if not i.state.is_terminal
+            )
+            target.worklist.start(item.id)
+            target.complete_work_item(item.id, {})
+
+        first = build()
+        first.deploy(self.make_user_task_model())
+        for _ in range(3):
+            first.start_instance("approval")
+        finish_one(first)
+        assert first.obs.registry.gauge("worklist.open_items").value == 2
+
+        recovered = build()  # a restart: new process, new registry, same store
+        recovered.recover()
+        gauge = recovered.obs.registry.gauge("worklist.open_items")
+        assert gauge.value == recovered.worklist.open_count == 2
+        finish_one(recovered)
+        assert gauge.value == 1
 
     def test_route_latency_histogram(self, engine):
         engine.deploy(self.make_user_task_model())

@@ -9,9 +9,10 @@ from repro.storage.eventstore import EventRecord, EventStore
 class TestInMemory:
     def test_append_assigns_sequence(self):
         store = EventStore()
-        e1 = store.append("inst-1", "started", timestamp=1.0)
-        e2 = store.append("inst-1", "completed", timestamp=2.0)
-        assert (e1.sequence, e2.sequence) == (0, 1)
+        first = store.append("inst-1", "started", timestamp=1.0)
+        second = store.append("inst-1", "completed", timestamp=2.0)
+        assert (first, second) == (0, 1)
+        assert [e.sequence for e in store.all()] == [0, 1]
         assert len(store) == 2
 
     def test_stream_isolation(self):
@@ -34,7 +35,8 @@ class TestInMemory:
 
     def test_data_payload_stored(self):
         store = EventStore()
-        event = store.append("a", "node", 1.0, data={"node_id": "approve"})
+        sequence = store.append("a", "node", 1.0, data={"node_id": "approve"})
+        (event,) = store.since(sequence)
         assert event.data == {"node_id": "approve"}
 
     def test_empty_stream_or_type_rejected(self):
@@ -69,8 +71,8 @@ class TestDurable:
         store.append("s", "one", 1.0)
         store.close()
         reopened = EventStore(path)
-        event = reopened.append("s", "two", 2.0)
-        assert event.sequence == 1
+        assert reopened.append("s", "two", 2.0) == 1
+        assert [e.sequence for e in reopened.stream("s")] == [0, 1]
         reopened.close()
 
     def test_sync_flushes(self, tmp_path):
