@@ -76,7 +76,7 @@ def legacy_flush(engine):
             store.put(INSTANCE_PREFIX + instance_id, instance.to_dict())
         store.put("engine/jobs", engine.scheduler.export())
         store.put("engine/workitems", engine.worklist.export_items())
-        store.put("engine/message_waits", list(engine._message_waits))
+        store.put("engine/message_waits", [w.to_dict() for w in engine.waits])
         store.put(
             "engine/meta", {"instance_seq": engine._seqs.value("instance_seq")}
         )

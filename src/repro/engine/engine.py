@@ -60,6 +60,7 @@ from repro.engine.instance import (
 from repro.engine.jobs import JOBS_PREFIX, JobScheduler
 from repro.engine.metrics import EngineMetrics
 from repro.engine.migration import MigrationPlan, apply_migration
+from repro.engine.waits import WAIT_PREFIX, MessageWait, MessageWaits
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
 from repro.model.process import ProcessDefinition
@@ -84,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: store-key family of deployed definitions (``definition/<key>:<version>``)
 DEFINITION_PREFIX = "definition/"
 #: store-key family of the engine's singleton records: ``engine/meta``
-#: (id sequences), ``engine/message_waits``, ``engine/latest_versions``
+#: (id sequences) and ``engine/latest_versions``
 ENGINE_PREFIX = "engine/"
 
 
@@ -167,6 +168,7 @@ class ProcessEngine(CommandClient):
                 INVOCATION_PREFIX,
                 DLQ_PREFIX,
                 OUTBOX_PREFIX,
+                WAIT_PREFIX,
                 ENGINE_PREFIX,
                 VIEW_PREFIX,
             )
@@ -237,7 +239,7 @@ class ProcessEngine(CommandClient):
         self._definitions: dict[str, ProcessDefinition] = {}
         self._latest_version: dict[str, int] = {}
         self._instances: dict[str, ProcessInstance] = {}
-        self._message_waits: list[dict[str, Any]] = []
+        self.waits = MessageWaits(self._writes)
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
         self._advancing: set[str] = set()
         # secondary indexes: instance ids by state and by business key,
@@ -325,12 +327,6 @@ class ProcessEngine(CommandClient):
     def _touch(self, instance: ProcessInstance) -> None:
         """Mark an instance changed: its record joins the next commit."""
         self._writes.put(INSTANCE_PREFIX, instance.id, instance.to_dict)
-
-    def _touch_waits(self) -> None:
-        """Mark the message-wait list changed (snapshot at commit time)."""
-        self._writes.put(
-            ENGINE_PREFIX, "message_waits", lambda: list(self._message_waits)
-        )
 
     # -- deployment -----------------------------------------------------------
 
@@ -925,48 +921,32 @@ class ProcessEngine(CommandClient):
         target shard before publishing anywhere.
         """
         best = "none"
-        for wait in self._message_waits:
-            if wait["name"] != name:
-                continue
-            if (
-                not wait.get("match_any")
-                and wait.get("correlation") != correlation
-            ):
-                continue
-            instance = self._instances.get(wait["instance_id"])
+        for wait in self.waits.matching(name, correlation):
+            instance = self._instances.get(wait.instance_id)
             if instance is None or instance.state.is_finished:
                 continue
             if instance.state is not InstanceState.RUNNING:
                 best = "wait"
                 continue
-            token = instance.token(wait["token_id"])
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
                 continue
             return "deliver"
         return best
 
     def _on_bus_message(self, message: Message) -> bool:
-        for wait in list(self._message_waits):
-            if wait["name"] != message.name:
-                continue
-            if (
-                not wait.get("match_any")
-                and wait.get("correlation") != message.correlation
-            ):
-                continue
-            instance = self._instances.get(wait["instance_id"])
+        for wait in self.waits.matching(message.name, message.correlation):
+            instance = self._instances.get(wait.instance_id)
             if instance is None or instance.state.is_finished:
-                self._message_waits.remove(wait)
-                self._touch_waits()
+                self.waits.remove(wait)
                 continue
             if instance.state is not InstanceState.RUNNING:
                 # suspended: keep the subscription, let the message be
                 # retained for delivery after resume
                 continue
-            token = instance.token(wait["token_id"])
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
-                self._message_waits.remove(wait)
-                self._touch_waits()
+                self.waits.remove(wait)
                 continue
             self._deliver_to_wait(instance, token, wait, message.payload)
             return True
@@ -976,17 +956,16 @@ class ProcessEngine(CommandClient):
         self,
         instance: ProcessInstance,
         token,
-        wait: dict[str, Any],
+        wait: MessageWait,
         payload: dict[str, Any],
     ) -> None:
         definition = self._definition_of(instance)
         self.metrics.messages_delivered += 1
-        if "race_event" in wait:
+        if wait.race_event is not None:
             core.deliver_race_message(self, instance, definition, token, wait, payload)
         else:
-            self._message_waits.remove(wait)
-            self._touch_waits()
-            node = definition.node(wait["node_id"])
+            self.waits.remove(wait)
+            node = definition.node(wait.node_id)
             core.apply_message(self, instance, node, payload)
             token.waiting_on = {}
             core.move_through(
@@ -995,21 +974,19 @@ class ProcessEngine(CommandClient):
                 definition,
                 token,
                 node,
-                is_activity=wait.get("is_activity", True),
+                is_activity=wait.is_activity,
             )
             core.advance(self, instance)
 
     def _redeliver_retained(self, instance: ProcessInstance) -> None:
         """Match bus-retained messages against this instance's waits
         (used after resume, when deliveries were deferred)."""
-        for wait in [
-            w for w in self._message_waits if w["instance_id"] == instance.id
-        ]:
-            token = instance.token(wait["token_id"])
+        for wait in self.waits.of_instance(instance.id):
+            token = instance.token(wait.token_id)
             if token is None or token.state is not TokenState.WAITING:
                 continue
             message = self.bus.consume_retained(
-                wait["name"], wait.get("correlation"), wait.get("match_any", False)
+                wait.name, wait.correlation, wait.match_any
             )
             if message is not None:
                 self._deliver_to_wait(instance, token, wait, message.payload)
@@ -1223,11 +1200,12 @@ class ProcessEngine(CommandClient):
     def recover(self) -> dict[str, int]:
         """Rebuild engine state from the backing store after a restart.
 
-        Definitions, instances, pending jobs, work items, message waits,
-        pending invocations, dead letters, the outbox, and the dispatch
-        log (with its idempotency keys) are restored; services and
-        resources must be re-registered by the host application (code is
-        not persisted).  Returns counts per category.
+        Definitions, instances, pending jobs, work items, pending
+        invocations, dead letters, the outbox, the dispatch log (with its
+        idempotency keys) and the open message waits (``"waits"``, in
+        subscription order — the order they are served in) are restored;
+        services and resources must be re-registered by the host
+        application (code is not persisted).  Returns counts per category.
         """
         store = self.store
         counts = {"definitions": 0, "instances": 0}
@@ -1262,7 +1240,7 @@ class ProcessEngine(CommandClient):
         counts["dead_letters"] = self.ledger.load_dead_letters(store)
         counts["outbox"] = self.outbox.load(store)
         counts["commands"] = self.dispatch_log.load(store)
-        self._message_waits = list(store.get(ENGINE_PREFIX + "message_waits", []))
+        counts["waits"] = self.waits.load(store)
         # the read models catch up last (they need base state + the log):
         # cursor current → load; log tail covered → replay touched
         # entities; otherwise → full rebuild, persisted before returning

@@ -19,6 +19,7 @@ from typing import Any
 from repro.engine.errors import EngineError, NoFlowSelectedError
 from repro.engine.executors.registry import EXECUTORS
 from repro.engine.instance import InstanceState, ProcessInstance, Token, TokenState
+from repro.engine.waits import MessageWait
 from repro.expr import compile_expression
 from repro.history.events import EventTypes
 from repro.model.elements import ACTIVITY_TYPES, BoundaryEvent, Node, SequenceFlow
@@ -304,18 +305,15 @@ def await_message(
         definition = engine._definition_of(instance)
         move_through(engine, instance, definition, token, node, is_activity=is_activity)
         return
-    engine._message_waits.append(
-        {
-            "instance_id": instance.id,
-            "token_id": token.id,
-            "name": message_name,
-            "correlation": correlation,
-            "match_any": match_any,
-            "node_id": node.id,
-            "is_activity": is_activity,
-        }
+    engine.waits.subscribe(
+        instance.id,
+        token.id,
+        message_name,
+        correlation,
+        match_any,
+        node_id=node.id,
+        is_activity=is_activity,
     )
-    engine._touch_waits()
     token.wait(
         "message",
         message_name=message_name,
@@ -342,11 +340,11 @@ def deliver_race_message(
     instance: ProcessInstance,
     definition: ProcessDefinition,
     token: Token,
-    wait: dict[str, Any],
+    wait: MessageWait,
     payload: dict[str, Any],
 ) -> None:
     """A raced catch event won via message: settle the race."""
-    event = definition.node(wait["race_event"])
+    event = definition.node(wait.race_event)
     settle_race(engine, instance, token)
     apply_message(engine, instance, event, payload)
     enter(engine, instance, event, is_activity=False)
@@ -359,19 +357,7 @@ def settle_race(engine, instance: ProcessInstance, token: Token) -> None:
     job_ids = set(token.waiting_on.get("job_ids", ()))
     for job_id in job_ids:
         engine.scheduler.cancel(job_id)
-    drop_message_waits(engine, instance, token)
-
-
-def drop_message_waits(engine, instance: ProcessInstance, token: Token) -> None:
-    """Unsubscribe every message wait of one token."""
-    kept = [
-        w
-        for w in engine._message_waits
-        if not (w["instance_id"] == instance.id and w["token_id"] == token.id)
-    ]
-    if len(kept) != len(engine._message_waits):
-        engine._message_waits = kept
-        engine._touch_waits()
+    engine.waits.drop_token(instance.id, token.id)
 
 
 # -- token cancellation ------------------------------------------------------------------------
@@ -394,7 +380,7 @@ def release_waits(engine, instance: ProcessInstance, token: Token) -> None:
         if job_id is not None:
             engine.scheduler.cancel(job_id)
     elif reason == "message":
-        drop_message_waits(engine, instance, token)
+        engine.waits.drop_token(instance.id, token.id)
     elif reason == "event_race":
         settle_race(engine, instance, token)
     elif reason == "service":

@@ -164,18 +164,15 @@ def execute_event_gateway(
             correlation, match_any = core.correlation_of(
                 target.correlation_expression, instance.variables
             )
-            engine._message_waits.append(
-                {
-                    "instance_id": instance.id,
-                    "token_id": token.id,
-                    "name": target.message_name,
-                    "correlation": correlation,
-                    "match_any": match_any,
-                    "race_gateway": node.id,
-                    "race_event": target.id,
-                }
+            engine.waits.subscribe(
+                instance.id,
+                token.id,
+                target.message_name,
+                correlation,
+                match_any,
+                race_gateway=node.id,
+                race_event=target.id,
             )
-            engine._touch_waits()
             wait_count += 1
         else:
             raise EngineError(
@@ -189,10 +186,9 @@ def execute_event_gateway(
 
 
 def try_retained_for_race(engine, instance, definition, token) -> None:
-    for wait in [w for w in engine._message_waits if w["token_id"] == token.id
-                 and w["instance_id"] == instance.id]:
+    for wait in engine.waits.of_token(instance.id, token.id):
         message = engine.bus.consume_retained(
-            wait["name"], wait.get("correlation"), wait.get("match_any", False)
+            wait.name, wait.correlation, wait.match_any
         )
         if message is not None:
             # count the delivery: this path bypasses _deliver_to_wait

@@ -82,4 +82,10 @@ def apply_migration(engine, instance: ProcessInstance, target: ProcessDefinition
         if token.arrived_via is not None and token.arrived_via not in target.flows:
             incoming = target.incoming(new_id)
             token.arrived_via = incoming[0].id if len(incoming) == 1 else None
+        # a parked token's waiting_on repeats the node it is parked at,
+        # and so do its message waits (the node a delivery wakes)
+        for key in ("node_id", "gateway_id"):
+            if key in token.waiting_on:
+                token.waiting_on[key] = plan.target_node(token.waiting_on[key])
+    engine.waits.remap_nodes(instance.id, plan.target_node)
     instance.definition_id = target.identifier

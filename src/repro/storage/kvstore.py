@@ -149,9 +149,9 @@ class _TransactionMixin:
             items = view
         else:
             items = self._data
-        for key in sorted(items):
-            if key.startswith(prefix):
-                yield key, items[key]
+        # filter first: each record family is a small part of the store
+        for key in sorted(k for k in items if k.startswith(prefix)):
+            yield key, items[key]
 
     def begin(self) -> None:
         if self._buffer is not None:

@@ -10,7 +10,9 @@ commit_interval policies that coalesce many calls into one commit.
 from repro.clock import VirtualClock
 from repro.engine.engine import ProcessEngine
 from repro.engine.instance import InstanceState
+from repro.engine.migration import MigrationPlan
 from repro.model.builder import ProcessBuilder
+from repro.model.elements import ScriptTask
 from repro.storage.kvstore import MemoryKV
 from repro.worklist.allocation import ShortestQueueAllocator
 
@@ -24,6 +26,7 @@ class CountingKV(MemoryKV):
         self.deletes = 0
         self.commits = 0
         self.put_keys = []
+        self.delete_keys = []
 
     def put(self, key, value):
         self.puts += 1
@@ -32,6 +35,7 @@ class CountingKV(MemoryKV):
 
     def delete(self, key):
         self.deletes += 1
+        self.delete_keys.append(key)
         return super().delete(key)
 
     def commit(self):
@@ -43,6 +47,7 @@ class CountingKV(MemoryKV):
         self.deletes = 0
         self.commits = 0
         self.put_keys = []
+        self.delete_keys = []
 
 
 def approval_model():
@@ -54,6 +59,40 @@ def approval_model():
         .end()
         .build()
     )
+
+
+def receive_model(node_id="wait"):
+    return (
+        ProcessBuilder("msg")
+        .start()
+        .receive_task(node_id, message_name="go", correlation_expression="key")
+        .end()
+        .build()
+    )
+
+
+def race_model():
+    return (
+        ProcessBuilder("race")
+        .start()
+        .event_gateway("race")
+        .branch()
+        .message_catch("m1", message_name="alpha")
+        .exclusive_gateway("merge")
+        .branch_from("race")
+        .message_catch("m2", message_name="beta")
+        .connect_to("merge")
+        .branch_from("race")
+        .timer("t1", duration=100)
+        .connect_to("merge")
+        .move_to("merge")
+        .end()
+        .build()
+    )
+
+
+def live_wait_keys(engine):
+    return [f"wait/{wait.seq:010d}" for wait in engine.waits]
 
 
 def timed_model():
@@ -141,26 +180,133 @@ class TestIncrementalWrites:
         engine.advance_time(61)
         assert store.keys("jobs/") == []
 
-    def test_message_waits_written_only_when_changed(self):
+    def test_wait_put_once_and_deleted_when_consumed(self):
         store = CountingKV()
         engine = build_engine(store)
-        model = (
-            ProcessBuilder("msg")
-            .start()
-            .receive_task("wait", message_name="go", correlation_expression="key")
-            .end()
-            .build()
-        )
-        engine.deploy(model)
+        engine.deploy(receive_model())
         engine.start_instance("msg", {"key": "k1"})
-        assert store.get("engine/message_waits")
+        engine.start_instance("msg", {"key": "k2"})
+        first, second = store.keys("wait/")
+        assert store.get(first)["correlation"] == "k1"
         store.reset_counts()
-        # unrelated traffic must not rewrite the waits blob
+        # unrelated traffic must not write any wait record
         engine.deploy(approval_model())
         engine.start_instance("approval")
-        assert "engine/message_waits" not in store.put_keys
+        assert not any(k.startswith("wait/") for k in store.put_keys)
+        # a consumed wait deletes exactly its own key, and the wait
+        # sequence is not an engine/meta counter
+        store.reset_counts()
         engine.correlate_message("go", "k1", {})
-        assert store.get("engine/message_waits") == []
+        assert store.delete_keys == [first]
+        assert store.keys("wait/") == [second]
+        assert not any(k.startswith("wait/") for k in store.put_keys)
+        assert "engine/meta" not in store.put_keys
+
+    def test_cancelled_wait_deletes_its_key(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(receive_model())
+        keep = engine.start_instance("msg", {"key": "k1"})
+        gone = engine.start_instance("msg", {"key": "k2"})
+        _, second = store.keys("wait/")
+        store.reset_counts()
+        engine.terminate_instance(gone.id)
+        assert store.delete_keys == [second]
+        assert live_wait_keys(engine) == store.keys("wait/")
+        assert [w.instance_id for w in engine.waits] == [keep.id]
+
+    def test_wait_opened_and_consumed_in_one_batch_costs_no_store_op(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(receive_model())
+        store.reset_counts()
+        with engine.batch():
+            instance = engine.start_instance("msg", {"key": "k1"})
+            assert len(engine.waits) == 1
+            engine.correlate_message("go", "k1", {})
+        assert instance.state is InstanceState.COMPLETED
+        assert store.commits == 1
+        assert not any(k.startswith("wait/") for k in store.put_keys)
+        assert store.delete_keys == []
+
+
+class TestNoWaitOutlivesItsToken:
+    """``store.keys("wait/")`` is the live set after every way a parked
+    token can go away."""
+
+    def check(self, engine, store, expected):
+        assert store.keys("wait/") == live_wait_keys(engine)
+        assert len(engine.waits) == expected
+
+    def test_terminate_then_compensate(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        builder = ProcessBuilder("saga")
+        builder.add_node(ScriptTask("undo", script="x = 0"))
+        builder.start()
+        builder.script_task("t", script="x = 1", compensation_handler="undo")
+        builder.receive_task("rx", message_name="go")
+        builder.end()
+        engine.deploy(builder.build())
+        instance = engine.start_instance("saga")
+        self.check(engine, store, 1)
+        engine.terminate_instance(instance.id)
+        self.check(engine, store, 0)
+        engine.compensate_instance(instance.id)
+        self.check(engine, store, 0)
+
+    def test_interrupting_boundary_event_cancels_the_childs_wait(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(receive_model())
+        engine.deploy(
+            ProcessBuilder("parent")
+            .start()
+            .call_activity("call", process_key="msg", input_mappings={"key": "key"})
+            .end("done")
+            .boundary_timer("too_slow", attached_to="call", duration=10)
+            .end("gave_up")
+            .build()
+        )
+        parent = engine.start_instance("parent", {"key": "k1"})
+        self.check(engine, store, 1)
+        engine.advance_time(11)
+        assert parent.state is InstanceState.COMPLETED
+        self.check(engine, store, 0)
+
+    def test_settled_event_race_drops_the_losing_subscriptions(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(race_model())
+        by_message = engine.start_instance("race")
+        by_timer = engine.start_instance("race")
+        self.check(engine, store, 4)
+        engine.correlate_message("alpha")
+        assert by_message.state is InstanceState.COMPLETED
+        self.check(engine, store, 2)
+        engine.advance_time(101)
+        assert by_timer.state is InstanceState.COMPLETED
+        self.check(engine, store, 0)
+
+    def test_migration_rewrites_the_record_in_place(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(receive_model())
+        instance = engine.start_instance("msg", {"key": "k1"})
+        engine.deploy(receive_model(node_id="wait_v2"))
+        (key,) = store.keys("wait/")
+        engine.migrate_instance(instance.id, 2, MigrationPlan({"wait": "wait_v2"}))
+        self.check(engine, store, 1)
+        assert store.keys("wait/") == [key]
+        assert store.get(key)["node_id"] == "wait_v2"
+        # migrated and consumed inside one commit: the stored record
+        # still has to go
+        other = engine.start_instance("msg", {"key": "k2"}, version=1)
+        with engine.batch():
+            engine.migrate_instance(other.id, 2, MigrationPlan({"wait": "wait_v2"}))
+            engine.correlate_message("go", "k2", {})
+        assert other.state is InstanceState.COMPLETED
+        self.check(engine, store, 1)
 
 
 class TestCommitPolicies:

@@ -174,6 +174,7 @@ class TestRecovery:
             "invocations": 0,
             "dead_letters": 0,
             "outbox": 0,
+            "waits": 0,
         }
 
 
