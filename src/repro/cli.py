@@ -116,7 +116,7 @@ def _load_deployment(path: str):
         )
         path = os.path.join(path, shard_dirs[0])
         entries = sorted(os.listdir(path))
-    if "journal.log" in entries or "snapshot.json" in entries:
+    if "journal.log" in entries or "snapshot.bin" in entries:
         store = DurableKV(path, sync_writes=False)
         definitions = [
             definition_from_dict(raw)
@@ -549,6 +549,12 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
             # target shard — nonzero after a crash means recovery will
             # redeliver these cross-shard messages
             "pending_forwards": len(store.keys(OUTBOX_PREFIX)),
+            # what a restart replays vs what the last checkpoint holds
+            # (the store checkpoints itself only from begin(); this
+            # command never writes, so it never triggers one)
+            "journal_bytes": store.journal_size,
+            "snapshot_bytes": store.snapshot_size,
+            "live_keys": len(store),
         }
         if summary is not None:
             row["views"] = {
@@ -595,6 +601,9 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
             + (f" [{states}]" if states else "")
             + f" jobs={row['jobs']} workitems={row['workitems']}"
             f" commands={row['commands']}"
+            f" journal_bytes={row['journal_bytes']}"
+            f" snapshot_bytes={row['snapshot_bytes']}"
+            f" live_keys={row['live_keys']}"
             + (
                 f" pending_forwards={row['pending_forwards']}"
                 if row["pending_forwards"]

@@ -19,6 +19,9 @@ from repro.storage.writeset import WriteSet
 #: store-key family of pending jobs (``jobs/<job id>``)
 JOBS_PREFIX = "jobs/"
 
+#: ``Job.data`` entries that hold a node id of the instance's definition
+_NODE_KEYS = ("node_id", "boundary_id", "gateway_id", "event_id")
+
 
 @dataclass(frozen=True)
 class Job:
@@ -107,6 +110,19 @@ class JobScheduler:
     def cancel_for_instance(self, instance_id: str) -> int:
         """Cancel every job of one instance."""
         return self.cancel_where(lambda job: job.instance_id == instance_id)
+
+    def remap_nodes(self, instance_id: str, target_node: Callable[[str], str]) -> None:
+        """Migration: re-point an instance's jobs at the target version's
+        node ids (a job names the node its firing resumes)."""
+        for job in self._jobs.values():
+            if job.instance_id != instance_id:
+                continue
+            renamed = {
+                key: target_node(job.data[key]) for key in _NODE_KEYS if key in job.data
+            }
+            if any(job.data[key] != node for key, node in renamed.items()):
+                job.data.update(renamed)
+                self._writes.put(JOBS_PREFIX, job.id, job.to_dict)
 
     def due_jobs(self, now: float) -> list[Job]:
         """Pop and return all jobs with ``due <= now``, in due order."""

@@ -83,9 +83,11 @@ def apply_migration(engine, instance: ProcessInstance, target: ProcessDefinition
             incoming = target.incoming(new_id)
             token.arrived_via = incoming[0].id if len(incoming) == 1 else None
         # a parked token's waiting_on repeats the node it is parked at,
-        # and so do its message waits (the node a delivery wakes)
+        # and so do its message waits and scheduler jobs (the node a
+        # delivery or a firing wakes)
         for key in ("node_id", "gateway_id"):
             if key in token.waiting_on:
                 token.waiting_on[key] = plan.target_node(token.waiting_on[key])
     engine.waits.remap_nodes(instance.id, plan.target_node)
+    engine.scheduler.remap_nodes(instance.id, plan.target_node)
     instance.definition_id = target.identifier

@@ -87,11 +87,12 @@ class EventStore:
         self._obs = obs
         self._h_append = None
         if path is not None:
-            journal = Journal(path, obs=obs)
+            journal = Journal(path, auto_recover=False, obs=obs)
             # replayed through append() before the journal and the append
             # histogram are attached; every decoded record brings its own
-            # str objects, so share them
-            for record in journal.replay():
+            # str objects, so share them.  recover() is the crash-safe
+            # open and the replay in one pass over the file.
+            for record in journal.recover():
                 raw = json_decode(record.payload)
                 if raw["sequence"] != len(self):
                     raise StorageError(

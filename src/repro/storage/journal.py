@@ -8,10 +8,14 @@ Record layout on disk::
 
 Properties:
 
-* **torn-write safety** — replay stops at the first record whose header or
+* **torn-write safety** — a scan stops at the first record whose header or
   body is incomplete or whose CRC fails *at the tail*; the file is truncated
   to the last good record on open, so a crash mid-append never corrupts
-  recovery.
+  recovery.  A CRC failure *before* the tail is data loss and raises.
+* **one pass to open** — ``Journal(path, auto_recover=False).recover()``
+  yields every intact record and leaves the file cut to the last one, so
+  an owner that must read its log anyway (``DurableKV``, ``EventStore``)
+  checks each byte's CRC once, not once to repair and again to replay.
 * **group commit** — ``append`` buffers; ``sync`` flushes+fsyncs once for
   all buffered records.  ``append(..., sync=True)`` is the single-record
   durable path.  Experiment F4 measures the batch-size/throughput shape
@@ -33,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
 _HEADER = struct.Struct("<II")  # length, crc32
+#: bytes of framing before each record's payload
+HEADER_SIZE = _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,30 @@ class Journal:
         self._h_sync = None if obs is None else obs.registry.histogram(
             "storage.journal.sync_seconds"
         )
-        #: bytes cut from a torn tail on open (0 = the file was clean);
+        #: bytes cut from a torn tail (0 = the file was clean);
         #: recovery is deliberately *surfaced*, never silent
         self.recovered_bytes = 0
-        #: byte offset where the last :meth:`replay` hit a torn tail
+        #: byte offset where the last scan hit a torn tail
         #: (``None`` = the log read back clean end to end)
         self.torn_tail_offset: int | None = None
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        # crash-safe open: scan and truncate a torn tail before appending
-        if auto_recover and os.path.exists(path):
-            self._truncate_torn_tail()
-        self._file = open(path, "ab")
+        # append mode places every write at the end of the file whatever
+        # the position; "+" lets read() pread through the same descriptor
+        self._file = open(path, "a+b")
         self._pending = 0
-        self._last_known_size = self._file.tell()
+        self._size = os.fstat(self._file.fileno()).st_size
+        #: bytes known to have left the write buffer (what read() may pread)
+        self._flushed = self._size
+        # crash-safe open: scan and truncate a torn tail before appending
+        if auto_recover and self._size:
+            try:
+                for _ in self.recover():
+                    pass
+            except BaseException:
+                self._file.close()
+                raise
 
     # -- writing ------------------------------------------------------------
 
@@ -87,10 +102,10 @@ class Journal:
         if self._file.closed:
             raise StorageError("journal is closed")
         started = time.perf_counter() if self._h_append is not None else 0.0
-        offset = self._file.tell()
-        crc = zlib.crc32(payload)
-        self._file.write(_HEADER.pack(len(payload), crc))
+        offset = self._size
+        self._file.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
         self._file.write(payload)
+        self._size = offset + HEADER_SIZE + len(payload)
         self._pending += 1
         if self._h_append is not None:
             self._h_append.observe(time.perf_counter() - started)
@@ -120,6 +135,7 @@ class Journal:
             raise StorageError("journal is closed")
         started = time.perf_counter() if self._h_sync is not None else 0.0
         self._file.flush()
+        self._flushed = self._size
         os.fsync(self._file.fileno())
         if self._h_sync is not None:
             self._h_sync.observe(time.perf_counter() - started)
@@ -139,13 +155,28 @@ class Journal:
         raising :class:`FileNotFoundError`.
         """
         if not self._file.closed:
-            return self._file.tell()
+            return self._size
         try:
             return os.path.getsize(self.path)
         except OSError:
-            return self._last_known_size
+            return self._size
 
     # -- reading ------------------------------------------------------------
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset``, e.g. part of a record's payload
+        (a record appended at ``o`` has its payload at ``o + HEADER_SIZE``).
+
+        Positional and unchecked: the caller names a range inside records
+        a scan has verified or this journal has appended.  A record still
+        in the write buffer is flushed (not fsynced) first.
+        """
+        if self._file.closed:
+            raise StorageError("journal is closed")
+        if offset + length > self._flushed:
+            self._file.flush()
+            self._flushed = self._size
+        return os.pread(self._file.fileno(), length, offset)
 
     def replay(self) -> Iterator[JournalRecord]:
         """Yield all intact records in append order.
@@ -155,69 +186,62 @@ class Journal:
         but is surfaced via :attr:`torn_tail_offset` and the
         ``storage.journal.torn_tails`` counter rather than swallowed.
         """
-        self._file.flush()
+        return self._scan(truncate=False)
+
+    def recover(self) -> Iterator[JournalRecord]:
+        """:meth:`replay` that also repairs: once exhausted, a torn tail
+        has been cut off the file (:attr:`recovered_bytes` says how much),
+        so the owner's one reading pass is also the crash-safe open."""
+        return self._scan(truncate=True)
+
+    def _scan(self, truncate: bool) -> Iterator[JournalRecord]:
+        if not self._file.closed:
+            self._file.flush()
         self.torn_tail_offset = None
-        with open(self.path, "rb") as reader:
-            file_size = os.fstat(reader.fileno()).st_size
-            offset = 0
-            while True:
-                header = reader.read(_HEADER.size)
-                if len(header) == 0:
-                    return
-                if len(header) < _HEADER.size:
-                    self._note_torn_tail(offset)  # torn header at tail
-                    return
-                length, crc = _HEADER.unpack(header)
-                payload = reader.read(length)
-                if len(payload) < length:
-                    self._note_torn_tail(offset)  # torn body at tail
-                    return
-                if zlib.crc32(payload) != crc:
-                    if reader.tell() == file_size:
-                        self._note_torn_tail(offset)  # corrupt final record
-                        return
-                    raise CorruptRecordError(
-                        f"CRC mismatch at offset {offset} in {self.path}"
-                    )
-                yield JournalRecord(offset=offset, payload=payload)
-                offset = reader.tell()
-
-    def _note_torn_tail(self, offset: int) -> None:
-        """Surface a torn tail found during replay."""
-        self.torn_tail_offset = offset
-        if self._obs is not None:
-            self._obs.registry.counter("storage.journal.torn_tails").inc()
-            self._obs.event("journal.torn_tail", path=self.path, offset=offset)
-
-    def _truncate_torn_tail(self) -> None:
-        """Cut the file back to the end of the last intact record."""
-        good_end = 0
         try:
-            with open(self.path, "rb") as reader:
-                while True:
-                    header = reader.read(_HEADER.size)
-                    if len(header) < _HEADER.size:
-                        break
-                    length, crc = _HEADER.unpack(header)
-                    payload = reader.read(length)
-                    if len(payload) < length or zlib.crc32(payload) != crc:
-                        break
-                    good_end = reader.tell()
+            reader = open(self.path, "rb")
         except OSError as exc:
             raise StorageError(f"cannot scan journal {self.path}: {exc}") from exc
-        file_size = os.path.getsize(self.path)
-        if good_end < file_size:
-            self.recovered_bytes = file_size - good_end
-            if self._obs is not None:
-                self._obs.registry.counter("storage.journal.torn_tails").inc()
+        with reader:
+            file_size = os.fstat(reader.fileno()).st_size
+            offset = 0
+            while offset < file_size:
+                header = reader.read(HEADER_SIZE)
+                intact = len(header) == HEADER_SIZE
+                if intact:
+                    length, crc = _HEADER.unpack(header)
+                    payload = reader.read(length)
+                    intact = len(payload) == length
+                    if intact and zlib.crc32(payload) != crc:
+                        if offset + HEADER_SIZE + length < file_size:
+                            raise CorruptRecordError(
+                                f"CRC mismatch at offset {offset} in {self.path}"
+                            )
+                        intact = False  # corrupt final record
+                if not intact:
+                    self._torn_tail(offset, file_size, truncate)
+                    return
+                yield JournalRecord(offset=offset, payload=payload)
+                offset += HEADER_SIZE + length
+
+    def _torn_tail(self, offset: int, file_size: int, truncate: bool) -> None:
+        """Surface a torn tail found by a scan; cut it off when repairing."""
+        self.torn_tail_offset = offset
+        if truncate:
+            self.recovered_bytes = file_size - offset
+            self._file.truncate(offset)
+            self._size = self._flushed = offset
+        if self._obs is not None:
+            self._obs.registry.counter("storage.journal.torn_tails").inc()
+            if truncate:
                 self._obs.event(
                     "journal.recovered",
                     path=self.path,
-                    truncated_to=good_end,
+                    truncated_to=offset,
                     recovered_bytes=self.recovered_bytes,
                 )
-            with open(self.path, "r+b") as writer:
-                writer.truncate(good_end)
+            else:
+                self._obs.event("journal.torn_tail", path=self.path, offset=offset)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -225,18 +249,15 @@ class Journal:
         """Erase the journal (after a snapshot made its contents redundant)."""
         if self._file.closed:
             raise StorageError("journal is closed")
-        self._file.close()
-        self._file = open(self.path, "wb")
-        self._file.close()
-        self._file = open(self.path, "ab")
+        self._file.truncate(0)
         self._pending = 0
+        self._size = self._flushed = 0
 
     def close(self) -> None:
         """Flush and close; further writes raise."""
         if not self._file.closed:
             self._file.flush()
             os.fsync(self._file.fileno())
-            self._last_known_size = self._file.tell()
             self._file.close()
 
     def __enter__(self) -> "Journal":

@@ -1,19 +1,88 @@
 """Key-value stores: the interface, a volatile backend, and a durable one.
 
 Keys are strings namespaced by convention (``instance/<id>``,
-``definition/<key>:<version>``, ...); values are JSON-serializable.  The
-durable backend journals every mutation (WAL) and supports snapshots that
-compact the journal away.
+``definition/<key>:<version>``, ...); values are JSON-serializable.
+
+:class:`MemoryKV` keeps the value objects.  :class:`DurableKV` is
+log-structured (Bitcask-shaped): values stay on disk, memory holds a
+*keydir*.
+
+**Files.**  ``journal.log`` is a :class:`~repro.storage.journal.Journal`;
+one commit appends (and, with ``sync_writes``, fsyncs) one CRC-framed
+record whose payload is a sequence of op frames::
+
+    +--------+----------------+------------------+-----+----------------+
+    | op (u8)| key bytes (u32)| value bytes (u32)| key | canonical JSON |
+    +--------+----------------+------------------+-----+----------------+
+
+(op 1 = put, 2 = delete with no value; little-endian), so a reader steps
+over values without decoding them.  ``snapshot.bin`` is an 8-byte magic,
+one put frame per live key, and a CRC32 of everything before it.
+
+**Keydir.**  ``key -> offset << 33 | length << 1 | file bit``: where the
+current value's bytes are.  ``get``/``scan`` ``pread`` and decode on
+demand; ``keys``/``in``/``len``/``delete`` do no I/O.  Opening is one pass
+over snapshot + journal that checks every CRC, builds the keydir and
+decodes nothing; a restart therefore decodes each *live* value once (when
+``recover()`` scans it), not every value ever written.  Reads trust what
+that opening pass verified and are not re-checked.  No value object and
+no encoded value is retained after a commit returns.
+
+**Checkpoints.**  :meth:`DurableKV.snapshot` copies the live values'
+bytes to ``snapshot.bin.tmp`` (bounded chunks: no decode, no encode, no
+whole image), fsyncs, renames, fsyncs the directory, resets the journal
+and re-points the keydir in place.  The store calls it by itself at
+:meth:`~DurableKV.begin` when ``journal_size >= max(CHECKPOINT_FLOOR,
+CHECKPOINT_RATIO * live bytes)``, live bytes being exactly what the copy
+would write — so copied bytes are at most half the journal bytes that
+paid for them, and a reopen replays at most that tail.  Never in
+``put``/``commit``/``sync`` and never in ``close``.  Crash windows: tmp
+written but not renamed → deleted on open; renamed but journal not yet
+reset → the old journal replays over the newer snapshot and ends in the
+same state (ops are absolute, last writer wins); a failed checkpoint
+(``OSError``) leaves everything as it was, is counted in
+``checkpoint_failures``, does not fail the command, and is retried once
+the journal has grown by another floor.
+
+Earlier on-disk formats (a JSON image snapshot, JSON-array batch records)
+have no read path; opening such a directory raises
+:class:`~repro.storage.errors.StorageError` naming the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
-from typing import Any, Iterator
+import struct
+import time
+import zlib
+from array import array
+from typing import Any, BinaryIO, Iterator
 
 from repro.storage.errors import StorageError, TransactionError
-from repro.storage.journal import Journal
+from repro.storage.journal import HEADER_SIZE, Journal
 from repro.storage.serializers import json_decode, json_encode
+
+#: a checkpoint starts by itself once the journal holds this many bytes ...
+CHECKPOINT_FLOOR = 256 * 1024
+#: ... and this many times the bytes the checkpoint would copy, so the
+#: bytes copied are at most 1/ratio of the journal bytes that paid for them
+CHECKPOINT_RATIO = 2
+
+_OP = struct.Struct("<BII")  # op, key bytes, value bytes
+_PUT, _DEL = 1, 2
+_CRC = struct.Struct("<I")
+_SNAPSHOT_MAGIC = b"REPROKV1"
+_COPY_CHUNK = 64 * 1024
+
+# a keydir entry: value offset << 33 | value bytes << 1 | in-journal bit
+_OFFSET_SHIFT = 33
+_LENGTH_MASK = 0xFFFFFFFF
+_LENGTH_BITS = _LENGTH_MASK << 1
+
+#: marks a key the open transaction deleted
+_GONE = object()
 
 
 class KeyValueStore:
@@ -189,64 +258,316 @@ class MemoryKV(_TransactionMixin, KeyValueStore):
 
 
 class DurableKV(_TransactionMixin, KeyValueStore):
-    """Journal-backed store with snapshot compaction.
+    """Log-structured durable store: values live in the files, memory
+    holds the keydir (see the module docstring for layout and rules).
 
-    Layout in ``directory``: ``journal.log`` (WAL of op batches) and
-    ``snapshot.json`` (full image).  Open = load snapshot, replay journal.
     Each committed batch is one journal record, so multi-key transactions
-    are atomic across crashes.
+    are atomic across crashes.  Counters an operator or a test reads:
+    :attr:`checkpoints`, :attr:`checkpoint_failures`,
+    :attr:`checkpoint_seconds`, :attr:`checkpoint_bytes` (snapshot bytes
+    written in total) and :attr:`replayed_batches`.
     """
 
-    _SNAPSHOT = "snapshot.json"
+    _SNAPSHOT = "snapshot.bin"
     _JOURNAL = "journal.log"
 
     def __init__(self, directory: str, sync_writes: bool = True) -> None:
-        super().__init__()
+        super().__init__()  # self._data is the keydir: key -> packed int
         self.directory = directory
         self.sync_writes = sync_writes
+        self.checkpoints = 0
+        self.checkpoint_failures = 0
+        self.checkpoint_seconds = 0.0
+        self.checkpoint_bytes = 0
+        #: bytes a checkpoint would copy: the put frames of the live keys
+        self._live_bytes = 0
+        #: after a failed checkpoint, the journal size that permits a retry
+        self._retry_at = 0
+        self._snapshot_fd: int | None = None
         os.makedirs(directory, exist_ok=True)
         self._snapshot_path = os.path.join(directory, self._SNAPSHOT)
-        self._load_snapshot()
-        self._journal = Journal(os.path.join(directory, self._JOURNAL))
+        for name in os.listdir(directory):
+            if name == self._SNAPSHOT + ".tmp":
+                os.remove(self._snapshot_path + ".tmp")  # checkpoint cut short
+            elif name.startswith("snapshot.") and name != self._SNAPSHOT:
+                raise StorageError(
+                    f"{os.path.join(directory, name)}: not a snapshot format this "
+                    f"store reads (it reads and writes {self._SNAPSHOT} only)"
+                )
+        self._journal = Journal(
+            os.path.join(directory, self._JOURNAL), auto_recover=False
+        )
         self._replayed_batches = 0
-        for record in self._journal.replay():
-            batch = json_decode(record.payload)
-            self._apply_ops_to_memory([tuple(op) for op in batch])
-            self._replayed_batches += 1
+        try:
+            self._load_snapshot()
+            for record in self._journal.recover():
+                payload = record.payload
+                self._index_frames(
+                    payload, 0, len(payload), record.offset + HEADER_SIZE, 1
+                )
+                self._replayed_batches += 1
+        except BaseException:
+            self.close()
+            raise
+
+    # -- opening ---------------------------------------------------------------
 
     def _load_snapshot(self) -> None:
-        if os.path.exists(self._snapshot_path):
-            with open(self._snapshot_path, "rb") as fh:
-                self._data = json_decode(fh.read())
+        """Verify the snapshot's checksum and index its frames; the
+        descriptor stays open for the reads the keydir points at it."""
+        try:
+            fd = os.open(self._snapshot_path, os.O_RDONLY)
+        except FileNotFoundError:
+            return
+        try:
+            size = os.fstat(fd).st_size
+            if size < len(_SNAPSHOT_MAGIC) + _CRC.size:
+                raise StorageError(f"{self._snapshot_path}: truncated snapshot")
+            with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as image:
+                body_end = size - _CRC.size
+                if image[: len(_SNAPSHOT_MAGIC)] != _SNAPSHOT_MAGIC:
+                    raise StorageError(
+                        f"{self._snapshot_path}: not a {_SNAPSHOT_MAGIC!r} snapshot"
+                    )
+                with memoryview(image) as view, view[:body_end] as body:
+                    checksum = zlib.crc32(body)
+                if checksum != _CRC.unpack_from(image, body_end)[0]:
+                    raise StorageError(
+                        f"{self._snapshot_path}: checksum mismatch "
+                        "(truncated or corrupt snapshot)"
+                    )
+                self._index_frames(image, len(_SNAPSHOT_MAGIC), body_end, 0, 0)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._snapshot_fd = fd
+
+    def _index_frames(
+        self, frames: Any, pos: int, end: int, base: int, in_journal: int
+    ) -> None:
+        """Apply the op frames in ``frames[pos:end]`` to the keydir without
+        touching a value.  ``frames[i]`` is byte ``base + i`` of the file
+        ``in_journal`` names.  The one routine behind opening (snapshot,
+        replayed records) and committing (the record just appended)."""
+        keydir = self._data
+        live = self._live_bytes
+        unpack = _OP.unpack_from
+        try:
+            while pos < end:
+                op, key_bytes, value_bytes = unpack(frames, pos)
+                if op != _PUT and op != _DEL:
+                    raise StorageError(f"unknown op {op}")
+                value_at = pos + _OP.size + key_bytes
+                key = str(frames[pos + _OP.size : value_at], "utf-8")
+                pos = value_at + value_bytes
+                if op == _PUT:
+                    old = keydir.get(key)
+                    if old is None:
+                        live += _OP.size + key_bytes + value_bytes
+                    else:
+                        live += value_bytes - ((old >> 1) & _LENGTH_MASK)
+                    keydir[key] = (
+                        (base + value_at) << _OFFSET_SHIFT
+                        | value_bytes << 1
+                        | in_journal
+                    )
+                else:
+                    old = keydir.pop(key, None)
+                    if old is not None:
+                        live -= _OP.size + key_bytes + ((old >> 1) & _LENGTH_MASK)
+            if pos != end:
+                raise StorageError("frame runs past its record")
+        except (StorageError, struct.error, UnicodeDecodeError) as exc:
+            name = self._JOURNAL if in_journal else self._SNAPSHOT
+            raise StorageError(
+                f"{os.path.join(self.directory, name)}: bytes near "
+                f"{base + pos} are not op frames ({exc}); a JSON-array batch "
+                "journal or any other earlier format has no read path"
+            ) from exc
+        finally:
+            self._live_bytes = live
 
     @property
     def replayed_batches(self) -> int:
         """Batches replayed from the journal at open (recovery metric)."""
         return self._replayed_batches
 
+    # -- reading ---------------------------------------------------------------
+
+    def _read_bytes(self, packed: int) -> bytes:
+        """The encoded value a keydir entry points at."""
+        length = (packed >> 1) & _LENGTH_MASK
+        if packed & 1:
+            return self._journal.read(packed >> _OFFSET_SHIFT, length)
+        if self._snapshot_fd is None:
+            raise StorageError("store is closed")
+        return os.pread(self._snapshot_fd, length, packed >> _OFFSET_SHIFT)
+
+    def _overlay(self) -> dict[str, Any]:
+        """The open transaction's net effect: key -> value, or ``_GONE``."""
+        overlay: dict[str, Any] = {}
+        for op, key, value in self._buffer or ():
+            overlay[key] = value if op == "put" else _GONE
+        return overlay
+
+    def _visible(self, prefix: str, overlay: dict[str, Any]) -> list[str]:
+        """Sorted keys with the prefix, as the open transaction sees them."""
+        if not overlay:
+            return sorted(k for k in self._data if k.startswith(prefix))
+        names = {k for k in self._data if k.startswith(prefix)}
+        for key, value in overlay.items():
+            if value is _GONE:
+                names.discard(key)
+            elif key.startswith(prefix):
+                names.add(key)
+        return sorted(names)
+
+    def get(self, key: str, default: Any = None) -> Any:
+        if self._buffer:
+            # read-your-writes inside a transaction
+            for op, k, value in reversed(self._buffer):
+                if k == key:
+                    return value if op == "put" else default
+        packed = self._data.get(key)
+        if packed is None:
+            return default
+        return json_decode(self._read_bytes(packed))
+
+    def scan(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
+        overlay = self._overlay()
+        for key in self._visible(prefix, overlay):
+            if key in overlay:
+                yield key, overlay[key]
+            else:
+                yield key, json_decode(self._read_bytes(self._data[key]))
+
+    def keys(self, prefix: str = "") -> list[str]:
+        return self._visible(prefix, self._overlay())
+
+    def __contains__(self, key: str) -> bool:
+        for op, k, _ in reversed(self._buffer or ()):
+            if k == key:
+                return op == "put"
+        return key in self._data
+
+    def __len__(self) -> int:
+        if not self._buffer:
+            return len(self._data)
+        return len(self._visible("", self._overlay()))
+
+    # -- writing ---------------------------------------------------------------
+
+    def begin(self) -> None:
+        # between commits, nothing buffered, under whatever lock the caller
+        # holds: the one place a checkpoint starts by itself (never inside
+        # put/commit/sync, whose callers price them by journal growth)
+        if self._buffer is None and self._journal.size >= max(
+            CHECKPOINT_FLOOR, CHECKPOINT_RATIO * self._live_bytes, self._retry_at
+        ):
+            try:
+                self.snapshot()
+            except OSError:
+                # snapshot + journal are as they were; the command goes on
+                self.checkpoint_failures += 1
+                self._retry_at = self._journal.size + CHECKPOINT_FLOOR
+        super().begin()
+
     def _apply_batch(self, ops: list[tuple[str, str, Any]]) -> None:
-        payload = json_encode([list(op) for op in ops])
-        self._journal.append(payload, sync=self.sync_writes)
-        self._apply_ops_to_memory(ops)
+        parts: list[bytes] = []
+        pack = _OP.pack
+        for op, key, value in ops:
+            key_bytes = key.encode("utf-8")
+            if op == "put":
+                encoded = json_encode(value)
+                parts += (pack(_PUT, len(key_bytes), len(encoded)), key_bytes, encoded)
+            else:
+                parts += (pack(_DEL, len(key_bytes), 0), key_bytes)
+        payload = b"".join(parts)
+        offset = self._journal.append(payload, sync=self.sync_writes)
+        self._index_frames(payload, 0, len(payload), offset + HEADER_SIZE, 1)
 
     def snapshot(self) -> None:
-        """Write a full image and reset the journal (compaction).
+        """Checkpoint: copy every live value's bytes into a new snapshot,
+        reset the journal, re-point the keydir (compaction).
 
-        The snapshot is written to a temp file and atomically renamed, so a
-        crash mid-snapshot leaves the previous snapshot + journal intact.
+        Nothing is decoded or encoded and no image is built in memory:
+        frames stream to ``snapshot.bin.tmp`` in bounded chunks.  The file
+        is fsynced, renamed, and the directory fsynced *before* the journal
+        is erased, so at any crash point a reopen reads the pre-checkpoint
+        state (tmp only: ignored; renamed, journal intact: the journal
+        replays over the newer snapshot to the same state).  An
+        ``OSError`` leaves snapshot, journal and keydir as they were.
         """
+        started = time.perf_counter()
         tmp_path = self._snapshot_path + ".tmp"
-        with open(tmp_path, "wb") as fh:
-            fh.write(json_encode(self._data))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, self._snapshot_path)
-        self._journal.reset()
+        value_offsets = array("Q")
+        new_fd: int | None = None
+        try:
+            with open(tmp_path, "wb") as out:
+                written = self._copy_live_frames(out, value_offsets)
+                out.flush()
+                os.fsync(out.fileno())
+            new_fd = os.open(tmp_path, os.O_RDONLY)
+            os.replace(tmp_path, self._snapshot_path)
+            _fsync_directory(self.directory)
+            self._journal.reset()
+        except OSError:
+            if new_fd is not None:
+                os.close(new_fd)
+            with contextlib.suppress(OSError):
+                os.remove(tmp_path)
+            raise
+        if self._snapshot_fd is not None:
+            os.close(self._snapshot_fd)
+        self._snapshot_fd = new_fd
+        keydir = self._data
+        for key, value_at in zip(keydir, value_offsets):
+            # same key set, so the dict is not resized while iterated
+            keydir[key] = value_at << _OFFSET_SHIFT | keydir[key] & _LENGTH_BITS
+        self._retry_at = 0
+        self.checkpoints += 1
+        self.checkpoint_bytes += written
+        self.checkpoint_seconds += time.perf_counter() - started
+
+    def _copy_live_frames(self, out: BinaryIO, value_offsets: "array[int]") -> int:
+        """Write magic, one put frame per live key (keydir order) and the
+        checksum; append each value's offset in the new file to
+        ``value_offsets``.  Returns the bytes written."""
+        checksum = zlib.crc32(_SNAPSHOT_MAGIC)
+        out.write(_SNAPSHOT_MAGIC)
+        position = len(_SNAPSHOT_MAGIC)
+        chunk: list[bytes] = []
+        chunk_start = position
+        for key, packed in self._data.items():
+            key_bytes = key.encode("utf-8")
+            value = self._read_bytes(packed)
+            chunk += (_OP.pack(_PUT, len(key_bytes), len(value)), key_bytes, value)
+            position += _OP.size + len(key_bytes)
+            value_offsets.append(position)
+            position += len(value)
+            if position - chunk_start >= _COPY_CHUNK:
+                data = b"".join(chunk)
+                checksum = zlib.crc32(data, checksum)
+                out.write(data)
+                chunk.clear()
+                chunk_start = position
+        data = b"".join(chunk)
+        out.write(data)
+        out.write(_CRC.pack(zlib.crc32(data, checksum)))
+        return position + _CRC.size
 
     @property
     def journal_size(self) -> int:
-        """Current WAL length in bytes."""
+        """Current WAL length in bytes: what a reopen would replay."""
         return self._journal.size
+
+    @property
+    def snapshot_size(self) -> int:
+        """Bytes of the current snapshot file (0 before the first checkpoint)."""
+        try:
+            return os.path.getsize(self._snapshot_path)
+        except OSError:
+            return 0
 
     def sync(self) -> None:
         """Fsync any buffered journal records (group commit).
@@ -260,3 +581,15 @@ class DurableKV(_TransactionMixin, KeyValueStore):
 
     def close(self) -> None:
         self._journal.close()
+        if self._snapshot_fd is not None:
+            os.close(self._snapshot_fd)
+            self._snapshot_fd = None
+
+
+def _fsync_directory(path: str) -> None:
+    """Make a rename inside ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -13,12 +13,17 @@ from typing import Any
 from repro.storage.errors import StorageError
 
 
+# built once: json.dumps() with non-default arguments constructs an encoder
+# per call, which costs as much as encoding a small record
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
+
+
 def json_encode(value: Any) -> bytes:
     """Encode a value to canonical UTF-8 JSON bytes."""
     try:
-        return json.dumps(
-            value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
+        return _encode(value).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise StorageError(f"value is not JSON-serializable: {exc}") from exc
 

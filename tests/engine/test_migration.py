@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.clock import VirtualClock
+from repro.engine.engine import ProcessEngine
 from repro.engine.errors import MigrationError
 from repro.engine.instance import InstanceState
 from repro.engine.migration import MigrationPlan
 from repro.model.builder import ProcessBuilder
+from repro.storage.kvstore import MemoryKV
 
 
 def v1():
@@ -147,3 +150,90 @@ class TestMigration:
             engine.complete_work_item(item.id)
         assert all(i.state is InstanceState.COMPLETED for i in instances)
         assert all(i.variables.get("fraud_checked") for i in instances)
+
+
+def timer_race(suffix="", result=1):
+    """An event-based gateway racing a message against a timer."""
+    return (
+        ProcessBuilder("race")
+        .start()
+        .event_gateway("race" + suffix)
+        .branch()
+        .message_catch("m1" + suffix, message_name="alpha")
+        .exclusive_gateway("merge")
+        .branch_from("race" + suffix)
+        .timer("t1" + suffix, duration=60)
+        .connect_to("merge")
+        .move_to("merge")
+        .script_task("after", script=f"v = {result}")
+        .end()
+        .build()
+    )
+
+
+def guarded_task(suffix="", result=1):
+    """A user task under an interrupting boundary timer."""
+    return (
+        ProcessBuilder("sla")
+        .start()
+        .user_task("approve" + suffix, role="clerk")
+        .end("done")
+        .boundary_timer("too_slow" + suffix, attached_to="approve" + suffix, duration=60)
+        .script_task("escalate", script=f"v = {result}")
+        .end("esc_end")
+        .build()
+    )
+
+
+class TestMigrationOfScheduledJobs:
+    """A scheduler job names the node its firing resumes; the job (live
+    and in the store) follows a renamed node like the message waits do."""
+
+    def build(self, store):
+        clock = VirtualClock(0)
+        engine = ProcessEngine(clock=clock, store=store)
+        engine.organization.add("ana", roles=["clerk"])
+        return engine, clock
+
+    def fire(self, store, engine, clock, restart):
+        if restart:
+            engine, clock = self.build(store)
+            engine.recover()
+        clock.advance(61)
+        engine.run_due_jobs()
+        return engine
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["live", "recovered"])
+    def test_event_race_timer_fires_after_migration(self, restart):
+        store = MemoryKV()
+        engine, clock = self.build(store)
+        engine.deploy(timer_race())
+        instance = engine.start_instance("race")
+        engine.deploy(timer_race(suffix="_v2", result=2))
+        plan = MigrationPlan({"race": "race_v2", "m1": "m1_v2", "t1": "t1_v2"})
+        engine.migrate_instance(instance.id, 2, plan)
+        (job,) = engine.scheduler.pending()
+        assert (job.data["gateway_id"], job.data["event_id"]) == ("race_v2", "t1_v2")
+        engine = self.fire(store, engine, clock, restart)
+        instance = engine.instance(instance.id)
+        assert instance.state is InstanceState.COMPLETED
+        assert instance.variables["v"] == 2
+        assert len(engine.scheduler) == 0 and store.keys("jobs/") == []
+        assert len(engine.waits) == 0
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["live", "recovered"])
+    def test_interrupting_boundary_timer_fires_after_migration(self, restart):
+        store = MemoryKV()
+        engine, clock = self.build(store)
+        engine.deploy(guarded_task())
+        instance = engine.start_instance("sla")
+        engine.deploy(guarded_task(suffix="_v2", result=2))
+        plan = MigrationPlan({"approve": "approve_v2", "too_slow": "too_slow_v2"})
+        engine.migrate_instance(instance.id, 2, plan)
+        (job,) = engine.scheduler.pending()
+        assert job.data["boundary_id"] == "too_slow_v2"
+        engine = self.fire(store, engine, clock, restart)
+        instance = engine.instance(instance.id)
+        assert instance.state is InstanceState.COMPLETED
+        assert instance.variables["v"] == 2
+        assert len(engine.scheduler) == 0 and store.keys("jobs/") == []

@@ -291,3 +291,78 @@ class TestTornTailSurfacing:
         registry = obs.registry
         assert registry.histogram("storage.journal.append_seconds").count == 2
         assert registry.histogram("storage.journal.sync_seconds").count == 2
+
+
+class TestOnePassOpen:
+    """recover() is replay and repair together; read() is positional."""
+
+    def _torn(self, path):
+        with Journal(path) as journal:
+            journal.append(b"good-one", sync=True)
+            journal.append(b"good-two", sync=True)
+            good_end = journal.size
+            journal.append(b"torn", sync=True)
+        with open(path, "r+b") as fh:
+            fh.truncate(good_end + 5)
+        return good_end
+
+    def test_recover_yields_the_records_and_cuts_the_tail(self, journal_path):
+        good_end = self._torn(journal_path)
+        journal = Journal(journal_path, auto_recover=False)
+        assert journal.size == good_end + 5  # nothing scanned yet
+        assert [r.payload for r in journal.recover()] == [b"good-one", b"good-two"]
+        assert journal.recovered_bytes == 5
+        assert journal.torn_tail_offset == good_end
+        assert journal.size == os.path.getsize(journal_path) == good_end
+        offset = journal.append(b"after", sync=True)
+        assert offset == good_end
+        assert [r.payload for r in journal.replay()][-1] == b"after"
+        journal.close()
+
+    def test_recover_checks_every_byte_once(self, journal_path, monkeypatch):
+        import zlib
+
+        from repro.storage import journal as journal_module
+
+        self._torn(journal_path)
+        checked = []
+        real_crc32 = zlib.crc32
+
+        def crc32(data, *start):
+            checked.append(len(data))
+            return real_crc32(data, *start)
+
+        monkeypatch.setattr(journal_module.zlib, "crc32", crc32)
+        journal = Journal(journal_path, auto_recover=False)
+        list(journal.recover())
+        journal.close()
+        assert checked == [len(b"good-one"), len(b"good-two")]
+
+    def test_corruption_before_the_tail_raises_at_open(self, journal_path):
+        with Journal(journal_path) as journal:
+            journal.append(b"aaaa", sync=True)
+            journal.append(b"bbbb", sync=True)
+        size = os.path.getsize(journal_path)
+        with open(journal_path, "r+b") as fh:
+            fh.seek(8)
+            fh.write(b"Z")
+        with pytest.raises(CorruptRecordError):
+            Journal(journal_path)
+        assert os.path.getsize(journal_path) == size  # nothing was cut
+
+    def test_read_is_positional_and_sees_buffered_records(self, journal_path):
+        from repro.storage.journal import HEADER_SIZE
+
+        with Journal(journal_path) as journal:
+            first = journal.append(b"synced-record", sync=True)
+            second = journal.append(b"buffered-record")  # not flushed yet
+            assert journal.read(second + HEADER_SIZE, 8) == b"buffered"
+            assert journal.read(first + HEADER_SIZE + 7, 6) == b"record"
+            assert journal.pending_records == 1  # reading does not fsync
+            third = journal.append(b"x")
+            assert journal.read(third + HEADER_SIZE, 1) == b"x"
+            journal.reset()
+            fresh = journal.append(b"fresh")
+            assert fresh == 0 and journal.read(HEADER_SIZE, 5) == b"fresh"
+        with pytest.raises(StorageError):
+            journal.read(0, 1)

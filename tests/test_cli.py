@@ -353,6 +353,30 @@ class TestClusterStatus:
         assert payload["shards"][1]["topology"] == {"shards": 2, "shard": 1}
         assert payload["shards"][0]["instances"] == 2
 
+    def test_store_sizes_are_reported_and_reading_never_checkpoints(
+        self, cluster_store, capsys
+    ):
+        import json
+        import os
+
+        from repro.storage.kvstore import DurableKV
+
+        store = DurableKV(cluster_store + "/shard-0")
+        store.snapshot()
+        store.put("extra", 1)
+        expected = (store.journal_size, store.snapshot_size, len(store))
+        store.close()
+        assert main(["cluster", "status", "--store", cluster_store, "--json"]) == 0
+        first, second = json.loads(capsys.readouterr().out)["shards"]
+        assert (
+            first["journal_bytes"], first["snapshot_bytes"], first["live_keys"]
+        ) == expected
+        assert expected[0] > 0 and expected[1] > 0
+        assert second["snapshot_bytes"] == 0 and second["journal_bytes"] > 0
+        assert not os.path.exists(cluster_store + "/shard-1/snapshot.bin")
+        assert main(["cluster", "status", "--store", cluster_store]) == 0
+        assert f"journal_bytes={expected[0]}" in capsys.readouterr().out
+
     def test_undrained_outbox_records_are_reported(self, cluster_store, capsys):
         """Offline stores with persisted-but-undrained forward records —
         the crash-recovery backlog — show up as pending_forwards."""
