@@ -2,27 +2,21 @@
 
 Shape claims (full runs; ``F15_SMOKE=1`` shrinks sizes and skips gates):
 
-(a) **flat queries** — with views enabled, a cross-shard per-state query
-    over a fixed total instance population costs about the same at 8
-    shards as at 1 (gate: <= 1.25x), because each shard serves its
-    rank-ordered bucket from the materialized projection and the facade
-    k-way merges — no per-shard full scan, no union re-sort;
-(b) **cheap maintenance** — projection upkeep is write-behind (commits
-    note dirty ids; records persist every ``views_flush_lag`` seqs inside
-    a commit already being paid for), adding < 10% wall time to the F9
-    flush benchmark's hot path: an autocommit ``worklist.start`` /
-    ``complete_work_item`` loop on DurableKV with fsync on;
-(c) **linear rebuild** — the offline ``rebuild_store_views`` replay
+(a) **flat queries** — a cross-shard per-state query over a fixed total
+    instance population costs about the same at 8 shards as at 1 (gate:
+    <= 1.25x), because each shard serves its rank-ordered bucket from the
+    materialized projection and the facade k-way merges — no per-shard
+    full scan, no union re-sort;
+(b) **linear rebuild** — the offline ``rebuild_store_views`` replay
     scales linearly with store size (doubling the log less than triples
     the rebuild, amortization slack included).
 
-Noise discipline: queries and rebuild use bench_f11's interleaved
-best-of; the maintenance comparison (a ~10% wall delta on an fsync
-path) uses chunk-interleaved trials with a joint-minimum paired
-estimator — see ``measure_maintenance``.
+The read models are the engine's only instance index, so there is no
+views-off side to compare maintenance cost against: the e2e benchmark's
+``views.*`` rows price it.  Noise discipline: bench_f11's interleaved
+best-of.
 """
 
-import gc
 import os
 import time
 
@@ -40,15 +34,8 @@ _SMOKE = os.environ.get("F15_SMOKE", "") not in ("", "0")
 N_TOTAL = int(os.environ.get("F15_TOTAL", "64" if _SMOKE else "2000"))
 #: query iterations per timed sample
 N_QUERIES = int(os.environ.get("F15_QUERIES", "5" if _SMOKE else "40"))
-#: work items completed per maintenance-overhead run (the F9 loop shape)
-N_FLUSHES = int(os.environ.get("F15_FLUSHES", "40" if _SMOKE else "600"))
 #: interleaved best-of repeats
 N_REPEATS = int(os.environ.get("F15_REPEATS", "2" if _SMOKE else "4"))
-#: maintenance is a ~10% wall-time comparison on a noisy fsync path, so
-#: it gets more interleaved repeats than the query/rebuild sections
-N_MAINT_REPEATS = int(os.environ.get("F15_MAINT_REPEATS", "2" if _SMOKE else "12"))
-#: completions per timed maintenance chunk (see ``measure_maintenance``)
-MAINT_CHUNK = int(os.environ.get("F15_MAINT_CHUNK", "20" if _SMOKE else "10"))
 SHARD_WIDTHS = (1, 2, 4, 8)
 
 
@@ -76,12 +63,11 @@ def auto_model():
 # -- (a) query latency vs shard width -----------------------------------------
 
 
-def build_cluster(shards, views):
+def build_cluster(shards):
     cluster = ShardedEngine(
         shards=shards,
         clock=VirtualClock(0),
         allocator=ShortestQueueAllocator(),
-        views=views,
     )
     cluster.organization.add("ana", roles=["clerk"])
     cluster.deploy(approval_model())
@@ -114,123 +100,16 @@ def time_queries(cluster):
 
 
 def measure_queries():
-    samples = {
-        (shards, views): []
-        for shards in SHARD_WIDTHS
-        for views in (True, False)
-    }
+    samples = {shards: [] for shards in SHARD_WIDTHS}
     for _ in range(N_REPEATS):
         for shards in SHARD_WIDTHS:
-            for views in (True, False):
-                cluster = build_cluster(shards, views)
-                samples[(shards, views)].append(time_queries(cluster))
-                cluster.close()
+            cluster = build_cluster(shards)
+            samples[shards].append(time_queries(cluster))
+            cluster.close()
     return {key: min(values) for key, values in samples.items()}
 
 
-# -- (b) maintenance overhead on the durable flush path -----------------------
-
-
-def build_flush_engine(tmp_dir, views, label):
-    """An engine primed for the F9 autocommit hot path: ``N_FLUSHES``
-    started instances (populated under one untimed group commit), each
-    holding one open work item."""
-    store = DurableKV(os.path.join(tmp_dir, label))
-    engine = ProcessEngine(
-        clock=VirtualClock(0),
-        store=store,
-        views=views,
-        allocator=ShortestQueueAllocator(),
-    )
-    engine.organization.add("ana", roles=["clerk"])
-    engine.deploy(approval_model())
-    with engine.batch():
-        for _ in range(N_FLUSHES):
-            engine.start_instance("approval")
-    item_ids = [item.id for item in engine.worklist.items()]
-    engine.flush()
-    return store, engine, item_ids
-
-
-def _chunk_bounds():
-    """Chunk slice boundaries; the last chunk absorbs any remainder."""
-    n_chunks = max(1, N_FLUSHES // MAINT_CHUNK)
-    bounds = [
-        (c * MAINT_CHUNK, (c + 1) * MAINT_CHUNK) for c in range(n_chunks)
-    ]
-    bounds[-1] = (bounds[-1][0], N_FLUSHES)
-    return bounds
-
-
-def run_flush_trial(tmp_dir, trial):
-    """One interleaved maintenance trial: per-chunk wall times per side.
-
-    Both engines (views off / on) run the same loop — per item a
-    ``worklist.start`` and a ``complete_work_item``, each an
-    autocommitted fsynced flush — in alternating ``MAINT_CHUNK``-item
-    slices, so ambient drift (CPU frequency, neighbour I/O) lands on
-    both sides of every chunk slot.  The final forced flush is timed
-    into each side's last chunk: the write-behind view dirt must drain
-    inside the measured region (no deferred-cost flattery).
-    """
-    store_p, plain, ids_p = build_flush_engine(tmp_dir, False, f"p{trial}")
-    store_v, views, ids_v = build_flush_engine(tmp_dir, True, f"v{trial}")
-    plain_chunks, views_chunks = [], []
-    for lo, hi in _chunk_bounds():
-        for engine, item_ids, out in (
-            (plain, ids_p, plain_chunks),
-            (views, ids_v, views_chunks),
-        ):
-            started = time.perf_counter()
-            for item_id in item_ids[lo:hi]:
-                engine.worklist.start(item_id)
-                engine.complete_work_item(item_id)
-            out.append(time.perf_counter() - started)
-    for engine, out in ((plain, plain_chunks), (views, views_chunks)):
-        started = time.perf_counter()
-        engine.flush()
-        out[-1] += time.perf_counter() - started
-    store_p.close()
-    store_v.close()
-    return plain_chunks, views_chunks
-
-
-def measure_maintenance(tmp_dir):
-    """Joint-minimum paired chunks across interleaved trials.
-
-    The first trial is a discarded warm-up (page cache, CPU caches,
-    branch predictors), and the section starts from a collected heap.
-
-    Whole-run best-of is too coarse here: wall noise on this path is
-    one-sided but *phased* (drift episodes outlast a whole run), so two
-    independently-taken minimums can land in different phases and swing
-    a ~10% comparison by several points either way.  Instead, each trial
-    runs the two sides in alternating ``MAINT_CHUNK``-item slices, so a
-    chunk slot's (plain, views) pair shares one machine phase; per slot
-    the pair with the lowest *combined* wall time — the cleanest paired
-    observation — is kept, and each side sums its kept halves.  Drift
-    cancels inside every counted pair, while deterministic views cost
-    (the periodic drains land in the same slots every trial) is fully
-    retained."""
-    gc.collect()
-    all_plain, all_views = [], []
-    for trial in range(N_MAINT_REPEATS + 1):
-        sub = os.path.join(tmp_dir, f"m{trial}")
-        plain_chunks, views_chunks = run_flush_trial(sub, trial)
-        if trial == 0:
-            continue  # warm-up
-        all_plain.append(plain_chunks)
-        all_views.append(views_chunks)
-    trials = range(len(all_plain))
-    plain = views = 0.0
-    for c in range(len(all_plain[0])):
-        best = min(trials, key=lambda t: all_plain[t][c] + all_views[t][c])
-        plain += all_plain[best][c]
-        views += all_views[best][c]
-    return plain, views
-
-
-# -- (c) rebuild time vs log length -------------------------------------------
+# -- (b) rebuild time vs log length -------------------------------------------
 
 
 def seed_store(path, instances):
@@ -262,35 +141,22 @@ def measure_rebuild(tmp_dir):
 
 
 def test_f15_read_model_shapes(tmp_path, emit, bench_json):
-    # maintenance first: a ~10% wall comparison should not inherit the
-    # heap the query section's sixteen clusters leave behind (the views
-    # side allocates more per item, so allocator state cuts one-sided)
-    plain_s, views_s = measure_maintenance(str(tmp_path))
     queries = measure_queries()
     rebuild = measure_rebuild(str(tmp_path))
 
-    flat_ratio = queries[(8, True)] / queries[(1, True)]
-    overhead = views_s / plain_s - 1
+    flat_ratio = queries[8] / queries[1]
     rebuild_ratio = rebuild["2x"] / rebuild["1x"]
 
     emit(
         "",
         f"== F15: cross-shard query latency, {N_TOTAL} instances total "
         f"({N_QUERIES} rounds, best-of {N_REPEATS}) ==",
-        f"{'shards':>7} {'views ms':>9} {'scatter ms':>11} {'speedup':>8}",
+        f"{'shards':>7} {'views ms':>9}",
     )
     for shards in SHARD_WIDTHS:
-        with_views = queries[(shards, True)]
-        without = queries[(shards, False)]
-        emit(
-            f"{shards:>7} {with_views * 1e3:>9.2f} {without * 1e3:>11.2f} "
-            f"{without / with_views:>7.2f}x"
-        )
+        emit(f"{shards:>7} {queries[shards] * 1e3:>9.2f}")
     emit(
         f"    8-shard / 1-shard (views)  : {flat_ratio:.2f}x (gate <= 1.25x)",
-        f"    maintenance overhead       : {100 * overhead:+.1f}% over "
-        f"{N_FLUSHES} durable completions, paired chunk-min of "
-        f"{N_MAINT_REPEATS} interleaved trials (gate < +10%)",
         f"    rebuild 2x/1x store        : {rebuild_ratio:.2f}x "
         "(gate < 3x: linear in log length)",
     )
@@ -300,25 +166,13 @@ def test_f15_read_model_shapes(tmp_path, emit, bench_json):
             "config": {
                 "total_instances": N_TOTAL,
                 "query_rounds": N_QUERIES,
-                "flush_loop": N_FLUSHES,
                 "repeats": N_REPEATS,
-                "maintenance_repeats": N_MAINT_REPEATS,
-                "maintenance_chunk": MAINT_CHUNK,
                 "smoke": _SMOKE,
             },
             "query_seconds": {
-                f"shards-{shards}": {
-                    "views": queries[(shards, True)],
-                    "scatter": queries[(shards, False)],
-                }
-                for shards in SHARD_WIDTHS
+                f"shards-{shards}": queries[shards] for shards in SHARD_WIDTHS
             },
             "flat_ratio_8_vs_1": flat_ratio,
-            "maintenance": {
-                "plain_seconds": plain_s,
-                "views_seconds": views_s,
-                "overhead": overhead,
-            },
             "rebuild_seconds": rebuild,
             "rebuild_ratio_2x": rebuild_ratio,
         },
@@ -326,5 +180,4 @@ def test_f15_read_model_shapes(tmp_path, emit, bench_json):
     if _SMOKE:
         return  # perf-shape gates are full-run claims
     assert flat_ratio <= 1.25, flat_ratio
-    assert overhead < 0.10, overhead
     assert rebuild_ratio < 3.0, rebuild_ratio

@@ -770,7 +770,7 @@ def cmd_views_status(args: argparse.Namespace) -> int:
             print(
                 f"{row['store']}: no view records "
                 f"(dispatch_seq={row['dispatch_seq']}) — run `repro views "
-                f"rebuild` or recover with views enabled"
+                f"rebuild` or recover an engine over it"
             )
             continue
         print(

@@ -31,7 +31,8 @@ Cross-shard semantics:
   instead of losing — the target's idempotency window absorbs duplicates.
 * ``advance_time`` — the shared clock advances exactly once, then
   ``RunDueJobs`` fans out to every shard and the counts merge.
-* ``instances(state=)`` / ``find_instances`` — scatter-gather; a
+* ``instances(state=)`` / ``find_instances`` / ``work_items`` — each
+  shard's read models list its ids (see :mod:`repro.views.cluster`); a
   ``business_key`` filter narrows to the key's home shard because
   instances are co-located by business key at start.
 * ``recover()`` — reattaches each shard's partition from its own store
@@ -48,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.cluster.router import message_home_shard, parse_shard_tag, shard_of_key
@@ -63,7 +64,6 @@ from repro.services.bus import Message, MessageBus
 from repro.services.registry import ServiceRegistry
 from repro.storage.kvstore import KeyValueStore, MemoryKV
 from repro.views.cluster import ClusterViews
-from repro.views.projections import creation_rank, merge_ranked
 from repro.worklist.allocation import Allocator
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
@@ -144,7 +144,6 @@ class ShardedEngine(CommandClient):
         strict_references: bool = False,
         max_steps: int = 100_000,
         workers: Any = None,
-        views: bool = True,
     ) -> None:
         if shards < 1:
             raise EngineError(f"cluster needs at least one shard, got {shards}")
@@ -173,14 +172,13 @@ class ShardedEngine(CommandClient):
                 commit_interval=commit_interval,
                 dispatch_log_retention=dispatch_log_retention,
                 shard_tag=f"s{i}",
-                views=views,
             )
             for i in range(shards)
         )
         # the CQRS read side: cross-shard queries served from each
         # shard's materialized projections, pre-merged on creation rank —
         # flat in shard count at equal total size (see repro.views)
-        self.views: ClusterViews | None = ClusterViews(self) if views else None
+        self.views = ClusterViews(self)
         try:
             self._check_or_stamp_topology()
         except EngineError:
@@ -564,65 +562,28 @@ class ShardedEngine(CommandClient):
         )
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
-        """All instances (optionally by state), cluster creation order.
-
-        Served from the per-shard read models when enabled (per-shard
-        cost O(matches), see :class:`~repro.views.cluster.ClusterViews`);
-        otherwise scatter-gather.  Creation ranks are per-shard
-        sequences, so the merge is exact within a shard and
-        rank-interleaved across shards either way.
-        """
-        if self.views is not None:
-            return self.views.instances(state)
-        return self._merge_instances(
-            shard.instances(state) for shard in self.shards
-        )
+        """All instances (optionally by state), cluster creation order:
+        per-shard read models merged on creation rank (see
+        :class:`~repro.views.cluster.ClusterViews`)."""
+        return self.views.instances(state)
 
     def find_instances(self, **filters: Any) -> list[ProcessInstance]:
         """Cross-shard :meth:`ProcessEngine.find_instances`.
 
         A ``business_key`` filter narrows to the key's home shard (starts
         co-locate by business key, and subprocess children inherit their
-        parent's key on the parent's shard); anything else reads the
-        per-shard views (or scatter-gathers when views are disabled).
+        parent's key on the parent's shard); anything else reads every
+        shard's views.
         """
         business_key = filters.get("business_key")
         if business_key is not None:
             index = shard_of_key(business_key, self.shard_count)
             return self.shards[index].find_instances(**filters)
-        if self.views is not None:
-            return self.views.find_instances(**filters)
-        return self._merge_instances(
-            shard.find_instances(**filters) for shard in self.shards
-        )
-
-    def _merge_instances(
-        self, per_shard: Iterable[list[ProcessInstance]]
-    ) -> list[ProcessInstance]:
-        """K-way merge of per-shard results (each already rank-ordered).
-
-        Engine queries return creation order per shard — live dicts
-        insert in creation order and recovery registers by rank — so the
-        heap merge is O(T log k) against the old collect-then-sort's
-        O(T log T), and both the view facade and this residual fallback
-        produce the same (rank, shard) interleaving.
-        """
-        return merge_ranked(
-            list(per_shard), lambda instance: creation_rank(instance.id)
-        )
+        return self.views.find_instances(**filters)
 
     def work_items(self, state: WorkItemState | None = None) -> list[WorkItem]:
-        """All work items across shards (optionally by state).
-
-        View-backed when enabled: a state filter reads each shard's
-        materialized bucket (O(matches)) instead of scanning every item.
-        """
-        if self.views is not None:
-            return self.views.work_items(state)
-        items: list[WorkItem] = []
-        for shard in self.shards:
-            items.extend(shard.worklist.items(state))
-        return items
+        """All work items across shards (optionally by state)."""
+        return self.views.work_items(state)
 
     def dead_letters(self) -> list[dict[str, Any]]:
         """Dead-lettered invocations across every shard, oldest first."""
@@ -734,21 +695,17 @@ class ShardedEngine(CommandClient):
     def status(self) -> dict[str, Any]:
         """Cluster topology and per-shard load (``repro cluster status``).
 
-        Every per-shard figure is O(1) off maintained counters/indexes —
-        the worklist's live open-item counter replaced the full-worklist
-        scan, so status cost no longer grows with item history.
+        Every per-shard figure is read off maintained counters and the
+        read models' state buckets, so status cost does not grow with
+        history and decodes no finished case.
         """
         per_shard = []
         for index, shard in enumerate(self.shards):
             with shard._dispatch_lock:
-                states = {
-                    state.value: len(ids)
-                    for state, ids in shard._by_state.items()
-                    if ids
-                }
+                states = shard.views.instance_counts()
                 entry = {
                     "shard": index,
-                    "instances": len(shard._instances),
+                    "instances": sum(states.values()),
                     "by_state": states,
                     "scheduler_depth": len(shard.scheduler),
                     "open_work_items": shard.worklist.open_count,
@@ -757,12 +714,11 @@ class ShardedEngine(CommandClient):
                     "pending_invocations": shard.ledger.pending_count,
                     "dead_letters": shard.ledger.dead_letter_count,
                     "pending_forwards": len(shard.outbox),
-                }
-                if shard.views is not None:
-                    entry["views"] = {
+                    "views": {
                         "applied_seq": shard.views.applied_seq,
                         "lag": shard.dispatch_log.seq - shard.views.applied_seq,
-                    }
+                    },
+                }
                 per_shard.append(entry)
         return {
             "shards": self.shard_count,
@@ -770,7 +726,6 @@ class ShardedEngine(CommandClient):
                 entry["pending_forwards"] for entry in per_shard
             ),
             "per_shard": per_shard,
-            "views_enabled": self.views is not None,
             "workers": (
                 self.workers.status() if self.workers is not None else None
             ),

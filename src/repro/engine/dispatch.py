@@ -248,10 +248,9 @@ def dispatch_log_middleware(
     is in the log, which is what makes a sequential replay of the log
     equivalent to the original concurrent run.
 
-    When read models are enabled, each entry is stamped with the
-    ``touched`` entity ids still dirty at log time, so view recovery can
-    replay only the tail of the log (cursor → head) instead of
-    rebuilding from scratch.
+    Each entry is stamped with the ``touched`` entity ids still dirty at
+    log time, so view recovery can replay only the tail of the log
+    (cursor → head) instead of rebuilding from scratch.
     """
     record: dict[str, Any] = {
         "command": cmd.to_dict(),
@@ -266,14 +265,12 @@ def dispatch_log_middleware(
     except BaseException as exc:
         record["status"] = "error"
         record["error"] = f"{type(exc).__name__}: {exc}"
-        if engine.views is not None:
-            record["touched"] = _touched_snapshot(engine)
+        record["touched"] = _touched_snapshot(engine)
         _log(engine, record)
         raise
     if cmd.loggable(result) or engine.dispatch_log.state_changed():
         record["result"] = summarize_result(result)
-        if engine.views is not None:
-            record["touched"] = _touched_snapshot(engine)
+        record["touched"] = _touched_snapshot(engine)
         _log(engine, record)
     return result
 

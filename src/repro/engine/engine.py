@@ -72,7 +72,6 @@ from repro.services.invoker import ServiceInvoker
 from repro.services.registry import ServiceRegistry
 from repro.storage.kvstore import KeyValueStore, MemoryKV
 from repro.storage.writeset import Sequences, WriteSet
-from repro.views.projections import creation_rank
 from repro.workers.ledger import DLQ_PREFIX, INVOCATION_PREFIX, InvocationLedger
 from repro.worklist.allocation import Allocator
 from repro.worklist.items import WorkItem
@@ -109,7 +108,6 @@ class ProcessEngine(CommandClient):
         commit_interval: int = 1,
         dispatch_log_retention: int = 256,
         shard_tag: str = "",
-        views: bool = True,
         views_flush_lag: int | None = None,
     ) -> None:
         """``commit_interval`` sets the durable commit policy: ``1``
@@ -120,16 +118,16 @@ class ProcessEngine(CommandClient):
         command log and with it the idempotency (dedup-key) window.
         ``shard_tag`` (e.g. ``"s2"``, set by the cluster layer) namespaces
         generated instance and work-item ids (``order-s2-7``, ``wi-s2-3``)
-        so several engines can coexist without id collisions.  ``views``
-        maintains the materialized read models of :mod:`repro.views`
-        write-behind: commits note touched entity ids, reads materialize
-        them, and the ``view/<name>/…`` records persist inside the first
-        group commit after the stored image lags ``views_flush_lag``
-        dispatch seqs (default: retention/4, always within the
-        tail-replay window) — forced flushes persist unconditionally.
-        Pass ``views=False`` to opt out — recovery rebuilds the records
-        on re-enable.  See DESIGN.md §Persistence & commit policies,
-        §Command pipeline, and §Read models."""
+        so several engines can coexist without id collisions.  The read
+        models of :mod:`repro.views` (:attr:`views`) are the engine's one
+        instance and work-item index, maintained write-behind: commits
+        note touched entity ids, reads materialize them, and the
+        ``view/<name>/…`` records persist inside the first group commit
+        after the stored image lags ``views_flush_lag`` dispatch seqs
+        (default: retention/4, always within the tail-replay window) —
+        forced flushes persist unconditionally.  See DESIGN.md
+        §Persistence & commit policies, §Command pipeline, and §Read
+        models."""
         # `is None` checks throughout: several of these are container-like
         # (empty store/org would be falsy under `or`)
         self.clock = clock if clock is not None else WallClock()
@@ -238,18 +236,14 @@ class ProcessEngine(CommandClient):
 
         self._definitions: dict[str, ProcessDefinition] = {}
         self._latest_version: dict[str, int] = {}
+        # every instance object this engine created or read through (one
+        # per id): after a restart only the live cases until first use, so
+        # a miss on .get() is a finished case — or none — and the lookups
+        # that treat both alike (skip / resume nothing) need no read
         self._instances: dict[str, ProcessInstance] = {}
         self.waits = MessageWaits(self._writes)
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
         self._advancing: set[str] = set()
-        # secondary indexes: instance ids by state and by business key,
-        # maintained solely by _register_instance/_set_instance_state so
-        # instances(state=...) / find_instances need not scan linearly
-        self._by_state: dict[InstanceState, dict[str, None]] = {
-            state: {} for state in InstanceState
-        }
-        self._by_business_key: dict[str, dict[str, None]] = {}
-        self._creation_order: dict[str, int] = {}
         # the commit policy and the batch() nesting depth
         self._commit_interval = max(1, int(commit_interval))
         self._batch_depth = 0
@@ -276,14 +270,15 @@ class ProcessEngine(CommandClient):
         self._dispatcher = Dispatcher(
             self, handlers=self._command_handlers(), lock=self._dispatch_lock
         )
-        # the CQRS read side (repro.views): write-behind materialized
-        # projections whose records persist inside the same store
-        # transaction as a group commit, so the read models are never
-        # ahead of durable state; the persist cadence is bounded by the
-        # tail-replay window (recovery re-applies the stamped log tail)
-        self.views: ProjectionManager | None = (
-            ProjectionManager(obs=self.obs) if views else None
-        )
+        # the CQRS read side (repro.views) and the one instance and
+        # work-item index: write-behind materialized projections whose
+        # records persist inside the same store transaction as a group
+        # commit, so the read models are never ahead of durable state; the
+        # persist cadence is bounded by the tail-replay window (recovery
+        # re-applies the stamped log tail)
+        self.views: ProjectionManager = ProjectionManager(obs=self.obs)
+        self.views.bind(self)
+        self.worklist.bind_index(self.store, self.views.work_item_ids)
         self._views_flush_lag = (
             max(1, self.dispatch_log.retention // 4)
             if views_flush_lag is None
@@ -500,7 +495,7 @@ class ProcessEngine(CommandClient):
             parent_instance_id=parent_instance_id,
             parent_token_id=parent_token_id,
         )
-        self._register_instance(instance, rank)
+        self._instances[instance.id] = instance
         instance.new_token(starts[0].id)
         self.metrics.instances_started += 1
         if self.obs.enabled:
@@ -521,48 +516,37 @@ class ProcessEngine(CommandClient):
         core.advance(self, instance)
         return instance
 
-    # -- secondary indexes ------------------------------------------------------
-
-    def _register_instance(self, instance: ProcessInstance, rank: int) -> None:
-        """Add an instance to the primary map and the secondary indexes."""
-        self._instances[instance.id] = instance
-        self._creation_order[instance.id] = rank
-        self._by_state[instance.state][instance.id] = None
-        if instance.business_key is not None:
-            self._by_business_key.setdefault(instance.business_key, {})[
-                instance.id
-            ] = None
-
-    def _set_instance_state(
-        self, instance: ProcessInstance, state: InstanceState
-    ) -> None:
-        """The single place instance state changes: keeps the index exact."""
-        old = instance.state
-        if old is state:
-            return
-        self._by_state[old].pop(instance.id, None)
-        instance.state = state
-        self._by_state[state][instance.id] = None
-
-    def _in_creation_order(self, instance_ids) -> list[ProcessInstance]:
-        order = self._creation_order
-        return [
-            self._instances[instance_id]
-            for instance_id in sorted(instance_ids, key=lambda i: order.get(i, 0))
-        ]
+    # -- queries ---------------------------------------------------------------
 
     def instance(self, instance_id: str) -> ProcessInstance:
-        """Look up an instance; raises :class:`InstanceNotFoundError`."""
-        try:
-            return self._instances[instance_id]
-        except KeyError:
-            raise InstanceNotFoundError(f"unknown instance {instance_id!r}") from None
+        """Look up an instance; raises :class:`InstanceNotFoundError`.
+
+        A stored case not in memory (after a restart: a finished one) is
+        read from the store on first use and kept, so an id maps to one
+        object."""
+        instance = self._find(instance_id)
+        if instance is None:
+            raise InstanceNotFoundError(f"unknown instance {instance_id!r}")
+        return instance
+
+    def _find(self, instance_id: str) -> ProcessInstance | None:
+        """The instance object, read through on a miss; ``None`` when the
+        store has no such instance either."""
+        instance = self._instances.get(instance_id)
+        if instance is not None:
+            return instance
+        with self._dispatch_lock:
+            instance = self._instances.get(instance_id)
+            if instance is None:
+                raw = self.store.get(INSTANCE_PREFIX + instance_id)
+                if raw is not None:
+                    instance = ProcessInstance.from_dict(raw)
+                    self._instances[instance_id] = instance
+            return instance
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
         """All instances (optionally filtered by state), in creation order."""
-        if state is None:
-            return list(self._instances.values())
-        return self._in_creation_order(self._by_state[state])
+        return self.find_instances(state=state)
 
     def find_instances(
         self,
@@ -575,41 +559,31 @@ class ProcessEngine(CommandClient):
         """Query instances by state, definition, business key, variable
         equality (``where``), and/or the node a token is parked at.
 
-        Backed by the secondary indexes: a ``business_key`` or ``state``
-        filter narrows to the matching index bucket instead of scanning
-        every instance; the remaining predicates apply to that bucket.
+        The read models list the ids matching ``state``,
+        ``definition_key`` and ``business_key`` without decoding a case;
+        only the remaining predicates look at the instance objects.
 
         >>> # engine.find_instances(business_key="ORD-7",
         >>> #                       where={"priority": "high"})
         """
-        if business_key is not None:
-            candidates = self._in_creation_order(
-                self._by_business_key.get(business_key, ())
+        with self._dispatch_lock:
+            ids = self.views.instance_ids(
+                None if state is None else state.value, definition_key, business_key
             )
-        elif state is not None:
-            candidates = self._in_creation_order(self._by_state[state])
-        else:
-            candidates = list(self._instances.values())
-        results = []
-        for instance in candidates:
-            if state is not None and instance.state is not state:
-                continue
-            if (
-                definition_key is not None
-                and instance.definition_key != definition_key
-            ):
-                continue
-            if where is not None and any(
-                instance.variables.get(name) != value
-                for name, value in where.items()
-            ):
-                continue
-            if waiting_at is not None and not any(
-                t.node_id == waiting_at for t in instance.tokens
-            ):
-                continue
-            results.append(instance)
-        return results
+            found = [i for i in map(self._find, ids) if i is not None]
+        if where is not None:
+            found = [
+                instance
+                for instance in found
+                if all(instance.variables.get(k) == v for k, v in where.items())
+            ]
+        if waiting_at is not None:
+            found = [
+                instance
+                for instance in found
+                if any(token.node_id == waiting_at for token in instance.tokens)
+            ]
+        return found
 
     # -- instance lifecycle transitions -----------------------------------------
 
@@ -621,7 +595,7 @@ class ProcessEngine(CommandClient):
 
     def _complete_instance(self, instance: ProcessInstance) -> None:
         self.metrics.instances_completed += 1
-        self._set_instance_state(instance, InstanceState.COMPLETED)
+        instance.state = InstanceState.COMPLETED
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_COMPLETED)
         self._finish_instance_span(instance, "ok")
@@ -630,7 +604,7 @@ class ProcessEngine(CommandClient):
 
     def _terminate_instance(self, instance: ProcessInstance, reason: str) -> None:
         self.metrics.instances_terminated += 1
-        self._set_instance_state(instance, InstanceState.TERMINATED)
+        instance.state = InstanceState.TERMINATED
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_TERMINATED, reason=reason)
         self._finish_instance_span(instance, "ok")
@@ -646,7 +620,7 @@ class ProcessEngine(CommandClient):
 
     def _fail_instance(self, instance: ProcessInstance, reason: str) -> None:
         self.metrics.instances_failed += 1
-        self._set_instance_state(instance, InstanceState.FAILED)
+        instance.state = InstanceState.FAILED
         instance.ended_at = self.clock.now()
         instance.failure = reason
         self._record(instance, EventTypes.INSTANCE_FAILED, reason=reason)
@@ -751,7 +725,7 @@ class ProcessEngine(CommandClient):
             raise IllegalInstanceStateError(
                 f"cannot suspend instance in state {instance.state.value}"
             )
-        self._set_instance_state(instance, InstanceState.SUSPENDED)
+        instance.state = InstanceState.SUSPENDED
         self._record(instance, EventTypes.INSTANCE_SUSPENDED)
         self._touch(instance)
 
@@ -761,7 +735,7 @@ class ProcessEngine(CommandClient):
             raise IllegalInstanceStateError(
                 f"cannot resume instance in state {instance.state.value}"
             )
-        self._set_instance_state(instance, InstanceState.RUNNING)
+        instance.state = InstanceState.RUNNING
         self._record(instance, EventTypes.INSTANCE_RESUMED)
         self._touch(instance)
         core.advance(self, instance)
@@ -821,7 +795,9 @@ class ProcessEngine(CommandClient):
             if not due:
                 break
             for job in due:
-                instance = self._instances.get(job.instance_id)
+                # read through: a finished case's stale job is processed
+                # (and ignored by _dispatch_job), not counted as orphaned
+                instance = self._find(job.instance_id)
                 if instance is None:
                     self._c_jobs_orphaned.inc()
                     continue
@@ -1070,7 +1046,7 @@ class ProcessEngine(CommandClient):
             raise EngineError(
                 f"no dead-lettered invocation {cmd.invocation_id!r}"
             )
-        instance = self._instances.get(record.instance_id)
+        instance = self._find(record.instance_id)
         if instance is not None:
             self._record(
                 instance,
@@ -1158,25 +1134,22 @@ class ProcessEngine(CommandClient):
             return
         writes, views = self._writes, self.views
         records = len(writes)
-        if records == 0 and not (
-            force and views is not None and views.has_pending()
-        ):
+        if records == 0 and not (force and views.has_pending()):
             # read-only call: zero store writes, zero syncs (a *forced*
             # flush still drains write-behind view dirt noted earlier)
             return
         if not force and records < self._commit_interval:
             return  # defer until the record-count policy is met
         seq = self.dispatch_log.seq
-        if views is not None:
-            # write-behind read models: the touched ids are noted now; the
-            # view records join this commit only when forced (the group-
-            # commit boundary) or when their persisted image lags
-            # `views_flush_lag` seqs — always inside the retained log
-            # tail, so a crash between drains recovers by tail replay
-            persist = force or seq - views.persisted_seq >= self._views_flush_lag
-            views.note_commit(self, writes, seq, persist)
-            if persist:
-                records = len(writes)
+        # write-behind read models: the touched ids are noted now; the
+        # view records join this commit only when forced (the group-
+        # commit boundary) or when their persisted image lags
+        # `views_flush_lag` seqs — always inside the retained log
+        # tail, so a crash between drains recovers by tail replay
+        persist = force or seq - views.persisted_seq >= self._views_flush_lag
+        views.note_commit(writes, seq, persist)
+        if persist:
+            records = len(writes)
         span = (
             self._tracer.start_span(
                 "engine.flush", parent=self._engine_span, records=records
@@ -1185,8 +1158,7 @@ class ProcessEngine(CommandClient):
             else None
         )
         writes.commit(self.store)
-        if views is not None:
-            views.committed(seq)
+        views.committed(seq)
         self._c_flush_commits.inc()
         self._c_flush_records.inc(records)
         self._h_flush_batch.observe(records)
@@ -1200,12 +1172,20 @@ class ProcessEngine(CommandClient):
     def recover(self) -> dict[str, int]:
         """Rebuild engine state from the backing store after a restart.
 
-        Definitions, instances, pending jobs, work items, pending
-        invocations, dead letters, the outbox, the dispatch log (with its
-        idempotency keys) and the open message waits (``"waits"``, in
-        subscription order — the order they are served in) are restored;
-        services and resources must be re-registered by the host
-        application (code is not persisted).  Returns counts per category.
+        Definitions, pending jobs, pending invocations, dead letters, the
+        outbox, the dispatch log (with its idempotency keys) and the open
+        message waits (``"waits"``, in subscription order — the order
+        they are served in) are restored; services and resources must be
+        re-registered by the host application (code is not persisted).
+
+        The read models recover first, from the store alone (load, tail
+        replay or rebuild — see :meth:`ProjectionManager.recover`); then
+        only the instances and work items they do not list as finished
+        are decoded.  A finished case stays on disk until first use
+        (:meth:`instance`, ``worklist.item``).  That is safe because the
+        stored view image is never ahead of the base records and nothing
+        leaves a finished state.  Returns counts per category
+        (``instances`` and ``workitems``: records stored).
         """
         store = self.store
         counts = {"definitions": 0, "instances": 0}
@@ -1220,32 +1200,23 @@ class ProcessEngine(CommandClient):
             if definition.version > self._latest_version.get(definition.key, 0):
                 self._latest_version[definition.key] = definition.version
             counts["definitions"] += 1
-        # register in creation-rank order (store keys sort lexically, so
-        # "…-10" would otherwise precede "…-2"): _instances iteration —
-        # and with it instances(), the cluster merge, and the read-model
-        # rebuild — stays creation-ordered after a restart, exactly as in
-        # a live engine
-        recovered_instances = [
-            ProcessInstance.from_dict(raw)
-            for _, raw in store.scan(INSTANCE_PREFIX)
-        ]
-        recovered_instances.sort(key=lambda inst: creation_rank(inst.id))
-        for instance in recovered_instances:
-            self._register_instance(instance, creation_rank(instance.id))
-            counts["instances"] += 1
         self._seqs.load(store)
+        commands = self.dispatch_log.load(store)
+        self.views.recover(store, self.dispatch_log)
+        finished = self.views.finished_instance
+        stored = store.keys(INSTANCE_PREFIX)
+        for key in stored:
+            instance_id = key[len(INSTANCE_PREFIX):]
+            if not finished(instance_id):
+                self._instances[instance_id] = ProcessInstance.from_dict(store.get(key))
+        counts["instances"] = len(stored)
         counts["jobs"] = self.scheduler.load(store)
-        counts["workitems"] = self.worklist.load(store)
+        counts["workitems"] = self.worklist.load(store, self.views.finished_item)
         counts["invocations"] = self.ledger.load(store)
         counts["dead_letters"] = self.ledger.load_dead_letters(store)
         counts["outbox"] = self.outbox.load(store)
-        counts["commands"] = self.dispatch_log.load(store)
+        counts["commands"] = commands
         counts["waits"] = self.waits.load(store)
-        # the read models catch up last (they need base state + the log):
-        # cursor current → load; log tail covered → replay touched
-        # entities; otherwise → full rebuild, persisted before returning
-        if self.views is not None:
-            self.views.recover(self)
         if self.workers is not None:
             self._submit_pending_invocations()
         return counts

@@ -106,7 +106,12 @@ def _run_handler(engine: Any, instance: Any, handler: Node, for_node: str) -> No
                 handler.id, for_node, result.error or "service failed"
             )
         if handler.output_variable is not None:
-            instance.variables[handler.output_variable] = result.value
+            # rebound, not written in place: a finished case's stored
+            # record may share the dict (ProcessInstance.to_dict)
+            instance.variables = {
+                **instance.variables,
+                handler.output_variable: result.value,
+            }
         return
     if isinstance(handler, ManualTask):
         # performed entirely outside any system: recording it suffices

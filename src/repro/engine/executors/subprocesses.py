@@ -153,7 +153,8 @@ def spawn_mi_child(
         parent_token_id=token.id,
     )
     if token.waiting_on.get("reason") == "mi":
-        token.waiting_on["children"].append(child.id)
+        # rebound, not appended: the list may be shared with a stored record
+        token.waiting_on["children"] = [*token.waiting_on["children"], child.id]
 
 
 def on_mi_child_finished(
@@ -195,7 +196,7 @@ def on_mi_child_finished(
         )
         core.advance(engine, parent)
         return
-    waiting["collected"].append(result)
+    waiting["collected"] = [*waiting["collected"], result]
     waiting["remaining"] -= 1
     if waiting["remaining"] > 0:
         if node.sequential:

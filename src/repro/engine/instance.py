@@ -73,7 +73,7 @@ class Token:
             "node_id": self.node_id,
             "state": self.state.value,
             "arrived_via": self.arrived_via,
-            "waiting_on": self.waiting_on,
+            "waiting_on": dict(self.waiting_on),
         }
 
     @classmethod
@@ -82,7 +82,7 @@ class Token:
             id=raw["id"],
             node_id=raw["node_id"],
             arrived_via=raw.get("arrived_via"),
-            waiting_on=raw.get("waiting_on", {}),
+            waiting_on=dict(raw.get("waiting_on", ())),
         )
         token.state = TokenState(raw.get("state", "active"))
         return token
@@ -151,13 +151,21 @@ class ProcessInstance:
         return [t for t in self.tokens if t.node_id == node_id]
 
     # -- persistence ----------------------------------------------------------
+    #
+    # to_dict/from_dict copy every container the engine writes in place
+    # (variables, a token's waiting_on): a store keeping value objects
+    # (MemoryKV) must hold what was committed, not a live alias of it.
+    # A finished case's variables are only ever rebound, never written in
+    # place (compensation is the one writer left), so its record shares
+    # them instead of keeping a second copy of every finished case
 
     def to_dict(self) -> dict[str, Any]:
+        variables = self.variables
         return {
             "id": self.id,
             "definition_id": self.definition_id,
             "business_key": self.business_key,
-            "variables": self.variables,
+            "variables": variables if self.state.is_finished else dict(variables),
             "state": self.state.value,
             "tokens": [t.to_dict() for t in self.tokens],
             "created_at": self.created_at,
@@ -175,7 +183,7 @@ class ProcessInstance:
             id=raw["id"],
             definition_id=raw["definition_id"],
             business_key=raw.get("business_key"),
-            variables=raw.get("variables", {}),
+            variables=dict(raw.get("variables", ())),
             tokens=[Token.from_dict(t) for t in raw.get("tokens", [])],
             created_at=raw.get("created_at", 0.0),
             ended_at=raw.get("ended_at"),

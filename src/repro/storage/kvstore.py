@@ -5,7 +5,9 @@ Keys are strings namespaced by convention (``instance/<id>``,
 
 :class:`MemoryKV` keeps the value objects.  :class:`DurableKV` is
 log-structured (Bitcask-shaped): values stay on disk, memory holds a
-*keydir*.
+*keydir*.  Both keep their map per record *family* — the key's text up
+to and including its first ``/`` — so ``scan("jobs/")`` walks the
+``jobs/`` keys only, not every key of the store.
 
 **Files.**  ``journal.log`` is a :class:`~repro.storage.journal.Journal`;
 one commit appends (and, with ``sync_writes``, fsyncs) one CRC-framed
@@ -23,8 +25,8 @@ one put frame per live key, and a CRC32 of everything before it.
 current value's bytes are.  ``get``/``scan`` ``pread`` and decode on
 demand; ``keys``/``in``/``len``/``delete`` do no I/O.  Opening is one pass
 over snapshot + journal that checks every CRC, builds the keydir and
-decodes nothing; a restart therefore decodes each *live* value once (when
-``recover()`` scans it), not every value ever written.  Reads trust what
+decodes nothing; a restart therefore decodes a value only when
+``recover()`` reads it, never every value ever written.  Reads trust what
 that opening pass verified and are not re-checked.  No value object and
 no encoded value is retained after a commit returns.
 
@@ -168,24 +170,81 @@ class _Transaction:
             self._store.rollback()
 
 
-class _TransactionMixin:
-    """Shared write-buffering logic for both backends.
+def _family(key: str) -> str:
+    """The record family of a key: its text up to and including the first
+    ``/`` (``""`` for a key without one)."""
+    return key[: key.find("/") + 1]
 
+
+class _TransactionMixin:
+    """What both backends share: the per-family map, write buffering with
+    read-your-writes, and the reads over both.
+
+    ``_data`` maps each family to its ``key -> entry`` dict; an entry is
+    the value itself (:class:`MemoryKV`) or a keydir entry
+    (:class:`DurableKV`), and ``_value(entry)`` turns it into the value.
     Subclasses implement ``_apply_batch(ops)`` where each op is
     ``("put", key, value)`` or ``("del", key, None)``.
     """
 
     def __init__(self) -> None:
-        self._data: dict[str, Any] = {}
+        self._data: dict[str, dict[str, Any]] = {}
         self._buffer: list[tuple[str, str, Any]] | None = None
 
+    def _value(self, entry: Any) -> Any:
+        return entry
+
+    def _entry(self, key: str, default: Any = None) -> Any:
+        family = self._data.get(_family(key))
+        return default if family is None else family.get(key, default)
+
+    def _committed(self, prefix: str) -> dict[str, Any]:
+        """Committed ``key -> entry`` with the prefix: the family the
+        prefix names (that dict itself when the prefix is the family), or
+        every family for a prefix without ``/``."""
+        slash = prefix.find("/")
+        if slash < 0:
+            return {
+                key: entry
+                for family in self._data.values()
+                for key, entry in family.items()
+                if key.startswith(prefix)
+            }
+        family = self._data.get(prefix[: slash + 1], {})
+        if slash + 1 == len(prefix):
+            return family
+        return {key: entry for key, entry in family.items() if key.startswith(prefix)}
+
+    def _overlay(self) -> dict[str, Any]:
+        """The open transaction's net effect: key -> value, or ``_GONE``."""
+        overlay: dict[str, Any] = {}
+        for op, key, value in self._buffer or ():
+            overlay[key] = value if op == "put" else _GONE
+        return overlay
+
+    @staticmethod
+    def _visible(
+        prefix: str, committed: dict[str, Any], overlay: dict[str, Any]
+    ) -> list[str]:
+        """Sorted keys with the prefix, as the open transaction sees them."""
+        if not overlay:
+            return sorted(committed)
+        names = set(committed)
+        for key, value in overlay.items():
+            if value is _GONE:
+                names.discard(key)
+            elif key.startswith(prefix):
+                names.add(key)
+        return sorted(names)
+
     def get(self, key: str, default: Any = None) -> Any:
-        if self._buffer is not None:
+        if self._buffer:
             # read-your-writes inside a transaction
             for op, k, value in reversed(self._buffer):
                 if k == key:
                     return value if op == "put" else default
-        return self._data.get(key, default)
+        entry = self._entry(key, _GONE)
+        return default if entry is _GONE else self._value(entry)
 
     def put(self, key: str, value: Any) -> None:
         if not isinstance(key, str) or not key:
@@ -196,7 +255,7 @@ class _TransactionMixin:
             self._apply_batch([("put", key, value)])
 
     def delete(self, key: str) -> bool:
-        existed = key in self._data
+        existed = self._entry(key, _GONE) is not _GONE
         if self._buffer is not None:
             for op, k, _ in self._buffer:
                 if k == key and op == "put":
@@ -208,19 +267,27 @@ class _TransactionMixin:
         return existed
 
     def scan(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
-        if self._buffer is not None:
-            view = dict(self._data)
-            for op, key, value in self._buffer:
-                if op == "put":
-                    view[key] = value
-                else:
-                    view.pop(key, None)
-            items = view
-        else:
-            items = self._data
-        # filter first: each record family is a small part of the store
-        for key in sorted(k for k in items if k.startswith(prefix)):
-            yield key, items[key]
+        overlay = self._overlay()
+        committed = self._committed(prefix)
+        for key in self._visible(prefix, committed, overlay):
+            if key in overlay:
+                yield key, overlay[key]
+            else:
+                yield key, self._value(committed[key])
+
+    def keys(self, prefix: str = "") -> list[str]:
+        return self._visible(prefix, self._committed(prefix), self._overlay())
+
+    def __contains__(self, key: str) -> bool:
+        for op, k, _ in reversed(self._buffer or ()):
+            if k == key:
+                return op == "put"
+        return self._entry(key, _GONE) is not _GONE
+
+    def __len__(self) -> int:
+        if not self._buffer:
+            return sum(map(len, self._data.values()))
+        return len(self.keys())
 
     def begin(self) -> None:
         if self._buffer is not None:
@@ -239,13 +306,6 @@ class _TransactionMixin:
             raise TransactionError("no open transaction")
         self._buffer = None
 
-    def _apply_ops_to_memory(self, ops: list[tuple[str, str, Any]]) -> None:
-        for op, key, value in ops:
-            if op == "put":
-                self._data[key] = value
-            else:
-                self._data.pop(key, None)
-
     def _apply_batch(self, ops: list[tuple[str, str, Any]]) -> None:
         raise NotImplementedError
 
@@ -254,7 +314,16 @@ class MemoryKV(_TransactionMixin, KeyValueStore):
     """Volatile in-memory backend — the default for tests and simulation."""
 
     def _apply_batch(self, ops: list[tuple[str, str, Any]]) -> None:
-        self._apply_ops_to_memory(ops)
+        data = self._data
+        for op, key, value in ops:
+            name = key[: key.find("/") + 1]  # _family(key), once per op
+            family = data.get(name)
+            if op == "put":
+                if family is None:
+                    family = data[name] = {}
+                family[key] = value
+            elif family is not None:
+                family.pop(key, None)
 
 
 class DurableKV(_TransactionMixin, KeyValueStore):
@@ -272,7 +341,7 @@ class DurableKV(_TransactionMixin, KeyValueStore):
     _JOURNAL = "journal.log"
 
     def __init__(self, directory: str, sync_writes: bool = True) -> None:
-        super().__init__()  # self._data is the keydir: key -> packed int
+        super().__init__()  # self._data is the keydir: family -> key -> packed int
         self.directory = directory
         self.sync_writes = sync_writes
         self.checkpoints = 0
@@ -349,32 +418,39 @@ class DurableKV(_TransactionMixin, KeyValueStore):
         touching a value.  ``frames[i]`` is byte ``base + i`` of the file
         ``in_journal`` names.  The one routine behind opening (snapshot,
         replayed records) and committing (the record just appended)."""
-        keydir = self._data
+        families = self._data
         live = self._live_bytes
-        unpack = _OP.unpack_from
+        # locals, not globals: this loop runs once per frame on open
+        unpack, head = _OP.unpack_from, _OP.size
+        mask, shift, put, delete = _LENGTH_MASK, _OFFSET_SHIFT, _PUT, _DEL
+        family, keydir = "", None
         try:
             while pos < end:
                 op, key_bytes, value_bytes = unpack(frames, pos)
-                if op != _PUT and op != _DEL:
+                if op != put and op != delete:
                     raise StorageError(f"unknown op {op}")
-                value_at = pos + _OP.size + key_bytes
-                key = str(frames[pos + _OP.size : value_at], "utf-8")
+                value_at = pos + head + key_bytes
+                key = str(frames[pos + head : value_at], "utf-8")
                 pos = value_at + value_bytes
-                if op == _PUT:
+                # frames come in runs of one family (a commit writes family
+                # by family, a snapshot keydir by keydir): _family(key) is
+                # recomputed only where a run ends
+                if not (family and key.startswith(family)):
+                    family = key[: key.find("/") + 1]
+                    keydir = families.get(family)
+                if op == put:
+                    if keydir is None:
+                        keydir = families[family] = {}
                     old = keydir.get(key)
                     if old is None:
-                        live += _OP.size + key_bytes + value_bytes
+                        live += head + key_bytes + value_bytes
                     else:
-                        live += value_bytes - ((old >> 1) & _LENGTH_MASK)
-                    keydir[key] = (
-                        (base + value_at) << _OFFSET_SHIFT
-                        | value_bytes << 1
-                        | in_journal
-                    )
-                else:
+                        live += value_bytes - ((old >> 1) & mask)
+                    keydir[key] = (base + value_at) << shift | value_bytes << 1 | in_journal
+                elif keydir is not None:
                     old = keydir.pop(key, None)
                     if old is not None:
-                        live -= _OP.size + key_bytes + ((old >> 1) & _LENGTH_MASK)
+                        live -= head + key_bytes + ((old >> 1) & mask)
             if pos != end:
                 raise StorageError("frame runs past its record")
         except (StorageError, struct.error, UnicodeDecodeError) as exc:
@@ -403,57 +479,8 @@ class DurableKV(_TransactionMixin, KeyValueStore):
             raise StorageError("store is closed")
         return os.pread(self._snapshot_fd, length, packed >> _OFFSET_SHIFT)
 
-    def _overlay(self) -> dict[str, Any]:
-        """The open transaction's net effect: key -> value, or ``_GONE``."""
-        overlay: dict[str, Any] = {}
-        for op, key, value in self._buffer or ():
-            overlay[key] = value if op == "put" else _GONE
-        return overlay
-
-    def _visible(self, prefix: str, overlay: dict[str, Any]) -> list[str]:
-        """Sorted keys with the prefix, as the open transaction sees them."""
-        if not overlay:
-            return sorted(k for k in self._data if k.startswith(prefix))
-        names = {k for k in self._data if k.startswith(prefix)}
-        for key, value in overlay.items():
-            if value is _GONE:
-                names.discard(key)
-            elif key.startswith(prefix):
-                names.add(key)
-        return sorted(names)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if self._buffer:
-            # read-your-writes inside a transaction
-            for op, k, value in reversed(self._buffer):
-                if k == key:
-                    return value if op == "put" else default
-        packed = self._data.get(key)
-        if packed is None:
-            return default
-        return json_decode(self._read_bytes(packed))
-
-    def scan(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
-        overlay = self._overlay()
-        for key in self._visible(prefix, overlay):
-            if key in overlay:
-                yield key, overlay[key]
-            else:
-                yield key, json_decode(self._read_bytes(self._data[key]))
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return self._visible(prefix, self._overlay())
-
-    def __contains__(self, key: str) -> bool:
-        for op, k, _ in reversed(self._buffer or ()):
-            if k == key:
-                return op == "put"
-        return key in self._data
-
-    def __len__(self) -> int:
-        if not self._buffer:
-            return len(self._data)
-        return len(self._visible("", self._overlay()))
+    def _value(self, entry: int) -> Any:
+        return json_decode(self._read_bytes(entry))
 
     # -- writing ---------------------------------------------------------------
 
@@ -520,10 +547,11 @@ class DurableKV(_TransactionMixin, KeyValueStore):
         if self._snapshot_fd is not None:
             os.close(self._snapshot_fd)
         self._snapshot_fd = new_fd
-        keydir = self._data
-        for key, value_at in zip(keydir, value_offsets):
-            # same key set, so the dict is not resized while iterated
-            keydir[key] = value_at << _OFFSET_SHIFT | keydir[key] & _LENGTH_BITS
+        positions = iter(value_offsets)
+        for keydir in self._data.values():
+            # same key set, so no dict is resized while iterated
+            for key, packed in keydir.items():
+                keydir[key] = next(positions) << _OFFSET_SHIFT | packed & _LENGTH_BITS
         self._retry_at = 0
         self.checkpoints += 1
         self.checkpoint_bytes += written
@@ -538,7 +566,9 @@ class DurableKV(_TransactionMixin, KeyValueStore):
         position = len(_SNAPSHOT_MAGIC)
         chunk: list[bytes] = []
         chunk_start = position
-        for key, packed in self._data.items():
+        for key, packed in (
+            entry for keydir in self._data.values() for entry in keydir.items()
+        ):
             key_bytes = key.encode("utf-8")
             value = self._read_bytes(packed)
             chunk += (_OP.pack(_PUT, len(key_bytes), len(value)), key_bytes, value)

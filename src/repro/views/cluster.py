@@ -1,27 +1,16 @@
 """``ClusterViews``: cross-shard queries served from per-shard read models.
 
-The scatter-gather the cluster facade shipped with (PR 5) touches every
-instance on every shard and sorts the union — O(total) work per query
-with a constant factor that grows with shard count (one lock, one scan,
-one merge per shard).  This facade answers the same queries from each
-shard's :class:`~repro.views.manager.ProjectionManager`: per-state and
-per-key buckets are already materialized and rank-ordered, so a query
-costs O(matches) per shard plus one O(T log k) k-way merge — flat in
-shard count at equal total size (the F15 bench gate).
+Each shard's :class:`~repro.views.manager.ProjectionManager` is that
+shard's only instance and work-item index: per-state and per-key buckets
+are materialized and rank-ordered, so a query costs O(matches) per shard
+plus one O(T log k) k-way merge — flat in shard count at equal total
+size (the F15 bench gate).  The per-shard answer is the shard's own
+query (``shard.instances`` / ``find_instances`` / ``worklist.items``),
+exact whatever the commit policy: the views fold in a shard's
+uncommitted puts before they answer.
 
-Freshness gate: a shard's in-memory projections advance at group-commit
-time, so they lag the shard's in-memory base state while a flush is
-pending (inside ``batch()``, or below a ``commit_interval`` threshold).
-Each per-shard read therefore checks ``has_pending_writes()`` under the
-shard's dispatch lock and falls back to the engine's always-current
-in-memory indexes for that shard only — correctness never depends on
-the commit policy, the view path is purely an optimization that is
-active whenever the shard is quiescent (the overwhelmingly common case
-for autocommit engines).
-
-Ordering contract: identical to the scatter-gather path — creation rank
-interleaved across shards with shard index as the tie-break — because
-both paths feed rank-ordered per-shard lists through the same
+Ordering contract: creation rank interleaved across shards with shard
+index as the tie-break, through the
 :func:`~repro.views.projections.merge_ranked` k-way merge.
 """
 
@@ -34,7 +23,6 @@ from repro.views.projections import creation_rank, merge_ranked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.sharded import ShardedEngine
-    from repro.engine.engine import ProcessEngine
     from repro.engine.instance import InstanceState, ProcessInstance
     from repro.worklist.items import WorkItem, WorkItemState
 
@@ -43,29 +31,11 @@ def _instance_rank(instance: "ProcessInstance") -> int:
     return creation_rank(instance.id)
 
 
-def _matches(instance: "ProcessInstance", filters: dict[str, Any]) -> bool:
-    """The residual predicate of ``find_instances`` (index filters done)."""
-    state = filters.get("state")
-    if state is not None and instance.state is not state:
-        return False
-    definition_key = filters.get("definition_key")
-    if definition_key is not None and instance.definition_key != definition_key:
-        return False
-    where = filters.get("where")
-    if where is not None and any(
-        instance.variables.get(name) != value for name, value in where.items()
-    ):
-        return False
-    waiting_at = filters.get("waiting_at")
-    if waiting_at is not None and not any(
-        token.node_id == waiting_at for token in instance.tokens
-    ):
-        return False
-    return True
-
-
 class ClusterViews:
-    """Pre-merged, view-backed cross-shard queries for ``ShardedEngine``."""
+    """Pre-merged, view-backed cross-shard queries for ``ShardedEngine``.
+
+    Each per-shard read takes that shard's dispatch lock (inside the
+    shard's own query), one shard at a time."""
 
     def __init__(self, cluster: "ShardedEngine") -> None:
         self._cluster = cluster
@@ -85,55 +55,6 @@ class ClusterViews:
             shard.dispatch_log.seq for shard in self._cluster.shards
         )
 
-    # -- per-shard reads (each under that shard's dispatch lock) ---------------
-
-    def _shard_instances(
-        self, shard: "ProcessEngine", state: "InstanceState | None"
-    ) -> list["ProcessInstance"]:
-        manager = shard.views
-        if manager is None or shard.has_pending_writes():
-            return shard.instances(state)
-        ids = manager.instance_ids(None if state is None else state.value)
-        instances = shard._instances
-        return [instances[i] for i in ids if i in instances]
-
-    def _shard_find(
-        self, shard: "ProcessEngine", filters: dict[str, Any]
-    ) -> list["ProcessInstance"]:
-        manager = shard.views
-        business_key = filters.get("business_key")
-        if (
-            manager is None
-            or shard.has_pending_writes()
-            or (business_key is not None and business_key.startswith("__"))
-        ):
-            return shard.find_instances(**filters)
-        state = filters.get("state")
-        if business_key is not None:
-            ids = manager.ids_for_business_key(business_key)
-        elif state is not None:
-            ids = manager.instance_ids(state.value)
-        else:
-            ids = manager.instance_ids()
-        instances = shard._instances
-        return [
-            instance
-            for instance in (instances.get(i) for i in ids)
-            if instance is not None and _matches(instance, filters)
-        ]
-
-    def _shard_items(
-        self, shard: "ProcessEngine", state: "WorkItemState | None"
-    ) -> list["WorkItem"]:
-        manager = shard.views
-        if manager is None or shard.has_pending_writes():
-            return shard.worklist.items(state)
-        ids = manager.work_item_ids(None if state is None else state.value)
-        items = shard.worklist._items
-        return [items[i] for i in ids if i in items]
-
-    # -- cross-shard queries ----------------------------------------------------
-
     def instances(
         self, state: "InstanceState | None" = None
     ) -> list["ProcessInstance"]:
@@ -143,11 +64,10 @@ class ClusterViews:
         cached = self._merge_cache.get(key)
         if cached is not None and cached[0] == fingerprint:
             return list(cached[1])
-        per_shard = []
-        for shard in self._cluster.shards:
-            with shard._dispatch_lock:
-                per_shard.append(self._shard_instances(shard, state))
-        merged = merge_ranked(per_shard, _instance_rank)
+        merged = merge_ranked(
+            [shard.instances(state) for shard in self._cluster.shards],
+            _instance_rank,
+        )
         self._merge_cache[key] = (fingerprint, merged)
         return list(merged)
 
@@ -156,45 +76,33 @@ class ClusterViews:
         # a pure state filter is exactly the pre-merged per-state list
         if all(value is None for name, value in filters.items() if name != "state"):
             return self.instances(filters.get("state"))
-        per_shard = []
-        for shard in self._cluster.shards:
-            with shard._dispatch_lock:
-                per_shard.append(self._shard_find(shard, filters))
-        return merge_ranked(per_shard, _instance_rank)
+        return merge_ranked(
+            [shard.find_instances(**filters) for shard in self._cluster.shards],
+            _instance_rank,
+        )
 
     def work_items(
         self, state: "WorkItemState | None" = None
     ) -> list["WorkItem"]:
         """All work items across shards, per-shard creation order."""
-        collected: list["WorkItem"] = []
-        for shard in self._cluster.shards:
-            with shard._dispatch_lock:
-                collected.extend(self._shard_items(shard, state))
-        return collected
+        return [
+            item
+            for shard in self._cluster.shards
+            for item in shard.worklist.items(state)
+        ]
 
     def open_work_items(self) -> int:
         """Cluster-wide open (non-terminal) work items, O(shards)."""
-        total = 0
-        for shard in self._cluster.shards:
-            with shard._dispatch_lock:
-                manager = shard.views
-                if manager is not None and not shard.has_pending_writes():
-                    total += manager.open_work_items()
-                else:
-                    total += shard.worklist.open_count
-        return total
+        return sum(shard.views.open_work_items() for shard in self._cluster.shards)
 
     def definition_stats(self) -> dict[str, dict[str, Any]]:
         """Per-definition analytics merged across shards.
 
         Counters and per-state censuses sum; cycle-time aggregates merge
-        via :class:`CycleTimeAggregate`.  Reflects each shard's last
-        commit (shards mid-batch contribute their committed image).
+        via :class:`CycleTimeAggregate`.
         """
         merged: dict[str, dict[str, Any]] = {}
         for shard in self._cluster.shards:
-            if shard.views is None:
-                continue
             with shard._dispatch_lock:
                 report = shard.views.definition_stats()
             for definition, record in report.items():
@@ -221,14 +129,10 @@ class ClusterViews:
         per_shard = []
         for index, shard in enumerate(self._cluster.shards):
             manager = shard.views
-            if manager is None:
-                per_shard.append({"shard": index, "enabled": False})
-                continue
             with shard._dispatch_lock:
                 per_shard.append(
                     {
                         "shard": index,
-                        "enabled": True,
                         "applied_seq": manager.applied_seq,
                         "dispatch_seq": shard.dispatch_log.seq,
                         "lag": shard.dispatch_log.seq - manager.applied_seq,

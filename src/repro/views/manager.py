@@ -21,9 +21,11 @@ per-dispatch critical path:
 * the persisted image may lag by a bounded number of seqs (strictly
   less than the retained dispatch-log tail), which recovery repairs by
   replaying just the ``touched`` entity ids stamped on the log tail;
-* in-memory projection state is exact on read: queries materialize any
-  noted-but-unapplied entities first, so a quiesced engine serves
-  current data with no scatter-scan and no per-flush apply cost.
+* in-memory projection state is exact on read: queries first fold in
+  the noted-but-unapplied entities *and* the engine's instance and
+  work-item puts not yet committed (inside ``batch()``, or below
+  ``commit_interval``), so the image answers for the engine's memory at
+  any moment — it is the engine's only instance and work-item index.
 
 Cursor semantics: every drain stamps each projection's
 ``view/<name>/__cursor`` with the engine's dispatch sequence at commit
@@ -34,10 +36,16 @@ manager how much of the dispatch log the persisted image has seen:
   went through a forced flush, so this is the common case);
 * **cursor < dispatch seq**, the log still retains every entry past the
   cursor, and each carries a ``touched`` entity-id stamp → re-apply
-  just those entities from recovered base state (tail replay);
+  just those entities from their stored records (tail replay);
 * anything else (no cursors, diverged cursors, pruned tail, stamps
-  missing/over the cap) → full rebuild from recovered base state,
+  missing/over the cap) → full rebuild from the stored base records,
   linear in state size.
+
+Recovery reads the store only — raw records through
+:func:`~repro.views.projections.compact_instance`, as the offline
+rebuild does — and runs before the engine decodes any instance: the
+caught-up image is what names the finished cases the engine leaves on
+disk (:meth:`ProjectionManager.finished_instance`).
 
 Failure handling mirrors the write-set's: per-projection dirty keys are
 cleared only by :meth:`confirm` — called after the store transaction
@@ -55,12 +63,17 @@ from repro.engine.instance import INSTANCE_PREFIX
 from repro.storage.writeset import WriteSet
 from repro.views.projections import (
     CURSOR_SUFFIX,
+    INSTANCE_STATES,
+    TERMINAL_INSTANCE_STATES,
+    TERMINAL_ITEM_STATES,
     ByBusinessKey,
     DefinitionStats,
     InstancesByState,
     Projection,
     WorklistQueues,
+    compact_instance,
     compact_instance_obj,
+    compact_item,
     compact_item_obj,
 )
 from repro.worklist.service import WORKITEM_PREFIX
@@ -135,11 +148,13 @@ class ProjectionManager:
             }
         )
 
+    def bind(self, engine: "ProcessEngine") -> None:
+        """Attach the engine whose objects and write-set feed the image."""
+        self._source = engine
+
     # -- the commit hooks -------------------------------------------------------
 
-    def note_commit(
-        self, engine: "ProcessEngine", writes: WriteSet, seq: int, persist: bool
-    ) -> None:
+    def note_commit(self, writes: WriteSet, seq: int, persist: bool) -> None:
         """Note the entity ids this commit touches; drain if ``persist``.
 
         Called by :meth:`ProcessEngine._flush` under the dispatch lock,
@@ -159,7 +174,6 @@ class ProjectionManager:
             return
         self._pending_instances.update(instance_ids)
         self._pending_items.update(item_ids)
-        self._source = engine
         self._noted_seq = seq
         if persist:
             # the drain: changed view records plus one cursor per
@@ -187,13 +201,25 @@ class ProjectionManager:
         )
 
     def _materialize(self) -> None:
-        """Fold noted-but-unapplied entities into the in-memory image."""
-        if not self._pending_instances and not self._pending_items:
-            return
+        """Fold noted-but-unapplied entities, and the bound engine's
+        instance and work-item puts not yet committed, into the in-memory
+        image.
+
+        Every id folded names an object the engine holds (it created or
+        changed it since its restart), so the lookups below never read
+        through.  Folding an uncommitted change marks its view records
+        dirty; they persist only with a drain, in the transaction that
+        commits the change itself, so the stored image still never leads.
+        """
         engine = self._source
-        if engine is None:  # pragma: no cover - pending implies a source
+        if engine is None:
             return
         with engine._dispatch_lock:
+            writes = engine._writes
+            self._pending_instances.update(writes.puts(INSTANCE_PREFIX))
+            self._pending_items.update(writes.puts(WORKITEM_PREFIX))
+            if not self._pending_instances and not self._pending_items:
+                return
             started = time.perf_counter()
             get_instance = engine._instances.get
             instances = []
@@ -309,16 +335,17 @@ class ProjectionManager:
 
     # -- recovery ---------------------------------------------------------------
 
-    def recover(self, engine: "ProcessEngine") -> dict[str, Any]:
-        """Load, tail-replay, or rebuild the views after engine recovery.
+    def recover(self, store: Any, dispatch_log: Any) -> dict[str, Any]:
+        """Load, tail-replay, or rebuild the views from the store alone.
 
-        Runs at the end of :meth:`ProcessEngine.recover`, once base state
-        and the dispatch log are restored.  Persists whatever catch-up it
-        performed (tail replay or rebuild) in one transaction + sync, so
-        the next recovery takes the fast load path.
+        Runs inside :meth:`ProcessEngine.recover` once the dispatch log is
+        restored (``dispatch_log.seq`` is the target, its retained records
+        the tail) and before any instance or work item is decoded.
+        Persists whatever catch-up it performed (tail replay or rebuild)
+        in one transaction + sync, so the next recovery takes the fast
+        load path.
         """
-        store = engine.store
-        target = engine.dispatch_log.seq
+        target = dispatch_log.seq
         self._pending_instances.clear()
         self._pending_items.clear()
         existing_keys: list[str] = []
@@ -335,7 +362,7 @@ class ProjectionManager:
             else:
                 projection.load_record(suffix, raw)
                 loaded += 1
-        if not existing_keys and target == 0 and not engine._instances:
+        if not existing_keys and target == 0 and not store.keys(INSTANCE_PREFIX):
             # pristine store: nothing to load, nothing worth stamping
             self.recovered_mode = "load"
             return {"mode": "load", "records": 0, "replayed": 0}
@@ -352,7 +379,7 @@ class ProjectionManager:
                 return {"mode": "load", "records": loaded, "replayed": 0}
             tail = [
                 record
-                for record in engine.dispatch_log.records
+                for record in dispatch_log.records
                 if record.get("seq", 0) > cursor
             ]
             covered = (
@@ -363,7 +390,7 @@ class ProjectionManager:
             )
             if covered:
                 self.applied_seq = cursor
-                writes = self._replay_touched(engine, tail, target)
+                writes = self._replay_touched(store, tail, target)
                 self._persist(store, writes, deletes=())
                 self.recovered_mode = "tail"
                 return {
@@ -372,13 +399,10 @@ class ProjectionManager:
                     "replayed": len(tail),
                 }
         # cursors missing, diverged, ahead of durable state, or the log
-        # tail is unusable: rebuild everything from recovered base state
+        # tail is unusable: rebuild everything from the stored base records
         writes = self.rebuild(
-            [
-                compact_instance_obj(instance)
-                for instance in engine._instances.values()
-            ],
-            [compact_item_obj(item) for item in engine.worklist.items()],
+            [compact_instance(raw) for _, raw in store.scan(INSTANCE_PREFIX)],
+            [compact_item(raw) for _, raw in store.scan(WORKITEM_PREFIX)],
             target,
         )
         deletes = [key for key in existing_keys if key not in writes]
@@ -388,12 +412,10 @@ class ProjectionManager:
         return {"mode": "rebuild", "records": len(writes), "replayed": 0}
 
     def _replay_touched(
-        self,
-        engine: "ProcessEngine",
-        tail: list[dict[str, Any]],
-        target: int,
+        self, store: Any, tail: list[dict[str, Any]], target: int
     ) -> dict[str, Any]:
-        """Re-apply the entities the log tail touched, from base state.
+        """Re-apply the entities the log tail touched, from their stored
+        records.
 
         Applies are idempotent transitions against the loaded image, so
         entities that were already current converge to themselves.
@@ -413,19 +435,32 @@ class ProjectionManager:
             }
         )
         instances = [
-            compact_instance_obj(instance)
-            for instance in (
-                engine._instances.get(instance_id) for instance_id in instance_ids
-            )
-            if instance is not None
+            compact_instance(raw)
+            for raw in (store.get(INSTANCE_PREFIX + i) for i in instance_ids)
+            if raw is not None
         ]
-        worklist_items = engine.worklist._items
         items = [
-            compact_item_obj(item)
-            for item in (worklist_items.get(item_id) for item_id in item_ids)
-            if item is not None
+            compact_item(raw)
+            for raw in (store.get(WORKITEM_PREFIX + i) for i in item_ids)
+            if raw is not None
         ]
         return self._apply(instances, items, target)
+
+    def finished_instance(self, instance_id: str) -> bool:
+        """Whether the image lists the instance as finished.
+
+        Recovery skips decoding exactly these: the image is never ahead
+        of the store and no instance leaves a finished state, so a case
+        finished here is finished on disk.
+        """
+        record = self.by_state.records.get(instance_id)
+        return record is not None and record["state"] in TERMINAL_INSTANCE_STATES
+
+    def finished_item(self, item_id: str) -> bool:
+        """Whether the image lists the work item as completed or cancelled
+        (final, as for :meth:`finished_instance`)."""
+        record = self.worklist.records.get(item_id)
+        return record is not None and record["state"] in TERMINAL_ITEM_STATES
 
     def _persist(
         self, store: Any, writes: dict[str, Any], deletes: Iterable[str]
@@ -446,20 +481,59 @@ class ProjectionManager:
 
     # -- queries ----------------------------------------------------------------
     #
-    # every read materializes noted-but-unapplied entities first, so the
-    # image served is exact through the last committed flush even though
-    # maintenance is write-behind
+    # every read materializes noted-but-unapplied entities and uncommitted
+    # puts first, so the image served is exact for the engine's memory
+    # even though maintenance is write-behind
 
-    def instance_ids(self, state: str | None = None) -> list[str]:
-        """Instance ids in creation-rank order, optionally by state."""
-        self._materialize()
-        if state is None:
-            return self.by_state.all_ids()
-        return self.by_state.ids_in_state(state)
+    def instance_ids(
+        self,
+        state: str | None = None,
+        definition: str | None = None,
+        business_key: str | None = None,
+    ) -> list[str]:
+        """Instance ids in creation-rank order, narrowed by state,
+        definition key and business key — all read off the compact
+        records, so nothing is decoded to answer."""
+        if business_key is not None:
+            ids = self.ids_for_business_key(business_key)
+        else:
+            self._materialize()
+            if state is None:
+                ids = self.by_state.all_ids()
+            else:
+                ids = self.by_state.ids_in_state(state)
+                state = None  # the bucket is the filter
+        if state is None and definition is None:
+            return ids
+        records = self.by_state.records
+        return [
+            instance_id
+            for instance_id in ids
+            if (state is None or records[instance_id]["state"] == state)
+            and (definition is None or records[instance_id]["definition"] == definition)
+        ]
 
     def ids_for_business_key(self, business_key: str) -> list[str]:
         self._materialize()
-        return self.by_key.ids_for_key(business_key)
+        if not business_key.startswith("__"):
+            return self.by_key.ids_for_key(business_key)
+        # reserved for bookkeeping suffixes, so not indexed by by_key
+        records = self.by_state.records
+        return [
+            instance_id
+            for instance_id in self.by_state.all_ids()
+            if records[instance_id]["business_key"] == business_key
+        ]
+
+    def instance_counts(self) -> dict[str, int]:
+        """Instances per state, states with none left out."""
+        self._materialize()
+        buckets = self.by_state.buckets
+        return {
+            state: len(buckets[state])
+            for state in INSTANCE_STATES
+            if buckets.get(state)
+        }
 
     def work_item_ids(self, state: str | None = None) -> list[str]:
         self._materialize()

@@ -138,8 +138,15 @@ class WorkItem:
         )
 
     # -- persistence ----------------------------------------------------------
+    #
+    # data and result are copied both ways, as ProcessInstance does: a
+    # store keeping value objects must not alias a live item.  A completed
+    # or cancelled item never changes again, so its record shares them
 
     def to_dict(self) -> dict[str, Any]:
+        data, result = self.data, self.result
+        if not self.state.is_terminal:
+            data, result = dict(data), dict(result)
         return {
             "id": self.id,
             "instance_id": self.instance_id,
@@ -155,8 +162,8 @@ class WorkItem:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "escalations": self.escalations,
-            "data": self.data,
-            "result": self.result,
+            "data": data,
+            "result": result,
         }
 
     @classmethod
@@ -175,8 +182,8 @@ class WorkItem:
             started_at=raw.get("started_at"),
             finished_at=raw.get("finished_at"),
             escalations=raw.get("escalations", 0),
-            data=raw.get("data", {}),
-            result=raw.get("result", {}),
+            data=dict(raw.get("data", ())),
+            result=dict(raw.get("result", ())),
         )
         item.state = WorkItemState(raw.get("state", "created"))
         return item

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.clock import Clock, WallClock
 from repro.history.audit import HistoryService
@@ -72,7 +72,11 @@ class WorklistService:
         self._g_open = None if obs is None else obs.registry.gauge(
             "worklist.open_items"
         )
+        # every item this service created or read; with an engine's index
+        # bound (bind_index) that is the open ones plus those read through
         self._items: dict[str, WorkItem] = {}
+        self._store: KeyValueStore | None = None
+        self._index: Callable[[str | None], list[str]] | None = None
         self._completion_listeners: list[CompletionListener] = []
         self._cancellation_listeners: list[CompletionListener] = []
         self._id_counter = itertools.count(1)
@@ -97,6 +101,16 @@ class WorklistService:
     def bind_writes(self, writes: WriteSet) -> None:
         """Share the caller's (engine's) write-set."""
         self._writes = writes
+
+    def bind_index(
+        self, store: KeyValueStore, ids: Callable[[str | None], list[str]]
+    ) -> None:
+        """List items from the caller's (engine's) index — ``ids(state)``
+        gives item ids in creation order, ``state`` a state value or
+        ``None`` — and read an item this service does not hold from
+        ``store`` on first use."""
+        self._store = store
+        self._index = ids
 
     def _touch(self, item: WorkItem) -> None:
         self._writes.put(WORKITEM_PREFIX, item.id, item.to_dict)
@@ -183,18 +197,36 @@ class WorklistService:
     # -- queries ----------------------------------------------------------------
 
     def item(self, item_id: str) -> WorkItem:
-        """Look up an item; raises :class:`UnknownWorkItemError`."""
-        try:
-            return self._items[item_id]
-        except KeyError:
-            raise UnknownWorkItemError(f"unknown work item {item_id!r}") from None
+        """Look up an item; raises :class:`UnknownWorkItemError`.
+
+        An item not in memory (after a restart: a finished one) is read
+        from the bound store on first use and kept, so an id maps to one
+        object."""
+        item = self._find(item_id)
+        if item is None:
+            raise UnknownWorkItemError(f"unknown work item {item_id!r}")
+        return item
+
+    def _find(self, item_id: str) -> WorkItem | None:
+        item = self._items.get(item_id)
+        if item is not None or self._store is None:
+            return item
+        with self._lock:
+            item = self._items.get(item_id)
+            if item is None:
+                raw = self._store.get(WORKITEM_PREFIX + item_id)
+                if raw is not None:
+                    item = self._items[item_id] = WorkItem.from_dict(raw)
+            return item
 
     def items(self, state: WorkItemState | None = None) -> list[WorkItem]:
         """All items (optionally filtered by state), by creation order."""
-        values = list(self._items.values())
-        if state is not None:
-            values = [i for i in values if i.state is state]
-        return values
+        if self._index is None:
+            values = list(self._items.values())
+            return values if state is None else [i for i in values if i.state is state]
+        with self._lock:
+            ids = self._index(None if state is None else state.value)
+            return [item for item in map(self._find, ids) if item is not None]
 
     def queue_of(self, resource_id: str) -> list[WorkItem]:
         """Open items allocated to (or started by) one resource,
@@ -361,10 +393,13 @@ class WorklistService:
 
     def export_items(self) -> list[dict[str, Any]]:
         """Serializable snapshot of all items (engine persistence)."""
-        return [item.to_dict() for item in self._items.values()]
+        return [item.to_dict() for item in self.items()]
 
-    def import_items(self, raw_items: list[dict[str, Any]]) -> None:
-        """Restore items from a snapshot (engine recovery)."""
+    def import_items(
+        self, raw_items: list[dict[str, Any]], stored_ids: Iterable[str] = ()
+    ) -> None:
+        """Restore items from a snapshot (engine recovery); ``stored_ids``
+        names items left in the store, whose ids stay taken."""
         for raw in raw_items:
             item = WorkItem.from_dict(raw)
             self._items[item.id] = item
@@ -379,20 +414,23 @@ class WorklistService:
             self._g_open.inc(len(self._open) - was_open)
         # keep generated ids unique after recovery
         numeric = [
-            _id_counter(item_id) for item_id in self._items
+            _id_counter(item_id)
+            for item_id in itertools.chain(self._items, stored_ids)
             if item_id.startswith(self._id_prefix)
         ]
         if any(numeric):
             self._id_counter = itertools.count(max(numeric) + 1)
 
-    def load(self, store: KeyValueStore) -> int:
-        """Restore the ``workitem/`` records of a store; returns items held.
+    def load(self, store: KeyValueStore, finished: Callable[[str], bool]) -> int:
+        """Restore the ``workitem/`` records of a store; returns items stored.
 
-        Store keys sort lexically (``wi-10`` before ``wi-2``); importing
-        by creation counter keeps :meth:`items` in creation order after a
-        restart, exactly as in a live service.
+        Items ``finished(item_id)`` names are not decoded: they stay in the
+        store until :meth:`item` reads them.  The rest are imported by
+        creation counter (store keys sort ``wi-10`` before ``wi-2``), so
+        the open items are walked in creation order, as in a live service.
         """
-        raws = [raw for _, raw in store.scan(WORKITEM_PREFIX)]
+        ids = [key[len(WORKITEM_PREFIX):] for key in store.keys(WORKITEM_PREFIX)]
+        raws = [store.get(WORKITEM_PREFIX + i) for i in ids if not finished(i)]
         raws.sort(key=lambda raw: _id_counter(raw["id"]))
-        self.import_items(raws)
-        return len(self._items)
+        self.import_items(raws, ids)
+        return len(ids)

@@ -190,5 +190,5 @@ class TestDedupRouteRebuild:
         # after recovery the replay returns the persisted result summary
         replay = reopened.start_instance("auto", {"n": 4}, dedup_key="RK-1")
         assert replay["instance_id"] == original.id
-        assert sum(len(s._instances) for s in reopened.shards) == 1
+        assert [i.id for i in reopened.instances()] == [original.id]
         reopened.close()

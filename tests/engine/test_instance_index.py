@@ -1,10 +1,11 @@
-"""Property test: the secondary instance indexes agree with a linear scan.
+"""Property test: the instance index agrees with a linear scan.
 
-The engine maintains by-state and by-business-key indexes so that
-``instances(state=...)`` and ``find_instances(business_key=...)`` avoid
+The read models' by-state and by-business-key projections answer
+``instances(state=...)`` and ``find_instances(business_key=...)`` without
 scanning every instance.  An index is only worth having if it is *exactly*
-equivalent to the naive filter, in creation order, after any interleaving
-of lifecycle transitions — which is what hypothesis drives here.
+equivalent to the naive filter over the instance objects, in creation
+order, after any interleaving of lifecycle transitions — which is what
+hypothesis drives here.
 """
 
 from hypothesis import given, settings

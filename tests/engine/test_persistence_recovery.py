@@ -10,7 +10,7 @@ from repro.clock import VirtualClock
 from repro.engine.engine import ProcessEngine
 from repro.engine.instance import InstanceState
 from repro.model.builder import ProcessBuilder
-from repro.storage.kvstore import DurableKV
+from repro.storage.kvstore import DurableKV, MemoryKV
 from repro.worklist.allocation import ShortestQueueAllocator
 
 
@@ -384,6 +384,79 @@ class TestWorklistOrderSurvivesRestart:
         engine2.start_instance("approval")
         assert engine2.worklist.items()[-1].id == "wi-13"
         store2.close()
+
+
+class TestStoreHoldsWhatWasCommitted:
+    """A deferred in-place write must not reach the store before its
+    commit — also on a store that keeps value objects (MemoryKV)."""
+
+    @pytest.mark.parametrize("kind", ["memory", "durable"])
+    def test_uncommitted_completion_is_not_recovered(self, kind, store_path):
+        clock = VirtualClock(0)
+        store = MemoryKV() if kind == "memory" else DurableKV(store_path)
+        engine = ProcessEngine(
+            clock=clock,
+            store=store,
+            allocator=ShortestQueueAllocator(),
+            commit_interval=1000,
+        )
+        engine.organization.add("ana", roles=["clerk"])
+        engine.deploy(approval_model())
+        started = engine.start_instance("approval", {"a": 1})
+        engine.flush()
+        item_id = engine.worklist.items()[0].id
+        engine.start_work_item(item_id)
+        engine.complete_work_item(item_id, {"x": 99})  # deferred, never committed
+        assert started.state is InstanceState.COMPLETED
+        if kind == "durable":
+            store.close()  # crash
+            store = DurableKV(store_path)
+
+        recovered = build_engine(store, clock)
+        recovered.recover()
+        instance = recovered.instance(started.id)
+        assert instance.variables == {"a": 1}
+        assert instance.variables is not started.variables
+        assert instance.state is InstanceState.RUNNING
+        assert [token.node_id for token in instance.tokens] == ["review"]
+        assert recovered.worklist.item(item_id).result == {}
+        store.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "durable"])
+    def test_uncommitted_compensation_is_not_recovered(self, kind, store_path):
+        """A finished case's stored record may share its variables (they
+        are only ever rebound once finished): compensating it without a
+        commit must still leave the store as committed."""
+        from repro.model.elements import ServiceTask
+
+        builder = ProcessBuilder("paid")
+        builder.add_node(
+            ServiceTask("refund", service="refund", output_variable="refunded")
+        )
+        builder.start()
+        builder.script_task("charge", script="paid = 40", compensation_handler="refund")
+        builder.end()
+        clock = VirtualClock(0)
+        store = MemoryKV() if kind == "memory" else DurableKV(store_path)
+        engine = ProcessEngine(clock=clock, store=store, commit_interval=1000)
+        engine.services.register("refund", lambda: "yes")
+        engine.deploy(builder.build())
+        done = engine.start_instance("paid")
+        engine.flush()
+        engine.compensate_instance(done.id)  # deferred, never committed
+        assert done.variables == {"paid": 40, "refunded": "yes"}
+        if kind == "durable":
+            store.close()  # crash
+            store = DurableKV(store_path)
+
+        recovered = ProcessEngine(clock=clock, store=store)
+        recovered.recover()
+        instance = recovered.instance(done.id)
+        assert instance.variables == {"paid": 40}
+        assert instance.compensations == [
+            {"node_id": "charge", "handler_id": "refund"}
+        ]
+        store.close()
 
 
 class TestPersistenceDetail:

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from repro.storage.errors import StorageError, TransactionError
 from repro.storage.kvstore import DurableKV, MemoryKV
 
+#: keys in several families, nested ``/``s, and keys with no ``/`` at all
+family_keys = st.sampled_from(
+    ["a", "ab", "a/1", "a/10", "a/2", "ab/1", "b/x/1", "b/x/", "b/", "x", "/", "//k"]
+)
+
 
 @pytest.fixture(params=["memory", "durable"])
 def store(request, tmp_path):
@@ -203,3 +208,44 @@ class TestProperties:
         reopened = DurableKV(path)
         assert dict(reopened.scan()) == model
         reopened.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        committed=st.lists(st.tuples(family_keys, st.integers()), max_size=25),
+        buffered=st.lists(
+            st.tuples(st.sampled_from(["put", "delete"]), family_keys, st.integers()),
+            max_size=10,
+        ),
+        open_transaction=st.booleans(),
+        prefix=st.sampled_from(
+            ["", "a", "a/", "a/1", "ab/", "b/", "b/x/", "x", "z/", "/", "//"]
+        ),
+    )
+    def test_scan_and_keys_equal_the_naive_filter(
+        self, tmp_path_factory, committed, buffered, open_transaction, prefix
+    ):
+        """Family-bucketed scans return what filtering every key would,
+        in the same order, with and without an open transaction."""
+        durable = DurableKV(str(tmp_path_factory.mktemp("kv") / "store"))
+        stores = (MemoryKV(), durable)
+        model = {}
+        for key, value in committed:
+            for store in stores:
+                store.put(key, value)
+            model[key] = value
+        if open_transaction:
+            for store in stores:
+                store.begin()
+            for op, key, value in buffered:
+                for store in stores:
+                    store.put(key, value) if op == "put" else store.delete(key)
+                if op == "put":
+                    model[key] = value
+                else:
+                    model.pop(key, None)
+        naive = sorted((k, v) for k, v in model.items() if k.startswith(prefix))
+        for store in stores:
+            assert list(store.scan(prefix)) == naive
+            assert store.keys(prefix) == [k for k, _ in naive]
+            assert len(store) == len(model)
+        durable.close()

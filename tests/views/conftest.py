@@ -52,14 +52,25 @@ def stored_view_image(store):
 
 
 def rebuilt_view_image(engine):
-    """A from-scratch rebuild of the engine's current state, cursor-free."""
+    """A from-scratch rebuild of the engine's current state, cursor-free.
+
+    The entities come from the engine's objects and the store's keys, not
+    from the views under test; what a recovery left on disk is read
+    through."""
+
+    def stored(prefix):
+        return {key[len(prefix):] for key in engine.store.keys(prefix)}
+
     manager = ProjectionManager()
     writes = manager.rebuild(
         [
-            compact_instance_obj(instance)
-            for instance in engine._instances.values()
+            compact_instance_obj(engine.instance(instance_id))
+            for instance_id in stored("instance/") | set(engine._instances)
         ],
-        [compact_item_obj(item) for item in engine.worklist.items()],
+        [
+            compact_item_obj(engine.worklist.item(item_id))
+            for item_id in stored("workitem/") | set(engine.worklist._items)
+        ],
         engine.dispatch_log.seq,
     )
     return {

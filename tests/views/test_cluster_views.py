@@ -1,10 +1,12 @@
-"""ClusterViews: pre-merged cross-shard queries, fallback, status."""
+"""ClusterViews: pre-merged cross-shard queries, freshness, status."""
 
 import pytest
 
 from repro.clock import VirtualClock
 from repro.cluster import ShardedEngine
+from repro.cluster.router import parse_shard_tag
 from repro.engine.instance import InstanceState
+from repro.worklist.items import WorkItemState
 from repro.model.builder import ProcessBuilder
 from repro.worklist.allocation import ShortestQueueAllocator
 
@@ -20,7 +22,7 @@ def cluster(shards=4, **kwargs):
 
 
 def scatter_instances(c, state=None):
-    """The legacy path: scan every shard, merge by creation rank."""
+    """Every shard's own answer, merged by creation rank."""
     from repro.views.projections import creation_rank, merge_ranked
 
     per_shard = [shard.instances(state) for shard in c.shards]
@@ -81,8 +83,8 @@ class TestQueryEquivalence:
 
 class TestFallback:
     def test_pending_writes_fall_back_to_memory_state(self):
-        # commit_interval > 1 leaves flushes pending: the view image lags
-        # and the facade must serve that shard from engine state instead
+        # commit_interval > 1 leaves flushes pending: the views fold the
+        # uncommitted puts in before they answer
         c = cluster(shards=2, commit_interval=50)
         c.deploy(approval_model())
         for k in range(6):
@@ -93,15 +95,31 @@ class TestFallback:
         assert len(c.work_items()) == 6
         assert c.views.open_work_items() == 6
 
-    def test_views_disabled_cluster_still_answers(self):
-        c = cluster(shards=2, views=False)
-        assert c.views is None
-        c.deploy(auto_model())
-        for k in range(4):
-            c.start_instance("auto", {"n": k})
-        assert len(c.instances()) == 4
-        ranks = [int(i.id.rsplit("-", 1)[-1]) for i in c.instances()]
-        assert ranks == sorted(ranks)
+    def test_state_changes_show_before_any_flush(self):
+        c = cluster(shards=2, commit_interval=1000)
+        c.deploy(approval_model())
+        c.flush()
+        gold = c.start_instance("approval", {"tier": "gold"}, business_key="bk-1")
+        basic = c.start_instance("approval", {"tier": "basic"}, business_key="bk-1")
+        other = c.start_instance("approval", {"tier": "gold"}, business_key="bk-2")
+        item = c.instance(gold.id).tokens[0].waiting_on["work_item_id"]
+        c.start_work_item(item)
+        c.complete_work_item(item)
+        c.suspend_instance(basic.id)
+        for started in (gold, basic, other):
+            assert c.shards[parse_shard_tag(started.id)].has_pending_writes()
+        assert [i.id for i in c.instances(InstanceState.COMPLETED)] == [gold.id]
+        assert [i.id for i in c.instances(InstanceState.SUSPENDED)] == [basic.id]
+        assert [i.id for i in c.instances(InstanceState.RUNNING)] == [other.id]
+        assert [
+            i.id for i in c.find_instances(business_key="bk-1", where={"tier": "gold"})
+        ] == [gold.id]
+        assert [
+            i.id for i in c.find_instances(state=InstanceState.RUNNING, where={"tier": "gold"})
+        ] == [other.id]
+        assert [i.id for i in c.work_items(WorkItemState.COMPLETED)] == [item]
+        assert len(c.work_items(WorkItemState.ALLOCATED)) == 2
+        assert c.views.open_work_items() == 2
 
     def test_reserved_business_key_uses_fallback_path(self):
         c = cluster(shards=2)
@@ -134,7 +152,6 @@ class TestClusterAnalytics:
         for k in range(4):
             c.start_instance("approval", business_key=f"bk-{k}")
         status = c.status()
-        assert status["views_enabled"] is True
         assert sum(row["open_work_items"] for row in status["per_shard"]) == 4
         for row in status["per_shard"]:
             assert row["views"]["lag"] == 0

@@ -1,7 +1,13 @@
 """Engine-level view maintenance: the flush hook, cursors, write gating."""
 
+import contextlib
+
+import pytest
+
+from repro.engine.instance import InstanceState
 from repro.storage.kvstore import MemoryKV
 from repro.views.manager import ProjectionManager
+from repro.worklist.items import WorkItemState
 
 from tests.views.conftest import (
     approval_model,
@@ -91,14 +97,6 @@ class TestFlushHook:
 
 
 class TestWriteGating:
-    def test_views_disabled_writes_no_view_keys(self):
-        store = MemoryKV()
-        engine = build_engine(store=store, views=False)
-        assert engine.views is None
-        engine.deploy(approval_model())
-        engine.start_instance("approval", business_key="bk-1")
-        assert list(store.scan("view/")) == []
-
     def test_read_only_dispatch_writes_nothing(self):
         # pins the flush-policy contract: an unmatched publish must not
         # grow into view writes either
@@ -189,6 +187,43 @@ class TestWriteBehind:
         assert store.get(f"view/worklist/{item.id}")["state"] == "completed"
 
 
+class TestExactBetweenFlushes:
+    """The views are the engine's only index: its queries see a state
+    change before any flush, inside batch() and below commit_interval."""
+
+    @pytest.mark.parametrize("deferral", ["batch", "commit_interval"])
+    def test_queries_reflect_unflushed_changes(self, deferral):
+        store = CountingKV()
+        interval = 1000 if deferral == "commit_interval" else 1
+        engine = build_engine(store=store, commit_interval=interval)
+        engine.deploy(approval_model())
+        engine.flush()
+        store.reset_counts()
+        scope = engine.batch() if deferral == "batch" else contextlib.nullcontext()
+        with scope:
+            gold = engine.start_instance("approval", {"tier": "gold"}, business_key="bk")
+            basic = engine.start_instance("approval", {"tier": "basic"}, business_key="bk")
+            other = engine.start_instance("approval", {"tier": "gold"})
+            item = engine.worklist.items()[0]
+            engine.start_work_item(item.id)
+            engine.complete_work_item(item.id)
+            engine.suspend_instance(basic.id)
+            assert store.puts == 0
+            assert engine.instances(InstanceState.COMPLETED) == [gold]
+            assert engine.instances(InstanceState.SUSPENDED) == [basic]
+            assert engine.instances(InstanceState.RUNNING) == [other]
+            assert engine.instances() == [gold, basic, other]
+            assert engine.find_instances(business_key="bk", where={"tier": "gold"}) == [gold]
+            assert engine.find_instances(
+                state=InstanceState.SUSPENDED, business_key="bk"
+            ) == [basic]
+            assert engine.worklist.items(WorkItemState.COMPLETED) == [item]
+            assert len(engine.worklist.items(WorkItemState.ALLOCATED)) == 2
+            assert engine.views.open_work_items() == engine.worklist.open_count == 2
+        if deferral == "batch":
+            assert store.puts > 0
+
+
 class TestWorklistOpenCount:
     def test_open_count_tracks_lifecycle(self):
         engine = build_engine(store=MemoryKV())
@@ -240,8 +275,9 @@ class TestExtraProjections:
 
         store = MemoryKV()
         counter = StartedCounter()
-        engine = build_engine(store=store, views=False)
+        engine = build_engine(store=store)
         engine.views = ProjectionManager(extra_projections=(counter,))
+        engine.views.bind(engine)
         engine.deploy(approval_model())
         engine.start_instance("approval")
         engine.start_instance("approval")

@@ -109,10 +109,16 @@ class TestRecoveryModes:
 
     def test_legacy_store_without_views_rebuilds(self, tmp_path):
         path = str(tmp_path / "store")
-        engine = build_engine(store=DurableKV(path), views=False)
+        engine = build_engine(store=DurableKV(path))
         run_some_work(engine)
-        assert list(engine.store.scan("view/")) == []
         engine.store.close()
+
+        offline = DurableKV(path)
+        with offline.transaction():
+            for key in offline.keys("view/"):
+                offline.delete(key)
+        assert offline.keys("view/") == []
+        offline.close()
 
         recovered = reopen(path)
         assert recovered.views.recovered_mode == "rebuild"
