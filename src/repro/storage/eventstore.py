@@ -11,7 +11,6 @@ in memory otherwise.
 
 from __future__ import annotations
 
-import sys
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -58,13 +57,13 @@ class EventRecord:
 class EventStore:
     """Globally ordered, stream-indexed, append-only event log.
 
-    Events are rows of parallel columns, not objects: appending allocates
-    one tuple of the event's values and nothing the cyclic collector has to
-    keep visiting.  Row ``i`` is the event with sequence ``i``.  Appends
-    are serialized by the caller (the engine's dispatch lock); readers
-    take no lock, so the values column is appended *last*, ``len()`` reads
-    it, and every reader bounds itself by one ``len()`` — a row is visible
-    only once all its columns are.
+    Row ``i`` is the event with sequence ``i``: coded columns over one flat
+    value list, so appending allocates nothing that outlives the call.
+    Appends are serialized by the caller (the engine's dispatch lock);
+    readers take no lock, so a table entry is in before any row uses it,
+    the row-end column is appended *last*, ``len()`` reads it, and every
+    reader bounds itself by one ``len()`` — a row is visible only once all
+    its columns are.
     """
 
     def __init__(
@@ -74,37 +73,32 @@ class EventStore:
         obs: "Observability | None" = None,
     ) -> None:
         self._time_col = array("d")
-        self._stream_col: list[str] = []
-        self._type_col: list[str] = []
-        # an event's data is a key-shape tuple (one shared object per
-        # distinct key sequence) and a tuple of its values
-        self._keys_col: list[tuple[str, ...]] = []
-        self._values_col: list[tuple[Any, ...]] = []
-        self._shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._streams: dict[str, array[int]] = {}
+        # codes into the tables below: 2^32 entries would not fit in memory
+        self._stream_col = array("I")
+        self._schema_col = array("I")
+        self._end_col = array("Q")  # end of the row's slice of _values
+        self._values: list[Any] = []
+        self._stream_names: list[str] = []
+        self._stream_rows: list[array[int]] = []  # sequences, per stream code
+        self._stream_codes: dict[str, int] = {}
+        self._schemas: list[tuple[str, ...]] = []  # (event_type, *keys)
+        self._schema_codes: dict[tuple[str, ...], int] = {}
         self._journal: Journal | None = None
         self.sync_writes = sync_writes
-        self._obs = obs
         self._h_append = None
         if path is not None:
             journal = Journal(path, auto_recover=False, obs=obs)
             # replayed through append() before the journal and the append
-            # histogram are attached; every decoded record brings its own
-            # str objects, so share them.  recover() is the crash-safe
-            # open and the replay in one pass over the file.
+            # histogram are attached; recover() is the crash-safe open and
+            # the replay in one pass over the file
             for record in journal.recover():
-                raw = json_decode(record.payload)
-                if raw["sequence"] != len(self):
+                event = EventRecord.from_dict(json_decode(record.payload))
+                if event.sequence != len(self):
                     raise StorageError(
                         f"event sequence gap: expected {len(self)}, "
-                        f"got {raw['sequence']}"
+                        f"got {event.sequence}"
                     )
-                self.append(
-                    sys.intern(raw["stream"]),
-                    sys.intern(raw["type"]),
-                    raw["timestamp"],
-                    raw.get("data"),
-                )
+                self.append(event.stream, event.type, event.timestamp, event.data)
             self._journal = journal
         if obs is not None:
             self._h_append = obs.registry.histogram(
@@ -124,38 +118,28 @@ class EventStore:
         if not stream or not event_type:
             raise StorageError("stream and event_type must be non-empty")
         started = time.perf_counter() if self._h_append is not None else 0.0
-        sequence = len(self._values_col)
+        sequence = len(self._end_col)
         if self._journal is not None:
             timestamp = float(timestamp)
-            self._journal.append(
-                json_encode(
-                    {
-                        "sequence": sequence,
-                        "stream": stream,
-                        "type": event_type,
-                        "timestamp": timestamp,
-                        "data": data or {},
-                    }
-                ),
-                sync=self.sync_writes,
-            )
+            record = EventRecord(sequence, stream, event_type, timestamp, data or {})
+            self._journal.append(json_encode(record.to_dict()), sync=self.sync_writes)
+        self._time_col.append(timestamp)  # the one that can refuse: a non-number
+        stream_code = self._stream_codes.get(stream)
+        if stream_code is None:  # name and rows go in before stream() can find them
+            self._stream_names.append(stream)
+            self._stream_rows.append(array("Q"))
+            stream_code = self._stream_codes[stream] = len(self._stream_names) - 1
+        schema = (event_type, *data) if data else (event_type,)
+        schema_code = self._schema_codes.get(schema)
+        if schema_code is None:
+            schema_code = self._schema_codes[schema] = len(self._schemas)
+            self._schemas.append(schema)
+        self._stream_col.append(stream_code)
+        self._schema_col.append(schema_code)
         if data:
-            keys = tuple(data)
-            keys = self._shapes.setdefault(keys, keys)
-            values = tuple(data.values())
-        else:
-            keys = values = ()
-        # first the one append that can reject its argument (a non-number),
-        # so that a refused event moves no column
-        self._time_col.append(timestamp)
-        self._stream_col.append(stream)
-        self._type_col.append(event_type)
-        self._keys_col.append(keys)
-        index = self._streams.get(stream)
-        if index is None:
-            index = self._streams[stream] = array("q")
-        index.append(sequence)
-        self._values_col.append(values)  # last: publishes the row
+            self._values.extend(data.values())
+        self._stream_rows[stream_code].append(sequence)
+        self._end_col.append(len(self._values))  # last: publishes the row
         if self._h_append is not None:
             self._h_append.observe(time.perf_counter() - started)
         return sequence
@@ -168,15 +152,18 @@ class EventStore:
     # -- reading ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._values_col)
+        return len(self._end_col)
 
     def _row(self, sequence: int) -> EventRecord:
+        ends = self._end_col
+        schema = self._schemas[self._schema_col[sequence]]
+        values = self._values[ends[sequence - 1] if sequence else 0 : ends[sequence]]
         return EventRecord(
             sequence,
-            self._stream_col[sequence],
-            self._type_col[sequence],
+            self._stream_names[self._stream_col[sequence]],
+            schema[0],
             self._time_col[sequence],
-            dict(zip(self._keys_col[sequence], self._values_col[sequence])),
+            dict(zip(schema[1:], values)),
         )
 
     def all(self) -> Iterator[EventRecord]:
@@ -186,16 +173,20 @@ class EventStore:
     def stream(self, stream: str) -> list[EventRecord]:
         """All events of one stream, in order."""
         visible = len(self)
-        return [self._row(i) for i in self._streams.get(stream, ()) if i < visible]
+        code = self._stream_codes.get(stream)
+        rows = self._stream_rows[code] if code is not None else ()
+        return [self._row(i) for i in rows if i < visible]
 
     def streams(self) -> list[str]:
         """All stream names, sorted."""
-        return sorted(self._streams)
+        return sorted(self._stream_codes)
 
     def of_type(self, event_type: str) -> list[EventRecord]:
         """All events of a given type, in global order."""
-        types = self._type_col
-        return [self._row(i) for i in range(len(self)) if types[i] == event_type]
+        visible = len(self)  # first: every schema a visible row uses is in
+        codes = {c for c, schema in enumerate(self._schemas) if schema[0] == event_type}
+        rows = zip(range(visible), self._schema_col)
+        return [self._row(i) for i, code in rows if code in codes]
 
     def since(self, sequence: int) -> list[EventRecord]:
         """Events with ``sequence >= sequence`` (catch-up reads)."""

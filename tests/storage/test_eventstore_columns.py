@@ -1,12 +1,13 @@
 """The columnar event log against a list-of-dicts model, its allocation
 budget, and its lock-free readers.
 
-``EventStore`` keeps events as parallel columns and builds ``EventRecord``
-objects only on read.  The differential test drives random appends and
-reads against the obvious model — a list of record dicts — in memory and
-across a close/reopen of a journal-backed store.  The budget test pins
-what one recorded event retains.  The ``threads`` test races two readers
-against an appending writer: a reader sees an event whole or not at all.
+``EventStore`` keeps events as coded columns over one flat value list and
+builds ``EventRecord`` objects only on read.  The differential test drives
+random appends and reads against the obvious model — a list of record
+dicts — in memory and across a close/reopen of a journal-backed store.
+The budget test pins what one recorded event retains.  The ``threads``
+test races four readers against an appending writer: a reader sees an
+event whole or not at all.
 """
 
 import gc
@@ -15,6 +16,7 @@ import os
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -130,6 +132,71 @@ class TestAgainstListOfDicts:
         with tempfile.TemporaryDirectory() as directory:
             run_against_model(ops, os.path.join(directory, "events.log"))
 
+    # each case ends with a reopen, so a journal-backed run checks it on
+    # the replayed store too (whose keys come back sorted)
+    SCHEMA_CASES = {
+        "same keys, another order": [
+            ("append", "s", "x", 1, {"a": 1, "b": 2}),
+            ("append", "s", "x", 2, {"b": 3, "a": 4}),
+            ("append", "s", "x", 3, {"a": 5, "b": 6}),
+        ],
+        "same keys, two types": [
+            ("append", "s", "x", 1, {"a": 1, "b": 2}),
+            ("append", "t", "y", 2, {"a": 3, "b": 4}),
+            ("append", "s", "x", 3, {"a": 5, "b": 6}),
+        ],
+        "empty rows between full ones": [
+            ("append", "s", "x", 1, {"a": 1}),
+            ("append", "s", "x", 2, {}),
+            ("append", "t", "y", 3, None),
+            ("append", "s", "x", 4, {"a": 2, "b": [3]}),
+            ("append", "t", "x", 5, {}),
+            ("append", "s", "y", 6, {"b": 4}),
+        ],
+    }
+    SCHEMA_READS = [
+        ("all",),
+        ("of_type", "x"),
+        ("of_type", "y"),
+        ("stream", "s"),
+        ("since", 1),
+    ]
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+    @pytest.mark.parametrize("journal", [False, True], ids=["memory", "journal"])
+    def test_schema_cases(self, case, journal, tmp_path):
+        reads = self.SCHEMA_READS
+        ops = self.SCHEMA_CASES[case] + reads + [("reopen",)] + reads
+        run_against_model(ops, str(tmp_path / "events.log") if journal else None)
+
+    def test_key_order_and_type_are_part_of_the_schema(self):
+        store = EventStore()
+        for _, stream, event_type, timestamp, data in (
+            self.SCHEMA_CASES["same keys, another order"]
+            + self.SCHEMA_CASES["same keys, two types"]
+        ):
+            store.append(stream, event_type, timestamp, data)
+        assert store._schemas == [("x", "a", "b"), ("x", "b", "a"), ("y", "a", "b")]
+        assert [list(e.data) for e in store.stream("s")][:3] == [
+            ["a", "b"], ["b", "a"], ["a", "b"],
+        ]
+
+    @pytest.mark.parametrize("journal", [False, True], ids=["memory", "journal"])
+    def test_nested_values_are_shared_not_copied(self, journal, tmp_path):
+        path = str(tmp_path / "events.log") if journal else None
+        store = EventStore(path)
+        items = [1, [2]]
+        store.append("s", "x", 1.0, {"n": 0, "items": items})
+        store.append("s", "x", 2.0, {"n": 1})
+        if journal:
+            store.close()
+            store = EventStore(path)
+        first, again = store.since(0)[0], store.since(0)[0]
+        assert first.data is not again.data  # every read builds its own dict
+        assert first.data["items"] is again.data["items"] == items
+        assert (first.data["items"] is items) is not journal
+        store.close()
+
     def test_non_numeric_timestamp_leaves_no_partial_row(self):
         store = EventStore()
         store.append("a", "x", 1.0, {"k": 1})
@@ -145,10 +212,11 @@ class TestAgainstListOfDicts:
 # --------------------------------------------------------- allocation budget
 
 BUDGET_EVENTS = 20_000
-BUDGET_BYTES_PER_EVENT = 170  # a record object + data dict per event: 342
+# a record object + data dict per event: 342; a values tuple per event: 117
+BUDGET_BYTES_PER_EVENT = 64
 
 
-def test_recording_an_event_retains_at_most_170_bytes():
+def test_recording_an_event_retains_at_most_64_bytes():
     """What ``record`` keeps per event, the strings it is handed excluded:
     in the engine those belong to the instance, the definition and the
     token, and the log only points at them."""
@@ -182,30 +250,65 @@ def test_recording_an_event_retains_at_most_170_bytes():
 # ------------------------------------------------------------ racing readers
 
 
+class SlowToEnd(list):
+    """A code table whose iteration lets other threads run once it has
+    passed the last entry: it widens the window between a reader's scan of
+    the table and whatever the reader does next to the width of a sleep."""
+
+    def __iter__(self):
+        n = 0
+        while n < len(self):
+            yield self[n]
+            n += 1
+        time.sleep(1e-4)
+
+
 @pytest.mark.threads
 def test_lock_free_readers_never_see_a_partial_row():
-    """One writer, two readers, no lock: every record a reader builds is a
-    whole event (``data["n"]`` was written as the event's own sequence)."""
+    """One writer, four readers, no lock: every record a reader builds is a
+    whole event, and ``of_type`` misses no row below its own bound.  The
+    writer opens a stream every fifty events and, from a quarter in, a
+    schema every six, so readers race new table entries too."""
     store = EventStore()
+    store._schemas = SlowToEnd()
     total = 50_000
     failures = []
     done = threading.Event()
 
+    def event(n):
+        """The writer's event ``n``: stream, type, timestamp, data."""
+        data = {"n": n}
+        if n % 6 == 1 and n >= total // 4:  # t1, between rows of schema ("t1", "n")
+            data[f"k{n}"] = n
+        return f"s{n // 50}", f"t{n % 3}", float(n), data
+
     def writer():
         try:
             for n in range(total):
-                store.append(f"s{n // 50}", f"t{n % 3}", float(n), {"n": n})
+                store.append(*event(n))
         except Exception as exc:  # pragma: no cover - only on bugs
             failures.append(exc)
         finally:
             done.set()
 
     def check(record):
-        n = record.sequence
-        assert record.data["n"] == n
-        assert (record.stream, record.type, record.timestamp) == (
-            f"s{n // 50}", f"t{n % 3}", float(n),
+        assert (record.stream, record.type, record.timestamp, record.data) == event(
+            record.sequence
         )
+        assert list(record.data) == list(event(record.sequence)[3])
+
+    def read_of_type():
+        before = len(store)
+        records = store.of_type("t1")
+        seen = [record.sequence for record in records]
+        bound = max(seen[-1] + 1 if seen else 0, before)
+        assert seen == list(range(1, bound, 3))
+        return records
+
+    def read_all():
+        records = list(store.all())
+        assert [record.sequence for record in records] == list(range(len(records)))
+        return records
 
     def reader(read):
         try:
@@ -215,11 +318,13 @@ def test_lock_free_readers_never_see_a_partial_row():
         except Exception as exc:  # pragma: no cover - only on bugs
             failures.append(exc)
 
-    # both read the rows being written: the last ten, and the stream the
-    # writer is in (fifty events each, as short as an instance's)
+    # the rows being written (the last ten, and the stream the writer is
+    # in, fifty events as an instance's), one type, and everything
     readers = [
         lambda: store.since(len(store) - 10),
         lambda: store.stream(f"s{len(store) // 50}"),
+        read_of_type,
+        read_all,
     ]
     threads = [threading.Thread(target=writer)] + [
         threading.Thread(target=reader, args=(read,)) for read in readers
@@ -238,3 +343,4 @@ def test_lock_free_readers_never_see_a_partial_row():
     assert len(store) == total
     for record in store.since(total - 100):
         check(record)
+    assert len(read_of_type()) == len(range(1, total, 3))
