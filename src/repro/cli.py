@@ -442,51 +442,14 @@ def cmd_commands(args: argparse.Namespace) -> int:
     return 0
 
 
-def _max_dispatch_seq(store: Any) -> int:
-    """Highest persisted dispatch sequence in a store (0 when empty)."""
-    from repro.engine.dispatch import DISPATCH_PREFIX
+def _view_image(store: Any) -> tuple[Any, dict[str, int]]:
+    """A ``ProjectionManager`` holding one store's persisted read-model
+    image as it stands, and the image's cursors."""
+    from repro.views.manager import ProjectionManager
 
-    seq = 0
-    for _, raw in store.scan(DISPATCH_PREFIX):
-        seq = max(seq, int(raw.get("seq", 0)))
-    return seq
-
-
-def _store_view_summary(store: Any) -> dict[str, Any] | None:
-    """Fresh read-model summary of one store, or ``None`` if absent/stale.
-
-    Fresh means every projection cursor agrees with the store's highest
-    dispatch seq — then the compact ``view/`` records answer the status
-    questions without scanning ``instance/`` or ``workitem/``.
-    """
-    seqs = set()
-    for name in ("by_state", "by_key", "def_stats", "worklist"):
-        raw = store.get(f"view/{name}/__cursor", None)
-        if raw is None:
-            return None
-        seqs.add(int(raw.get("seq", 0)))
-    if len(seqs) != 1:
-        return None
-    seq = seqs.pop()
-    if seq != _max_dispatch_seq(store):
-        return None
-    by_state: dict[str, int] = {}
-    instances = 0
-    for key, record in store.scan("view/def_stats/"):
-        if key.endswith("/__cursor"):
-            continue
-        instances += int(record.get("total", 0))
-        for state, count in record.get("states", {}).items():
-            if count:
-                by_state[state] = by_state.get(state, 0) + count
-    queues = store.get("view/worklist/__queues", None) or {}
-    return {
-        "seq": seq,
-        "instances": instances,
-        "by_state": by_state,
-        "open_work_items": int(queues.get("open", 0)),
-        "roles": dict(queues.get("roles", {})),
-    }
+    manager = ProjectionManager()
+    cursors, _ = manager.load(store)
+    return manager, cursors
 
 
 def cmd_cluster_status(args: argparse.Namespace) -> int:
@@ -496,42 +459,29 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     per shard under ``--store``.  Reads each partition's persisted
     topology record and per-record state counts without an engine.
     """
-    import os
-
     from repro.cluster.outbox import OUTBOX_PREFIX
     from repro.engine.dispatch import DISPATCH_PREFIX
     from repro.engine.instance import INSTANCE_PREFIX
     from repro.engine.jobs import JOBS_PREFIX
     from repro.storage.kvstore import DurableKV
+    from repro.views.rebuild import stored_dispatch_seq
     from repro.worklist.service import WORKITEM_PREFIX
 
-    try:
-        entries = sorted(os.listdir(args.store))
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read {args.store}: {exc}")
-    shard_dirs = [
-        entry
-        for entry in entries
-        if entry.startswith("shard-")
-        and os.path.isdir(os.path.join(args.store, entry))
-    ]
-    shard_dirs.sort(
-        key=lambda d: (
-            int(d.rsplit("-", 1)[-1]) if d.rsplit("-", 1)[-1].isdigit() else 0
-        )
-    )
-    if not shard_dirs:
+    shards = _dlq_store_paths(args.store)
+    if shards == [("store", args.store)]:
         raise SystemExit(f"error: no shard-* store directories under {args.store}")
     rows = []
-    for directory in shard_dirs:
-        store = DurableKV(os.path.join(args.store, directory), sync_writes=False)
+    for directory, path in shards:
+        store = DurableKV(path, sync_writes=False)
         meta = store.get("cluster/meta", None)
-        # prefer the materialized read models: a fresh view summary
-        # answers the census from O(definitions) compact records instead
-        # of scanning every instance — the CQRS win, offline too
-        summary = _store_view_summary(store)
-        if summary is not None:
-            by_state: dict[str, int] = dict(summary["by_state"])
+        # prefer the read models when fresh (every cursor at the store's
+        # dispatch seq): they answer the census without scanning every
+        # instance — the CQRS win, offline too
+        views, cursors = _view_image(store)
+        seqs = {cursors.get(projection.name) for projection in views.projections}
+        fresh = seqs == {stored_dispatch_seq(store)}
+        if fresh:
+            by_state = views.instance_counts()
         else:
             by_state = {}
             for _, raw in store.scan(INSTANCE_PREFIX):
@@ -556,10 +506,10 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
             "snapshot_bytes": store.snapshot_size,
             "live_keys": len(store),
         }
-        if summary is not None:
+        if fresh:
             row["views"] = {
-                "seq": summary["seq"],
-                "open_work_items": summary["open_work_items"],
+                "seq": cursors[views.by_state.name],
+                "open_work_items": views.open_work_items(),
             }
         rows.append(row)
         store.close()
@@ -737,26 +687,23 @@ def cmd_dlq_requeue(args: argparse.Namespace) -> int:
 def cmd_views_status(args: argparse.Namespace) -> int:
     """Projection cursors, record counts, and lag for one or N stores."""
     from repro.storage.kvstore import DurableKV
+    from repro.views.rebuild import stored_dispatch_seq
 
     rows = []
     for label, path in _dlq_store_paths(args.store):
         store = DurableKV(path, sync_writes=False)
-        dispatch_seq = _max_dispatch_seq(store)
-        cursors: dict[str, int] = {}
-        records: dict[str, int] = {}
-        for key, raw in store.scan("view/"):
-            name, _, suffix = key[len("view/"):].partition("/")
-            if suffix == "__cursor":
-                cursors[name] = int(raw.get("seq", 0))
-            else:
-                records[name] = records.get(name, 0) + 1
+        dispatch_seq = stored_dispatch_seq(store)
+        manager, cursors = _view_image(store)
         store.close()
         rows.append(
             {
                 "store": label,
                 "dispatch_seq": dispatch_seq,
                 "cursors": cursors,
-                "records": records,
+                "records": {
+                    projection.name: projection.record_count()
+                    for projection in manager.projections
+                },
                 "lag": (
                     dispatch_seq - min(cursors.values()) if cursors else None
                 ),
@@ -792,88 +739,51 @@ def cmd_views_query(args: argparse.Namespace) -> int:
     facade: instance lists interleave by creation rank, analytics
     aggregate across shards.
     """
-    from repro.analytics.kpis import CycleTimeAggregate
     from repro.storage.kvstore import DurableKV
+    from repro.views.cluster import merge_definition_stats
     from repro.views.projections import creation_rank
 
-    def view_records(store: Any, name: str) -> list[tuple[str, Any]]:
-        prefix = f"view/{name}/"
-        return [
-            (key[len(prefix):], raw)
-            for key, raw in store.scan(prefix)
-            if not key.endswith("/__cursor")
-        ]
+    if args.view == "by_key" and args.key is None:
+        raise SystemExit("error: --key is required for the by_key view")
+    managers = []
+    for _label, path in _dlq_store_paths(args.store):
+        store = DurableKV(path, sync_writes=False)
+        managers.append(_view_image(store)[0])
+        store.close()
 
-    stores = _dlq_store_paths(args.store)
+    def records(table: str) -> list[dict[str, Any]]:
+        found = [
+            getattr(manager, table).record(entity_id)
+            for manager in managers
+            for entity_id in getattr(manager, table).ids(args.state)
+        ]
+        return sorted(found, key=lambda r: (r["rank"], r["id"]))
+
     payload: dict[str, Any]
     if args.view == "by_state":
-        collected = []
-        for _label, path in stores:
-            store = DurableKV(path, sync_writes=False)
-            for _suffix, record in view_records(store, "by_state"):
-                if args.state is None or record.get("state") == args.state:
-                    collected.append(record)
-            store.close()
-        collected.sort(key=lambda r: (r.get("rank", 0), r.get("id", "")))
-        payload = {"instances": collected}
+        payload = {"instances": records("by_state")}
     elif args.view == "by_key":
-        if args.key is None:
-            raise SystemExit("error: --key is required for the by_key view")
-        ids: list[str] = []
-        for _label, path in stores:
-            store = DurableKV(path, sync_writes=False)
-            record = store.get(f"view/by_key/{args.key}", None)
-            if record is not None:
-                ids.extend(record.get("ids", []))
-            store.close()
+        ids = [i for m in managers for i in m.ids_for_business_key(args.key)]
         ids.sort(key=lambda i: (creation_rank(i), i))
         payload = {"business_key": args.key, "ids": ids}
     elif args.view == "def_stats":
-        merged: dict[str, dict[str, Any]] = {}
-        for _label, path in stores:
-            store = DurableKV(path, sync_writes=False)
-            for definition, record in view_records(store, "def_stats"):
-                if args.definition is not None and definition != args.definition:
-                    continue
-                slot = merged.get(definition)
-                if slot is None:
-                    merged[definition] = {
-                        "total": record.get("total", 0),
-                        "states": dict(record.get("states", {})),
-                        "cycle": dict(record.get("cycle") or {}),
-                    }
-                    continue
-                slot["total"] += record.get("total", 0)
-                for state, count in record.get("states", {}).items():
-                    slot["states"][state] = slot["states"].get(state, 0) + count
-                slot["cycle"] = (
-                    CycleTimeAggregate.from_dict(slot["cycle"])
-                    .merge(CycleTimeAggregate.from_dict(record.get("cycle") or {}))
-                    .to_dict()
-                )
-            store.close()
+        merged = merge_definition_stats(m.definition_stats() for m in managers)
         payload = {
-            "definitions": {name: merged[name] for name in sorted(merged)}
+            "definitions": {
+                name: record
+                for name, record in merged.items()
+                if args.definition in (None, name)
+            }
         }
     else:  # worklist
-        open_total = 0
         roles: dict[str, int] = {}
-        items = []
-        for _label, path in stores:
-            store = DurableKV(path, sync_writes=False)
-            for suffix, record in view_records(store, "worklist"):
-                if suffix == "__queues":
-                    open_total += int(record.get("open", 0))
-                    for role, count in record.get("roles", {}).items():
-                        roles[role] = roles.get(role, 0) + count
-                elif args.state is None or record.get("state") == args.state:
-                    items.append(record)
-            store.close()
-        items.sort(key=lambda r: (r.get("rank", 0), r.get("id", "")))
+        for manager in managers:
+            for role, count in manager.open_by_role().items():
+                roles[role] = roles.get(role, 0) + count
         payload = {
-            "open": open_total,
+            "open": sum(manager.open_work_items() for manager in managers),
             "roles": {role: roles[role] for role in sorted(roles)},
-            "items": items,
+            "items": records("worklist"),
         }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

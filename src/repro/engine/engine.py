@@ -1180,12 +1180,12 @@ class ProcessEngine(CommandClient):
 
         The read models recover first, from the store alone (load, tail
         replay or rebuild — see :meth:`ProjectionManager.recover`); then
-        only the instances and work items they do not list as finished
-        are decoded.  A finished case stays on disk until first use
-        (:meth:`instance`, ``worklist.item``).  That is safe because the
-        stored view image is never ahead of the base records and nothing
-        leaves a finished state.  Returns counts per category
-        (``instances`` and ``workitems``: records stored).
+        only the instances and work items they list as live are decoded.
+        A finished case stays on disk until first use (:meth:`instance`,
+        ``worklist.item``).  That is safe because the stored view image is
+        never ahead of the base records and nothing leaves a finished
+        state.  Returns counts per category (``instances`` and
+        ``workitems``: records stored, as the views count them).
         """
         store = self.store
         counts = {"definitions": 0, "instances": 0}
@@ -1202,16 +1202,15 @@ class ProcessEngine(CommandClient):
             counts["definitions"] += 1
         self._seqs.load(store)
         commands = self.dispatch_log.load(store)
-        self.views.recover(store, self.dispatch_log)
-        finished = self.views.finished_instance
-        stored = store.keys(INSTANCE_PREFIX)
-        for key in stored:
-            instance_id = key[len(INSTANCE_PREFIX):]
-            if not finished(instance_id):
-                self._instances[instance_id] = ProcessInstance.from_dict(store.get(key))
-        counts["instances"] = len(stored)
+        views = self.views
+        views.recover(store, self.dispatch_log)
+        for instance_id in views.by_state.live_ids():
+            raw = store.get(INSTANCE_PREFIX + instance_id)
+            self._instances[instance_id] = ProcessInstance.from_dict(raw)
+        counts["instances"] = views.by_state.record_count()
         counts["jobs"] = self.scheduler.load(store)
-        counts["workitems"] = self.worklist.load(store, self.views.finished_item)
+        self.worklist.load(store, views.worklist.live_ids(), views.worklist.top_rank())
+        counts["workitems"] = views.worklist.record_count()
         counts["invocations"] = self.ledger.load(store)
         counts["dead_letters"] = self.ledger.load_dead_letters(store)
         counts["outbox"] = self.outbox.load(store)

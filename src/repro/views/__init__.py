@@ -2,9 +2,10 @@
 
 See DESIGN.md §Read models.  Layout:
 
-* :mod:`repro.views.projections` — the projection contract, the four
-  built-in projections, compact-record constructors, and the
-  ``merge_ranked`` k-way merge.
+* :mod:`repro.views.projections` — the projection contract, the three
+  built-in projections (live records plus a finished tier of rank
+  pages), compact-record constructors, and the ``merge_ranked`` k-way
+  merge.
 * :mod:`repro.views.manager` — ``ProjectionManager``: the group-commit
   apply hook, cursor bookkeeping, recovery (load / tail replay /
   rebuild).
@@ -18,7 +19,6 @@ from repro.views.cluster import ClusterViews
 from repro.views.manager import VIEW_PREFIX, ProjectionManager
 from repro.views.projections import (
     CURSOR_SUFFIX,
-    ByBusinessKey,
     DefinitionStats,
     InstancesByState,
     Projection,
@@ -35,7 +35,6 @@ from repro.views.rebuild import rebuild_store_views
 __all__ = [
     "CURSOR_SUFFIX",
     "VIEW_PREFIX",
-    "ByBusinessKey",
     "ClusterViews",
     "DefinitionStats",
     "InstancesByState",

@@ -16,7 +16,7 @@ index as the tie-break, through the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analytics.kpis import CycleTimeAggregate
 from repro.views.projections import creation_rank, merge_ranked
@@ -29,6 +29,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def _instance_rank(instance: "ProcessInstance") -> int:
     return creation_rank(instance.id)
+
+
+def merge_definition_stats(
+    reports: Iterable[dict[str, dict[str, Any]]],
+) -> dict[str, dict[str, Any]]:
+    """Per-definition analytics of several read models, merged.
+
+    Counters and per-state censuses sum; cycle-time aggregates merge via
+    :class:`CycleTimeAggregate`.
+    """
+    merged: dict[str, dict[str, Any]] = {}
+    for report in reports:
+        for definition, record in report.items():
+            slot = merged.get(definition)
+            if slot is None:
+                merged[definition] = {
+                    "total": record["total"],
+                    "states": dict(record["states"]),
+                    "cycle": dict(record["cycle"]),
+                }
+                continue
+            slot["total"] += record["total"]
+            for state, count in record["states"].items():
+                slot["states"][state] = slot["states"].get(state, 0) + count
+            slot["cycle"] = (
+                CycleTimeAggregate.from_dict(slot["cycle"])
+                .merge(CycleTimeAggregate.from_dict(record["cycle"]))
+                .to_dict()
+            )
+    return {definition: merged[definition] for definition in sorted(merged)}
 
 
 class ClusterViews:
@@ -96,33 +126,12 @@ class ClusterViews:
         return sum(shard.views.open_work_items() for shard in self._cluster.shards)
 
     def definition_stats(self) -> dict[str, dict[str, Any]]:
-        """Per-definition analytics merged across shards.
-
-        Counters and per-state censuses sum; cycle-time aggregates merge
-        via :class:`CycleTimeAggregate`.
-        """
-        merged: dict[str, dict[str, Any]] = {}
+        """Per-definition analytics merged across shards."""
+        reports = []
         for shard in self._cluster.shards:
             with shard._dispatch_lock:
-                report = shard.views.definition_stats()
-            for definition, record in report.items():
-                slot = merged.get(definition)
-                if slot is None:
-                    merged[definition] = {
-                        "total": record["total"],
-                        "states": dict(record["states"]),
-                        "cycle": dict(record["cycle"]),
-                    }
-                    continue
-                slot["total"] += record["total"]
-                for state, count in record["states"].items():
-                    slot["states"][state] = slot["states"].get(state, 0) + count
-                slot["cycle"] = (
-                    CycleTimeAggregate.from_dict(slot["cycle"])
-                    .merge(CycleTimeAggregate.from_dict(record["cycle"]))
-                    .to_dict()
-                )
-        return {definition: merged[definition] for definition in sorted(merged)}
+                reports.append(shard.views.definition_stats())
+        return merge_definition_stats(reports)
 
     def status(self) -> dict[str, Any]:
         """Per-shard projection cursors and lag (``repro cluster status``)."""

@@ -41,11 +41,13 @@ manager how much of the dispatch log the persisted image has seen:
   missing/over the cap) → full rebuild from the stored base records,
   linear in state size.
 
-Recovery reads the store only — raw records through
+Recovery reads the store only — the ``view/`` records, and for tail
+replay or rebuild raw base records through
 :func:`~repro.views.projections.compact_instance`, as the offline
 rebuild does — and runs before the engine decodes any instance: the
-caught-up image is what names the finished cases the engine leaves on
-disk (:meth:`ProjectionManager.finished_instance`).
+caught-up image names the live cases the engine decodes, and the
+finished ones it leaves on disk.  A load reads O(live + pages) values,
+not one per case ever run.
 
 Failure handling mirrors the write-set's: per-projection dirty keys are
 cleared only by :meth:`confirm` — called after the store transaction
@@ -64,9 +66,6 @@ from repro.storage.writeset import WriteSet
 from repro.views.projections import (
     CURSOR_SUFFIX,
     INSTANCE_STATES,
-    TERMINAL_INSTANCE_STATES,
-    TERMINAL_ITEM_STATES,
-    ByBusinessKey,
     DefinitionStats,
     InstancesByState,
     Projection,
@@ -90,7 +89,7 @@ _RANK_ID = itemgetter("rank", "id")
 
 
 class ProjectionManager:
-    """The four built-in projections plus apply/recover/rebuild plumbing."""
+    """The three built-in projections plus apply/recover/rebuild plumbing."""
 
     def __init__(
         self,
@@ -98,12 +97,10 @@ class ProjectionManager:
         extra_projections: Iterable[Projection] = (),
     ) -> None:
         self.by_state = InstancesByState()
-        self.by_key = ByBusinessKey()
         self.def_stats = DefinitionStats()
         self.worklist = WorklistQueues()
         self.projections: tuple[Projection, ...] = (
             self.by_state,
-            self.by_key,
             self.def_stats,
             self.worklist,
         ) + tuple(extra_projections)
@@ -127,6 +124,8 @@ class ProjectionManager:
         self.persisted_seq = 0
         #: how the last recover() caught up: "load" | "tail" | "rebuild"
         self.recovered_mode: str | None = None
+        #: the last load() read a layout this build does not write
+        self.stale = False
         # write-behind buffers: entity ids noted by flushes but not yet
         # applied to the projections; materialized on read or drain
         self._pending_instances: set[str] = set()
@@ -181,7 +180,10 @@ class ProjectionManager:
             self._materialize()
             cut = len(VIEW_PREFIX)
             for key, value in self._write_set(seq).items():
-                writes.put(VIEW_PREFIX, key[cut:], value)
+                if value is None:
+                    writes.delete(VIEW_PREFIX, key[cut:])
+                else:
+                    writes.put(VIEW_PREFIX, key[cut:], value)
             self._unconfirmed = True
 
     def has_pending(self) -> bool:
@@ -249,23 +251,22 @@ class ProjectionManager:
 
         Batches apply in ``(rank, id)`` order — the determinism contract
         that makes incremental maintenance, tail replay, and rebuild
-        produce identical persisted bytes.
+        produce identical persisted bytes.  Every pair's ``old`` is
+        snapshotted before any projection mutates shared state (each
+        entity appears at most once per batch, so the precomputed
+        transitions match record-at-a-time apply); a finished entity's
+        re-put never becomes a pair.
         """
         if instances:
             if len(instances) > 1:
                 instances.sort(key=_RANK_ID)
-            # snapshot every pair's `old` before any projection mutates
-            # shared state — each entity appears at most once per batch,
-            # so the precomputed transitions match record-at-a-time apply
-            previous = self.by_state.records.get
-            pairs = [(previous(record["id"]), record) for record in instances]
+            pairs = self.by_state.transitions(instances)
             for projection in self._instance_projections:
                 projection.apply_instances(pairs)
         if items:
             if len(items) > 1:
                 items.sort(key=_RANK_ID)
-            previous = self.worklist.records.get
-            pairs = [(previous(record["id"]), record) for record in items]
+            pairs = self.worklist.transitions(items)
             for projection in self._item_projections:
                 projection.apply_items(pairs)
         if seq > self.applied_seq:
@@ -335,6 +336,35 @@ class ProjectionManager:
 
     # -- recovery ---------------------------------------------------------------
 
+    def load(self, store: Any) -> tuple[dict[str, int], list[str]]:
+        """Read a store's ``view/`` image into the fresh projections as it
+        stands, without catching it up.
+
+        Returns each projection's cursor and every ``view/`` key read;
+        sets :attr:`stale` when the image is in a layout this build does
+        not write (a projection it does not know, such as the business-key
+        records of older builds, or a finished entity kept per id).  The
+        offline ``repro views`` and ``cluster status`` commands read a
+        closed store through this.
+        """
+        keys: list[str] = []
+        cursors: dict[str, int] = {}
+        stale = False
+        for key, raw in store.scan(VIEW_PREFIX):
+            keys.append(key)
+            name, sep, suffix = key[len(VIEW_PREFIX):].partition("/")
+            projection = self._by_name.get(name)
+            if projection is None or not sep:
+                stale = True
+            elif suffix == CURSOR_SUFFIX:
+                cursors[name] = int(raw.get("seq", 0))
+            else:
+                projection.load_record(suffix, raw)
+        for projection in self.projections:
+            projection.finish_load()
+        self.stale = stale or any(p.stale for p in self.projections)
+        return cursors, keys
+
     def recover(self, store: Any, dispatch_log: Any) -> dict[str, Any]:
         """Load, tail-replay, or rebuild the views from the store alone.
 
@@ -343,34 +373,21 @@ class ProjectionManager:
         the tail) and before any instance or work item is decoded.
         Persists whatever catch-up it performed (tail replay or rebuild)
         in one transaction + sync, so the next recovery takes the fast
-        load path.
+        load path.  A stale image is rebuilt, its old keys deleted in
+        the same transaction.
         """
         target = dispatch_log.seq
         self._pending_instances.clear()
         self._pending_items.clear()
-        existing_keys: list[str] = []
-        cursors: dict[str, int] = {}
-        loaded = 0
-        for key, raw in store.scan(VIEW_PREFIX):
-            existing_keys.append(key)
-            name, sep, suffix = key[len(VIEW_PREFIX):].partition("/")
-            projection = self._by_name.get(name)
-            if projection is None or not sep:
-                continue  # a projection this build doesn't know: rebuilt below
-            if suffix == CURSOR_SUFFIX:
-                cursors[name] = int(raw.get("seq", 0))
-            else:
-                projection.load_record(suffix, raw)
-                loaded += 1
+        cursors, existing_keys = self.load(store)
+        loaded = len(existing_keys)
         if not existing_keys and target == 0 and not store.keys(INSTANCE_PREFIX):
             # pristine store: nothing to load, nothing worth stamping
             self.recovered_mode = "load"
             return {"mode": "load", "records": 0, "replayed": 0}
         cursor_values = {cursors.get(p.name) for p in self.projections}
         cursor = cursor_values.pop() if len(cursor_values) == 1 else None
-        if cursor is not None and 0 <= cursor <= target:
-            for projection in self.projections:
-                projection.finish_load()
+        if cursor is not None and not self.stale and 0 <= cursor <= target:
             self._set_lag_gauges(0)
             if cursor == target:
                 self.applied_seq = target
@@ -398,18 +415,32 @@ class ProjectionManager:
                     "records": loaded,
                     "replayed": len(tail),
                 }
-        # cursors missing, diverged, ahead of durable state, or the log
-        # tail is unusable: rebuild everything from the stored base records
-        writes = self.rebuild(
-            [compact_instance(raw) for _, raw in store.scan(INSTANCE_PREFIX)],
-            [compact_item(raw) for _, raw in store.scan(WORKITEM_PREFIX)],
-            target,
-        )
-        deletes = [key for key in existing_keys if key not in writes]
-        self._persist(store, writes, deletes)
+        # cursors missing, diverged, ahead of durable state, a stale
+        # layout, or the log tail is unusable: rebuild everything from the
+        # stored base records
+        counts = self.rebuild_store(store, target, existing_keys)
         self._set_lag_gauges(0)
         self.recovered_mode = "rebuild"
-        return {"mode": "rebuild", "records": len(writes), "replayed": 0}
+        return {"mode": "rebuild", "records": counts["records"], "replayed": 0}
+
+    def rebuild_store(
+        self, store: Any, seq: int, existing: Iterable[str]
+    ) -> dict[str, int]:
+        """Rebuild the image from a store's base records at ``seq`` and
+        persist it in one transaction, deleting each ``existing`` key it
+        no longer writes; returns counts for reporting."""
+        instances = [compact_instance(raw) for _, raw in store.scan(INSTANCE_PREFIX)]
+        items = [compact_item(raw) for _, raw in store.scan(WORKITEM_PREFIX)]
+        writes = self.rebuild(instances, items, seq)
+        stale = [key for key in existing if key not in writes]
+        self._persist(store, writes, stale)
+        return {
+            "instances": len(instances),
+            "work_items": len(items),
+            "records": len(writes),
+            "deleted": len(stale),
+            "seq": seq,
+        }
 
     def _replay_touched(
         self, store: Any, tail: list[dict[str, Any]], target: int
@@ -446,22 +477,6 @@ class ProjectionManager:
         ]
         return self._apply(instances, items, target)
 
-    def finished_instance(self, instance_id: str) -> bool:
-        """Whether the image lists the instance as finished.
-
-        Recovery skips decoding exactly these: the image is never ahead
-        of the store and no instance leaves a finished state, so a case
-        finished here is finished on disk.
-        """
-        record = self.by_state.records.get(instance_id)
-        return record is not None and record["state"] in TERMINAL_INSTANCE_STATES
-
-    def finished_item(self, item_id: str) -> bool:
-        """Whether the image lists the work item as completed or cancelled
-        (final, as for :meth:`finished_instance`)."""
-        record = self.worklist.records.get(item_id)
-        return record is not None and record["state"] in TERMINAL_ITEM_STATES
-
     def _persist(
         self, store: Any, writes: dict[str, Any], deletes: Iterable[str]
     ) -> None:
@@ -469,7 +484,10 @@ class ProjectionManager:
             for key in deletes:
                 store.delete(key)
             for key in sorted(writes):
-                store.put(key, writes[key])
+                if writes[key] is None:
+                    store.delete(key)
+                else:
+                    store.put(key, writes[key])
         store.sync()
         self.confirm()
 
@@ -498,46 +516,33 @@ class ProjectionManager:
             ids = self.ids_for_business_key(business_key)
         else:
             self._materialize()
-            if state is None:
-                ids = self.by_state.all_ids()
-            else:
-                ids = self.by_state.ids_in_state(state)
-                state = None  # the bucket is the filter
+            ids = self.by_state.ids(state)
+            state = None  # the bucket is the filter
         if state is None and definition is None:
             return ids
-        records = self.by_state.records
+        record = self.by_state.record
         return [
             instance_id
             for instance_id in ids
-            if (state is None or records[instance_id]["state"] == state)
-            and (definition is None or records[instance_id]["definition"] == definition)
+            if (state is None or record(instance_id)["state"] == state)
+            and (definition is None or record(instance_id)["definition"] == definition)
         ]
 
     def ids_for_business_key(self, business_key: str) -> list[str]:
         self._materialize()
-        if not business_key.startswith("__"):
-            return self.by_key.ids_for_key(business_key)
-        # reserved for bookkeeping suffixes, so not indexed by by_key
-        records = self.by_state.records
-        return [
-            instance_id
-            for instance_id in self.by_state.all_ids()
-            if records[instance_id]["business_key"] == business_key
-        ]
+        return self.by_state.ids_for_key(business_key)
 
     def instance_counts(self) -> dict[str, int]:
         """Instances per state, states with none left out."""
         self._materialize()
-        buckets = self.by_state.buckets
+        counts = self.by_state.state_counts
         return {
-            state: len(buckets[state])
-            for state in INSTANCE_STATES
-            if buckets.get(state)
+            state: counts[state] for state in INSTANCE_STATES if counts.get(state)
         }
 
     def work_item_ids(self, state: str | None = None) -> list[str]:
         self._materialize()
-        return self.worklist.item_ids(state)
+        return self.worklist.ids(state)
 
     def open_work_items(self) -> int:
         self._materialize()

@@ -28,16 +28,27 @@ and full rebuild converge on identical persisted bytes:
 * persisted records are built with a fixed key order, aggregate maps
   with sorted or fixed-enumeration keys.
 
-Suffixes beginning with ``__`` (``__cursor``, ``__queues``) are
-reserved for projection bookkeeping — a business key starting with
-``__`` is therefore not indexed by :class:`ByBusinessKey`.
+**The finished tier.**  A finished instance or work item never changes
+again: migration refuses finished instances, a terminal work item has
+no transition out, and compensation keeps ``state`` and ``ended_at``.
+:class:`InstancesByState` and :class:`WorklistQueues` therefore keep one
+record per *live* entity (``view/<name>/<id>``) and move an entity that
+reaches a terminal state into page ``rank // PAGE`` of a columnar
+finished tier, persisted whole as ``view/<name>/__p<k>`` by the next
+drain.  A page keeps its members in ``(rank, id)`` order, so its content
+is a function of their final records alone, and the manager drops a
+re-put of a paged entity before any projection sees it.
+
+Suffixes beginning with ``__`` (``__cursor``, ``__queues``, ``__p<k>``)
+are reserved for projection bookkeeping.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from array import array
+from bisect import bisect_left, bisect_right, insort
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.analytics.kpis import CycleTimeAggregate
 
@@ -45,6 +56,12 @@ T = TypeVar("T")
 
 #: reserved record suffix holding a projection's applied dispatch seq
 CURSOR_SUFFIX = "__cursor"
+
+#: finished entities per page of the finished tier: page k holds ranks
+#: k * PAGE to (k + 1) * PAGE - 1
+PAGE = 64
+#: reserved record suffix of finished-tier page k (``__p<k>``)
+PAGE_SUFFIX = "__p"
 
 #: instance states in persisted-record enumeration order
 INSTANCE_STATES = ("running", "suspended", "completed", "failed", "terminated")
@@ -196,7 +213,8 @@ class Projection:
     (``old is None`` on first sight).  ``dirty_records()`` materializes
     the records changed since the last ``clear_dirty()`` — values are
     built at call time, so a retried flush after a failed transaction
-    re-emits the *current* (converged) image.
+    re-emits the *current* (converged) image; a value of ``None``
+    deletes the record.
 
     The manager feeds whole batches through ``apply_instances`` /
     ``apply_items`` (a list of ``(old, new)`` pairs in ``(rank, id)``
@@ -209,6 +227,9 @@ class Projection:
     """
 
     name: str = ""
+    #: the loaded records are in a layout this build does not write;
+    #: recovery rebuilds such an image
+    stale = False
 
     def __init__(self) -> None:
         self._dirty_keys: set[str] = set()
@@ -253,34 +274,289 @@ class Projection:
         raise NotImplementedError
 
 
-class InstancesByState(Projection):
-    """The applied-instance table, bucketed by state.
+def _column(field: str, values: Iterable[Any] = ()) -> Any:
+    """A page column: ranks as ``array('q')``, state codes as a
+    ``bytearray``, any other field as a list."""
+    if field == "rank":
+        return array("q", values)
+    if field == "state":
+        return bytearray(values)
+    return list(values)
 
-    Persists one compact record per instance (``view/by_state/<id>``).
-    In memory it keeps the rank-ordered creation sequence and per-state
-    buckets, so ``instances(state=...)`` is O(matches log matches) and
-    the manager's transition computation (``previous()``) is O(1).
+
+class _Page:
+    """One rank page of finished records, a column per compact field.
+
+    Members stay in ``(rank, id)`` order whatever order they were sealed
+    in; the ``state`` column holds codes into the owner's ``states``.
     """
 
-    name = "by_state"
+    __slots__ = ("columns",)
+
+    def __init__(self, fields: Sequence[str], raw: dict[str, Any] | None = None):
+        self.columns = {
+            field: _column(field, () if raw is None else raw[field])
+            for field in fields
+        }
+
+    def find(self, rank: int, entity_id: str) -> int:
+        """Position of ``entity_id`` (of ``rank``) in the page, or -1."""
+        ranks, ids = self.columns["rank"], self.columns["id"]
+        at = bisect_left(ranks, rank)
+        while at < len(ranks) and ranks[at] == rank:
+            if ids[at] == entity_id:
+                return at
+            at += 1
+        return -1
+
+    def insert(self, record: dict[str, Any], code: int) -> None:
+        ranks, ids = self.columns["rank"], self.columns["id"]
+        rank, entity_id = record["rank"], record["id"]
+        at = bisect_right(ranks, rank)
+        while at and ranks[at - 1] == rank and ids[at - 1] > entity_id:
+            at -= 1
+        for field, column in self.columns.items():
+            column.insert(at, code if field == "state" else record[field])
+
+    def record(self, at: int, states: Sequence[str]) -> dict[str, Any]:
+        return {
+            field: states[column[at]] if field == "state" else column[at]
+            for field, column in self.columns.items()
+        }
+
+    def to_dict(self) -> dict[str, list[Any]]:
+        return {field: list(column) for field, column in self.columns.items()}
+
+
+class _Tiered(Projection):
+    """Live entities one record each, finished ones in rank pages.
+
+    Subclasses name the entity's ``states`` (the page codes), the
+    ``terminal`` ones it never leaves, and the compact-record ``fields``.
+    A live record persists as ``<id>``; the drain that pages an entity
+    deletes it, unless no drain ever wrote it.  Nothing on the apply path
+    is O(entities): paging an entity pops it from two dicts and inserts
+    it into one page of at most ``PAGE`` ranks.
+    """
+
+    states: tuple[str, ...] = ()
+    terminal: frozenset[str] = frozenset()
+    fields: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         super().__init__()
+        self._codes = {state: code for code, state in enumerate(self.states)}
+        self.reset()
+
+    def reset(self) -> None:
+        #: live entities: id -> compact record, and state -> {id: rank}
         self.records: dict[str, dict[str, Any]] = {}
-        # (rank, id) appended at first sight — ranks are per-engine
-        # creation sequences and batches apply in rank order, so the
-        # list stays sorted without re-sorting
-        self.order: list[tuple[int, str]] = []
         self.buckets: dict[str, dict[str, int]] = {}
+        #: the finished tier: page number -> columns
+        self.pages: dict[int, _Page] = {}
+        #: entities per state, both tiers
+        self.state_counts: dict[str, int] = {}
+        self.stale = False
+        self._dirty_keys.clear()
+        self._dirty_pages: set[int] = set()
+        # paged ids whose live record a drain wrote (the next drain
+        # deletes it), and live ids no drain has written yet
+        self._gone: set[str] = set()
+        self._unwritten: set[str] = set()
         # memoized rank-ordered id lists per query key (state or None for
         # all): repeated queries over a quiesced engine are the dashboard
-        # steady state, and re-sorting a bucket per call would hand back
-        # the scatter-scan cost the projection exists to avoid.  Entries
-        # invalidate only when a transition changes bucket membership.
+        # steady state.  Any applied batch invalidates them.
         self._id_cache: dict[str | None, list[str]] = {}
 
-    def previous(self, instance_id: str) -> dict[str, Any] | None:
-        return self.records.get(instance_id)
+    def _apply(self, pairs: Sequence[tuple[dict | None, dict]]) -> None:
+        records = self.records
+        buckets = self.buckets
+        counts = self.state_counts
+        terminal = self.terminal
+        dirty = self._dirty_keys
+        unwritten = self._unwritten
+        for old, new in pairs:
+            entity_id = new["id"]
+            state = new["state"]
+            if old is not None:
+                old_state = old["state"]
+                if old_state == state:
+                    records[entity_id] = new
+                    dirty.add(entity_id)
+                    continue
+                buckets.get(old_state, {}).pop(entity_id, None)
+                counts[old_state] = counts.get(old_state, 1) - 1
+            counts[state] = counts.get(state, 0) + 1
+            if state in terminal:
+                if old is not None:
+                    records.pop(entity_id, None)
+                    dirty.discard(entity_id)
+                    if entity_id in unwritten:
+                        unwritten.discard(entity_id)
+                    else:
+                        self._gone.add(entity_id)
+                self._seal(new)
+                continue
+            bucket = buckets.get(state)
+            if bucket is None:
+                bucket = buckets[state] = {}
+            bucket[entity_id] = new["rank"]
+            records[entity_id] = new
+            dirty.add(entity_id)
+            if old is None:
+                unwritten.add(entity_id)
+        self._id_cache.clear()
+
+    def _seal(self, record: dict[str, Any]) -> None:
+        number = record["rank"] // PAGE
+        page = self.pages.get(number)
+        if page is None:
+            page = self.pages[number] = _Page(self.fields)
+        page.insert(record, self._codes[record["state"]])
+        self._dirty_pages.add(number)
+
+    def paged(self, record: dict[str, Any]) -> bool:
+        """Whether the entity of ``record`` is final (in a page)."""
+        page = self.pages.get(record["rank"] // PAGE)
+        return page is not None and page.find(record["rank"], record["id"]) >= 0
+
+    def transitions(
+        self, records: Iterable[dict[str, Any]]
+    ) -> list[tuple[dict | None, dict]]:
+        """``(previous, current)`` pairs for a batch of current records.
+
+        A paged entity is final, so its re-put (a compensated finished
+        instance) is dropped here, before any projection sees it.
+        """
+        live = self.records.get
+        pairs = []
+        for record in records:
+            old = live(record["id"])
+            if old is not None or not self.paged(record):
+                pairs.append((old, record))
+        return pairs
+
+    def dirty_records(self) -> dict[str, Any]:
+        out: dict[str, Any] = {key: self.records[key] for key in self._dirty_keys}
+        self._unwritten.difference_update(self._dirty_keys)
+        out.update(dict.fromkeys(self._gone))
+        for number in self._dirty_pages:
+            out[f"{PAGE_SUFFIX}{number}"] = self.pages[number].to_dict()
+        return out
+
+    def clear_dirty(self) -> None:
+        super().clear_dirty()
+        self._gone.clear()
+        self._dirty_pages.clear()
+
+    def load_record(self, suffix: str, value: Any) -> None:
+        if suffix.startswith(PAGE_SUFFIX) and suffix[len(PAGE_SUFFIX):].isdigit():
+            self.pages[int(suffix[len(PAGE_SUFFIX):])] = _Page(self.fields, value)
+            return
+        state = value.get("state")
+        if state in self._codes and state not in self.terminal:
+            self.records[suffix] = value
+            return
+        # an older layout kept finished entities per id, and a record
+        # without a state is none of ours: recovery rebuilds either image
+        self.stale = True
+        if state in self.terminal:
+            self._seal(value)
+
+    def finish_load(self) -> None:
+        buckets: dict[str, dict[str, int]] = {}
+        counts: dict[str, int] = {}
+        for entity_id, record in self.records.items():
+            state = record["state"]
+            buckets.setdefault(state, {})[entity_id] = record["rank"]
+            counts[state] = counts.get(state, 0) + 1
+        for page in self.pages.values():
+            codes = page.columns["state"]
+            for state in self.terminal:
+                counts[state] = counts.get(state, 0) + codes.count(self._codes[state])
+        self.buckets = buckets
+        self.state_counts = counts
+        self._id_cache = {}
+
+    def record_count(self) -> int:
+        return sum(self.state_counts.values())
+
+    # -- queries (returned lists are cached — callers must not mutate)
+    def ids(self, state: str | None = None) -> list[str]:
+        """Ids in ``(rank, id)`` order, all or of one state."""
+        ids = self._id_cache.get(state)
+        if ids is None:
+            live = sorted(
+                (rank, entity_id)
+                for name, bucket in self.buckets.items()
+                if state in (None, name)
+                for entity_id, rank in bucket.items()
+            )
+            paged = (
+                self._paged(self._codes.get(state))
+                if state is None or state in self.terminal
+                else ()
+            )
+            ids = self._id_cache[state] = [
+                entity_id for _, entity_id in heapq.merge(paged, live)
+            ]
+        return ids
+
+    def _paged(self, code: int | None) -> Iterator[tuple[int, str]]:
+        for number in sorted(self.pages):
+            columns = self.pages[number].columns
+            for rank, entity_id, member in zip(
+                columns["rank"], columns["id"], columns["state"]
+            ):
+                if code is None or member == code:
+                    yield rank, entity_id
+
+    def live_ids(self) -> list[str]:
+        """Live entity ids in ``(rank, id)`` order."""
+        records = self.records
+        return sorted(records, key=lambda entity_id: (records[entity_id]["rank"], entity_id))
+
+    def record(self, entity_id: str) -> dict[str, Any] | None:
+        """The compact record of a live or finished entity."""
+        record = self.records.get(entity_id)
+        if record is None:
+            rank = creation_rank(entity_id)
+            page = self.pages.get(rank // PAGE)
+            at = -1 if page is None else page.find(rank, entity_id)
+            if at >= 0:
+                record = page.record(at, self.states)
+        return record
+
+    def top_rank(self) -> int:
+        """The highest creation rank indexed (0 when empty)."""
+        top = max((record["rank"] for record in self.records.values()), default=0)
+        if self.pages:
+            top = max(top, self.pages[max(self.pages)].columns["rank"][-1])
+        return top
+
+
+class InstancesByState(_Tiered):
+    """The instance table: live instances by state, finished ones paged.
+
+    Persists one compact record per live instance
+    (``view/by_state/<id>``) and the finished tier's pages
+    (``view/by_state/__p<k>``).  The business-key index (key -> ids in
+    creation order) is derived, never persisted: maintained on apply and
+    rebuilt by :meth:`finish_load` from the live records and the page
+    columns.
+    """
+
+    name = "by_state"
+    states = INSTANCE_STATES
+    terminal = TERMINAL_INSTANCE_STATES
+    fields = (
+        "id", "rank", "state", "definition", "business_key", "created_at",
+        "ended_at",
+    )
+
+    def reset(self) -> None:
+        super().reset()
+        self.keys: dict[str, list[str]] = {}
 
     def on_instance(self, old: dict | None, new: dict) -> None:
         self.apply_instances(((old, new),))
@@ -290,136 +566,33 @@ class InstancesByState(Projection):
     ) -> None:
         if not pairs:
             return
-        records = self.records
-        buckets = self.buckets
-        order = self.order
-        dirty = self._dirty_keys
+        self._apply(pairs)
+        keys = self.keys
         for old, new in pairs:
-            instance_id = new["id"]
-            new_state = new["state"]
-            if old is None:
-                order.append((new["rank"], instance_id))
-            elif old["state"] != new_state:
-                buckets.get(old["state"], {}).pop(instance_id, None)
-            bucket = buckets.get(new_state)
-            if bucket is None:
-                bucket = buckets[new_state] = {}
-            bucket[instance_id] = new["rank"]
-            records[instance_id] = new
-            dirty.add(instance_id)
-        self._id_cache.clear()
-
-    def dirty_records(self) -> dict[str, Any]:
-        return {key: self.records[key] for key in self._dirty_keys}
-
-    def load_record(self, suffix: str, value: Any) -> None:
-        self.records[suffix] = value
+            # keys are assigned at start and never change
+            if old is None and new["business_key"] is not None:
+                insort(
+                    keys.setdefault(new["business_key"], []),
+                    new["id"],
+                    key=creation_rank,
+                )
 
     def finish_load(self) -> None:
-        self.order = sorted(
-            (record["rank"], record["id"]) for record in self.records.values()
-        )
-        self.buckets = {}
-        self._id_cache = {}
-        for rank, instance_id in self.order:
-            record = self.records[instance_id]
-            self.buckets.setdefault(record["state"], {})[instance_id] = rank
+        super().finish_load()
+        keys: dict[str, list[str]] = {}
+        for number in sorted(self.pages):
+            columns = self.pages[number].columns
+            for entity_id, key in zip(columns["id"], columns["business_key"]):
+                if key is not None:
+                    keys.setdefault(key, []).append(entity_id)
+        for entity_id in self.live_ids():
+            key = self.records[entity_id]["business_key"]
+            if key is not None:
+                insort(keys.setdefault(key, []), entity_id, key=creation_rank)
+        self.keys = keys
 
-    def reset(self) -> None:
-        self.records.clear()
-        self.order = []
-        self.buckets = {}
-        self._id_cache = {}
-        self._dirty_keys.clear()
-
-    def record_count(self) -> int:
-        return len(self.records)
-
-    # -- queries (returned lists are cached — callers must not mutate)
-    def all_ids(self) -> list[str]:
-        ids = self._id_cache.get(None)
-        if ids is None:
-            ids = self._id_cache[None] = [
-                instance_id for _, instance_id in self.order
-            ]
-        return ids
-
-    def ids_in_state(self, state: str) -> list[str]:
-        ids = self._id_cache.get(state)
-        if ids is None:
-            bucket = self.buckets.get(state) or {}
-            ids = self._id_cache[state] = [
-                instance_id
-                for _, instance_id in sorted(
-                    (rank, instance_id) for instance_id, rank in bucket.items()
-                )
-            ]
-        return ids
-
-
-class ByBusinessKey(Projection):
-    """Instance ids per business key (``view/by_key/<key>``).
-
-    Each record is ``{"ids": [...]}`` in creation-rank order; inserts go
-    through ``bisect.insort`` on ``(rank, id)`` so incremental
-    maintenance and rebuild produce the same ordering whatever the
-    arrival order.
-    """
-
-    name = "by_key"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.keys: dict[str, list[tuple[int, str]]] = {}
-
-    def on_instance(self, old: dict | None, new: dict) -> None:
-        self.apply_instances(((old, new),))
-
-    def apply_instances(
-        self, pairs: Sequence[tuple[dict | None, dict]]
-    ) -> None:
-        keys = self.keys
-        dirty = self._dirty_keys
-        for old, new in pairs:
-            new_key = new["business_key"]
-            old_key = old["business_key"] if old is not None else None
-            if new_key is None and old_key is None:
-                continue  # the common keyless case: nothing to index
-            if old is not None and old_key == new_key:
-                continue  # keys are assigned at start; nothing to reindex
-            if old_key is not None and not old_key.startswith("__"):
-                bucket = keys.get(old_key, [])
-                entry = (old["rank"], old["id"])
-                if entry in bucket:
-                    bucket.remove(entry)
-                dirty.add(old_key)
-            if new_key is not None and not new_key.startswith("__"):
-                bisect.insort(
-                    keys.setdefault(new_key, []), (new["rank"], new["id"])
-                )
-                dirty.add(new_key)
-
-    def dirty_records(self) -> dict[str, Any]:
-        return {
-            key: {"ids": [entry_id for _, entry_id in self.keys.get(key, [])]}
-            for key in self._dirty_keys
-        }
-
-    def load_record(self, suffix: str, value: Any) -> None:
-        self.keys[suffix] = [
-            (creation_rank(entry_id), entry_id) for entry_id in value["ids"]
-        ]
-
-    def reset(self) -> None:
-        self.keys.clear()
-        self._dirty_keys.clear()
-
-    def record_count(self) -> int:
-        return len(self.keys)
-
-    # -- queries
     def ids_for_key(self, business_key: str) -> list[str]:
-        return [entry_id for _, entry_id in self.keys.get(business_key, [])]
+        return list(self.keys.get(business_key, ()))
 
 
 class DefinitionStats(Projection):
@@ -532,30 +705,28 @@ class DefinitionStats(Projection):
         return {key: self._record(key) for key in sorted(self.stats)}
 
 
-class WorklistQueues(Projection):
-    """The worklist queue view (``view/worklist/<id>`` + ``__queues``).
+class WorklistQueues(_Tiered):
+    """The worklist queue view: live items, finished pages, ``__queues``.
 
-    Persists one compact record per work item plus a single ``__queues``
-    aggregate: total open items, open count per role, and a per-state
-    census — the record ``repro cluster status`` and the allocator
-    dashboards read instead of scanning every item.
+    Persists one compact record per open work item
+    (``view/worklist/<id>``), the finished tier's pages
+    (``view/worklist/__p<k>``) and a single ``__queues`` aggregate: total
+    open items, open count per role, and a per-state census.  Loading
+    derives the aggregate from the live records and the page codes.
     """
 
     name = "worklist"
+    states = ITEM_STATES
+    terminal = TERMINAL_ITEM_STATES
+    fields = (
+        "id", "rank", "instance_id", "node_id", "role", "priority", "state",
+        "created_at", "allocated_to",
+    )
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: dict[str, dict[str, Any]] = {}
-        self.order: list[tuple[int, str]] = []
-        self.buckets: dict[str, dict[str, int]] = {}
+    def reset(self) -> None:
+        super().reset()
         self.role_open: dict[str, int] = {}
-        self.state_counts: dict[str, int] = {}
         self.open_total = 0
-        # memoized id lists per query key, as in InstancesByState
-        self._id_cache: dict[str | None, list[str]] = {}
-
-    def previous(self, item_id: str) -> dict[str, Any] | None:
-        return self.records.get(item_id)
 
     def on_item(self, old: dict | None, new: dict) -> None:
         self.apply_items(((old, new),))
@@ -563,53 +734,24 @@ class WorklistQueues(Projection):
     def apply_items(self, pairs: Sequence[tuple[dict | None, dict]]) -> None:
         if not pairs:
             return
-        records = self.records
-        buckets = self.buckets
-        counts = self.state_counts
+        self._apply(pairs)
         role_open = self.role_open
-        order = self.order
-        dirty = self._dirty_keys
         open_total = self.open_total
         for old, new in pairs:
-            item_id = new["id"]
-            new_state = new["state"]
-            if old is None:
-                old_state = None
-                changed = True
-                order.append((new["rank"], item_id))
-            else:
-                old_state = old["state"]
-                changed = old_state != new_state
-                if changed:
-                    buckets.get(old_state, {}).pop(item_id, None)
-                    counts[old_state] = counts.get(old_state, 1) - 1
-            if changed:
-                bucket = buckets.get(new_state)
-                if bucket is None:
-                    bucket = buckets[new_state] = {}
-                bucket[item_id] = new["rank"]
-                counts[new_state] = counts.get(new_state, 0) + 1
-            was_open = old is not None and old_state not in TERMINAL_ITEM_STATES
-            is_open = new_state not in TERMINAL_ITEM_STATES
+            was_open = old is not None and old["state"] not in TERMINAL_ITEM_STATES
+            is_open = new["state"] not in TERMINAL_ITEM_STATES
             if is_open and not was_open:
                 open_total += 1
                 role_open[new["role"]] = role_open.get(new["role"], 0) + 1
             elif was_open and not is_open:
                 open_total -= 1
                 role_open[old["role"]] = role_open.get(old["role"], 1) - 1
-            records[item_id] = new
-            dirty.add(item_id)
         self.open_total = open_total
-        dirty.add("__queues")
-        self._id_cache.clear()
 
     def dirty_records(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for key in self._dirty_keys:
-            if key == "__queues":
-                out[key] = self._queues_record()
-            else:
-                out[key] = self.records[key]
+        out = super().dirty_records()
+        if out:  # every applied item dirties a record, so the aggregate moved
+            out["__queues"] = self._queues_record()
         return out
 
     def _queues_record(self) -> dict[str, Any]:
@@ -626,58 +768,12 @@ class WorklistQueues(Projection):
         }
 
     def load_record(self, suffix: str, value: Any) -> None:
-        if suffix == "__queues":
-            return  # derived below from the item records
-        self.records[suffix] = value
+        if suffix != "__queues":  # derived in finish_load
+            super().load_record(suffix, value)
 
     def finish_load(self) -> None:
-        self.order = sorted(
-            (record["rank"], record["id"]) for record in self.records.values()
-        )
-        self.buckets = {}
+        super().finish_load()
+        self.open_total = len(self.records)
         self.role_open = {}
-        self.state_counts = {}
-        self.open_total = 0
-        self._id_cache = {}
-        for rank, item_id in self.order:
-            record = self.records[item_id]
-            self.buckets.setdefault(record["state"], {})[item_id] = rank
-            self.state_counts[record["state"]] = (
-                self.state_counts.get(record["state"], 0) + 1
-            )
-            if record["state"] not in TERMINAL_ITEM_STATES:
-                self.open_total += 1
-                self.role_open[record["role"]] = (
-                    self.role_open.get(record["role"], 0) + 1
-                )
-
-    def reset(self) -> None:
-        self.records.clear()
-        self.order = []
-        self.buckets = {}
-        self.role_open = {}
-        self.state_counts = {}
-        self.open_total = 0
-        self._id_cache = {}
-        self._dirty_keys.clear()
-
-    def record_count(self) -> int:
-        return len(self.records)
-
-    # -- queries (returned lists are cached — callers must not mutate)
-    def item_ids(self, state: str | None = None) -> list[str]:
-        ids = self._id_cache.get(state)
-        if ids is not None:
-            return ids
-        if state is None:
-            ids = [item_id for _, item_id in self.order]
-        else:
-            bucket = self.buckets.get(state) or {}
-            ids = [
-                item_id
-                for _, item_id in sorted(
-                    (rank, item_id) for item_id, rank in bucket.items()
-                )
-            ]
-        self._id_cache[state] = ids
-        return ids
+        for record in self.records.values():
+            self.role_open[record["role"]] = self.role_open.get(record["role"], 0) + 1

@@ -14,10 +14,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.engine.dispatch import DISPATCH_PREFIX
-from repro.engine.instance import INSTANCE_PREFIX
 from repro.views.manager import VIEW_PREFIX, ProjectionManager
-from repro.views.projections import compact_instance, compact_item
-from repro.worklist.service import WORKITEM_PREFIX
+
+
+def stored_dispatch_seq(store: Any) -> int:
+    """Highest persisted dispatch sequence in a store (0 when empty)."""
+    return max(
+        (int(raw.get("seq", 0)) for _, raw in store.scan(DISPATCH_PREFIX)), default=0
+    )
 
 
 def rebuild_store_views(store: Any) -> dict[str, int]:
@@ -27,24 +31,6 @@ def rebuild_store_views(store: Any) -> dict[str, int]:
     deleted in the same transaction, so the namespace never mixes
     epochs.  Returns counts for reporting.
     """
-    instances = [compact_instance(raw) for _, raw in store.scan(INSTANCE_PREFIX)]
-    items = [compact_item(raw) for _, raw in store.scan(WORKITEM_PREFIX)]
-    seq = 0
-    for _, raw in store.scan(DISPATCH_PREFIX):
-        seq = max(seq, int(raw.get("seq", 0)))
-    manager = ProjectionManager()
-    writes = manager.rebuild(instances, items, seq)
-    stale = [key for key, _ in store.scan(VIEW_PREFIX) if key not in writes]
-    with store.transaction():
-        for key in stale:
-            store.delete(key)
-        for key in sorted(writes):
-            store.put(key, writes[key])
-    store.sync()
-    return {
-        "instances": len(instances),
-        "work_items": len(items),
-        "records": len(writes),
-        "deleted": len(stale),
-        "seq": seq,
-    }
+    return ProjectionManager().rebuild_store(
+        store, stored_dispatch_seq(store), store.keys(VIEW_PREFIX)
+    )

@@ -395,11 +395,9 @@ class WorklistService:
         """Serializable snapshot of all items (engine persistence)."""
         return [item.to_dict() for item in self.items()]
 
-    def import_items(
-        self, raw_items: list[dict[str, Any]], stored_ids: Iterable[str] = ()
-    ) -> None:
-        """Restore items from a snapshot (engine recovery); ``stored_ids``
-        names items left in the store, whose ids stay taken."""
+    def import_items(self, raw_items: list[dict[str, Any]], floor: int = 0) -> None:
+        """Restore items from a snapshot (engine recovery); generated ids
+        continue above ``floor`` and above every imported one."""
         for raw in raw_items:
             item = WorkItem.from_dict(raw)
             self._items[item.id] = item
@@ -413,24 +411,20 @@ class WorklistService:
             # a delta, not set(): cluster shards share one gauge
             self._g_open.inc(len(self._open) - was_open)
         # keep generated ids unique after recovery
-        numeric = [
-            _id_counter(item_id)
-            for item_id in itertools.chain(self._items, stored_ids)
-            if item_id.startswith(self._id_prefix)
-        ]
-        if any(numeric):
-            self._id_counter = itertools.count(max(numeric) + 1)
+        top = max(
+            [floor]
+            + [
+                _id_counter(item_id)
+                for item_id in self._items
+                if item_id.startswith(self._id_prefix)
+            ]
+        )
+        if top:
+            self._id_counter = itertools.count(top + 1)
 
-    def load(self, store: KeyValueStore, finished: Callable[[str], bool]) -> int:
-        """Restore the ``workitem/`` records of a store; returns items stored.
-
-        Items ``finished(item_id)`` names are not decoded: they stay in the
-        store until :meth:`item` reads them.  The rest are imported by
-        creation counter (store keys sort ``wi-10`` before ``wi-2``), so
-        the open items are walked in creation order, as in a live service.
-        """
-        ids = [key[len(WORKITEM_PREFIX):] for key in store.keys(WORKITEM_PREFIX)]
-        raws = [store.get(WORKITEM_PREFIX + i) for i in ids if not finished(i)]
-        raws.sort(key=lambda raw: _id_counter(raw["id"]))
-        self.import_items(raws, ids)
-        return len(ids)
+    def load(self, store: KeyValueStore, ids: Iterable[str], floor: int) -> None:
+        """Restore the live items ``ids`` names, in creation order, from a
+        store.  Every other stored item stays there until :meth:`item`
+        reads it; ``floor`` is the highest creation counter stored, so
+        generated ids never reuse one."""
+        self.import_items([store.get(WORKITEM_PREFIX + i) for i in ids], floor)

@@ -13,41 +13,9 @@ from repro.engine.instance import InstanceState
 from repro.engine.migration import MigrationPlan
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import ScriptTask
-from repro.storage.kvstore import MemoryKV
 from repro.worklist.allocation import ShortestQueueAllocator
 
-
-class CountingKV(MemoryKV):
-    """MemoryKV that counts write operations and transactions."""
-
-    def __init__(self):
-        super().__init__()
-        self.puts = 0
-        self.deletes = 0
-        self.commits = 0
-        self.put_keys = []
-        self.delete_keys = []
-
-    def put(self, key, value):
-        self.puts += 1
-        self.put_keys.append(key)
-        super().put(key, value)
-
-    def delete(self, key):
-        self.deletes += 1
-        self.delete_keys.append(key)
-        return super().delete(key)
-
-    def commit(self):
-        self.commits += 1
-        super().commit()
-
-    def reset_counts(self):
-        self.puts = 0
-        self.deletes = 0
-        self.commits = 0
-        self.put_keys = []
-        self.delete_keys = []
+from tests.counting_kv import CountingKV
 
 
 def approval_model():

@@ -1,17 +1,21 @@
-"""Recovery decodes exactly the live set.
+"""Recovery decodes exactly the live set and reads O(live + pages).
 
 A restart constructs objects only for the instances and work items the
-read models do not list as finished; any other stored case stays on disk
-and is read through on first use.  Counted here by wrapping the two
-decoders (``ProcessInstance.from_dict``, ``WorkItem.from_dict``) around
+read models list as live; any other stored case stays on disk and is
+read through on first use.  Counted here by wrapping the two decoders
+(``ProcessInstance.from_dict``, ``WorkItem.from_dict``) around
 ``recover()`` on a 3-shard cluster over ``DurableKV`` and over ``MemoryKV``,
 in each of the views' recovery modes.  Tail replay and rebuild compact
 the stored records themselves (as the offline rebuild does), so no mode
-constructs a finished case.
+constructs a finished case.  The stores count their reads: the view
+image costs one value per live entity, one per rank page of finished
+ones, and a constant, and nothing lists the ``instance/`` or
+``workitem/`` keys.
 """
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -21,12 +25,14 @@ from repro.engine.errors import InstanceNotFoundError
 from repro.engine.instance import InstanceState, ProcessInstance
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import ScriptTask
-from repro.storage.kvstore import DurableKV, MemoryKV
 from repro.storage.serializers import json_encode
+from repro.views.projections import PAGE
 from repro.workers import WorkerPool
 from repro.worklist.allocation import ShortestQueueAllocator
 from repro.worklist.errors import UnknownWorkItemError
 from repro.worklist.items import WorkItem
+
+from tests.counting_kv import CountingDurableKV, CountingKV
 
 SHARDS = 3
 
@@ -85,12 +91,12 @@ class Stores:
     def __init__(self, kind, root):
         self.kind = kind
         self.root = root
-        self.memory = [MemoryKV() for _ in range(SHARDS)]
+        self.memory = [CountingKV() for _ in range(SHARDS)]
 
     def open(self, index):
         if self.kind == "memory":
             return self.memory[index]
-        return DurableKV(str(self.root / f"shard-{index}"))
+        return CountingDurableKV(str(self.root / f"shard-{index}"))
 
     def edit(self, change):
         """Apply ``change(store)`` to every closed shard store."""
@@ -200,6 +206,26 @@ def crash(cluster):
         shard.store.close()
 
 
+def recover_counted(cluster):
+    """``recover()``, checking each shard's store reads against the
+    O(live + pages) bound; returns the ``view/`` values each shard read."""
+    for shard in cluster.shards:
+        shard.store.reset_counts()
+    cluster.recover()
+    reads = []
+    for shard in cluster.shards:
+        store, views = shard.store, shard.views
+        assert not {"instance/", "workitem/"} & set(store.keys_prefixes)
+        # cursors, one record per definition, the worklist's __queues
+        bound = len(views.projections) + views.def_stats.record_count() + 1
+        for table in (views.by_state, views.worklist):
+            finished = table.record_count() - len(table.records)
+            bound += len(table.records) + math.ceil(finished / PAGE)
+        assert store.reads["view/"] <= bound
+        reads.append(store.reads["view/"])
+    return reads
+
+
 def delete_views(store):
     with store.transaction():
         for key in store.keys("view/"):
@@ -238,13 +264,22 @@ def test_recover_decodes_exactly_the_live_set(stores, decoded, scenario, mode):
 
     decoded["clear"]()
     recovered = build(stores)
-    recovered.recover()
+    first = recover_counted(recovered)
     modes = {shard.views.recovered_mode for shard in recovered.shards}
     assert modes == {mode}
     assert sorted(decoded["instances"]) == sorted(live_instances)
     assert sorted(decoded["items"]) == sorted(live_items)
     assert digest(recovered) == before
     recovered.close()
+
+    # the next restart loads what this one left, within the same bound
+    again = build(stores)
+    second = recover_counted(again)
+    assert {shard.views.recovered_mode for shard in again.shards} == {"load"}
+    if mode == "load":
+        assert second == first
+    assert digest(again) == before
+    again.close()
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -7,8 +7,15 @@ import pytest
 from repro.clock import VirtualClock
 from repro.engine.engine import ProcessEngine
 from repro.model.builder import ProcessBuilder
+from repro.model.elements import ScriptTask
 from repro.views.manager import ProjectionManager
-from repro.views.projections import compact_instance_obj, compact_item_obj
+from repro.views.projections import (
+    TERMINAL_INSTANCE_STATES,
+    TERMINAL_ITEM_STATES,
+    Projection,
+    compact_instance_obj,
+    compact_item_obj,
+)
 from repro.worklist.allocation import ShortestQueueAllocator
 
 
@@ -33,12 +40,71 @@ def auto_model():
     )
 
 
+def trip_model():
+    """Two steps, each with an undo handler: compensating a completed
+    trip re-puts a finished instance."""
+    builder = ProcessBuilder("trip")
+    builder.add_node(ScriptTask("cancel_flight", script="order = order + 'F'"))
+    builder.add_node(ScriptTask("cancel_hotel", script="order = order + 'H'"))
+    builder.start()
+    builder.script_task(
+        "book_flight", script="flight = 1", compensation_handler="cancel_flight"
+    )
+    builder.script_task(
+        "book_hotel", script="hotel = 1", compensation_handler="cancel_hotel"
+    )
+    builder.end()
+    return builder.build()
+
+
 def build_engine(store=None, **kwargs):
     kwargs.setdefault("clock", VirtualClock(0))
     engine = ProcessEngine(
         store=store, allocator=ShortestQueueAllocator(), **kwargs
     )
     engine.organization.add("ana", roles=["clerk"])
+    return engine
+
+
+class TerminalGuard(Projection):
+    """Fails the test when a projection is fed a transition out of a
+    terminal state, or any transition of an entity already seen final —
+    what the finished tier's drop rule must prevent."""
+
+    name = "terminal_guard"
+
+    def __init__(self):
+        super().__init__()
+        self.finished = set()
+
+    def on_instance(self, old, new):
+        self._check(old, new, TERMINAL_INSTANCE_STATES)
+
+    def on_item(self, old, new):
+        self._check(old, new, TERMINAL_ITEM_STATES)
+
+    def _check(self, old, new, terminal):
+        assert old is None or old["state"] not in terminal, (old, new)
+        assert new["id"] not in self.finished, f"{new['id']} left a final state"
+        if new["state"] in terminal:
+            self.finished.add(new["id"])
+
+    def dirty_records(self):
+        return {}
+
+    def reset(self):
+        self.finished.clear()
+
+    def record_count(self):
+        return 0
+
+
+def guarded(engine):
+    """``engine`` with a :class:`TerminalGuard` beside the built-in
+    projections (install before ``recover()``)."""
+    engine.views = ProjectionManager(extra_projections=(TerminalGuard(),))
+    engine.views.bind(engine)
+    engine.worklist.bind_index(engine.store, engine.views.work_item_ids)
     return engine
 
 

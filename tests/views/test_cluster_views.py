@@ -121,7 +121,8 @@ class TestFallback:
         assert len(c.work_items(WorkItemState.ALLOCATED)) == 2
         assert c.views.open_work_items() == 2
 
-    def test_reserved_business_key_uses_fallback_path(self):
+    def test_reserved_looking_business_key_is_indexed(self):
+        # no business key is reserved: the index is derived, never persisted
         c = cluster(shards=2)
         c.deploy(auto_model())
         c.start_instance("auto", {"n": 1}, business_key="__odd")

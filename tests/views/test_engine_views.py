@@ -7,30 +7,20 @@ import pytest
 from repro.engine.instance import InstanceState
 from repro.storage.kvstore import MemoryKV
 from repro.views.manager import ProjectionManager
+from repro.views.projections import INSTANCE_STATES
 from repro.worklist.items import WorkItemState
 
+from tests.counting_kv import CountingKV
 from tests.views.conftest import (
     approval_model,
     assert_byte_identical,
     auto_model,
     build_engine,
+    canonical,
+    guarded,
+    stored_view_image,
+    trip_model,
 )
-
-
-class CountingKV(MemoryKV):
-    def __init__(self):
-        super().__init__()
-        self.puts = 0
-        self.put_keys = []
-
-    def put(self, key, value):
-        self.puts += 1
-        self.put_keys.append(key)
-        super().put(key, value)
-
-    def reset_counts(self):
-        self.puts = 0
-        self.put_keys = []
 
 
 class TestFlushHook:
@@ -45,7 +35,9 @@ class TestFlushHook:
         assert record["business_key"] == "bk-1"
         cursor = store.get("view/by_state/__cursor")
         assert cursor == {"seq": engine.dispatch_log.seq}
-        assert store.get("view/by_key/bk-1") == {"ids": [instance.id]}
+        # the business-key index is derived in memory, never persisted
+        assert store.keys("view/by_key/") == []
+        assert engine.views.ids_for_business_key("bk-1") == [instance.id]
 
     def test_lifecycle_updates_propagate_to_all_projections(self):
         store = MemoryKV()
@@ -57,7 +49,11 @@ class TestFlushHook:
         engine.worklist.start(item.id)
         engine.complete_work_item(item.id)
         engine.flush()
-        assert store.get(f"view/by_state/{instance.id}")["state"] == "completed"
+        # finished: out of the live records, into rank page 0
+        assert store.get(f"view/by_state/{instance.id}") is None
+        page = store.get("view/by_state/__p0")
+        assert page["id"] == [instance.id]
+        assert page["state"] == [INSTANCE_STATES.index("completed")]
         stats = store.get("view/def_stats/approval")
         assert stats["total"] == 1
         assert stats["states"]["completed"] == 1
@@ -92,7 +88,7 @@ class TestFlushHook:
         status = engine.views.status()
         assert status["applied_seq"] == engine.dispatch_log.seq
         assert status["projections"]["by_state"] == 1
-        assert status["projections"]["by_key"] == 1
+        assert status["projections"]["def_stats"] == 1
         assert status["projections"]["worklist"] == 1
 
 
@@ -182,9 +178,13 @@ class TestWriteBehind:
         store.reset_counts()
         engine.flush()
         view_puts = [k for k in store.put_keys if k.startswith("view/")]
-        # the item changed state three times but persists once
-        assert view_puts.count(f"view/worklist/{item.id}") == 1
-        assert store.get(f"view/worklist/{item.id}")["state"] == "completed"
+        # the item changed state three times but persists once: finished,
+        # in its rank page and never as a live record
+        assert view_puts.count("view/worklist/__p0") == 1
+        assert f"view/worklist/{item.id}" not in view_puts
+        # no drain wrote its live record, so none deletes one either
+        assert not [k for k in store.delete_keys if k.startswith("view/")]
+        assert store.get("view/worklist/__p0")["id"] == [item.id]
 
 
 class TestExactBetweenFlushes:
@@ -284,3 +284,48 @@ class TestExtraProjections:
         engine.flush()
         assert store.get("view/started/total") == {"count": 2}
         assert store.get("view/started/__cursor")["seq"] == engine.dispatch_log.seq
+
+
+class TestFinishedTier:
+    """A finished entity's record is final: once paged, nothing about it
+    is written again."""
+
+    def test_compensating_a_paged_instance_changes_no_view_record(self):
+        store = CountingKV()
+        engine = guarded(build_engine(store=store))
+        engine.deploy(trip_model())
+        trip = engine.start_instance("trip", {"order": ""})
+        assert trip.state is InstanceState.COMPLETED
+        engine.flush()
+        assert store.get("view/by_state/__p0")["id"] == [trip.id]
+        before = stored_view_image(store)
+        store.reset_counts()
+        engine.compensate_instance(trip.id)
+        assert trip.variables["order"] == "HF"
+        engine.flush()  # forced: the drain runs, with the re-put noted
+        assert canonical(stored_view_image(store)) == canonical(before)
+        view_writes = [
+            key
+            for key in store.put_keys + store.delete_keys
+            if key.startswith("view/")
+        ]
+        assert view_writes and all(k.endswith("/__cursor") for k in view_writes)
+        assert engine.views.definition_stats()["trip"]["total"] == 1
+        assert_byte_identical(store, engine)
+
+    def test_paging_a_written_live_record_deletes_it(self):
+        store = MemoryKV()
+        engine = build_engine(store=store)
+        engine.deploy(approval_model())
+        instance = engine.start_instance("approval")
+        engine.flush()
+        assert store.get(f"view/by_state/{instance.id}")["state"] == "running"
+        item = engine.worklist.items()[0]
+        engine.start_work_item(item.id)
+        engine.complete_work_item(item.id)
+        engine.flush()
+        assert store.get(f"view/by_state/{instance.id}") is None
+        assert store.get(f"view/worklist/{item.id}") is None
+        assert store.get("view/by_state/__p0")["id"] == [instance.id]
+        assert store.get("view/worklist/__p0")["id"] == [item.id]
+        assert_byte_identical(store, engine)

@@ -5,7 +5,7 @@ import pytest
 from repro.analytics.kpis import CycleTimeAggregate
 from repro.storage.kvstore import MemoryKV
 from repro.views.projections import (
-    ByBusinessKey,
+    PAGE,
     DefinitionStats,
     InstancesByState,
     WorklistQueues,
@@ -148,23 +148,23 @@ class TestProjectionTransitions:
         view = InstancesByState()
         first = self._instance(1)
         view.on_instance(None, first)
-        assert view.ids_in_state("running") == ["p-1"]
+        assert view.ids("running") == ["p-1"]
         done = self._instance(1, state="completed", ended=5.0)
         view.on_instance(first, done)
-        assert view.ids_in_state("running") == []
-        assert view.ids_in_state("completed") == ["p-1"]
-        assert view.all_ids() == ["p-1"]
+        assert view.ids("running") == []
+        assert view.ids("completed") == ["p-1"]
+        assert view.ids() == ["p-1"]
 
-    def test_by_key_skips_reserved_and_none_keys(self):
-        view = ByBusinessKey()
+    def test_by_key_indexes_every_key_but_none(self):
+        # the index is derived, never persisted: no key is reserved
+        view = InstancesByState()
         view.on_instance(None, self._instance(1, key="__cursor"))
         view.on_instance(None, self._instance(2, key=None))
-        assert view.record_count() == 0
         view.on_instance(None, self._instance(3, key="ok"))
-        assert view.ids_for_key("ok") == ["p-3"]
+        assert view.keys == {"__cursor": ["p-1"], "ok": ["p-3"]}
 
     def test_by_key_orders_by_rank_whatever_arrival_order(self):
-        view = ByBusinessKey()
+        view = InstancesByState()
         view.on_instance(None, self._instance(9, key="k"))
         view.on_instance(None, self._instance(2, key="k"))
         assert view.ids_for_key("k") == ["p-2", "p-9"]
@@ -196,7 +196,7 @@ class TestProjectionTransitions:
         assert queues["open"] == 1
         assert queues["roles"] == {"manager": 1}
         assert queues["states"]["completed"] == 1
-        assert view.item_ids("allocated") == ["wi-2"]
+        assert view.ids("allocated") == ["wi-2"]
 
     def test_dirty_records_survive_until_clear(self):
         view = InstancesByState()

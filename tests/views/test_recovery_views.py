@@ -7,9 +7,13 @@ recovery it equals a from-scratch rebuild of that state byte for byte.
 
 import os
 
+from repro.engine.instance import InstanceState
 from repro.storage.kvstore import DurableKV
+from repro.views.manager import ProjectionManager
 from repro.views.rebuild import rebuild_store_views
+from repro.worklist.items import WorkItemState
 
+from tests.counting_kv import CountingDurableKV
 from tests.views.conftest import (
     approval_model,
     assert_byte_identical,
@@ -96,7 +100,7 @@ class TestRecoveryModes:
         engine.store.close()
 
         offline = DurableKV(path)
-        for name in ("by_state", "by_key", "def_stats", "worklist"):
+        for name in ("by_state", "def_stats", "worklist"):
             offline.put(f"view/{name}/__cursor", {"seq": seq - 1})
         offline.sync()
         offline.close()
@@ -159,6 +163,73 @@ class TestRecoveryModes:
         assert recovered.views.recovered_mode == "rebuild"
         assert recovered.store.get("view/by_state/ghost-99", None) is None
         recovered.store.close()
+
+
+def to_old_layout(store):
+    """Rewrite a store's view image as builds before the finished tier
+    wrote it: every finished entity kept per id, business keys persisted
+    under ``view/by_key/``."""
+    manager = ProjectionManager()
+    cursors, _ = manager.load(store)
+    with store.transaction():
+        for table in (manager.by_state, manager.worklist):
+            for number in table.pages:
+                store.delete(f"view/{table.name}/__p{number}")
+            for entity_id in table.ids():
+                store.put(f"view/{table.name}/{entity_id}", table.record(entity_id))
+        for key, ids in manager.by_state.keys.items():
+            store.put(f"view/by_key/{key}", {"ids": ids})
+        store.put("view/by_key/__cursor", {"seq": cursors["by_state"]})
+    store.sync()
+
+
+def answers(engine):
+    """What the business-key, by-state and worklist queries return."""
+    return {
+        "by_key": {
+            f"bk-{k}": [i.id for i in engine.find_instances(business_key=f"bk-{k}")]
+            for k in range(4)
+        },
+        "by_state": {
+            state.value: [i.id for i in engine.instances(state)]
+            for state in InstanceState
+        },
+        "worklist": {
+            state.value: [i.id for i in engine.worklist.items(state)]
+            for state in WorkItemState
+        },
+    }
+
+
+class TestOldLayout:
+    def test_old_layout_rebuilds_and_drops_stale_keys_in_one_commit(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "store")
+        engine = build_engine(store=DurableKV(path))
+        run_some_work(engine, instances=4)
+        engine.terminate_instance("approval-4")
+        engine.flush()
+        expected = answers(engine)
+        new_layout = set(engine.store.keys("view/"))
+        engine.store.close()
+
+        offline = DurableKV(path)
+        to_old_layout(offline)
+        stale = set(offline.keys("view/")) - new_layout
+        assert {"view/by_key/bk-0", "view/by_state/approval-1"} <= stale
+        offline.close()
+
+        store = CountingDurableKV(path)
+        recovered = build_engine(store=store)
+        recovered.recover()
+        assert recovered.views.recovered_mode == "rebuild"
+        assert store.commits == 1
+        assert stale <= set(store.delete_keys)
+        assert set(store.keys("view/")) == new_layout
+        assert answers(recovered) == expected
+        assert_byte_identical(store, recovered)
+        store.close()
 
 
 class TestTornCommit:
