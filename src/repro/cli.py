@@ -313,9 +313,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     engine, instance, _ = _traced_run(args)
-    # reading the legacy facade materializes every engine.* counter, so the
-    # registry dump is always a superset of EngineMetrics.snapshot() keys
-    engine.metrics.snapshot()
     snapshot = engine.obs.registry.snapshot()
     if args.json:
         print(json.dumps(snapshot, indent=2, sort_keys=True))

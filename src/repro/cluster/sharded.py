@@ -10,7 +10,7 @@ scale the same architecture.  Per-instance commands route determinis-
 tically (see :mod:`repro.cluster.router`) and dispatch in parallel;
 the GIL releases during store transactions, journal fsyncs, and service
 invocations, so the parallelism is real wall-clock win on I/O-bound
-workloads (bench_f11).
+workloads.
 
 Cross-shard semantics:
 

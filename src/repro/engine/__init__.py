@@ -28,7 +28,7 @@ from repro.engine.commands import (
     TerminateInstance,
     command_from_dict,
 )
-from repro.engine.dispatch import DEFAULT_MIDDLEWARE, Dispatcher
+from repro.engine.dispatch import Dispatcher
 from repro.engine.engine import ProcessEngine
 from repro.engine.errors import (
     BpmnError,
@@ -51,7 +51,6 @@ __all__ = [
     "Command",
     "CompleteWorkItem",
     "CorrelateMessage",
-    "DEFAULT_MIDDLEWARE",
     "DefinitionNotFoundError",
     "DeployDefinition",
     "Dispatcher",

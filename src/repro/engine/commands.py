@@ -19,7 +19,7 @@ Taxonomy
 the engine cannot trust to call exactly once — worklist handlers, message
 gateways, admin consoles.  They accept an optional ``dedup_key``: two
 dispatches with the same key apply once, the second returning the
-recorded result (see the idempotency middleware).  *Internal* commands
+recorded result (see :mod:`repro.engine.dispatch`).  *Internal* commands
 (``RunDueJobs``, ``AdvanceTime``) originate from the owning driver loop
 and carry no dedup key.
 """
@@ -296,7 +296,7 @@ class CorrelateMessage(Command):
         # in the bus's in-memory retained buffer — no engine record
         # changed, so logging it would turn a miss into a store write.
         # Deliveries leave the advanced instance dirty, and the dispatch
-        # log middleware's dirty-state fallback logs those; a dedup-keyed
+        # log step's dirty-state fallback logs those; a dedup-keyed
         # publish is always logged so the idempotency window survives
         # recovery.
         return self.dedup_key is not None
@@ -356,8 +356,8 @@ class RunDueJobs(Command):
     def loggable(self, result: Any) -> bool:
         # an idle pump (nothing fired) is a read-only call; logging it
         # would turn every driver tick into a store write.  When the pump
-        # *did* change state the commit middleware leaves dirty markers,
-        # which the log middleware also checks (see dispatch module).
+        # *did* change state it leaves pending writes, which the log
+        # step also checks (see dispatch module).
         return bool(result)
 
 
@@ -383,7 +383,7 @@ class CommandClient:
 
     Each method only builds a typed command and hands it to
     :meth:`dispatch` — the one abstract method.  :class:`~repro.engine.
-    engine.ProcessEngine` dispatches through its middleware pipeline;
+    engine.ProcessEngine` dispatches through its one command path;
     :class:`~repro.cluster.sharded.ShardedEngine` routes to a shard (or
     fans out) first.
     """

@@ -1,8 +1,8 @@
-"""The command dispatch pipeline: serialization gate + middleware chain.
+"""The command dispatch path: one ordered sequence of steps per command.
 
 Every public mutation of :class:`~repro.engine.engine.ProcessEngine` is a
 typed :class:`~repro.engine.commands.Command` executed through
-``engine.dispatch(cmd)``, which runs this composable middleware chain:
+``engine.dispatch(cmd)``, which runs :meth:`Dispatcher.dispatch`:
 
 1. **serialization gate** — a re-entrant lock making the engine safe for
    concurrent client threads.  All state mutation happens under it, so
@@ -11,20 +11,20 @@ typed :class:`~repro.engine.commands.Command` executed through
    same lock without deadlock and without re-queueing.
 2. **idempotency** — externally-originated commands may carry a client
    ``dedup_key``; a repeated key replays the recorded result instead of
-   double-applying the command.
+   double-applying the command, and counts only ``engine.commands.deduped``.
 3. **observability** — one ``engine.command`` span per dispatch plus
    ``engine.commands.dispatched`` / per-type counters, keyed by command
    name.  No per-entry-point instrumentation code remains in the engine.
-4. **commit** — the group-commit/flush policy from the persistence layer
-   runs once per dispatch (and honours ``engine.batch()`` deferral), even
-   when the handler raises: memory is the source of truth and the store
-   must not lag behind it.
-5. **dispatch log + history** — a bounded, persisted log of applied
-   commands (``dispatch/<seq>`` records; see ``repro commands`` CLI) and
-   a unified ``command.dispatched`` history event on the engine stream.
-
-Middleware are plain callables ``(engine, cmd, call_next) -> result`` so
-the chain is composable and testable in isolation.
+4. **handler, dispatch log, commit** — the handler runs; the command is
+   recorded in a bounded, persisted log of applied commands
+   (``dispatch/<seq>`` records; see ``repro commands`` CLI) and as a
+   ``command.dispatched`` event on the engine history stream; then the
+   group-commit/flush policy runs once (and honours ``engine.batch()``
+   deferral), even when the handler raised: memory is the source of
+   truth and the store must not lag behind it.  The flush comes after
+   the log step, so it persists the finalized entry.
+5. **dedup record** — only a successful dispatch records its key, so a
+   client may retry a failed command under the same key.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.commands import Command
+from repro.engine.errors import EngineError
 from repro.engine.instance import INSTANCE_PREFIX, ProcessInstance
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
@@ -44,9 +45,6 @@ from repro.worklist.service import WORKITEM_PREFIX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ProcessEngine
-
-#: middleware signature: ``(engine, command, call_next) -> result``
-Middleware = Callable[["ProcessEngine", Command, Callable[[Command], Any]], Any]
 
 #: store-key family of dispatch-log entries (``dispatch/<zero-padded seq>``)
 DISPATCH_PREFIX = "dispatch/"
@@ -132,9 +130,6 @@ def summarize_result(result: Any) -> Any:
     if isinstance(result, dict):
         # completion/requeue handlers return JSON-safe status dicts
         return result
-    summarize = getattr(result, "__dispatch_summary__", None)
-    if summarize is not None:
-        return summarize()
     # duck-typed: the engine's result objects (ProcessInstance, WorkItem,
     # Message) each expose a stable identifier
     if isinstance(result, ProcessInstance):
@@ -144,76 +139,6 @@ def summarize_result(result: Any) -> Any:
     if isinstance(result, Message):
         return {"message_id": result.id, "message_name": result.name}
     return repr(result)
-
-
-# -- the middleware -----------------------------------------------------------
-
-
-def idempotency_middleware(
-    engine: "ProcessEngine", cmd: Command, call_next: Callable[[Command], Any]
-) -> Any:
-    """Deduplicate externally-originated commands by client key.
-
-    A hit replays the recorded result of the first application (after a
-    crash/recovery, the persisted result *summary*: the dispatch log is
-    the durable record).  Failed commands are not recorded, so a client
-    may retry them under the same key.
-    """
-    key = cmd.dedup_key
-    if key is None:
-        return call_next(cmd)
-    log = engine.dispatch_log
-    hit = log.dedup.get(key)
-    if hit is not None:
-        engine._c_commands_deduped.inc()
-        return hit["result"]
-    result = call_next(cmd)
-    log.dedup[key] = {"result": result, "seq": log.seq}
-    return result
-
-
-def observability_middleware(
-    engine: "ProcessEngine", cmd: Command, call_next: Callable[[Command], Any]
-) -> Any:
-    """Span + metrics per dispatch, keyed by command type."""
-    engine._c_commands.inc()
-    counters = engine._command_counters
-    counter = counters.get(cmd.name)
-    if counter is None:
-        counter = counters[cmd.name] = engine.obs.registry.counter(
-            f"engine.commands.{cmd.name}"
-        )
-    counter.inc()
-    if not engine.obs.enabled:
-        return call_next(cmd)
-    # detached span (not on the tracer scope stack) so the existing
-    # engine -> instance -> node hierarchy is unchanged
-    span = engine._tracer.start_span(
-        "engine.command", parent=engine._engine_span, command=cmd.name
-    )
-    try:
-        result = call_next(cmd)
-    except BaseException:
-        span.finish("error")
-        raise
-    span.finish()
-    return result
-
-
-def commit_middleware(
-    engine: "ProcessEngine", cmd: Command, call_next: Callable[[Command], Any]
-) -> Any:
-    """Run the commit policy once per dispatch (PR 3 flush semantics).
-
-    Flushes in a ``finally``: when a handler raises after mutating
-    memory, the store must still catch up (same contract as
-    ``engine.batch()``).  A clean-failure dispatch (validation error, no
-    mutation) leaves nothing dirty, so the flush writes nothing.
-    """
-    try:
-        return call_next(cmd)
-    finally:
-        engine._flush()
 
 
 #: above this many combined dirty ids, a log entry's ``touched`` stamp
@@ -238,44 +163,9 @@ def _touched_snapshot(engine: "ProcessEngine") -> dict[str, list[str]] | None:
     return {"instances": sorted(instance_ids), "items": sorted(item_ids)}
 
 
-def dispatch_log_middleware(
-    engine: "ProcessEngine", cmd: Command, call_next: Callable[[Command], Any]
-) -> Any:
-    """Record the command in the dispatch log and the history stream.
-
-    Skips only commands that report themselves unloggable (idle pumps)
-    *and* left no pending writes behind — everything that mutated the engine
-    is in the log, which is what makes a sequential replay of the log
-    equivalent to the original concurrent run.
-
-    Each entry is stamped with the ``touched`` entity ids still dirty at
-    log time, so view recovery can replay only the tail of the log
-    (cursor → head) instead of rebuilding from scratch.
-    """
-    record: dict[str, Any] = {
-        "command": cmd.to_dict(),
-        "name": cmd.name,
-        "dedup_key": cmd.dedup_key,
-        "depth": engine._dispatcher.depth,
-        "at": engine.clock.now(),
-        "status": "applied",
-    }
-    try:
-        result = call_next(cmd)
-    except BaseException as exc:
-        record["status"] = "error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        record["touched"] = _touched_snapshot(engine)
-        _log(engine, record)
-        raise
-    if cmd.loggable(result) or engine.dispatch_log.state_changed():
-        record["result"] = summarize_result(result)
-        record["touched"] = _touched_snapshot(engine)
-        _log(engine, record)
-    return result
-
-
 def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
+    """Stamp, append and announce one finalized dispatch-log entry."""
+    record["touched"] = _touched_snapshot(engine)
     engine.dispatch_log.append(record)
     engine.history.record(
         HistoryService.ENGINE_STREAM,
@@ -288,19 +178,8 @@ def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
     )
 
 
-#: default chain, outermost first (the serialization gate is the
-#: dispatcher's lock itself).  Note the commit middleware wraps the log
-#: middleware so the flush persists the *finalized* log entry.
-DEFAULT_MIDDLEWARE: tuple[Middleware, ...] = (
-    idempotency_middleware,
-    observability_middleware,
-    commit_middleware,
-    dispatch_log_middleware,
-)
-
-
 class Dispatcher:
-    """Executes commands through the middleware chain, single-writer.
+    """Executes commands one at a time, in the order the module lists.
 
     The lock is shared with the worklist service and the message bus
     (``bind_lock``), so even clients that talk to those components
@@ -311,54 +190,102 @@ class Dispatcher:
         self,
         engine: "ProcessEngine",
         handlers: dict[type[Command], Callable[[Command], Any]],
-        middleware: tuple[Middleware, ...] = DEFAULT_MIDDLEWARE,
         lock: "threading.RLock | None" = None,
     ) -> None:
         self.engine = engine
         self.handlers = dict(handlers)
-        self.middleware = tuple(middleware)
         self.lock = lock if lock is not None else threading.RLock()
         #: current dispatch nesting depth (1 = outermost), valid only
         #: while the lock is held
         self.depth = 0
-        self._pipeline = self._compose()
-
-    def _compose(self) -> Callable[[Command], Any]:
-        """Fold the middleware chain around the terminal handler call."""
-
-        def terminal(cmd: Command) -> Any:
-            handler = self.handlers.get(type(cmd))
-            if handler is None:
-                from repro.engine.errors import EngineError
-
-                raise EngineError(
-                    f"no handler registered for command {cmd.name!r}"
-                )
-            return handler(cmd)
-
-        call = terminal
-        for mw in reversed(self.middleware):
-            call = _bind(mw, self.engine, call)
-        return call
 
     def dispatch(self, command: Command) -> Any:
-        """Execute one command through the full pipeline."""
+        """Execute one command through every step of the path."""
         if not isinstance(command, Command):
             raise TypeError(
                 f"dispatch expects a Command, got {type(command).__name__}"
             )
+        engine = self.engine
+        log = engine.dispatch_log
         with self.lock:
             self.depth += 1
             try:
-                return self._pipeline(command)
+                # a hit replays the first application's result (after a
+                # restart, the persisted summary: the log is the record)
+                key = command.dedup_key
+                hit = None if key is None else log.dedup.get(key)
+                if hit is not None:
+                    engine._c_commands_deduped.inc()
+                    return hit["result"]
+                engine._c_commands.inc()
+                counter = engine._command_counters.get(command.name)
+                if counter is None:
+                    counter = engine._command_counters[command.name] = (
+                        engine.obs.registry.counter(f"engine.commands.{command.name}")
+                    )
+                counter.inc()
+                # detached span (not on the tracer scope stack) so the
+                # engine -> instance -> node hierarchy is unchanged
+                span = (
+                    engine._tracer.start_span(
+                        "engine.command",
+                        parent=engine._engine_span,
+                        command=command.name,
+                    )
+                    if engine.obs.enabled
+                    else None
+                )
+                try:
+                    try:
+                        result = self._apply_and_log(command)
+                    finally:
+                        engine._flush()
+                except BaseException:
+                    if span is not None:
+                        span.finish("error")
+                    raise
+                if span is not None:
+                    span.finish()
+                if key is not None:
+                    log.dedup[key] = {"result": result, "seq": log.seq}
+                return result
             finally:
                 self.depth -= 1
 
+    def _apply_and_log(self, command: Command) -> Any:
+        """Run the handler and record the command in the dispatch log.
 
-def _bind(
-    mw: Middleware, engine: "ProcessEngine", call_next: Callable[[Command], Any]
-) -> Callable[[Command], Any]:
-    def call(cmd: Command) -> Any:
-        return mw(engine, cmd, call_next)
-
-    return call
+        Skips only commands that report themselves unloggable (idle
+        pumps) *and* left no pending writes behind — everything that
+        mutated the engine is in the log, which is what makes a
+        sequential replay of the log equivalent to the original
+        concurrent run.  A raising handler is logged ``status="error"``.
+        Each entry is stamped with the ``touched`` entity ids still dirty
+        at log time, so view recovery can replay only the tail of the log
+        (cursor -> head) instead of rebuilding from scratch.
+        """
+        engine = self.engine
+        record: dict[str, Any] = {
+            "command": command.to_dict(),
+            "name": command.name,
+            "dedup_key": command.dedup_key,
+            "depth": self.depth,
+            "at": engine.clock.now(),
+            "status": "applied",
+        }
+        try:
+            handler = self.handlers.get(type(command))
+            if handler is None:
+                raise EngineError(
+                    f"no handler registered for command {command.name!r}"
+                )
+            result = handler(command)
+        except BaseException as exc:
+            record["status"] = "error"
+            record["error"] = f"{type(exc).__name__}: {exc}"
+            _log(engine, record)
+            raise
+        if command.loggable(result) or engine.dispatch_log.state_changed():
+            record["result"] = summarize_result(result)
+            _log(engine, record)
+        return result

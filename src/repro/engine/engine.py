@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.engine import commands as cmds
 from repro.engine import execution as core
-from repro.engine import executors as _executors  # noqa: F401 - registry load
 from repro.engine.commands import Command, CommandClient
 from repro.engine.dispatch import DISPATCH_PREFIX, DispatchLog, Dispatcher
 from repro.engine.errors import (
@@ -46,11 +45,8 @@ from repro.engine.errors import (
     IllegalInstanceStateError,
     InstanceNotFoundError,
 )
+from repro.engine.executors import events, gateways, tasks
 from repro.engine.executors.subprocesses import on_mi_child_finished
-from repro.engine.executors.tasks import (
-    apply_invocation_outcome,
-    perform_service_invocation,
-)
 from repro.engine.instance import (
     INSTANCE_PREFIX,
     InstanceState,
@@ -58,7 +54,6 @@ from repro.engine.instance import (
     TokenState,
 )
 from repro.engine.jobs import JOBS_PREFIX, JobScheduler
-from repro.engine.metrics import EngineMetrics
 from repro.engine.migration import MigrationPlan, apply_migration
 from repro.engine.waits import WAIT_PREFIX, MessageWait, MessageWaits
 from repro.history.audit import HistoryService
@@ -86,6 +81,13 @@ DEFINITION_PREFIX = "definition/"
 #: store-key family of the engine's singleton records: ``engine/meta``
 #: (id sequences) and ``engine/latest_versions``
 ENGINE_PREFIX = "engine/"
+#: job kind -> what fires it, kept beside the code that schedules that kind
+JOB_KINDS = {
+    "timer": events.fire_timer,
+    "boundary_timer": core.fire_boundary_timer,
+    "async_service": tasks.fire_async_service,
+    "event_race_timer": gateways.fire_race_timer,
+}
 
 
 class ProcessEngine(CommandClient):
@@ -178,7 +180,6 @@ class ProcessEngine(CommandClient):
             ("instance_seq", "invocation_seq", "outbox_seq"),
         )
         self.decisions = DecisionRegistry()
-        self.metrics = EngineMetrics(self.obs.registry)
         self.scheduler = JobScheduler()
         self.scheduler.bind_writes(self._writes)
         self.worklist = WorklistService(
@@ -196,39 +197,37 @@ class ProcessEngine(CommandClient):
         # observability wiring: cached instruments for the hot loop, the
         # engine root span, and per-instance spans (ended on finish)
         self._tracer = self.obs.tracer  # hot-loop alias
-        self._c_token_moves = self.obs.registry.counter("engine.token_moves")
-        self._c_lint_warnings = self.obs.registry.counter("engine.lint.warnings")
-        self._c_lint_blocked = self.obs.registry.counter(
-            "engine.lint.deploy_blocked"
-        )
-        self._c_interproc_warnings = self.obs.registry.counter(
-            "engine.lint.interproc_warnings"
-        )
-        self._c_interproc_blocked = self.obs.registry.counter(
-            "engine.lint.interproc_blocked"
-        )
+        counter = self.obs.registry.counter
+        self._c_started = counter("engine.instances_started")
+        self._c_completed = counter("engine.instances_completed")
+        self._c_failed = counter("engine.instances_failed")
+        self._c_terminated = counter("engine.instances_terminated")
+        self._c_timers_fired = counter("engine.timers_fired")
+        self._c_messages_delivered = counter("engine.messages_delivered")
+        self._c_migrations = counter("engine.migrations")
+        self._c_token_moves = counter("engine.token_moves")
+        self._c_lint_warnings = counter("engine.lint.warnings")
+        self._c_lint_blocked = counter("engine.lint.deploy_blocked")
+        self._c_interproc_warnings = counter("engine.lint.interproc_warnings")
+        self._c_interproc_blocked = counter("engine.lint.interproc_blocked")
         # created lazily on first deploy (keeps repro.analysis off the
         # import path of engine construction)
         self._analysis_cache: Any | None = None
         self._g_queue_depth = self.obs.registry.gauge("engine.scheduler.queue_depth")
-        self._c_jobs_orphaned = self.obs.registry.counter("engine.jobs.orphaned")
-        self._c_flush_commits = self.obs.registry.counter("engine.flush.commits")
-        self._c_flush_records = self.obs.registry.counter(
-            "engine.flush.records_written"
-        )
+        self._c_jobs_orphaned = counter("engine.jobs.orphaned")
+        self._c_flush_commits = counter("engine.flush.commits")
+        self._c_flush_records = counter("engine.flush.records_written")
         self._h_flush_batch = self.obs.registry.histogram(
             "engine.flush.batch_records",
             (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0),
         )
-        self._c_commands = self.obs.registry.counter("engine.commands.dispatched")
-        self._c_commands_deduped = self.obs.registry.counter(
-            "engine.commands.deduped"
-        )
-        self._c_inv_duplicates = self.obs.registry.counter(
-            "workers.duplicate_completions"
-        )
-        self._c_compensations = self.obs.registry.counter("engine.compensations")
+        self._c_commands = counter("engine.commands.dispatched")
+        self._c_commands_deduped = counter("engine.commands.deduped")
+        self._c_inv_duplicates = counter("workers.duplicate_completions")
+        self._c_compensations = counter("engine.compensations")
+        # per-name counters, created on first use
         self._command_counters: dict[str, Any] = {}
+        self._node_counters: dict[str, Any] = {}
         self._instance_spans: dict[str, Span] = {}
         self._engine_span: Span | None = (
             self.obs.tracer.start_span("engine") if self.obs.enabled else None
@@ -288,11 +287,11 @@ class ProcessEngine(CommandClient):
     # -- the command pipeline --------------------------------------------------
 
     def dispatch(self, command: Command) -> Any:
-        """Execute a typed command through the middleware pipeline.
+        """Execute a typed command through the dispatch path.
 
         This is the single mutation path: serialization gate →
-        idempotency → observability → commit policy → dispatch log →
-        handler.  All public mutation methods below delegate here.
+        idempotency → observability → handler → dispatch log → commit
+        policy.  All public mutation methods below delegate here.
         """
         return self._dispatcher.dispatch(command)
 
@@ -497,7 +496,7 @@ class ProcessEngine(CommandClient):
         )
         self._instances[instance.id] = instance
         instance.new_token(starts[0].id)
-        self.metrics.instances_started += 1
+        self._c_started.inc()
         if self.obs.enabled:
             tracer = self.obs.tracer
             self._instance_spans[instance.id] = tracer.start_span(
@@ -594,7 +593,7 @@ class ProcessEngine(CommandClient):
             span.finish(status)
 
     def _complete_instance(self, instance: ProcessInstance) -> None:
-        self.metrics.instances_completed += 1
+        self._c_completed.inc()
         instance.state = InstanceState.COMPLETED
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_COMPLETED)
@@ -603,7 +602,7 @@ class ProcessEngine(CommandClient):
         self._notify_parent(instance)
 
     def _terminate_instance(self, instance: ProcessInstance, reason: str) -> None:
-        self.metrics.instances_terminated += 1
+        self._c_terminated.inc()
         instance.state = InstanceState.TERMINATED
         instance.ended_at = self.clock.now()
         self._record(instance, EventTypes.INSTANCE_TERMINATED, reason=reason)
@@ -619,7 +618,7 @@ class ProcessEngine(CommandClient):
         self._terminate_instance(instance, reason)
 
     def _fail_instance(self, instance: ProcessInstance, reason: str) -> None:
-        self.metrics.instances_failed += 1
+        self._c_failed.inc()
         instance.state = InstanceState.FAILED
         instance.ended_at = self.clock.now()
         instance.failure = reason
@@ -830,54 +829,10 @@ class ProcessEngine(CommandClient):
         token = instance.token(job.data.get("token_id"))
         if token is None:
             return
-        if job.kind == "timer":
-            if token.waiting_on.get("job_id") != job.id:
-                return
-            node = definition.node(job.data["node_id"])
-            self.metrics.timers_fired += 1
-            self._record(
-                instance, EventTypes.TIMER_FIRED, node_id=node.id, job_id=job.id
-            )
-            token.waiting_on = {}
-            core.move_through(
-                self, instance, definition, token, node, is_activity=False
-            )
-            core.advance(self, instance)
-        elif job.kind == "boundary_timer":
-            boundary = definition.node(job.data["boundary_id"])
-            if token.node_id != boundary.attached_to:
-                return  # the activity already finished; stale job
-            self.metrics.timers_fired += 1
-            self._record(
-                instance, EventTypes.TIMER_FIRED, node_id=boundary.id, job_id=job.id
-            )
-            core.trigger_boundary(
-                self, instance, definition, boundary, token, detail="boundary timer"
-            )
-            core.advance(self, instance)
-        elif job.kind == "async_service":
-            if token.waiting_on.get("job_id") != job.id:
-                return
-            node = definition.node(job.data["node_id"])
-            token.waiting_on = {}
-            perform_service_invocation(self, instance, definition, token, node)
-            core.advance(self, instance)
-        elif job.kind == "event_race_timer":
-            if token.waiting_on.get("reason") != "event_race":
-                return
-            event = definition.node(job.data["event_id"])
-            core.settle_race(self, instance, token)
-            self.metrics.timers_fired += 1
-            self._record(
-                instance, EventTypes.TIMER_FIRED, node_id=event.id, job_id=job.id
-            )
-            core.enter(self, instance, event, is_activity=False)
-            core.move_through(
-                self, instance, definition, token, event, is_activity=False
-            )
-            core.advance(self, instance)
-        else:
+        fire = JOB_KINDS.get(job.kind)
+        if fire is None:
             raise EngineError(f"unknown job kind {job.kind!r}")
+        fire(self, instance, definition, token, job)
 
     # -- messages ----------------------------------------------------------------
 
@@ -936,7 +891,7 @@ class ProcessEngine(CommandClient):
         payload: dict[str, Any],
     ) -> None:
         definition = self._definition_of(instance)
-        self.metrics.messages_delivered += 1
+        self._c_messages_delivered.inc()
         if wait.race_event is not None:
             core.deliver_race_message(self, instance, definition, token, wait, payload)
         else:
@@ -973,7 +928,7 @@ class ProcessEngine(CommandClient):
         instance = self.instance(cmd.instance_id)
         target = self.definition(instance.definition_key, cmd.target_version)
         apply_migration(self, instance, target, MigrationPlan(dict(cmd.node_mapping)))
-        self.metrics.migrations += 1
+        self._c_migrations.inc()
         self._record(
             instance,
             EventTypes.INSTANCE_MIGRATED,
@@ -1033,7 +988,7 @@ class ProcessEngine(CommandClient):
             # the instance finished: the outcome has nowhere to land
             self.ledger.settle(record.service)
             return {"invocation_id": record.id, "status": "orphaned"}
-        status = apply_invocation_outcome(
+        status = tasks.apply_invocation_outcome(
             self, instance, definition, token, node, record, cmd
         )
         return {"invocation_id": record.id, "status": status}

@@ -80,8 +80,7 @@ def execute_token(
         handler(engine, instance, definition, token, node)
         return
     # manual span lifecycle (no context-manager dispatch): this is the
-    # hottest instrumented site in the engine — benchmark F7 holds the
-    # enabled path under 10% of the per-node budget
+    # hottest instrumented site in the engine
     span = tracer.span(
         "node",
         parent=engine._instance_spans.get(instance.id),
@@ -164,7 +163,12 @@ def enter(
     is_activity: bool,
     **event_data: Any,
 ) -> None:
-    engine.metrics.count_node(node.type_name)
+    counter = engine._node_counters.get(node.type_name)
+    if counter is None:
+        counter = engine._node_counters[node.type_name] = (
+            engine.obs.registry.counter("engine.nodes_executed." + node.type_name)
+        )
+    counter.inc()
     tracer = engine._tracer
     if tracer.enabled:
         stack = tracer._stack
@@ -209,6 +213,25 @@ def schedule_boundary_timers(
                 instance.id,
                 {"token_id": token.id, "boundary_id": boundary.id},
             )
+
+
+def fire_boundary_timer(
+    engine, instance: ProcessInstance, definition: ProcessDefinition,
+    token: Token, job,
+) -> None:
+    """A ``boundary_timer`` job came due: interrupt the host activity,
+    unless the token already left it (a stale job)."""
+    boundary = definition.node(job.data["boundary_id"])
+    if token.node_id != boundary.attached_to:
+        return
+    engine._c_timers_fired.inc()
+    engine._record(
+        instance, EventTypes.TIMER_FIRED, node_id=boundary.id, job_id=job.id
+    )
+    trigger_boundary(
+        engine, instance, definition, boundary, token, detail="boundary timer"
+    )
+    advance(engine, instance)
 
 
 def cancel_boundary_jobs(engine, instance: ProcessInstance, token: Token) -> None:
@@ -300,7 +323,7 @@ def await_message(
     if retained is not None:
         # a retained message satisfying the wait *is* a delivery — count
         # it like the live-subscription path does
-        engine.metrics.messages_delivered += 1
+        engine._c_messages_delivered.inc()
         apply_message(engine, instance, node, retained.payload)
         definition = engine._definition_of(instance)
         move_through(engine, instance, definition, token, node, is_activity=is_activity)

@@ -57,6 +57,18 @@ def execute_timer_event(
     )
 
 
+def fire_timer(engine, instance, definition, token, job) -> None:
+    """A ``timer`` job came due: move the token parked on it onward."""
+    if token.waiting_on.get("job_id") != job.id:
+        return
+    node = definition.node(job.data["node_id"])
+    engine._c_timers_fired.inc()
+    engine._record(instance, EventTypes.TIMER_FIRED, node_id=node.id, job_id=job.id)
+    token.waiting_on = {}
+    core.move_through(engine, instance, definition, token, node, is_activity=False)
+    core.advance(engine, instance)
+
+
 @executor(IntermediateMessageEvent)
 def execute_message_event(
     engine, instance, definition, token, node: IntermediateMessageEvent

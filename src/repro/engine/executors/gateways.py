@@ -192,8 +192,22 @@ def try_retained_for_race(engine, instance, definition, token) -> None:
         )
         if message is not None:
             # count the delivery: this path bypasses _deliver_to_wait
-            engine.metrics.messages_delivered += 1
+            engine._c_messages_delivered.inc()
             core.deliver_race_message(
                 engine, instance, definition, token, wait, message.payload
             )
             return
+
+
+def fire_race_timer(engine, instance, definition, token, job) -> None:
+    """An ``event_race_timer`` job came due: its timer event wins the
+    race the event-based gateway started, if the race is still open."""
+    if token.waiting_on.get("reason") != "event_race":
+        return
+    event = definition.node(job.data["event_id"])
+    core.settle_race(engine, instance, token)
+    engine._c_timers_fired.inc()
+    engine._record(instance, EventTypes.TIMER_FIRED, node_id=event.id, job_id=job.id)
+    core.enter(engine, instance, event, is_activity=False)
+    core.move_through(engine, instance, definition, token, event, is_activity=False)
+    core.advance(engine, instance)

@@ -98,6 +98,16 @@ def execute_service_task(engine, instance, definition, token, node: ServiceTask)
     perform_service_invocation(engine, instance, definition, token, node)
 
 
+def fire_async_service(engine, instance, definition, token, job) -> None:
+    """An ``async_service`` job came due: invoke the parked service task."""
+    if token.waiting_on.get("job_id") != job.id:
+        return
+    node = definition.node(job.data["node_id"])
+    token.waiting_on = {}
+    perform_service_invocation(engine, instance, definition, token, node)
+    core.advance(engine, instance)
+
+
 def enqueue_service_invocation(
     engine, instance, definition, token, node: ServiceTask
 ) -> None:
@@ -220,8 +230,9 @@ def perform_service_invocation(
 ) -> None:
     """Invoke the bound service and route success/failure.
 
-    Also the landing point for ``async_service`` jobs (see the engine's
-    job dispatcher), hence a module function rather than a closure.
+    Also the landing point for ``async_service`` jobs (see
+    :func:`fire_async_service`), hence a module function rather than a
+    closure.
     """
     from repro.engine.errors import BpmnError  # cycle guard
 

@@ -6,8 +6,9 @@ One facade, three parts:
   the engine is doing *right now* (engine → instance → node →
   service-call/storage-op), distinct from the durable XES history;
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of named counters,
-  gauges, and fixed-bucket histograms that backs the engine's
-  :class:`~repro.engine.metrics.EngineMetrics` snapshot API;
+  gauges, and fixed-bucket histograms; the engine's counters
+  (``engine.instances_started``, ``engine.nodes_executed.<Type>``, ...)
+  live there and nowhere else;
 * **exporters** (:mod:`repro.obs.exporters`) — pluggable sinks for finished
   spans (in-memory ring buffer, JSON lines, console summary).
 
@@ -25,7 +26,7 @@ Typical wiring::
 
 With ``enabled=False`` (the engine default) the span path is a shared
 no-op — instrumented code stays in place at ~zero cost — while the metrics
-registry keeps counting (it is what ``engine.metrics`` reads).
+registry keeps counting (it is what ``repro metrics`` dumps).
 """
 
 from __future__ import annotations

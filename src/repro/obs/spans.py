@@ -13,8 +13,9 @@ simulation measure *model* latency, not interpreter latency.
 
 The :class:`Tracer` has a hard no-op path: when ``enabled`` is false,
 ``span()`` hands back a shared do-nothing context manager and allocates
-nothing, so instrumented code can stay in place at ~zero cost (benchmark
-F7 asserts this).
+nothing, so instrumented code can stay in place at ~zero cost (the
+end-to-end benchmark's ``trace_overhead_ratio`` row compares traced and
+untraced throughput).
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class Span:
             tracer._on_finish(self)
 
     # -- scoping ------------------------------------------------------------
-    # a Span is its own context manager (no wrapper allocation — benchmark
-    # F7 holds the enabled span path under 10% on the hot loop)
+    # a Span is its own context manager (no wrapper allocation on the
+    # enabled span path of the hot loop)
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
@@ -216,7 +217,7 @@ class Tracer:
         span to parent elsewhere in the tree.  Entering pushes the span
         onto the scope stack; on a disabled tracer this is the shared
         no-op span.  The constructor is inlined — this runs once per node
-        execution (benchmark F7).
+        execution.
         """
         if not self.enabled:
             return NOOP_SPAN  # type: ignore[return-value]

@@ -4,7 +4,7 @@ Each shard's :class:`~repro.views.manager.ProjectionManager` is that
 shard's only instance and work-item index: per-state and per-key buckets
 are materialized and rank-ordered, so a query costs O(matches) per shard
 plus one O(T log k) k-way merge — flat in shard count at equal total
-size (the F15 bench gate).  The per-shard answer is the shard's own
+size.  The per-shard answer is the shard's own
 query (``shard.instances`` / ``find_instances`` / ``worklist.items``),
 exact whatever the commit policy: the views fold in a shard's
 uncommitted puts before they answer.

@@ -15,7 +15,7 @@ execution):
   at ~370 inst/s in F11 now overlaps with dispatch.
 * **complete via dispatch** — the outcome returns as an idempotent
   :class:`~repro.engine.commands.CompleteServiceInvocation` through the
-  normal middleware chain: serialized, deduped, logged, group-committed.
+  normal dispatch path: serialized, deduped, logged, group-committed.
 
 Admission control is producer-pays: :meth:`admit` refuses when the
 service's queue is full (or the service is outside ``only_services``),

@@ -1,4 +1,4 @@
-"""The command pipeline: typed commands, middleware, idempotency, log."""
+"""The command path: typed commands, dispatch order, idempotency, log."""
 
 import pytest
 
@@ -19,6 +19,7 @@ from repro.history.events import EventTypes
 from repro.model.builder import ProcessBuilder
 from repro.storage.kvstore import DurableKV
 from repro.worklist.errors import WorklistError
+from tests.counting_kv import CountingKV
 
 
 def automated_model(key="auto"):
@@ -264,23 +265,78 @@ class TestDispatchLogRetention:
         assert len(engine.dispatch_history(limit=0)) == 0
 
 
-class TestCustomMiddleware:
-    def test_chain_is_composable(self):
-        from repro.engine.dispatch import DEFAULT_MIDDLEWARE, Dispatcher
+class TestDispatchOrder:
+    """The order of the dispatch steps, pinned through what reaches the
+    store: a dedup hit returns before the counters, the log and the
+    flush; the flush runs after the log step, even when the handler
+    raised; only a successful dispatch records its dedup key."""
 
-        seen = []
+    def counting_engine(self):
+        store = CountingKV()
+        engine = ProcessEngine(clock=VirtualClock(0), store=store)
+        engine.organization.add("ana", roles=["clerk"])
+        engine.deploy(approval_model())
+        return engine, store
 
-        def spy(engine, cmd, call_next):
-            seen.append(cmd.name)
-            return call_next(cmd)
-
-        engine = ProcessEngine(clock=VirtualClock(0))
-        engine._dispatcher = Dispatcher(
-            engine,
-            handlers=engine._command_handlers(),
-            middleware=(spy, *DEFAULT_MIDDLEWARE),
-            lock=engine._dispatch_lock,
+    def counters(self, engine):
+        counters = engine.obs.registry.snapshot()["counters"]
+        return (
+            counters["engine.commands.dispatched"],
+            counters["engine.commands.start_instance"],
+            counters["engine.commands.deduped"],
         )
-        engine.deploy(automated_model())
-        engine.run_due_jobs()
-        assert seen == ["deploy_definition", "run_due_jobs"]
+
+    def test_dedup_hit_skips_counters_log_and_commit(self):
+        engine, store = self.counting_engine()
+        store.reset_counts()
+        first = engine.start_instance("approval", dedup_key="k")
+        assert store.commits == 1
+        seq = engine.dispatch_log.seq
+        # the flush ran after the log step: the entry is in that commit
+        stored = store.get(f"dispatch/{seq:010d}")
+        assert stored["dedup_key"] == "k" and stored["status"] == "applied"
+        before = self.counters(engine)
+        store.reset_counts()
+        again = engine.start_instance("approval", dedup_key="k")
+        assert again is first
+        dispatched, per_type, deduped = self.counters(engine)
+        assert (dispatched, per_type) == before[:2]
+        assert deduped == before[2] + 1
+        assert engine.dispatch_log.seq == seq
+        assert store.commits == 0 and store.puts == 0
+
+    def test_raising_handler_commits_error_entry_and_frees_its_key(self):
+        engine, store = self.counting_engine()
+        handlers = engine._dispatcher.handlers
+        apply_start = handlers[StartInstance]
+
+        def explode_after_mutating(cmd):
+            apply_start(cmd)
+            raise RuntimeError("boom")
+
+        handlers[StartInstance] = explode_after_mutating
+        store.reset_counts()
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.start_instance("approval", dedup_key="k")
+        (instance,) = engine.instances()
+        (item,) = engine.worklist.items()
+        # one commit within that dispatch holds the mutation and the
+        # finalized error entry, stamped with what it touched
+        assert store.commits == 1
+        assert store.get(f"instance/{instance.id}") is not None
+        seq = engine.dispatch_log.seq
+        stored = store.get(f"dispatch/{seq:010d}")
+        assert stored["status"] == "error"
+        assert stored["error"] == "RuntimeError: boom"
+        assert stored["touched"] == {
+            "instances": [instance.id],
+            "items": [item.id],
+        }
+        assert "k" not in engine.dispatch_log.dedup
+        # the key is free: a retry applies, and only then dedups
+        handlers[StartInstance] = apply_start
+        retried = engine.start_instance("approval", dedup_key="k")
+        assert retried.id != instance.id
+        before = self.counters(engine)
+        assert engine.start_instance("approval", dedup_key="k") is retried
+        assert self.counters(engine)[:2] == before[:2]

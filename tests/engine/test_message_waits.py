@@ -240,7 +240,7 @@ class TestMigrationOfParkedInstances:
         instance = engine.instance(instance.id)
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["v"] == 2
-        assert engine.metrics.messages_delivered == 1
+        assert engine.obs.registry.counter("engine.messages_delivered").value == 1
         assert len(engine.waits) == 0 and store.keys("wait/") == []
 
     @pytest.mark.parametrize("restart", [False, True], ids=["live", "recovered"])

@@ -1,10 +1,14 @@
-"""Tests for engine metrics and asynchronous service execution."""
+"""Tests for engine counters and asynchronous service execution."""
 
 import pytest
 
 from repro.engine.instance import InstanceState, TokenState
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import RetryPolicy
+
+
+def counter(engine, name):
+    return engine.obs.registry.counter(f"engine.{name}").value
 
 
 class TestMetrics:
@@ -16,11 +20,10 @@ class TestMetrics:
         engine.start_instance("ok")
         engine.start_instance("ok")
         engine.start_instance("bad")
-        metrics = engine.metrics
-        assert metrics.instances_started == 3
-        assert metrics.instances_completed == 2
-        assert metrics.instances_failed == 1
-        assert metrics.instances_finished == 3
+        assert counter(engine, "instances_started") == 3
+        assert counter(engine, "instances_completed") == 2
+        assert counter(engine, "instances_failed") == 1
+        assert counter(engine, "instances_terminated") == 0
 
     def test_node_counters_by_type(self, engine):
         model = (
@@ -33,10 +36,11 @@ class TestMetrics:
         )
         engine.deploy(model)
         engine.start_instance("mix")
-        assert engine.metrics.nodes_executed["StartEvent"] == 1
-        assert engine.metrics.nodes_executed["ScriptTask"] == 1
-        assert engine.metrics.nodes_executed["UserTask"] == 1
-        assert engine.metrics.total_nodes_executed == 3  # end not reached yet
+        executed = engine.obs.registry.counters_with_prefix(
+            "engine.nodes_executed."
+        )
+        # end not reached yet
+        assert executed == {"StartEvent": 1, "ScriptTask": 1, "UserTask": 1}
 
     def test_timer_and_message_counters(self, engine, clock):
         model = (
@@ -50,9 +54,9 @@ class TestMetrics:
         engine.deploy(model)
         engine.start_instance("tm")
         engine.advance_time(6)
-        assert engine.metrics.timers_fired == 1
+        assert counter(engine, "timers_fired") == 1
         engine.correlate_message("go")
-        assert engine.metrics.messages_delivered == 1
+        assert counter(engine, "messages_delivered") == 1
 
     def test_migration_counter(self, engine):
         model = ProcessBuilder("m").start().user_task("u", role="clerk").end().build()
@@ -60,7 +64,7 @@ class TestMetrics:
         instance = engine.start_instance("m")
         engine.deploy(model)
         engine.migrate_instance(instance.id, target_version=2)
-        assert engine.metrics.migrations == 1
+        assert counter(engine, "migrations") == 1
 
     def test_snapshot_is_json_safe(self, engine):
         import json
@@ -68,9 +72,9 @@ class TestMetrics:
         model = ProcessBuilder("s").start().script_task("t", script="x = 1").end().build()
         engine.deploy(model)
         engine.start_instance("s")
-        snapshot = engine.metrics.snapshot()
+        snapshot = engine.obs.registry.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
-        assert snapshot["instances_started"] == 1
+        assert snapshot["counters"]["engine.instances_started"] == 1
 
 
 class TestAsyncServiceTask:

@@ -80,7 +80,7 @@ class TestSuspendResumeTimerRaces:
         assert engine.advance_time(120) == 0
         assert instance.state is InstanceState.SUSPENDED
         assert len(engine.scheduler) == 1
-        assert engine.metrics.timers_fired == 0
+        assert engine.obs.registry.counter("engine.timers_fired").value == 0
 
     def test_resume_after_advance_time_fires_exactly_once(self, engine, clock):
         engine.deploy(self.make_model())
@@ -91,7 +91,7 @@ class TestSuspendResumeTimerRaces:
         assert engine.run_due_jobs() == 1
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["fired"] is True
-        assert engine.metrics.timers_fired == 1
+        assert engine.obs.registry.counter("engine.timers_fired").value == 1
         fired = [
             e
             for e in engine.history.instance_events(instance.id)
@@ -114,7 +114,7 @@ class TestSuspendResumeTimerRaces:
         engine.resume_instance(instance.id)
         assert engine.advance_time(0) == 1
         assert instance.state is InstanceState.COMPLETED
-        assert engine.metrics.timers_fired == 1
+        assert engine.obs.registry.counter("engine.timers_fired").value == 1
 
     def test_suspend_between_due_and_pump_defers(self, engine, clock):
         engine.deploy(self.make_model())
@@ -126,7 +126,7 @@ class TestSuspendResumeTimerRaces:
         engine.resume_instance(instance.id)
         assert engine.run_due_jobs() == 1
         assert instance.state is InstanceState.COMPLETED
-        assert engine.metrics.timers_fired == 1
+        assert engine.obs.registry.counter("engine.timers_fired").value == 1
 
 
 class TestMessagesUnderSuspension:

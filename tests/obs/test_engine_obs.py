@@ -1,5 +1,5 @@
 """Engine ↔ observability integration: spans, instruments, and the
-EngineMetrics facade over the shared registry."""
+engine's counters in the shared registry."""
 
 import pytest
 
@@ -185,6 +185,7 @@ class TestSpanTree:
         )
         engine.start_instance("p")
         assert len(probe) == 0
+        assert list(engine.obs.tracer.open_spans()) == []
 
 
 class TestServiceInstrumentation:
@@ -329,37 +330,25 @@ class TestEngineGauges:
         assert registry.counter("engine.timers_fired").value == 1
 
 
-class TestEngineMetricsFacade:
+class TestLegacyCounterNames:
     def test_snapshot_keeps_legacy_keys(self, engine):
+        counters = engine.obs.registry.snapshot()["counters"]
+        # created with the engine, before anything ran
+        assert {
+            "engine.instances_started", "engine.instances_completed",
+            "engine.instances_failed", "engine.instances_terminated",
+            "engine.timers_fired", "engine.messages_delivered",
+            "engine.migrations",
+        } <= set(counters)
         engine.deploy(
             ProcessBuilder("p").start().script_task("t", script="x = 1")
             .end().build()
         )
         engine.start_instance("p")
-        snapshot = engine.metrics.snapshot()
-        assert snapshot["instances_started"] == 1
-        assert snapshot["instances_completed"] == 1
-        assert snapshot["nodes_executed"]["ScriptTask"] == 1
-        assert set(snapshot) == {
-            "instances_started", "instances_completed", "instances_failed",
-            "instances_terminated", "nodes_executed", "timers_fired",
-            "messages_delivered", "migrations",
-        }
-
-    def test_attribute_writes_go_through_registry(self, engine):
-        engine.metrics.migrations += 1
-        assert engine.obs.registry.counter("engine.migrations").value == 1
-        engine.obs.registry.counter("engine.migrations").inc()
-        assert engine.metrics.migrations == 2
-
-    def test_standalone_metrics_need_no_registry(self):
-        from repro.engine.metrics import EngineMetrics
-
-        metrics = EngineMetrics()
-        metrics.instances_started += 1
-        metrics.count_node("ScriptTask")
-        assert metrics.snapshot()["instances_started"] == 1
-        assert metrics.total_nodes_executed == 1
+        counters = engine.obs.registry.snapshot()["counters"]
+        assert counters["engine.instances_started"] == 1
+        assert counters["engine.instances_completed"] == 1
+        assert counters["engine.nodes_executed.ScriptTask"] == 1
 
 
 class TestMessageDeliveryCounters:
@@ -396,7 +385,7 @@ class TestMessageDeliveryCounters:
         instance = engine.start_instance("rx")
         engine.correlate_message("confirmation", "ord-9", {"ok": True})
         assert instance.state is InstanceState.COMPLETED
-        assert engine.metrics.messages_delivered == 1
+        assert engine.obs.registry.counter("engine.messages_delivered").value == 1
 
     def test_retained_message_consumed_on_arrival_counts(self, engine):
         engine.deploy(self.receive_model())
@@ -404,7 +393,7 @@ class TestMessageDeliveryCounters:
         assert engine.bus.retained_count == 1
         instance = engine.start_instance("rx")
         assert instance.state is InstanceState.COMPLETED
-        assert engine.metrics.messages_delivered == 1
+        assert engine.obs.registry.counter("engine.messages_delivered").value == 1
 
     def test_retained_message_wins_race_counts(self, engine):
         engine.deploy(self.race_model())
@@ -412,4 +401,4 @@ class TestMessageDeliveryCounters:
         instance = engine.start_instance("race")
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["outcome"] == "reply"
-        assert engine.metrics.messages_delivered == 1
+        assert engine.obs.registry.counter("engine.messages_delivered").value == 1

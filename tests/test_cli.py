@@ -296,7 +296,25 @@ class TestMetrics:
         }
         counters = {k.removeprefix("engine.") for k in snapshot["counters"]}
         assert legacy_keys <= counters
-        assert snapshot["counters"]["engine.nodes_executed.ScriptTask"] == 1
+        executed = {
+            name: value
+            for name, value in snapshot["counters"].items()
+            if name.startswith("engine.nodes_executed.")
+        }
+        assert executed == {
+            "engine.nodes_executed.StartEvent": 1,
+            "engine.nodes_executed.ScriptTask": 1,
+            "engine.nodes_executed.EndEvent": 1,
+        }
+
+    def test_human_output_lists_legacy_counters(self, model_file, capsys):
+        assert main(["metrics", model_file, "--var", "n=3"]) == 0
+        out = capsys.readouterr().out
+        for name in ("instances_started", "instances_completed",
+                     "instances_failed", "instances_terminated",
+                     "timers_fired", "messages_delivered", "migrations",
+                     "nodes_executed.ScriptTask"):
+            assert f"engine.{name} " in out
 
     def test_human_output_sections(self, model_file, capsys):
         assert main(["metrics", model_file, "--var", "n=3"]) == 0

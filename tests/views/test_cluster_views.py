@@ -44,6 +44,17 @@ class TestQueryEquivalence:
             got = [i.id for i in c.instances(state)]
             assert got == want
 
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_state_queries_return_the_whole_population(self, shards):
+        c = cluster(shards=shards)
+        c.deploy(approval_model())
+        started = [c.start_instance("approval").id for _ in range(16)]
+        running = [i.id for i in c.instances(InstanceState.RUNNING)]
+        assert sorted(running) == sorted(started)
+        assert running == [i.id for i in scatter_instances(c, InstanceState.RUNNING)]
+        found = c.find_instances(state=InstanceState.RUNNING)
+        assert [i.id for i in found] == running
+
     def test_ordering_interleaves_across_shards(self):
         c = cluster(shards=4)
         c.deploy(auto_model())

@@ -251,6 +251,7 @@ class TestAdmissionControl:
         # svc is outside the pool's scope: inline, synchronous
         assert instance.state is InstanceState.COMPLETED
         assert pool.run_next() is None
+        assert engine.workers_status() == {}  # nothing was ever pooled
 
 
 class TestCancellation:
