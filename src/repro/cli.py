@@ -31,9 +31,11 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.bpmn import BpmnParseError, parse_bpmn
 from repro.history.log import EventLog
@@ -86,6 +88,45 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _store_paths(root: str) -> list[tuple[str, str]]:
+    """``(label, path)`` per DurableKV under ``root``.
+
+    ``root`` is either a single engine's store directory (one entry,
+    labelled ``store``) or a cluster directory holding ``shard-<n>``
+    partitions (the bench/test layout), listed in shard-number order.
+    """
+    try:
+        entries = sorted(os.listdir(root))
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {root}: {exc}")
+    shard_dirs = [
+        entry
+        for entry in entries
+        if entry.startswith("shard-") and os.path.isdir(os.path.join(root, entry))
+    ]
+    shard_dirs.sort(key=lambda d: int(d[6:]) if d[6:].isdigit() else 0)
+    return [(d, os.path.join(root, d)) for d in shard_dirs] or [("store", root)]
+
+
+@contextlib.contextmanager
+def _open_stores(
+    paths: list[tuple[str, str]], writable: bool = False
+) -> Iterator[list[tuple[str, Any]]]:
+    """``(label, DurableKV)`` per ``(label, path)``, every one closed on
+    exit, also when the command raises.  Read-only use skips the
+    per-write sync."""
+    from repro.storage.kvstore import DurableKV
+
+    stores: list[tuple[str, Any]] = []
+    try:
+        for label, path in paths:
+            stores.append((label, DurableKV(path, sync_writes=writable)))
+        yield stores
+    finally:
+        for _, store in stores:
+            store.close()
+
+
 def _load_deployment(path: str):
     """Definitions for ``lint --deployment`` / ``choreography``.
 
@@ -95,34 +136,19 @@ def _load_deployment(path: str):
     ``shard-<n>`` partitions (shard 0 is read — deployments are identical
     on every shard).
     """
-    import os
-
     from repro.engine.engine import DEFINITION_PREFIX
     from repro.model.serialization import definition_from_dict
-    from repro.storage.kvstore import DurableKV
 
     if not os.path.isdir(path):
         raise SystemExit(f"error: not a directory: {path}")
-    entries = sorted(os.listdir(path))
-    shard_dirs = [
-        e for e in entries
-        if e.startswith("shard-") and os.path.isdir(os.path.join(path, e))
-    ]
-    if shard_dirs:
-        shard_dirs.sort(
-            key=lambda d: (
-                int(d.rsplit("-", 1)[-1]) if d.rsplit("-", 1)[-1].isdigit() else 0
-            )
-        )
-        path = os.path.join(path, shard_dirs[0])
-        entries = sorted(os.listdir(path))
+    path = _store_paths(path)[0][1]
+    entries = os.listdir(path)
     if "journal.log" in entries or "snapshot.bin" in entries:
-        store = DurableKV(path, sync_writes=False)
-        definitions = [
-            definition_from_dict(raw)
-            for _, raw in store.scan(DEFINITION_PREFIX)
-        ]
-        store.close()
+        with _open_stores([("store", path)]) as [(_, store)]:
+            definitions = [
+                definition_from_dict(raw)
+                for _, raw in store.scan(DEFINITION_PREFIX)
+            ]
         if not definitions:
             raise SystemExit(f"error: no definition/ records in store {path}")
         return definitions
@@ -405,13 +431,12 @@ def cmd_commands(args: argparse.Namespace) -> int:
     history = None
     if args.store:
         from repro.engine.dispatch import DISPATCH_PREFIX
-        from repro.storage.kvstore import DurableKV
 
-        store = DurableKV(args.store, sync_writes=False)
-        history = sorted(
-            (raw for _, raw in store.scan(DISPATCH_PREFIX)),
-            key=lambda r: r.get("seq", 0),
-        )
+        with _open_stores([("store", args.store)]) as [(_, store)]:
+            history = sorted(
+                (raw for _, raw in store.scan(DISPATCH_PREFIX)),
+                key=lambda r: r.get("seq", 0),
+            )
         if args.limit:
             history = history[-args.limit:]
     if args.json:
@@ -439,14 +464,14 @@ def cmd_commands(args: argparse.Namespace) -> int:
     return 0
 
 
-def _view_image(store: Any) -> tuple[Any, dict[str, int]]:
+def _view_image(store: Any) -> tuple[Any, int | None]:
     """A ``ProjectionManager`` holding one store's persisted read-model
-    image as it stands, and the image's cursors."""
+    image as it stands, and the image's cursor."""
     from repro.views.manager import ProjectionManager
 
     manager = ProjectionManager()
-    cursors, _ = manager.load(store)
-    return manager, cursors
+    cursor, _ = manager.load(store)
+    return manager, cursor
 
 
 def cmd_cluster_status(args: argparse.Namespace) -> int:
@@ -460,56 +485,52 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     from repro.engine.dispatch import DISPATCH_PREFIX
     from repro.engine.instance import INSTANCE_PREFIX
     from repro.engine.jobs import JOBS_PREFIX
-    from repro.storage.kvstore import DurableKV
     from repro.views.rebuild import stored_dispatch_seq
     from repro.worklist.service import WORKITEM_PREFIX
 
-    shards = _dlq_store_paths(args.store)
+    shards = _store_paths(args.store)
     if shards == [("store", args.store)]:
         raise SystemExit(f"error: no shard-* store directories under {args.store}")
     rows = []
-    for directory, path in shards:
-        store = DurableKV(path, sync_writes=False)
-        meta = store.get("cluster/meta", None)
-        # prefer the read models when fresh (every cursor at the store's
-        # dispatch seq): they answer the census without scanning every
-        # instance — the CQRS win, offline too
-        views, cursors = _view_image(store)
-        seqs = {cursors.get(projection.name) for projection in views.projections}
-        fresh = seqs == {stored_dispatch_seq(store)}
-        if fresh:
-            by_state = views.instance_counts()
-        else:
-            by_state = {}
-            for _, raw in store.scan(INSTANCE_PREFIX):
-                state = raw.get("state", "?")
-                by_state[state] = by_state.get(state, 0) + 1
-        row = {
-            "directory": directory,
-            "topology": meta,
-            "instances": sum(by_state.values()),
-            "by_state": by_state,
-            "jobs": len(store.keys(JOBS_PREFIX)),
-            "workitems": len(store.keys(WORKITEM_PREFIX)),
-            "commands": len(store.keys(DISPATCH_PREFIX)),
-            # outbox records persisted but not yet drained to their
-            # target shard — nonzero after a crash means recovery will
-            # redeliver these cross-shard messages
-            "pending_forwards": len(store.keys(OUTBOX_PREFIX)),
-            # what a restart replays vs what the last checkpoint holds
-            # (the store checkpoints itself only from begin(); this
-            # command never writes, so it never triggers one)
-            "journal_bytes": store.journal_size,
-            "snapshot_bytes": store.snapshot_size,
-            "live_keys": len(store),
-        }
-        if fresh:
-            row["views"] = {
-                "seq": cursors[views.by_state.name],
-                "open_work_items": views.open_work_items(),
+    with _open_stores(shards) as stores:
+        for directory, store in stores:
+            # prefer the read models when fresh (the image cursor at the
+            # store's dispatch seq): they answer the census without
+            # scanning every instance — the CQRS win, offline too
+            views, cursor = _view_image(store)
+            fresh = cursor == stored_dispatch_seq(store)
+            if fresh:
+                by_state = views.instance_counts()
+            else:
+                by_state = {}
+                for _, raw in store.scan(INSTANCE_PREFIX):
+                    state = raw.get("state", "?")
+                    by_state[state] = by_state.get(state, 0) + 1
+            row = {
+                "directory": directory,
+                "topology": store.get("cluster/meta", None),
+                "instances": sum(by_state.values()),
+                "by_state": by_state,
+                "jobs": len(store.keys(JOBS_PREFIX)),
+                "workitems": len(store.keys(WORKITEM_PREFIX)),
+                "commands": len(store.keys(DISPATCH_PREFIX)),
+                # outbox records persisted but not yet drained to their
+                # target shard — nonzero after a crash means recovery will
+                # redeliver these cross-shard messages
+                "pending_forwards": len(store.keys(OUTBOX_PREFIX)),
+                # what a restart replays vs what the last checkpoint holds
+                # (the store checkpoints itself only from begin(); this
+                # command never writes, so it never triggers one)
+                "journal_bytes": store.journal_size,
+                "snapshot_bytes": store.snapshot_size,
+                "live_keys": len(store),
             }
-        rows.append(row)
-        store.close()
+            if fresh:
+                row["views"] = {
+                    "seq": cursor,
+                    "open_work_items": views.open_work_items(),
+                }
+            rows.append(row)
     widths = {row["topology"]["shards"] for row in rows if row["topology"]}
     consistent = (
         len(widths) == 1
@@ -566,46 +587,17 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     return 0 if consistent else 1
 
 
-def _dlq_store_paths(root: str) -> list[tuple[str, str]]:
-    """``(label, path)`` per DurableKV under ``root``.
-
-    Accepts either a single engine's store directory or a cluster
-    directory holding ``shard-<n>`` partitions (the bench/test layout).
-    """
-    import os
-
-    try:
-        entries = sorted(os.listdir(root))
-    except OSError as exc:
-        raise SystemExit(f"error: cannot read {root}: {exc}")
-    shard_dirs = [
-        entry
-        for entry in entries
-        if entry.startswith("shard-") and os.path.isdir(os.path.join(root, entry))
-    ]
-    if shard_dirs:
-        shard_dirs.sort(
-            key=lambda d: (
-                int(d.rsplit("-", 1)[-1]) if d.rsplit("-", 1)[-1].isdigit() else 0
-            )
-        )
-        return [(d, os.path.join(root, d)) for d in shard_dirs]
-    return [("store", root)]
-
-
 def cmd_dlq_list(args: argparse.Namespace) -> int:
     """Offline listing of dead-lettered invocations in one or N stores."""
-    from repro.storage.kvstore import DurableKV
     from repro.workers.ledger import DLQ_PREFIX
 
     rows = []
-    for label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path, sync_writes=False)
-        for _, raw in store.scan(DLQ_PREFIX):
-            entry = dict(raw)
-            entry["store"] = label
-            rows.append(entry)
-        store.close()
+    with _open_stores(_store_paths(args.store)) as stores:
+        for label, store in stores:
+            for _, raw in store.scan(DLQ_PREFIX):
+                entry = dict(raw)
+                entry["store"] = label
+                rows.append(entry)
     rows.sort(key=lambda r: (r.get("failed_at", 0.0), r.get("id", "")))
     if args.json:
         print(json.dumps({"dead_letters": rows}, indent=2, sort_keys=True))
@@ -627,18 +619,16 @@ def cmd_dlq_list(args: argparse.Namespace) -> int:
 
 def cmd_dlq_show(args: argparse.Namespace) -> int:
     """Full record of one dead-lettered invocation."""
-    from repro.storage.kvstore import DurableKV
     from repro.workers.ledger import DLQ_PREFIX
 
-    for label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path, sync_writes=False)
-        raw = store.get(DLQ_PREFIX + args.invocation_id, None)
-        store.close()
-        if raw is not None:
-            payload = dict(raw)
-            payload["store"] = label
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0
+    with _open_stores(_store_paths(args.store)) as stores:
+        for label, store in stores:
+            raw = store.get(DLQ_PREFIX + args.invocation_id, None)
+            if raw is not None:
+                payload = dict(raw)
+                payload["store"] = label
+                print(json.dumps(payload, indent=2, sort_keys=True))
+                return 0
     raise SystemExit(
         f"error: no dead-lettered invocation {args.invocation_id!r} "
         f"under {args.store}"
@@ -652,29 +642,26 @@ def cmd_dlq_requeue(args: argparse.Namespace) -> int:
     key is fresh) and the move is one store transaction; the owning
     engine re-enqueues it to the pool on its next ``recover()``.
     """
-    from repro.storage.kvstore import DurableKV
     from repro.workers.ledger import DLQ_PREFIX, INVOCATION_PREFIX
     from repro.workers.records import InvocationRecord
 
-    for _label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path)
-        raw = store.get(DLQ_PREFIX + args.invocation_id, None)
-        if raw is None:
-            store.close()
-            continue
-        record = InvocationRecord.from_dict(raw)
-        record.requeues += 1
-        with store.transaction():
-            store.delete(DLQ_PREFIX + record.id)
-            store.put(INVOCATION_PREFIX + record.id, record.to_dict())
-        store.sync()
-        store.close()
-        print(
-            f"requeued {record.id} (service={record.service}, "
-            f"requeues={record.requeues}); it will run on the owning "
-            f"engine's next recovery"
-        )
-        return 0
+    with _open_stores(_store_paths(args.store), writable=True) as stores:
+        for _label, store in stores:
+            raw = store.get(DLQ_PREFIX + args.invocation_id, None)
+            if raw is None:
+                continue
+            record = InvocationRecord.from_dict(raw)
+            record.requeues += 1
+            with store.transaction():
+                store.delete(DLQ_PREFIX + record.id)
+                store.put(INVOCATION_PREFIX + record.id, record.to_dict())
+            store.sync()
+            print(
+                f"requeued {record.id} (service={record.service}, "
+                f"requeues={record.requeues}); it will run on the owning "
+                f"engine's next recovery"
+            )
+            return 0
     raise SystemExit(
         f"error: no dead-lettered invocation {args.invocation_id!r} "
         f"under {args.store}"
@@ -682,50 +669,40 @@ def cmd_dlq_requeue(args: argparse.Namespace) -> int:
 
 
 def cmd_views_status(args: argparse.Namespace) -> int:
-    """Projection cursors, record counts, and lag for one or N stores."""
-    from repro.storage.kvstore import DurableKV
+    """The image cursor, record counts, and lag for one or N stores."""
     from repro.views.rebuild import stored_dispatch_seq
 
     rows = []
-    for label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path, sync_writes=False)
-        dispatch_seq = stored_dispatch_seq(store)
-        manager, cursors = _view_image(store)
-        store.close()
-        rows.append(
-            {
-                "store": label,
-                "dispatch_seq": dispatch_seq,
-                "cursors": cursors,
-                "records": {
-                    projection.name: projection.record_count()
-                    for projection in manager.projections
-                },
-                "lag": (
-                    dispatch_seq - min(cursors.values()) if cursors else None
-                ),
-            }
-        )
+    with _open_stores(_store_paths(args.store)) as stores:
+        for label, store in stores:
+            dispatch_seq = stored_dispatch_seq(store)
+            manager, cursor = _view_image(store)
+            rows.append(
+                {
+                    "store": label,
+                    "dispatch_seq": dispatch_seq,
+                    "cursor": cursor,
+                    "records": manager.status()["projections"],
+                    "lag": None if cursor is None else dispatch_seq - cursor,
+                }
+            )
     if args.json:
         print(json.dumps({"stores": rows}, indent=2, sort_keys=True))
         return 0
     for row in rows:
-        if not row["cursors"]:
+        if row["cursor"] is None:
             print(
-                f"{row['store']}: no view records "
+                f"{row['store']}: no view cursor "
                 f"(dispatch_seq={row['dispatch_seq']}) — run `repro views "
                 f"rebuild` or recover an engine over it"
             )
             continue
         print(
             f"{row['store']}: dispatch_seq={row['dispatch_seq']} "
-            f"lag={row['lag']}"
+            f"cursor={row['cursor']} lag={row['lag']}"
         )
-        for name in sorted(row["cursors"]):
-            print(
-                f"  {name:<10} cursor={row['cursors'][name]:>6} "
-                f"records={row['records'].get(name, 0)}"
-            )
+        for name, count in row["records"].items():
+            print(f"  {name:<10} records={count}")
     return 0
 
 
@@ -736,17 +713,13 @@ def cmd_views_query(args: argparse.Namespace) -> int:
     facade: instance lists interleave by creation rank, analytics
     aggregate across shards.
     """
-    from repro.storage.kvstore import DurableKV
     from repro.views.cluster import merge_definition_stats
     from repro.views.projections import creation_rank
 
     if args.view == "by_key" and args.key is None:
         raise SystemExit("error: --key is required for the by_key view")
-    managers = []
-    for _label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path, sync_writes=False)
-        managers.append(_view_image(store)[0])
-        store.close()
+    with _open_stores(_store_paths(args.store)) as stores:
+        managers = [_view_image(store)[0] for _, store in stores]
 
     def records(table: str) -> list[dict[str, Any]]:
         found = [
@@ -787,24 +760,22 @@ def cmd_views_query(args: argparse.Namespace) -> int:
 
 
 def cmd_views_rebuild(args: argparse.Namespace) -> int:
-    """Offline full projection rebuild by store replay (linear in size)."""
-    from repro.storage.kvstore import DurableKV
+    """Offline full view rebuild by store replay (linear in size)."""
     from repro.views.rebuild import rebuild_store_views
 
-    for label, path in _dlq_store_paths(args.store):
-        store = DurableKV(path)
-        counts = rebuild_store_views(store)
-        store.close()
-        print(
-            f"{label}: rebuilt {counts['records']} view record(s) from "
-            f"{counts['instances']} instance(s) and {counts['work_items']} "
-            f"work item(s) at seq {counts['seq']}"
-            + (
-                f", deleted {counts['deleted']} stale"
-                if counts["deleted"]
-                else ""
+    with _open_stores(_store_paths(args.store), writable=True) as stores:
+        for label, store in stores:
+            counts = rebuild_store_views(store)
+            print(
+                f"{label}: rebuilt {counts['records']} view record(s) from "
+                f"{counts['instances']} instance(s) and {counts['work_items']} "
+                f"work item(s) at seq {counts['seq']}"
+                + (
+                    f", deleted {counts['deleted']} stale"
+                    if counts["deleted"]
+                    else ""
+                )
             )
-        )
     return 0
 
 
@@ -998,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     views_sub = p_views.add_subparsers(dest="views_command", required=True)
     p_views_status = views_sub.add_parser(
-        "status", help="projection cursors, record counts, and lag"
+        "status", help="the view image cursor, record counts, and lag"
     )
     p_views_status.add_argument(
         "--store", required=True, metavar="DIR",
@@ -1028,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_views_query.set_defaults(func=cmd_views_query)
     p_views_rebuild = views_sub.add_parser(
         "rebuild",
-        help="rebuild all projections by store replay (offline, full scan)",
+        help="rebuild the view tables by store replay (offline, full scan)",
     )
     p_views_rebuild.add_argument("--store", required=True, metavar="DIR")
     p_views_rebuild.set_defaults(func=cmd_views_rebuild)

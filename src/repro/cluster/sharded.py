@@ -140,9 +140,6 @@ class ShardedEngine(CommandClient):
         obs: Observability | None = None,
         commit_interval: int = 1,
         dispatch_log_retention: int = 256,
-        verify_soundness: bool = False,
-        strict_references: bool = False,
-        max_steps: int = 100_000,
         workers: Any = None,
     ) -> None:
         if shards < 1:
@@ -166,9 +163,6 @@ class ShardedEngine(CommandClient):
                 services=self.services,
                 bus=_ClusterBus(self._retained_messages, self._retained_guard),
                 obs=self.obs,
-                verify_soundness=verify_soundness,
-                strict_references=strict_references,
-                max_steps=max_steps,
                 commit_interval=commit_interval,
                 dispatch_log_retention=dispatch_log_retention,
                 shard_tag=f"s{i}",

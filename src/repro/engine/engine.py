@@ -103,14 +103,12 @@ class ProcessEngine(CommandClient):
         services: ServiceRegistry | None = None,
         bus: MessageBus | None = None,
         verify_soundness: bool = False,
-        soundness_max_states: int = 50_000,
         max_steps: int = 100_000,
         obs: Observability | None = None,
         strict_references: bool = False,
         commit_interval: int = 1,
         dispatch_log_retention: int = 256,
         shard_tag: str = "",
-        views_flush_lag: int | None = None,
     ) -> None:
         """``commit_interval`` sets the durable commit policy: ``1``
         (default) flushes dirty state after every public API call
@@ -124,10 +122,10 @@ class ProcessEngine(CommandClient):
         models of :mod:`repro.views` (:attr:`views`) are the engine's one
         instance and work-item index, maintained write-behind: commits
         note touched entity ids, reads materialize them, and the
-        ``view/<name>/…`` records persist inside the first group commit
-        after the stored image lags ``views_flush_lag`` dispatch seqs
-        (default: retention/4, always within the tail-replay window) —
-        forced flushes persist unconditionally.  See DESIGN.md
+        ``view/…`` records persist inside the first group commit after
+        the stored image lags a quarter of ``dispatch_log_retention``
+        dispatch seqs (always within the tail-replay window) — forced
+        flushes persist unconditionally.  See DESIGN.md
         §Persistence & commit policies, §Command pipeline, and §Read
         models."""
         # `is None` checks throughout: several of these are container-like
@@ -145,7 +143,6 @@ class ProcessEngine(CommandClient):
         self.services = services if services is not None else ServiceRegistry()
         self.bus = bus if bus is not None else MessageBus()
         self.verify_soundness = verify_soundness
-        self.soundness_max_states = soundness_max_states
         self.max_steps = max_steps
         self.strict_references = strict_references
         self.shard_tag = shard_tag
@@ -278,11 +275,7 @@ class ProcessEngine(CommandClient):
         self.views: ProjectionManager = ProjectionManager(obs=self.obs)
         self.views.bind(self)
         self.worklist.bind_index(self.store, self.views.work_item_ids)
-        self._views_flush_lag = (
-            max(1, self.dispatch_log.retention // 4)
-            if views_flush_lag is None
-            else max(1, int(views_flush_lag))
-        )
+        self._drain_every = max(1, self.dispatch_log.retention // 4)
 
     # -- the command pipeline --------------------------------------------------
 
@@ -346,7 +339,6 @@ class ProcessEngine(CommandClient):
             definition,
             context=AnalysisContext.from_engine(self),
             behavioral=behavioral,
-            max_states=self.soundness_max_states,
             severity_overrides=overrides,
         )
         self._emit_findings("lint.diagnostic", definition, report.diagnostics)
@@ -1098,10 +1090,10 @@ class ProcessEngine(CommandClient):
         seq = self.dispatch_log.seq
         # write-behind read models: the touched ids are noted now; the
         # view records join this commit only when forced (the group-
-        # commit boundary) or when their persisted image lags
-        # `views_flush_lag` seqs — always inside the retained log
-        # tail, so a crash between drains recovers by tail replay
-        persist = force or seq - views.persisted_seq >= self._views_flush_lag
+        # commit boundary) or when their persisted image lags a quarter
+        # of the retained log tail, so a crash between drains recovers by
+        # tail replay
+        persist = force or seq - views.persisted_seq >= self._drain_every
         views.note_commit(writes, seq, persist)
         if persist:
             records = len(writes)

@@ -5,12 +5,7 @@ EXECUTORS` by loading every family module for its registration side
 effects.
 """
 
-from repro.engine.executors.registry import (
-    EXECUTORS,
-    executor,
-    executor_for,
-    registered_node_types,
-)
+from repro.engine.executors.registry import EXECUTORS, executor
 from repro.engine.executors import (  # noqa: F401 - registration side effects
     events,
     gateways,
@@ -18,9 +13,4 @@ from repro.engine.executors import (  # noqa: F401 - registration side effects
     tasks,
 )
 
-__all__ = [
-    "EXECUTORS",
-    "executor",
-    "executor_for",
-    "registered_node_types",
-]
+__all__ = ["EXECUTORS", "executor"]

@@ -5,8 +5,8 @@ definition, token, node)`` living in one of the per-node-family modules
 (:mod:`~repro.engine.executors.events`, ``tasks``, ``gateways``,
 ``subprocesses``) and registered here with the :func:`executor`
 decorator.  The interpreter core (:mod:`repro.engine.execution`) resolves
-the executor for a token's node through :func:`executor_for` — there is
-no ``_execute_*`` if-ladder and no god-class.
+the executor for a token's node by a lookup in :data:`EXECUTORS` — there
+is no ``_execute_*`` if-ladder and no god-class.
 
 The registry is intentionally dumb: it imports nothing from the engine
 or the interpreter, so it can be loaded first and never participates in
@@ -45,13 +45,3 @@ def executor(*node_types: type) -> Callable[["Executor"], "Executor"]:
         return fn
 
     return decorate
-
-
-def executor_for(node_type: type) -> "Executor | None":
-    """The registered executor for a node type, if any."""
-    return EXECUTORS.get(node_type)
-
-
-def registered_node_types() -> list[type]:
-    """All node types with an executor (sorted by name, for diagnostics)."""
-    return sorted(EXECUTORS, key=lambda t: t.__name__)

@@ -139,13 +139,6 @@ class ProcessInstance:
         """Tokens the interpreter can execute now."""
         return [t for t in self.tokens if t.state is TokenState.ACTIVE]
 
-    def waiting_tokens(self, reason: str | None = None) -> list[Token]:
-        """Parked tokens, optionally filtered by wait reason."""
-        waiting = [t for t in self.tokens if t.state is TokenState.WAITING]
-        if reason is not None:
-            waiting = [t for t in waiting if t.waiting_on.get("reason") == reason]
-        return waiting
-
     def tokens_at(self, node_id: str) -> list[Token]:
         """All tokens currently sitting at one node."""
         return [t for t in self.tokens if t.node_id == node_id]

@@ -107,10 +107,6 @@ class JobScheduler:
             self._writes.delete(JOBS_PREFIX, job_id)
         return len(doomed)
 
-    def cancel_for_instance(self, instance_id: str) -> int:
-        """Cancel every job of one instance."""
-        return self.cancel_where(lambda job: job.instance_id == instance_id)
-
     def remap_nodes(self, instance_id: str, target_node: Callable[[str], str]) -> None:
         """Migration: re-point an instance's jobs at the target version's
         node ids (a job names the node its firing resumes)."""

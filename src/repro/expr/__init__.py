@@ -21,12 +21,7 @@ from repro.expr.errors import EvaluationError, ExpressionError, ParseError
 from repro.expr.evaluator import CompiledExpression, compile_expression, evaluate
 from repro.expr.names import collect_names
 from repro.expr.parser import parse
-from repro.expr.script import (
-    ScriptStatement,
-    ScriptSyntaxError,
-    parse_script,
-    run_script,
-)
+from repro.expr.script import ScriptStatement, ScriptSyntaxError, run_script
 from repro.expr.tokenizer import Token, TokenType, tokenize
 
 __all__ = [
@@ -43,7 +38,6 @@ __all__ = [
     "compile_expression",
     "evaluate",
     "parse",
-    "parse_script",
     "run_script",
     "tokenize",
 ]

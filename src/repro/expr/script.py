@@ -123,11 +123,6 @@ def iter_statements(script: str) -> Iterator[ScriptStatement]:
         yield parse_statement(line_no, statement)
 
 
-def parse_script(script: str) -> list[ScriptStatement]:
-    """Eagerly parse a whole script (first error aborts)."""
-    return list(iter_statements(script))
-
-
 _SCRIPT_CACHE: dict[str, tuple[ScriptStatement, ...]] = {}
 _SCRIPT_CACHE_LIMIT = 4096
 

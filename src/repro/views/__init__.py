@@ -2,13 +2,13 @@
 
 See DESIGN.md §Read models.  Layout:
 
-* :mod:`repro.views.projections` — the projection contract, the three
-  built-in projections (live records plus a finished tier of rank
-  pages), compact-record constructors, and the ``merge_ranked`` k-way
-  merge.
+* :mod:`repro.views.projections` — the three fixed tables
+  (``InstancesByState`` and ``WorklistQueues``: live records plus a
+  finished tier of rank pages; ``DefinitionStats``), compact-record
+  constructors, and the ``merge_ranked`` k-way merge.
 * :mod:`repro.views.manager` — ``ProjectionManager``: the group-commit
-  apply hook, cursor bookkeeping, recovery (load / tail replay /
-  rebuild).
+  apply hook, the one image cursor (``view/__cursor``), recovery (load /
+  tail replay / rebuild).
 * :mod:`repro.views.cluster` — ``ClusterViews``: cross-shard queries
   served from per-shard read models, flat in shard count.
 * :mod:`repro.views.rebuild` — offline full rebuild for closed stores
@@ -16,12 +16,10 @@ See DESIGN.md §Read models.  Layout:
 """
 
 from repro.views.cluster import ClusterViews
-from repro.views.manager import VIEW_PREFIX, ProjectionManager
+from repro.views.manager import CURSOR_KEY, VIEW_PREFIX, ProjectionManager
 from repro.views.projections import (
-    CURSOR_SUFFIX,
     DefinitionStats,
     InstancesByState,
-    Projection,
     WorklistQueues,
     compact_instance,
     compact_instance_obj,
@@ -33,12 +31,11 @@ from repro.views.projections import (
 from repro.views.rebuild import rebuild_store_views
 
 __all__ = [
-    "CURSOR_SUFFIX",
+    "CURSOR_KEY",
     "VIEW_PREFIX",
     "ClusterViews",
     "DefinitionStats",
     "InstancesByState",
-    "Projection",
     "ProjectionManager",
     "WorklistQueues",
     "compact_instance",

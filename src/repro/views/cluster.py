@@ -134,7 +134,7 @@ class ClusterViews:
         return merge_definition_stats(reports)
 
     def status(self) -> dict[str, Any]:
-        """Per-shard projection cursors and lag (``repro cluster status``)."""
+        """Per-shard applied seq and lag (``repro cluster status``)."""
         per_shard = []
         for index, shard in enumerate(self._cluster.shards):
             manager = shard.views

@@ -1,45 +1,50 @@
 """``ProjectionManager``: maintains the read models at group-commit time.
 
+The read models are three fixed tables (:mod:`repro.views.projections`):
+``by_state`` (instances), ``def_stats`` (per-definition analytics) and
+``worklist`` (work items).  The manager calls their batch ``apply_*``
+methods directly and keeps **one cursor for the whole image**,
+``view/__cursor``.
+
 The manager hangs off :meth:`ProcessEngine._flush` as a *write-behind*
 consumer of the engine's write-set.  Every commit that carries instance
 or work-item puts notes their ids (:meth:`note_commit` — two set
 unions, nothing else on the commit hot path); the noted entities are
-*materialized* into the in-memory projections lazily, the first time a
-query needs them or when the view records are persisted.  Persistence
-itself (the *drain*) puts the view records into the same write-set —
-**the same store transaction** as the base records — but only on
-commits where the persisted image has fallen ``views_flush_lag``
-dispatch seqs behind, or on any forced flush
+*materialized* into the in-memory tables lazily, the first time a query
+needs them or when the view records are persisted.  Persistence itself
+(the *drain*) puts the view records and the cursor into the same
+write-set — **the same store transaction** as the base records — but
+only on commits where the persisted image has fallen a quarter of the
+dispatch-log retention behind, or on any forced flush
 (:meth:`ProcessEngine.flush`, batch exit), the group-commit boundary.
 
 That shape buys the consistency story and keeps maintenance off the
 per-dispatch critical path:
 
-* projections are never ahead of durable state — view records and
-  cursors commit atomically with (a subset of) the base records they
+* the tables are never ahead of durable state — view records and the
+  cursor commit atomically with (a subset of) the base records they
   project, and a torn commit drops the whole batch;
 * the persisted image may lag by a bounded number of seqs (strictly
   less than the retained dispatch-log tail), which recovery repairs by
   replaying just the ``touched`` entity ids stamped on the log tail;
-* in-memory projection state is exact on read: queries first fold in
-  the noted-but-unapplied entities *and* the engine's instance and
+* in-memory table state is exact on read: queries first fold in the
+  noted-but-unapplied entities *and* the engine's instance and
   work-item puts not yet committed (inside ``batch()``, or below
   ``commit_interval``), so the image answers for the engine's memory at
   any moment — it is the engine's only instance and work-item index.
 
-Cursor semantics: every drain stamps each projection's
-``view/<name>/__cursor`` with the engine's dispatch sequence at commit
-time (all four move together).  On recovery the cursors tell the
-manager how much of the dispatch log the persisted image has seen:
+Cursor semantics: every drain stamps ``view/__cursor`` with the
+engine's dispatch sequence at commit time.  On recovery the cursor tells
+the manager how much of the dispatch log the persisted image has seen:
 
 * **cursor == dispatch seq** → load the records, done (clean shutdown
   went through a forced flush, so this is the common case);
 * **cursor < dispatch seq**, the log still retains every entry past the
   cursor, and each carries a ``touched`` entity-id stamp → re-apply
   just those entities from their stored records (tail replay);
-* anything else (no cursors, diverged cursors, pruned tail, stamps
-  missing/over the cap) → full rebuild from the stored base records,
-  linear in state size.
+* anything else (no cursor, a cursor ahead of the log, an image in an
+  older layout, pruned tail, stamps missing/over the cap) → full
+  rebuild from the stored base records, linear in state size.
 
 Recovery reads the store only — the ``view/`` records, and for tail
 replay or rebuild raw base records through
@@ -49,7 +54,7 @@ caught-up image names the live cases the engine decodes, and the
 finished ones it leaves on disk.  A load reads O(live + pages) values,
 not one per case ever run.
 
-Failure handling mirrors the write-set's: per-projection dirty keys are
+Failure handling mirrors the write-set's: the tables' dirty keys are
 cleared only by :meth:`confirm` — called after the store transaction
 and sync succeeded — so a failed commit re-emits the (converged,
 idempotent) records on retry.
@@ -64,11 +69,9 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.engine.instance import INSTANCE_PREFIX
 from repro.storage.writeset import WriteSet
 from repro.views.projections import (
-    CURSOR_SUFFIX,
     INSTANCE_STATES,
     DefinitionStats,
     InstancesByState,
-    Projection,
     WorklistQueues,
     compact_instance,
     compact_instance_obj,
@@ -83,51 +86,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: store-key namespace for all view records
 VIEW_PREFIX = "view/"
+#: the one cursor of the whole image: the dispatch seq it is current through
+CURSOR_KEY = VIEW_PREFIX + "__cursor"
 
 #: the batch-apply determinism order (C-level key extraction)
 _RANK_ID = itemgetter("rank", "id")
 
 
 class ProjectionManager:
-    """The three built-in projections plus apply/recover/rebuild plumbing."""
+    """The three read-model tables plus apply/recover/rebuild plumbing."""
 
-    def __init__(
-        self,
-        obs: "Observability | None" = None,
-        extra_projections: Iterable[Projection] = (),
-    ) -> None:
+    def __init__(self, obs: "Observability | None" = None) -> None:
         self.by_state = InstancesByState()
         self.def_stats = DefinitionStats()
         self.worklist = WorklistQueues()
-        self.projections: tuple[Projection, ...] = (
-            self.by_state,
-            self.def_stats,
-            self.worklist,
-        ) + tuple(extra_projections)
-        self._by_name = {p.name: p for p in self.projections}
-        # skip no-op batches: only projections that override a hook (the
-        # per-transition or the batch form) see that entity kind
-        self._instance_projections = tuple(
-            p for p in self.projections
-            if type(p).on_instance is not Projection.on_instance
-            or type(p).apply_instances is not Projection.apply_instances
-        )
-        self._item_projections = tuple(
-            p for p in self.projections
-            if type(p).on_item is not Projection.on_item
-            or type(p).apply_items is not Projection.apply_items
-        )
+        #: the tables in drain order, and by record-key name
+        self.projections = (self.by_state, self.def_stats, self.worklist)
+        self._by_name = {table.name: table for table in self.projections}
         #: dispatch seq the in-memory image is current through (counting
         #: noted-but-unmaterialized entities, which reads materialize)
         self.applied_seq = 0
-        #: dispatch seq covered by the last *persisted* cursors
+        #: dispatch seq covered by the last *persisted* cursor
         self.persisted_seq = 0
         #: how the last recover() caught up: "load" | "tail" | "rebuild"
         self.recovered_mode: str | None = None
         #: the last load() read a layout this build does not write
         self.stale = False
         # write-behind buffers: entity ids noted by flushes but not yet
-        # applied to the projections; materialized on read or drain
+        # applied to the tables; materialized on read or drain
         self._pending_instances: set[str] = set()
         self._pending_items: set[str] = set()
         self._source: "ProcessEngine | None" = None
@@ -138,13 +124,14 @@ class ProjectionManager:
         self._h_apply = (
             None if obs is None else obs.registry.histogram("views.apply_seconds")
         )
+        # one lag gauge per table (``views.lag.<name>``), all set alike
         self._g_lag = (
-            {}
+            ()
             if obs is None
-            else {
-                p.name: obs.registry.gauge(f"views.lag.{p.name}")
-                for p in self.projections
-            }
+            else tuple(
+                obs.registry.gauge(f"views.lag.{table.name}")
+                for table in self.projections
+            )
         )
 
     def bind(self, engine: "ProcessEngine") -> None:
@@ -160,7 +147,7 @@ class ProjectionManager:
         before the store transaction opens.  The touched ids are the
         write-set's pending ``instance/`` and ``workitem/`` puts; noting
         them is two set unions — the per-commit cost of view maintenance
-        is O(touched ids), not O(projection work).  They materialize
+        is O(touched ids), not O(table work).  They materialize
         lazily (first read or next drain), pulling each entity's
         *current* state, so an entity committed five times between
         drains is applied once.  A commit that touches neither (deploy,
@@ -175,8 +162,8 @@ class ProjectionManager:
         self._pending_items.update(item_ids)
         self._noted_seq = seq
         if persist:
-            # the drain: changed view records plus one cursor per
-            # projection join this commit; committed() confirms them
+            # the drain: changed view records plus the image cursor join
+            # this commit; committed() confirms them
             self._materialize()
             cut = len(VIEW_PREFIX)
             for key, value in self._write_set(seq).items():
@@ -252,34 +239,32 @@ class ProjectionManager:
         Batches apply in ``(rank, id)`` order — the determinism contract
         that makes incremental maintenance, tail replay, and rebuild
         produce identical persisted bytes.  Every pair's ``old`` is
-        snapshotted before any projection mutates shared state (each
-        entity appears at most once per batch, so the precomputed
-        transitions match record-at-a-time apply); a finished entity's
-        re-put never becomes a pair.
+        snapshotted before any table mutates shared state (each entity
+        appears at most once per batch, so the precomputed transitions
+        match record-at-a-time apply); a finished entity's re-put never
+        becomes a pair.
         """
         if instances:
             if len(instances) > 1:
                 instances.sort(key=_RANK_ID)
             pairs = self.by_state.transitions(instances)
-            for projection in self._instance_projections:
-                projection.apply_instances(pairs)
+            self.by_state.apply_instances(pairs)
+            self.def_stats.apply_instances(pairs)
         if items:
             if len(items) > 1:
                 items.sort(key=_RANK_ID)
-            pairs = self.worklist.transitions(items)
-            for projection in self._item_projections:
-                projection.apply_items(pairs)
+            self.worklist.apply_items(self.worklist.transitions(items))
         if seq > self.applied_seq:
             self.applied_seq = seq
 
     def _write_set(self, seq: int) -> dict[str, Any]:
-        """Dirty view records plus one cursor per projection, at ``seq``."""
+        """Dirty view records plus the image cursor at ``seq``."""
         writes: dict[str, Any] = {}
-        for projection in self.projections:
-            prefix = f"{VIEW_PREFIX}{projection.name}/"
-            for suffix, value in projection.dirty_records().items():
+        for table in self.projections:
+            prefix = f"{VIEW_PREFIX}{table.name}/"
+            for suffix, value in table.dirty_records().items():
                 writes[prefix + suffix] = value
-            writes[prefix + CURSOR_SUFFIX] = {"seq": seq}
+        writes[CURSOR_KEY] = {"seq": seq}
         self._drained_seq = seq
         return writes
 
@@ -297,8 +282,8 @@ class ProjectionManager:
     def confirm(self) -> None:
         """The drain's transaction committed: the persisted image is
         current through the drained seq; drop the differential sets."""
-        for projection in self.projections:
-            projection.clear_dirty()
+        for table in self.projections:
+            table.clear_dirty()
         self.persisted_seq = self._drained_seq
         self._unconfirmed = False
         self._set_lag_gauges(self._noted_seq - self.persisted_seq)
@@ -309,9 +294,9 @@ class ProjectionManager:
         Confirms a drain that rode it.  Either way the image is current
         through ``seq``: touched ids were noted (and will materialize on
         read), and a commit with no view-relevant records changes
-        nothing the projections track.  The persisted cursors may lag
-        (deliberately — no gratuitous writes); recovery catches them up
-        by tail replay.
+        nothing the tables track.  The persisted cursor may lag
+        (deliberately — no gratuitous writes); recovery catches it up by
+        tail replay.
         """
         if self._unconfirmed:
             self.confirm()
@@ -327,8 +312,8 @@ class ProjectionManager:
         seq: int,
     ) -> dict[str, Any]:
         """Reset and replay full base state; return the full write-set."""
-        for projection in self.projections:
-            projection.reset()
+        for table in self.projections:
+            table.reset()
         self.applied_seq = 0
         self._pending_instances.clear()
         self._pending_items.clear()
@@ -336,34 +321,36 @@ class ProjectionManager:
 
     # -- recovery ---------------------------------------------------------------
 
-    def load(self, store: Any) -> tuple[dict[str, int], list[str]]:
-        """Read a store's ``view/`` image into the fresh projections as it
+    def load(self, store: Any) -> tuple[int | None, list[str]]:
+        """Read a store's ``view/`` image into the fresh tables as it
         stands, without catching it up.
 
-        Returns each projection's cursor and every ``view/`` key read;
-        sets :attr:`stale` when the image is in a layout this build does
-        not write (a projection it does not know, such as the business-key
-        records of older builds, or a finished entity kept per id).  The
+        Returns the image cursor (``None`` when there is none) and every
+        ``view/`` key read; sets :attr:`stale` when the image is in a
+        layout this build does not write (a table it does not know, such
+        as the business-key records of older builds, a per-table
+        ``view/<name>/__cursor``, or a finished entity kept per id).  The
         offline ``repro views`` and ``cluster status`` commands read a
         closed store through this.
         """
         keys: list[str] = []
-        cursors: dict[str, int] = {}
+        cursor = None
         stale = False
         for key, raw in store.scan(VIEW_PREFIX):
             keys.append(key)
+            if key == CURSOR_KEY:
+                cursor = int(raw.get("seq", 0))
+                continue
             name, sep, suffix = key[len(VIEW_PREFIX):].partition("/")
-            projection = self._by_name.get(name)
-            if projection is None or not sep:
+            table = self._by_name.get(name)
+            if table is None or not sep or suffix == "__cursor":
                 stale = True
-            elif suffix == CURSOR_SUFFIX:
-                cursors[name] = int(raw.get("seq", 0))
             else:
-                projection.load_record(suffix, raw)
-        for projection in self.projections:
-            projection.finish_load()
-        self.stale = stale or any(p.stale for p in self.projections)
-        return cursors, keys
+                table.load_record(suffix, raw)
+        self.by_state.finish_load()
+        self.worklist.finish_load()
+        self.stale = stale or self.by_state.stale or self.worklist.stale
+        return cursor, keys
 
     def recover(self, store: Any, dispatch_log: Any) -> dict[str, Any]:
         """Load, tail-replay, or rebuild the views from the store alone.
@@ -379,14 +366,12 @@ class ProjectionManager:
         target = dispatch_log.seq
         self._pending_instances.clear()
         self._pending_items.clear()
-        cursors, existing_keys = self.load(store)
+        cursor, existing_keys = self.load(store)
         loaded = len(existing_keys)
         if not existing_keys and target == 0 and not store.keys(INSTANCE_PREFIX):
             # pristine store: nothing to load, nothing worth stamping
             self.recovered_mode = "load"
             return {"mode": "load", "records": 0, "replayed": 0}
-        cursor_values = {cursors.get(p.name) for p in self.projections}
-        cursor = cursor_values.pop() if len(cursor_values) == 1 else None
         if cursor is not None and not self.stale and 0 <= cursor <= target:
             self._set_lag_gauges(0)
             if cursor == target:
@@ -415,8 +400,8 @@ class ProjectionManager:
                     "records": loaded,
                     "replayed": len(tail),
                 }
-        # cursors missing, diverged, ahead of durable state, a stale
-        # layout, or the log tail is unusable: rebuild everything from the
+        # no cursor, a cursor ahead of durable state, a stale layout, or
+        # the log tail is unusable: rebuild everything from the
         # stored base records
         counts = self.rebuild_store(store, target, existing_keys)
         self._set_lag_gauges(0)
@@ -494,7 +479,7 @@ class ProjectionManager:
     def _set_lag_gauges(self, value: int) -> None:
         # refreshed at drain/confirm boundaries and on status() reads —
         # never on the per-commit note path, which stays O(dirty ids)
-        for gauge in self._g_lag.values():
+        for gauge in self._g_lag:
             gauge.set(value)
 
     # -- queries ----------------------------------------------------------------
@@ -561,7 +546,7 @@ class ProjectionManager:
         return self.def_stats.report()
 
     def status(self) -> dict[str, Any]:
-        """Projection bookkeeping for ``repro views status``."""
+        """Table bookkeeping for ``repro views status``."""
         self._materialize()
         self._set_lag_gauges(self._noted_seq - self.persisted_seq)
         return {
@@ -569,7 +554,6 @@ class ProjectionManager:
             "persisted_seq": self.persisted_seq,
             "recovered_mode": self.recovered_mode,
             "projections": {
-                projection.name: projection.record_count()
-                for projection in self.projections
+                table.name: table.record_count() for table in self.projections
             },
         }

@@ -1,27 +1,26 @@
-"""Materialized read-model projections (the CQRS read side).
+"""The three read-model tables (the CQRS read side).
 
 The engine's write side is already event-sourced: every mutation is a
-typed command appended to the persisted dispatch log (``dispatch/<seq>``,
-PR 4) and committed as a differential write-set in one group commit
-(PR 3).  This module builds the read side: compact, incrementally-
-maintained projections of that state, each persisting records under
-``view/<name>/<key>`` plus a per-projection ``view/<name>/__cursor``
-holding the last applied dispatch sequence.
+typed command appended to the persisted dispatch log (``dispatch/<seq>``)
+and committed as a differential write-set in one group commit.  This
+module holds the read side's three fixed tables — :class:`InstancesByState`,
+:class:`DefinitionStats` and :class:`WorklistQueues` — each persisting
+records under ``view/<name>/<key>``; the manager keeps the one
+``view/__cursor`` of the whole image.
 
-The projection contract is *transition-based*: every apply receives
-``(old, new)`` compact records for one entity, where ``old`` is the
-snapshot the projection system last applied (``None`` on first sight)
+Each table applies *batches of transitions*: ``apply_instances`` /
+``apply_items`` receive ``(old, new)`` compact-record pairs, where
+``old`` is the record the image last applied (``None`` on first sight)
 and ``new`` is the entity's current compact form.  Per-entity records
 are pure functions of ``new``; aggregates (counters, queue depths,
 cycle-time summaries) adjust by diffing ``old`` against ``new``.  Both
-properties together make a projection *rebuildable*: feeding the final
-base records through the same code path as ``(None, record)``
-transitions reproduces the incrementally-maintained image byte for
-byte — the invariant the F15 property test pins.
+properties together make a table *rebuildable*: feeding the final base
+records through the same code path as ``(None, record)`` transitions
+reproduces the incrementally-maintained image byte for byte — the
+invariant the replay property test pins.
 
-Determinism rules the implementations below follow (and custom
-projections must follow) so that incremental maintenance, tail replay,
-and full rebuild converge on identical persisted bytes:
+Determinism rules the tables follow so that incremental maintenance,
+tail replay, and full rebuild converge on identical persisted bytes:
 
 * batches are applied in ``(rank, id)`` order (``creation_rank``);
 * ordered containers insert by ``(rank, id)``, never by arrival time;
@@ -37,10 +36,10 @@ reaches a terminal state into page ``rank // PAGE`` of a columnar
 finished tier, persisted whole as ``view/<name>/__p<k>`` by the next
 drain.  A page keeps its members in ``(rank, id)`` order, so its content
 is a function of their final records alone, and the manager drops a
-re-put of a paged entity before any projection sees it.
+re-put of a paged entity before any table sees it.
 
-Suffixes beginning with ``__`` (``__cursor``, ``__queues``, ``__p<k>``)
-are reserved for projection bookkeeping.
+Suffixes beginning with ``__`` (``__queues``, ``__p<k>``) are reserved
+for table bookkeeping.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 from repro.analytics.kpis import CycleTimeAggregate
 
 T = TypeVar("T")
-
-#: reserved record suffix holding a projection's applied dispatch seq
-CURSOR_SUFFIX = "__cursor"
 
 #: finished entities per page of the finished tier: page k holds ranks
 #: k * PAGE to (k + 1) * PAGE - 1
@@ -203,75 +199,14 @@ def compact_item_obj(item: Any) -> dict[str, Any]:
     }
 
 
-# -- the projection contract --------------------------------------------------
-
-
-class Projection:
-    """Base class: transition consumers with a differential write-set.
-
-    ``on_instance``/``on_item`` receive ``(old, new)`` compact records
-    (``old is None`` on first sight).  ``dirty_records()`` materializes
-    the records changed since the last ``clear_dirty()`` — values are
-    built at call time, so a retried flush after a failed transaction
-    re-emits the *current* (converged) image; a value of ``None``
-    deletes the record.
-
-    The manager feeds whole batches through ``apply_instances`` /
-    ``apply_items`` (a list of ``(old, new)`` pairs in ``(rank, id)``
-    order, one pair per entity).  Custom projections usually just
-    override the per-transition hooks — the base batch methods loop
-    them.  The built-ins override the batch methods instead (binding
-    their hot state to locals once per batch rather than once per
-    record) and delegate the per-transition hooks to a one-pair batch,
-    so either entry point runs the same logic.
-    """
-
-    name: str = ""
-    #: the loaded records are in a layout this build does not write;
-    #: recovery rebuilds such an image
-    stale = False
-
-    def __init__(self) -> None:
-        self._dirty_keys: set[str] = set()
-
-    # -- maintenance
-    def on_instance(self, old: dict | None, new: dict) -> None:
-        pass
-
-    def on_item(self, old: dict | None, new: dict) -> None:
-        pass
-
-    def apply_instances(
-        self, pairs: Sequence[tuple[dict | None, dict]]
-    ) -> None:
-        on_instance = self.on_instance
-        for old, new in pairs:
-            on_instance(old, new)
-
-    def apply_items(self, pairs: Sequence[tuple[dict | None, dict]]) -> None:
-        on_item = self.on_item
-        for old, new in pairs:
-            on_item(old, new)
-
-    # -- persistence
-    def dirty_records(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def clear_dirty(self) -> None:
-        self._dirty_keys.clear()
-
-    # -- recovery
-    def load_record(self, suffix: str, value: Any) -> None:
-        raise NotImplementedError
-
-    def finish_load(self) -> None:
-        """Rebuild derived in-memory structures after ``load_record``s."""
-
-    def reset(self) -> None:
-        raise NotImplementedError
-
-    def record_count(self) -> int:
-        raise NotImplementedError
+# -- the tables ----------------------------------------------------------------
+#
+# Each table has the same persistence surface, which the manager calls
+# directly: ``dirty_records()`` materializes the records changed since the
+# last ``clear_dirty()`` — values are built at call time, so a retried
+# flush after a failed transaction re-emits the *current* (converged)
+# image; a value of ``None`` deletes the record — and recovery feeds
+# ``load_record(suffix, value)`` per stored record, then ``finish_load()``.
 
 
 def _column(field: str, values: Iterable[Any] = ()) -> Any:
@@ -328,7 +263,7 @@ class _Page:
         return {field: list(column) for field, column in self.columns.items()}
 
 
-class _Tiered(Projection):
+class _Tiered:
     """Live entities one record each, finished ones in rank pages.
 
     Subclasses name the entity's ``states`` (the page codes), the
@@ -344,7 +279,6 @@ class _Tiered(Projection):
     fields: tuple[str, ...] = ()
 
     def __init__(self) -> None:
-        super().__init__()
         self._codes = {state: code for code, state in enumerate(self.states)}
         self.reset()
 
@@ -356,8 +290,10 @@ class _Tiered(Projection):
         self.pages: dict[int, _Page] = {}
         #: entities per state, both tiers
         self.state_counts: dict[str, int] = {}
+        #: the loaded records are in a layout this build does not write;
+        #: recovery rebuilds such an image
         self.stale = False
-        self._dirty_keys.clear()
+        self._dirty_keys: set[str] = set()
         self._dirty_pages: set[int] = set()
         # paged ids whose live record a drain wrote (the next drain
         # deletes it), and live ids no drain has written yet
@@ -426,7 +362,7 @@ class _Tiered(Projection):
         """``(previous, current)`` pairs for a batch of current records.
 
         A paged entity is final, so its re-put (a compensated finished
-        instance) is dropped here, before any projection sees it.
+        instance) is dropped here, before any table sees it.
         """
         live = self.records.get
         pairs = []
@@ -445,7 +381,7 @@ class _Tiered(Projection):
         return out
 
     def clear_dirty(self) -> None:
-        super().clear_dirty()
+        self._dirty_keys.clear()
         self._gone.clear()
         self._dirty_pages.clear()
 
@@ -558,9 +494,6 @@ class InstancesByState(_Tiered):
         super().reset()
         self.keys: dict[str, list[str]] = {}
 
-    def on_instance(self, old: dict | None, new: dict) -> None:
-        self.apply_instances(((old, new),))
-
     def apply_instances(
         self, pairs: Sequence[tuple[dict | None, dict]]
     ) -> None:
@@ -595,7 +528,7 @@ class InstancesByState(_Tiered):
         return list(self.keys.get(business_key, ()))
 
 
-class DefinitionStats(Projection):
+class DefinitionStats:
     """Per-definition analytics (``view/def_stats/<key>``).
 
     Tracks total instances started, a per-state census maintained by
@@ -607,8 +540,8 @@ class DefinitionStats(Projection):
     name = "def_stats"
 
     def __init__(self) -> None:
-        super().__init__()
         self.stats: dict[str, dict[str, Any]] = {}
+        self._dirty_keys: set[str] = set()
 
     def _slot(self, definition: str) -> dict[str, Any]:
         slot = self.stats.get(definition)
@@ -619,9 +552,6 @@ class DefinitionStats(Projection):
                 "cycle": CycleTimeAggregate(),
             }
         return slot
-
-    def on_instance(self, old: dict | None, new: dict) -> None:
-        self.apply_instances(((old, new),))
 
     def apply_instances(
         self, pairs: Sequence[tuple[dict | None, dict]]
@@ -671,6 +601,9 @@ class DefinitionStats(Projection):
 
     def dirty_records(self) -> dict[str, Any]:
         return {key: self._record(key) for key in self._dirty_keys}
+
+    def clear_dirty(self) -> None:
+        self._dirty_keys.clear()
 
     def _record(self, definition: str) -> dict[str, Any]:
         slot = self._slot(definition)
@@ -727,9 +660,6 @@ class WorklistQueues(_Tiered):
         super().reset()
         self.role_open: dict[str, int] = {}
         self.open_total = 0
-
-    def on_item(self, old: dict | None, new: dict) -> None:
-        self.apply_items(((old, new),))
 
     def apply_items(self, pairs: Sequence[tuple[dict | None, dict]]) -> None:
         if not pairs:

@@ -6,7 +6,7 @@ after upgrading across a projection-schema change, or to repair a store
 whose view records are suspect.  The rebuild is linear in store size
 (one scan of ``instance/``, ``workitem/``, and ``dispatch/``) and
 produces records byte-identical to incremental maintenance (the
-projection determinism contract; see :mod:`repro.views.projections`).
+tables' determinism rules; see :mod:`repro.views.projections`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def stored_dispatch_seq(store: Any) -> int:
 
 
 def rebuild_store_views(store: Any) -> dict[str, int]:
-    """Rebuild all projections of one store in a single transaction.
+    """Rebuild the three view tables of one store in a single transaction.
 
     Stale ``view/`` keys that the rebuilt image no longer produces are
     deleted in the same transaction, so the namespace never mixes

@@ -78,7 +78,6 @@ class WorklistService:
         self._store: KeyValueStore | None = None
         self._index: Callable[[str | None], list[str]] | None = None
         self._completion_listeners: list[CompletionListener] = []
-        self._cancellation_listeners: list[CompletionListener] = []
         self._id_counter = itertools.count(1)
         self._id_prefix = f"wi-{id_namespace}-" if id_namespace else "wi-"
         self._lock = threading.RLock()
@@ -118,10 +117,6 @@ class WorklistService:
     def on_completion(self, listener: CompletionListener) -> None:
         """Register a callback fired on every completed item (engine hook)."""
         self._completion_listeners.append(listener)
-
-    def on_cancellation(self, listener: CompletionListener) -> None:
-        """Register a callback fired on every cancelled item."""
-        self._cancellation_listeners.append(listener)
 
     def _record(self, item: WorkItem, event_type: str, **data: Any) -> None:
         history = self.history
@@ -343,8 +338,6 @@ class WorklistService:
             if self._g_open is not None:
                 self._g_open.dec()
             self._record(item, EventTypes.WORKITEM_CANCELLED)
-            for listener in self._cancellation_listeners:
-                listener(item)
             return item
 
     def cancel_for_instance(self, instance_id: str) -> int:

@@ -75,10 +75,33 @@ class TestDeadlock:
             engine.deploy(xor_into_and_join(), verify=True)
 
 
+def and_into_xor_join_in_a_loop():
+    """Unbounded: every lap's AND-split doubles the tokens the XOR-join
+    passes back into the loop."""
+    b = ProcessBuilder("unbounded").start().exclusive_gateway("head")
+    b.parallel_gateway("fork")
+    b.add_node(ExclusiveGateway(id="collect"))
+    b.branch().script_task("task_a", script="v = 1").connect_to("collect")
+    b.move_to("fork").branch().script_task("task_b", script="w = 2")
+    b.connect_to("collect")
+    b.move_to("collect").exclusive_gateway("loop_back")
+    b.branch("v < 1").connect_to("head")
+    b.move_to("loop_back").branch(default=True).end()
+    return b.build()
+
+
 class TestLackOfSynchronization:
     def test_flagged_as_snd002(self):
         found = behavioral_pass(and_into_xor_join())
         assert "SND002" in rules_of(found)
+
+    def test_unbounded_loop_is_snd002_at_the_join(self):
+        found = behavioral_pass(and_into_xor_join_in_a_loop())
+        assert rules_of(found) == {"SND002"}
+        # the report names the first three elements (in id order) whose
+        # places grow without bound; the XOR-join "collect" sorts first
+        assert [f.element_id for f in found] == ["collect", "end", "fork"]
+        assert all("without bound" in f.message for f in found)
 
     def test_runtime_confirms_duplicate_execution(self):
         engine, instance = deploy_forced(and_into_xor_join())

@@ -353,12 +353,10 @@ class TestFailedCommitRetries:
         with pytest.raises(OSError):
             engine.flush()  # commit 3: the forced view drain fails
         assert engine.views.persisted_seq == persisted
-        assert store.get("view/by_state/__cursor") is None
+        assert store.get("view/__cursor") is None
         engine.flush()
         assert engine.views.persisted_seq == engine.dispatch_log.seq
-        assert store.get("view/by_state/__cursor") == {
-            "seq": engine.dispatch_log.seq
-        }
+        assert store.get("view/__cursor") == {"seq": engine.dispatch_log.seq}
         store.close()
 
 

@@ -75,6 +75,34 @@ class TestBranching:
         assert len(guarded) == 1 and guarded[0].condition == "amount > 100"
         assert len(defaults) == 1 and defaults[0].target == "auto_approve"
 
+    def test_condition_and_default_flow_mark_the_next_flow(self):
+        model = (
+            ProcessBuilder("marked")
+            .start()
+            .exclusive_gateway("split")
+            .condition("amount > 100")
+            .user_task("manager_approval", role="manager")
+            .exclusive_gateway("join")
+            .move_to("split")
+            .default_flow()
+            .script_task("auto_approve", script="approved = true")
+            .connect_to("join")
+            .move_to("join")
+            .end()
+            .build()
+        )
+        by_target = {f.target: f for f in model.outgoing("split")}
+        assert by_target["manager_approval"].condition == "amount > 100"
+        assert not by_target["manager_approval"].is_default
+        assert by_target["auto_approve"].is_default
+        assert by_target["auto_approve"].condition is None
+        # each mark applies to one flow only
+        assert all(
+            f.condition is None and not f.is_default
+            for f in model.flows.values()
+            if f.source != "split"
+        )
+
     def test_branch_without_gateway_raises(self):
         with pytest.raises(ModelError):
             ProcessBuilder("p").start().branch(condition="x")

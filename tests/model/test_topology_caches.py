@@ -98,6 +98,38 @@ class TestCacheInvalidation:
         d.nodes["a2"] = ScriptTask(id="a2", name="", script="x = 2")
         assert [n.id for n in d.nodes_of_type(ScriptTask)] == ["a2"]
 
+    def test_popitem_invalidates(self):
+        d = two_task_model()
+        assert len(d.end_events()) == 1
+        removed, _ = d.nodes.popitem()  # the last node the builder added
+        assert removed == "end"
+        assert d.end_events() == ()
+
+    def test_clear_invalidates(self):
+        d = two_task_model()
+        assert len(d.nodes_of_type(ScriptTask)) == 1
+        d.nodes["c"] = ScriptTask(
+            id="c", name="", script="x = 0", compensation_handler="undo"
+        )
+        assert d.compensation_handler_ids() == frozenset({"undo"})
+        d.nodes.clear()
+        assert d.nodes_of_type(ScriptTask) == ()
+        assert d.compensation_handler_ids() == frozenset()
+
+    def test_update_invalidates(self):
+        d = two_task_model()
+        assert d.boundary_events_of("a") == ()
+        d.nodes.update(
+            bx=BoundaryEvent(id="bx", name="", attached_to="a", kind="timer", duration=5.0)
+        )
+        assert [e.id for e in d.boundary_events_of("a")] == ["bx"]
+
+    def test_setdefault_invalidates(self):
+        d = two_task_model()
+        assert len(d.nodes_of_type(UserTask)) == 1
+        d.nodes.setdefault("c", UserTask(id="c", name="", role="clerk"))
+        assert [n.id for n in d.nodes_of_type(UserTask)] == ["b", "c"]
+
     def test_boundary_attach_invalidates_boundary_index(self):
         d = two_task_model()
         assert d.boundary_events_of("a") == ()

@@ -509,6 +509,29 @@ class TestDlq:
         assert pending is not None
         assert pending["requeues"] == 1  # fresh completion dedup key
 
+    def test_failed_requeue_closes_its_stores(self, dlq_store, monkeypatch):
+        from repro.storage.kvstore import DurableKV
+
+        store = DurableKV(dlq_store)
+        store.put("dlq/inv-bad", {"id": "inv-bad"})  # not a decodable record
+        store.close()
+        opened, closed = [], []
+        init, close = DurableKV.__init__, DurableKV.close
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            opened.append(self)
+
+        def tracked_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(DurableKV, "__init__", tracked_init)
+        monkeypatch.setattr(DurableKV, "close", tracked_close)
+        with pytest.raises(TypeError):
+            main(["dlq", "requeue", "inv-bad", "--store", dlq_store])
+        assert opened and closed == opened
+
     def test_empty_store_lists_nothing(self, tmp_path, capsys):
         from repro.storage.kvstore import DurableKV
 
@@ -516,3 +539,46 @@ class TestDlq:
         DurableKV(path).close()
         assert main(["dlq", "list", "--store", path]) == 0
         assert "empty" in capsys.readouterr().out
+
+
+class TestStorePaths:
+    """Every ``--store`` reader walks a cluster directory the same way:
+    ``shard-<n>`` partitions in shard-number order, not name order."""
+
+    SHARDS = (0, 1, 2, 10)
+
+    @pytest.fixture
+    def cluster_dir(self, tmp_path):
+        from repro.engine.engine import ProcessEngine
+        from repro.storage.kvstore import DurableKV
+
+        root = tmp_path / "cluster"
+        for shard in self.SHARDS:
+            store = DurableKV(str(root / f"shard-{shard}"))
+            engine = ProcessEngine(store=store)
+            # only shard 0 deploys a model that lints with a warning
+            key = "noisy" if shard == 0 else f"quiet{shard}"
+            builder = ProcessBuilder(key).start()
+            if shard == 0:
+                builder.send_task("orphan", message_name="nobody.listens")
+            engine.deploy(builder.end().build())
+            store.put(f"dlq/inv-{shard}", {"id": "inv-x", "failed_at": 0.0})
+            store.close()
+        return str(root)
+
+    def test_dlq_list_reads_shards_in_numeric_order(self, cluster_dir, capsys):
+        import json
+
+        assert main(["dlq", "list", "--store", cluster_dir, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["dead_letters"]
+        # equal sort keys: the listing keeps the walk order
+        assert [row["store"] for row in rows] == [
+            f"shard-{shard}" for shard in self.SHARDS
+        ]
+
+    def test_lint_deployment_reads_shard_zero(self, cluster_dir, capsys):
+        assert main([
+            "lint", cluster_dir, "--deployment", "--fail-on", "warning",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "MSG001" in out and "quiet" not in out

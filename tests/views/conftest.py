@@ -12,7 +12,6 @@ from repro.views.manager import ProjectionManager
 from repro.views.projections import (
     TERMINAL_INSTANCE_STATES,
     TERMINAL_ITEM_STATES,
-    Projection,
     compact_instance_obj,
     compact_item_obj,
 )
@@ -66,22 +65,27 @@ def build_engine(store=None, **kwargs):
     return engine
 
 
-class TerminalGuard(Projection):
-    """Fails the test when a projection is fed a transition out of a
-    terminal state, or any transition of an entity already seen final —
-    what the finished tier's drop rule must prevent."""
+class TerminalGuard:
+    """Wraps a manager's ``by_state.apply_instances`` and
+    ``worklist.apply_items``: fails the test when a table is fed a
+    transition out of a terminal state, or any transition of an entity
+    already seen final — what the finished tier's drop rule must
+    prevent."""
 
-    name = "terminal_guard"
-
-    def __init__(self):
-        super().__init__()
+    def __init__(self, manager):
         self.finished = set()
+        self._wrap(manager.by_state, "apply_instances", TERMINAL_INSTANCE_STATES)
+        self._wrap(manager.worklist, "apply_items", TERMINAL_ITEM_STATES)
 
-    def on_instance(self, old, new):
-        self._check(old, new, TERMINAL_INSTANCE_STATES)
+    def _wrap(self, table, method, terminal):
+        apply = getattr(table, method)
 
-    def on_item(self, old, new):
-        self._check(old, new, TERMINAL_ITEM_STATES)
+        def checked(pairs):
+            for old, new in pairs:
+                self._check(old, new, terminal)
+            apply(pairs)
+
+        setattr(table, method, checked)
 
     def _check(self, old, new, terminal):
         assert old is None or old["state"] not in terminal, (old, new)
@@ -89,27 +93,16 @@ class TerminalGuard(Projection):
         if new["state"] in terminal:
             self.finished.add(new["id"])
 
-    def dirty_records(self):
-        return {}
-
-    def reset(self):
-        self.finished.clear()
-
-    def record_count(self):
-        return 0
-
 
 def guarded(engine):
-    """``engine`` with a :class:`TerminalGuard` beside the built-in
-    projections (install before ``recover()``)."""
-    engine.views = ProjectionManager(extra_projections=(TerminalGuard(),))
-    engine.views.bind(engine)
-    engine.worklist.bind_index(engine.store, engine.views.work_item_ids)
+    """``engine`` with a :class:`TerminalGuard` on its read models
+    (install before ``recover()``)."""
+    TerminalGuard(engine.views)
     return engine
 
 
 def stored_view_image(store):
-    """All persisted ``view/`` records minus the cursors, key → value."""
+    """All persisted ``view/`` records minus the cursor, key → value."""
     return {
         key: value
         for key, value in store.scan("view/")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.engine.instance import InstanceState
 from repro.storage.kvstore import MemoryKV
-from repro.views.manager import ProjectionManager
 from repro.views.projections import INSTANCE_STATES
 from repro.worklist.items import WorkItemState
 
@@ -33,8 +32,12 @@ class TestFlushHook:
         record = store.get(f"view/by_state/{instance.id}")
         assert record["state"] == "running"
         assert record["business_key"] == "bk-1"
-        cursor = store.get("view/by_state/__cursor")
+        cursor = store.get("view/__cursor")
         assert cursor == {"seq": engine.dispatch_log.seq}
+        # one cursor for the whole image, none per table
+        assert [k for k in store.keys("view/") if k.endswith("__cursor")] == [
+            "view/__cursor"
+        ]
         # the business-key index is derived in memory, never persisted
         assert store.keys("view/by_key/") == []
         assert engine.views.ids_for_business_key("bk-1") == [instance.id]
@@ -110,19 +113,19 @@ class TestWriteGating:
         engine.deploy(approval_model())
         engine.start_instance("approval")
         engine.flush()
-        cursor = store.get("view/by_state/__cursor")["seq"]
+        cursor = store.get("view/__cursor")["seq"]
         engine.deploy(auto_model())  # logs a dispatch, dirties no entities
         assert engine.dispatch_log.seq > cursor
-        assert store.get("view/by_state/__cursor")["seq"] == cursor
+        assert store.get("view/__cursor")["seq"] == cursor
 
 
 class TestWriteBehind:
     """Maintenance is write-behind: commits note ids, reads materialize,
-    persistence waits for a forced flush or the lag threshold."""
+    persistence waits for a forced flush or a lag of retention/4 seqs."""
 
     def test_deferred_until_lag_threshold_then_drained(self):
         store = CountingKV()
-        engine = build_engine(store=store, views_flush_lag=4)
+        engine = build_engine(store=store, dispatch_log_retention=16)  # lag 4
         engine.deploy(approval_model())  # seq 1
         engine.start_instance("approval", business_key="bk-0")  # seq 2
         engine.start_instance("approval", business_key="bk-1")  # seq 3
@@ -132,13 +135,13 @@ class TestWriteBehind:
             "approval-1", "approval-2",
         ]
         engine.start_instance("approval", business_key="bk-2")  # seq 4: drain
-        assert store.get("view/by_state/__cursor") == {"seq": 4}
+        assert store.get("view/__cursor") == {"seq": 4}
         assert store.get("view/by_state/approval-1")["state"] == "running"
         assert engine.views.persisted_seq == 4
 
     def test_autocommit_flushes_between_drains_write_no_view_keys(self):
         store = CountingKV()
-        engine = build_engine(store=store, views_flush_lag=1_000_000)
+        engine = build_engine(store=store, dispatch_log_retention=4_000_000)
         engine.deploy(approval_model())
         engine.start_instance("approval")
         store.reset_counts()
@@ -147,29 +150,27 @@ class TestWriteBehind:
         assert not any(k.startswith("view/") for k in store.put_keys)
         engine.flush()  # force: the deferred dirt drains in one batch
         assert any(k.startswith("view/") for k in store.put_keys)
-        assert store.get("view/by_state/__cursor")["seq"] == engine.dispatch_log.seq
+        assert store.get("view/__cursor")["seq"] == engine.dispatch_log.seq
 
     def test_read_then_forced_flush_still_persists(self):
         # a read materializes the noted dirt (clearing the pending sets);
         # the forced flush that follows must still drain the in-memory
         # records the store has never seen — and stay write-free after
         store = CountingKV()
-        engine = build_engine(store=store, views_flush_lag=1_000_000)
+        engine = build_engine(store=store, dispatch_log_retention=4_000_000)
         engine.deploy(approval_model())
         instance = engine.start_instance("approval", business_key="bk-1")
         assert engine.views.instance_ids("running") == [instance.id]
         engine.flush()
         assert store.get(f"view/by_state/{instance.id}")["state"] == "running"
-        assert store.get("view/by_state/__cursor") == {
-            "seq": engine.dispatch_log.seq
-        }
+        assert store.get("view/__cursor") == {"seq": engine.dispatch_log.seq}
         store.reset_counts()
         engine.flush()  # drained and confirmed: nothing left to persist
         assert store.puts == 0
 
     def test_drain_dedupes_entities_flushed_many_times(self):
         store = CountingKV()
-        engine = build_engine(store=store, views_flush_lag=1_000_000)
+        engine = build_engine(store=store, dispatch_log_retention=4_000_000)
         engine.deploy(approval_model())
         engine.start_instance("approval")
         item = engine.worklist.items()[0]
@@ -244,48 +245,6 @@ class TestWorklistOpenCount:
         )
 
 
-class TestExtraProjections:
-    def test_custom_projection_rides_the_same_flush(self):
-        from repro.views.projections import Projection
-
-        class StartedCounter(Projection):
-            name = "started"
-
-            def __init__(self):
-                super().__init__()
-                self.count = 0
-
-            def on_instance(self, old, new):
-                if old is None:
-                    self.count += 1
-                    self._dirty_keys.add("total")
-
-            def dirty_records(self):
-                return {"total": {"count": self.count}}
-
-            def load_record(self, suffix, value):
-                self.count = value["count"]
-
-            def reset(self):
-                self.count = 0
-                self._dirty_keys.clear()
-
-            def record_count(self):
-                return 1
-
-        store = MemoryKV()
-        counter = StartedCounter()
-        engine = build_engine(store=store)
-        engine.views = ProjectionManager(extra_projections=(counter,))
-        engine.views.bind(engine)
-        engine.deploy(approval_model())
-        engine.start_instance("approval")
-        engine.start_instance("approval")
-        engine.flush()
-        assert store.get("view/started/total") == {"count": 2}
-        assert store.get("view/started/__cursor")["seq"] == engine.dispatch_log.seq
-
-
 class TestFinishedTier:
     """A finished entity's record is final: once paged, nothing about it
     is written again."""
@@ -309,7 +268,7 @@ class TestFinishedTier:
             for key in store.put_keys + store.delete_keys
             if key.startswith("view/")
         ]
-        assert view_writes and all(k.endswith("/__cursor") for k in view_writes)
+        assert view_writes == ["view/__cursor"]
         assert engine.views.definition_stats()["trip"]["total"] == 1
         assert_byte_identical(store, engine)
 

@@ -116,7 +116,7 @@ class TestCycleTimeAggregate:
 
 
 class TestProjectionTransitions:
-    """Direct (old, new) transition behaviour on each projection."""
+    """Direct one-pair ``(old, new)`` batches on each table."""
 
     @staticmethod
     def _instance(n, state="running", key=None, ended=None):
@@ -147,10 +147,10 @@ class TestProjectionTransitions:
     def test_by_state_buckets_follow_transitions(self):
         view = InstancesByState()
         first = self._instance(1)
-        view.on_instance(None, first)
+        view.apply_instances(((None, first),))
         assert view.ids("running") == ["p-1"]
         done = self._instance(1, state="completed", ended=5.0)
-        view.on_instance(first, done)
+        view.apply_instances(((first, done),))
         assert view.ids("running") == []
         assert view.ids("completed") == ["p-1"]
         assert view.ids() == ["p-1"]
@@ -158,23 +158,23 @@ class TestProjectionTransitions:
     def test_by_key_indexes_every_key_but_none(self):
         # the index is derived, never persisted: no key is reserved
         view = InstancesByState()
-        view.on_instance(None, self._instance(1, key="__cursor"))
-        view.on_instance(None, self._instance(2, key=None))
-        view.on_instance(None, self._instance(3, key="ok"))
+        view.apply_instances(((None, self._instance(1, key="__cursor")),))
+        view.apply_instances(((None, self._instance(2, key=None)),))
+        view.apply_instances(((None, self._instance(3, key="ok")),))
         assert view.keys == {"__cursor": ["p-1"], "ok": ["p-3"]}
 
     def test_by_key_orders_by_rank_whatever_arrival_order(self):
         view = InstancesByState()
-        view.on_instance(None, self._instance(9, key="k"))
-        view.on_instance(None, self._instance(2, key="k"))
+        view.apply_instances(((None, self._instance(9, key="k")),))
+        view.apply_instances(((None, self._instance(2, key="k")),))
         assert view.ids_for_key("k") == ["p-2", "p-9"]
 
     def test_def_stats_census_and_cycle(self):
         view = DefinitionStats()
         first = self._instance(1)
-        view.on_instance(None, first)
+        view.apply_instances(((None, first),))
         done = self._instance(1, state="completed", ended=7.0)
-        view.on_instance(first, done)
+        view.apply_instances(((first, done),))
         record = view.report()["p"]
         assert record["total"] == 1
         assert record["states"]["running"] == 0
@@ -185,13 +185,13 @@ class TestProjectionTransitions:
     def test_worklist_queue_aggregate(self):
         view = WorklistQueues()
         open_item = self._item(1)
-        view.on_item(None, open_item)
-        view.on_item(None, self._item(2, role="manager"))
+        view.apply_items(((None, open_item),))
+        view.apply_items(((None, self._item(2, role="manager")),))
         queues = view.dirty_records()["__queues"]
         assert queues["open"] == 2
         assert queues["roles"] == {"clerk": 1, "manager": 1}
         done = self._item(1, state="completed")
-        view.on_item(open_item, done)
+        view.apply_items(((open_item, done),))
         queues = view.dirty_records()["__queues"]
         assert queues["open"] == 1
         assert queues["roles"] == {"manager": 1}
@@ -200,7 +200,7 @@ class TestProjectionTransitions:
 
     def test_dirty_records_survive_until_clear(self):
         view = InstancesByState()
-        view.on_instance(None, self._instance(1))
+        view.apply_instances(((None, self._instance(1)),))
         assert set(view.dirty_records()) == {"p-1"}
         # a failed commit retries: still dirty, value rebuilt at call time
         assert set(view.dirty_records()) == {"p-1"}

@@ -78,7 +78,7 @@ class TestRecoveryModes:
         # cursor behind the dispatch seq (the exact shape an older build
         # or a views-irrelevant tail produces)
         engine.deploy(auto_model())
-        cursor = engine.store.get("view/by_state/__cursor")["seq"]
+        cursor = engine.store.get("view/__cursor")["seq"]
         assert cursor < engine.dispatch_log.seq
         engine.store.close()
 
@@ -100,8 +100,7 @@ class TestRecoveryModes:
         engine.store.close()
 
         offline = DurableKV(path)
-        for name in ("by_state", "def_stats", "worklist"):
-            offline.put(f"view/{name}/__cursor", {"seq": seq - 1})
+        offline.put("view/__cursor", {"seq": seq - 1})
         offline.sync()
         offline.close()
 
@@ -132,13 +131,16 @@ class TestRecoveryModes:
         recovered.store.close()
 
     def test_diverged_cursors_force_rebuild(self, tmp_path):
+        # the one image cursor cannot diverge from itself; a cursor ahead
+        # of the recovered dispatch seq is what recovery cannot trust
         path = str(tmp_path / "store")
         engine = build_engine(store=DurableKV(path))
         run_some_work(engine)
+        seq = engine.dispatch_log.seq
         engine.store.close()
 
         offline = DurableKV(path)
-        offline.put("view/by_state/__cursor", {"seq": 1})
+        offline.put("view/__cursor", {"seq": seq + 5})
         offline.sync()
         offline.close()
 
@@ -155,7 +157,7 @@ class TestRecoveryModes:
 
         offline = DurableKV(path)
         offline.put("view/by_state/ghost-99", {"id": "ghost-99"})
-        offline.put("view/by_state/__cursor", {"seq": 1})  # force rebuild
+        offline.put("view/__cursor", {"seq": 10**6})  # ahead: force rebuild
         offline.sync()
         offline.close()
 
@@ -165,12 +167,23 @@ class TestRecoveryModes:
         recovered.store.close()
 
 
+def to_per_table_cursors(store):
+    """Rewrite a store's image cursor as builds before the one image
+    cursor wrote it: one ``view/<name>/__cursor`` per table."""
+    cursor = store.get("view/__cursor")
+    with store.transaction():
+        store.delete("view/__cursor")
+        for name in ("by_state", "def_stats", "worklist"):
+            store.put(f"view/{name}/__cursor", cursor)
+    store.sync()
+
+
 def to_old_layout(store):
     """Rewrite a store's view image as builds before the finished tier
     wrote it: every finished entity kept per id, business keys persisted
-    under ``view/by_key/``."""
+    under ``view/by_key/``, a cursor per table."""
     manager = ProjectionManager()
-    cursors, _ = manager.load(store)
+    cursor, _ = manager.load(store)
     with store.transaction():
         for table in (manager.by_state, manager.worklist):
             for number in table.pages:
@@ -179,8 +192,9 @@ def to_old_layout(store):
                 store.put(f"view/{table.name}/{entity_id}", table.record(entity_id))
         for key, ids in manager.by_state.keys.items():
             store.put(f"view/by_key/{key}", {"ids": ids})
-        store.put("view/by_key/__cursor", {"seq": cursors["by_state"]})
+        store.put("view/by_key/__cursor", {"seq": cursor})
     store.sync()
+    to_per_table_cursors(store)
 
 
 def answers(engine):
@@ -230,6 +244,35 @@ class TestOldLayout:
         assert answers(recovered) == expected
         assert_byte_identical(store, recovered)
         store.close()
+
+    def test_per_table_cursors_rebuild_once_then_load(self, tmp_path):
+        path = str(tmp_path / "store")
+        engine = build_engine(store=DurableKV(path))
+        run_some_work(engine, instances=4)
+        expected = answers(engine)
+        new_layout = set(engine.store.keys("view/"))
+        engine.store.close()
+
+        offline = DurableKV(path)
+        to_per_table_cursors(offline)
+        assert offline.get("view/__cursor", None) is None
+        offline.close()
+
+        store = CountingDurableKV(path)
+        recovered = build_engine(store=store)
+        recovered.recover()
+        assert recovered.views.stale
+        assert recovered.views.recovered_mode == "rebuild"
+        assert store.commits == 1
+        assert set(store.keys("view/")) == new_layout
+        assert answers(recovered) == expected
+        store.close()
+
+        again = reopen(path)
+        assert again.views.recovered_mode == "load"
+        assert answers(again) == expected
+        assert_byte_identical(again.store, again)
+        again.store.close()
 
 
 class TestTornCommit:

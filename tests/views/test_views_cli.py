@@ -60,8 +60,10 @@ class TestViewsStatus:
         row = payload["stores"][0]
         assert row["lag"] == 0
         assert row["records"]["by_state"] == 3
-        # the business-key index is derived, so it has no cursor
-        assert set(row["cursors"]) == {"by_state", "def_stats", "worklist"}
+        # one cursor for the whole image; the business-key index is
+        # derived, so it has no table
+        assert row["cursor"] == row["dispatch_seq"]
+        assert set(row["records"]) == {"by_state", "def_stats", "worklist"}
 
     def test_cluster_layout_lists_every_shard(self, cluster_store, capsys):
         assert main(
