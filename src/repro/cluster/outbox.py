@@ -2,8 +2,8 @@
 
 :class:`Outbox` is one shard's table of them, a component the engine
 composes.  An :class:`OutboxRecord` is the transactional-outbox leg of the cluster's
-reliable-publisher pair: when a shard's forwarder claims a message its own
-engine did not consume, the record is written under ``outbox/<seq>`` in the
+reliable-publisher pair: when a send task publishes a message no wait on
+its own shard takes, the record is written under ``outbox/<seq>`` in the
 *same* group commit as the dispatch that published it — the forward intent
 is durable the moment the originating call returns.  The cluster drains
 records after the origin dispatch releases its lock, re-publishing each via
@@ -99,7 +99,7 @@ class Outbox:
     def claim(self, message: Message) -> OutboxRecord:
         """Record a cross-shard forward of ``message``.
 
-        Called by the cluster forwarder *inside* the originating dispatch
+        Called by the engine's publish *inside* the originating dispatch
         (under this shard's lock), so the record joins the same group
         commit as the publish that produced the message — the forward
         intent is durable before the originating call returns.

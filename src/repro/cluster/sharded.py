@@ -20,15 +20,16 @@ Cross-shard semantics:
   message's deterministic *home shard*.  Undelivered messages land in a
   cluster-shared retained buffer, so a receiver activating later on any
   shard consumes them exactly as a single engine would.
-* internal send tasks — a message published inside shard A that A's own
-  engine does not consume is intercepted by the cluster's forwarder and
-  recorded in A's *transactional outbox* (``outbox/<seq>``, same group
-  commit as the originating dispatch); the drainer re-routes it *after*
-  A's dispatch returns under the record's ``fwd:<origin>:<seq>`` dedup
-  key and deletes the record only once the target shard's delivery has
-  flushed.  No thread ever holds two shard locks, which keeps the
-  fan-out deadlock-free, and a crash anywhere in the window re-delivers
-  instead of losing — the target's idempotency window absorbs duplicates.
+* internal send tasks — a message a send task on shard A publishes that
+  no wait on A takes is recorded in A's *transactional outbox*
+  (``outbox/<seq>``, same group commit as the originating dispatch); the
+  drainer re-routes it *after* A's dispatch returns under the record's
+  ``fwd:<origin>:<seq>`` dedup key and deletes the record only once the
+  target shard's delivery has flushed.  The routed ``CorrelateMessage``
+  never forwards again: with no receiver it is retained.  No thread ever
+  holds two shard locks, which keeps the fan-out deadlock-free, and a
+  crash anywhere in the window re-delivers instead of losing — the
+  target's idempotency window absorbs duplicates.
 * ``advance_time`` — the shared clock advances exactly once, then
   ``RunDueJobs`` fans out to every shard and the counts merge.
 * ``instances(state=)`` / ``find_instances`` / ``work_items`` — each
@@ -72,51 +73,6 @@ from repro.worklist.resources import OrganizationalModel
 TOPOLOGY_KEY = "cluster/meta"
 
 
-class _ClusterBus(MessageBus):
-    """A shard-local bus whose *retained* buffer is cluster-shared.
-
-    Publish/subscribe stays shard-local (each shard's engine correlates
-    its own instances), but an unconsumed message must be visible to a
-    receiver activating later on *any* shard — exactly the single-engine
-    retention contract.  The shared buffer has its own guard lock,
-    acquired strictly *inside* a shard's serialization lock (innermost
-    everywhere), so shards can touch it concurrently without an ABBA
-    cycle.
-    """
-
-    def __init__(
-        self,
-        shared_retained: dict[str, list[Message]],
-        guard: threading.Lock,
-    ) -> None:
-        super().__init__()
-        self._retained = shared_retained
-        self._retained_guard = guard
-
-    def _retain(self, message: Message) -> None:
-        # publish() already holds self._lock; the guard nests inside it
-        with self._retained_guard:
-            super()._retain(message)
-
-    def consume_retained(
-        self, name: str, correlation: Any = None, match_any: bool = False
-    ) -> Message | None:
-        with self._lock:  # same outermost lock as the base class
-            with self._retained_guard:
-                return super().consume_retained(name, correlation, match_any)
-
-    def retained(self, name: str) -> list[Message]:
-        with self._lock:
-            with self._retained_guard:
-                return super().retained(name)
-
-    @property
-    def retained_count(self) -> int:
-        with self._lock:
-            with self._retained_guard:
-                return sum(len(queue) for queue in self._retained.values())
-
-
 class ShardedEngine(CommandClient):
     """A cluster of independently locked engine shards, one facade.
 
@@ -151,9 +107,9 @@ class ShardedEngine(CommandClient):
             organization if organization is not None else OrganizationalModel()
         )
         self.services = services if services is not None else ServiceRegistry()
-        # one cluster-wide retained-message buffer (see _ClusterBus)
-        self._retained_messages: dict[str, list[Message]] = {}
-        self._retained_guard = threading.Lock()
+        # one cluster-wide retained-message buffer: a message no shard
+        # took is visible to a receiver activating later on any shard
+        bus = MessageBus()
         self.shards: tuple[ProcessEngine, ...] = tuple(
             ProcessEngine(
                 clock=self.clock,
@@ -161,7 +117,7 @@ class ShardedEngine(CommandClient):
                 organization=self.organization,
                 allocator=allocator,
                 services=self.services,
-                bus=_ClusterBus(self._retained_messages, self._retained_guard),
+                bus=bus,
                 obs=self.obs,
                 commit_interval=commit_interval,
                 dispatch_log_retention=dispatch_log_retention,
@@ -193,17 +149,14 @@ class ShardedEngine(CommandClient):
         self._route_lock = threading.Lock()
         self._rr_cursor = 0
         self._dedup_route: dict[str, int] = {}
-        # cross-shard message forwarding: messages a shard's own engine
-        # did not consume are recorded in that shard's persisted outbox
-        # (under its lock, same group commit) and drained after the
-        # originating dispatch returns (no shard lock held).  The drain
-        # lock serializes drainers without blocking them: a thread that
-        # finds it taken leaves the records to the holder, who re-checks
-        # after finishing so nothing is stranded.
+        # cross-shard message forwarding: send-task messages a shard's
+        # own engine did not consume are recorded in that shard's
+        # persisted outbox (under its lock, same group commit) and drained
+        # after the originating dispatch returns (no shard lock held).
+        # The drain lock serializes drainers without blocking them: a
+        # thread that finds it taken leaves the records to the holder, who
+        # re-checks after finishing so nothing is stranded.
         self._drain_lock = threading.Lock()
-        self._local = threading.local()
-        for index in range(shards):
-            self.shards[index].bus.subscribe(self._make_forwarder(index))
         # per-shard instruments, through the shared registry
         registry = self.obs.registry
         self._c_dispatches = tuple(
@@ -354,34 +307,6 @@ class ShardedEngine(CommandClient):
 
     # -- cross-shard messaging --------------------------------------------------
 
-    def _make_forwarder(self, index: int) -> Callable[[Message], bool]:
-        """The bus subscriber that exports unconsumed messages.
-
-        Subscribed *after* the shard engine's own correlator, so it sees
-        only messages with no local receiver.  It claims them (returning
-        ``True`` keeps the bus from retaining shard-locally) and records
-        them in the shard's outbox — the forwarder runs inside the
-        originating dispatch, so the record joins that dispatch's group
-        commit.  ``delivered_count`` is pre-decremented (atomically: the
-        counter races foreign-thread publishes) so the claim nets zero
-        until a real delivery happens somewhere.  A publish the cluster
-        itself just routed here is left alone (one-shot thread-local
-        mark) — that is the retention fallback.
-        """
-        shard = self.shards[index]
-        bus = shard.bus
-
-        def forward(message: Message) -> bool:
-            expected = getattr(self._local, "expect", None)
-            if expected == (message.name, message.correlation):
-                self._local.expect = None
-                return False
-            bus.adjust_delivered(-1)
-            shard.outbox.claim(message)
-            return True
-
-        return forward
-
     def _drain_forwards(self) -> None:
         """Deliver every undrained outbox record; no shard lock held.
 
@@ -441,13 +366,13 @@ class ShardedEngine(CommandClient):
                 target = self._dedup_route.setdefault(key, probed)
         try:
             self._c_forwards.inc()
-            self._route_publish(
-                record.name,
-                record.correlation,
-                dict(record.payload),
+            command = cmds.CorrelateMessage(
+                message_name=record.name,
+                correlation=record.correlation,
+                payload=dict(record.payload),
                 dedup_key=key,
-                target=target,
             )
+            self._route_publish(command, target)
             # the delivery (and its always-logged dedup entry) must be
             # durable on the target before the origin forgets the intent;
             # the lock-free peek skips the fence when this thread's own
@@ -480,30 +405,18 @@ class ShardedEngine(CommandClient):
         return message_home_shard(name, correlation, self.shard_count)
 
     def _route_publish(
-        self,
-        name: str,
-        correlation: Any,
-        payload: dict[str, Any],
-        dedup_key: str | None = None,
-        target: int | None = None,
+        self, command: cmds.CorrelateMessage, target: int | None = None
     ) -> Message:
+        """Dispatch a message on ``target``, else where :meth:`_probe_target`
+        points.  The routed command never forwards again: with no receiver
+        (say the matched wait went away between probe and dispatch) it is
+        retained on the target."""
         if target is None:
-            target = self._probe_target(name, correlation)
-        command = cmds.CorrelateMessage(
-            message_name=name,
-            correlation=correlation,
-            payload=payload,
-            dedup_key=dedup_key,
-        )
-        # mark the publish so the target's forwarder lets it retain there
-        # if the matched wait disappeared between probe and dispatch
-        self._local.expect = (name, correlation)
-        try:
-            return self._dispatch_on(target, command)
-        finally:
-            self._local.expect = None
+            target = self._probe_target(command.message_name, command.correlation)
+        return self._dispatch_on(target, command)
 
     def _correlate(self, command: cmds.CorrelateMessage) -> Message:
+        """A dedup-keyed message pins its route first, so a retry repeats it."""
         target = None
         if command.dedup_key is not None:
             with self._route_lock:
@@ -513,13 +426,7 @@ class ShardedEngine(CommandClient):
                         command.message_name, command.correlation
                     )
                     self._dedup_route[command.dedup_key] = target
-        return self._route_publish(
-            command.message_name,
-            command.correlation,
-            dict(command.payload),
-            dedup_key=command.dedup_key,
-            target=target,
-        )
+        return self._route_publish(command, target)
 
     # -- deployment and queries (mirror ProcessEngine) --------------------------
 

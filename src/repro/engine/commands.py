@@ -281,7 +281,7 @@ class CompleteWorkItem(Command):
 @register_command
 @dataclass(frozen=True)
 class CorrelateMessage(Command):
-    """Publish an external message into the engine's bus."""
+    """Correlate an external message to the instance waiting for it."""
 
     name: ClassVar[str] = "correlate_message"
     external: ClassVar[bool] = True
@@ -293,7 +293,7 @@ class CorrelateMessage(Command):
 
     def loggable(self, result: Any) -> bool:
         # a publish that found no waiting receiver only parks the message
-        # in the bus's in-memory retained buffer — no engine record
+        # in the in-memory retained buffer — no engine record
         # changed, so logging it would turn a miss into a store write.
         # Deliveries leave the advanced instance dirty, and the dispatch
         # log step's dirty-state fallback logs those; a dedup-keyed
@@ -517,7 +517,7 @@ class CommandClient:
         payload: dict[str, Any] | None = None,
         dedup_key: str | None = None,
     ) -> Message:
-        """Publish a message into the engine's bus (external entry point).
+        """Correlate a message to a waiting instance (external entry point).
 
         If a waiting catch matches it is delivered immediately; otherwise
         the message is retained for a future receiver.

@@ -181,9 +181,9 @@ def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
 class Dispatcher:
     """Executes commands one at a time, in the order the module lists.
 
-    The lock is shared with the worklist service and the message bus
-    (``bind_lock``), so even clients that talk to those components
-    directly serialize against command dispatch.
+    The lock is shared with the worklist service (``bind_lock``), so
+    even clients that talk to it directly serialize against command
+    dispatch.
     """
 
     def __init__(

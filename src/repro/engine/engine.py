@@ -190,7 +190,6 @@ class ProcessEngine(CommandClient):
         self.worklist.bind_writes(self._writes)
         self.worklist.on_completion(self._on_work_item_completed)
         self.invoker = ServiceInvoker(self.services, clock=self.clock, obs=self.obs)
-        self.bus.subscribe(self._on_bus_message)
         # observability wiring: cached instruments for the hot loop, the
         # engine root span, and per-instance spans (ended on finish)
         self._tracer = self.obs.tracer  # hot-loop alias
@@ -249,19 +248,19 @@ class ProcessEngine(CommandClient):
         self.ledger = InvocationLedger(
             self._writes, self._seqs, self.obs.registry, f"inv-{self._id_ns}"
         )
-        # cross-shard forwarding outbox (see repro.cluster.outbox): records
-        # a forwarder claims under this shard's dispatch lock, persisted in
-        # the same group commit as the claiming dispatch and deleted only
-        # after the target shard's delivery flushed
+        # cross-shard forwarding outbox (see repro.cluster.outbox): send
+        # task messages no local wait took, claimed under this shard's
+        # dispatch lock, persisted in the same group commit as the claiming
+        # dispatch and deleted only after the target shard's delivery
+        # flushed
         self.outbox = Outbox(self._writes, self._seqs, shard_tag, self.clock)
         # its deletes are garbage collection: see has_pending_writes()
         self._gc_family = OUTBOX_PREFIX
         # the command pipeline: a single re-entrant serialization gate
-        # shared with the worklist and the bus, and the bounded persisted
-        # dispatch log with its idempotency window
+        # shared with the worklist, and the bounded persisted dispatch log
+        # with its idempotency window
         self._dispatch_lock = threading.RLock()
         self.worklist.bind_lock(self._dispatch_lock)
-        self.bus.bind_lock(self._dispatch_lock)
         self.dispatch_log = DispatchLog(self._writes, dispatch_log_retention)
         self._dispatcher = Dispatcher(
             self, handlers=self._command_handlers(), lock=self._dispatch_lock
@@ -829,51 +828,62 @@ class ProcessEngine(CommandClient):
     # -- messages ----------------------------------------------------------------
 
     def _handle_correlate_message(self, cmd: cmds.CorrelateMessage) -> Message:
-        return self.bus.publish(
-            cmd.message_name, correlation=cmd.correlation, payload=dict(cmd.payload)
+        return self.publish_message(
+            cmd.message_name, cmd.correlation, cmd.payload, forward=False
         )
 
-    def message_delivery_probe(self, name: str, correlation: Any = None) -> str:
-        """What a publish of (name, correlation) would do on this engine.
+    def publish_message(
+        self,
+        name: str,
+        correlation: Any = None,
+        payload: dict[str, Any] | None = None,
+        forward: bool = True,
+    ) -> Message:
+        """Correlate a message to the oldest running wait it satisfies.
 
-        Returns ``"deliver"`` (a running wait matches and would consume it
-        now), ``"wait"`` (only a suspended instance subscribes — the
-        message should be retained *here* for redelivery on resume), or
-        ``"none"``.  Read-only: mirrors :meth:`_on_bus_message` matching
-        without its dead-wait cleanup, so the cluster router can pick the
-        target shard before publishing anywhere.
-        """
-        best = "none"
+        Else a send task's message (``forward``) on a cluster partition
+        goes to the outbox, for the cluster to re-route after this
+        dispatch; anything else is retained on :attr:`bus` (a shard's
+        ``CorrelateMessage`` was already routed there by the cluster)."""
+        if not name:
+            raise ValueError("message name must be non-empty")
+        message = self.bus.message(name, correlation, payload)
+        receiver = self._walk_waits(name, correlation, prune=True)[1]
+        if receiver is not None:
+            self._deliver_to_wait(*receiver, message.payload)
+        elif forward and self.shard_tag:
+            self.outbox.claim(message)
+        else:
+            self.bus.retain(message)
+        return message
+
+    def message_delivery_probe(self, name: str, correlation: Any = None) -> str:
+        """``"deliver"`` if a running wait would consume (name,
+        correlation) now, ``"wait"`` if only a suspended instance
+        subscribes (retain it here for the resume), else ``"none"``.
+        Read-only: the cluster router probes before it routes."""
+        return self._walk_waits(name, correlation)[0]
+
+    def _walk_waits(
+        self, name: str, correlation: Any, prune: bool = False
+    ) -> tuple[str, Any]:
+        """The probe verdict and the first running receiver
+        ``(instance, token, wait)``, from one oldest-first walk; ``prune``
+        (delivery only) drops the passed-over waits whose instance
+        finished or whose token moved on."""
+        verdict = "none"
         for wait in self.waits.matching(name, correlation):
             instance = self._instances.get(wait.instance_id)
-            if instance is None or instance.state.is_finished:
-                continue
-            if instance.state is not InstanceState.RUNNING:
-                best = "wait"
-                continue
-            token = instance.token(wait.token_id)
-            if token is None or token.state is not TokenState.WAITING:
-                continue
-            return "deliver"
-        return best
-
-    def _on_bus_message(self, message: Message) -> bool:
-        for wait in self.waits.matching(message.name, message.correlation):
-            instance = self._instances.get(wait.instance_id)
-            if instance is None or instance.state.is_finished:
+            if instance is not None and not instance.state.is_finished:
+                if instance.state is not InstanceState.RUNNING:
+                    verdict = "wait"  # suspended: retained for its resume
+                    continue
+                token = instance.token(wait.token_id)
+                if token is not None and token.state is TokenState.WAITING:
+                    return "deliver", (instance, token, wait)
+            if prune:
                 self.waits.remove(wait)
-                continue
-            if instance.state is not InstanceState.RUNNING:
-                # suspended: keep the subscription, let the message be
-                # retained for delivery after resume
-                continue
-            token = instance.token(wait.token_id)
-            if token is None or token.state is not TokenState.WAITING:
-                self.waits.remove(wait)
-                continue
-            self._deliver_to_wait(instance, token, wait, message.payload)
-            return True
-        return False
+        return verdict, None
 
     def _deliver_to_wait(
         self,
@@ -892,12 +902,7 @@ class ProcessEngine(CommandClient):
             core.apply_message(self, instance, node, payload)
             token.waiting_on = {}
             core.move_through(
-                self,
-                instance,
-                definition,
-                token,
-                node,
-                is_activity=wait.is_activity,
+                self, instance, definition, token, node, is_activity=wait.is_activity
             )
             core.advance(self, instance)
 

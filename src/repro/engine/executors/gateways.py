@@ -182,20 +182,16 @@ def execute_event_gateway(
         raise EngineError(f"event gateway {node.id!r} has nothing to wait for")
     token.wait("event_race", gateway_id=node.id, job_ids=job_ids)
     # a raced message may already be retained on the bus — try immediately
-    try_retained_for_race(engine, instance, definition, token)
+    try_retained_for_race(engine, instance, token)
 
 
-def try_retained_for_race(engine, instance, definition, token) -> None:
+def try_retained_for_race(engine, instance, token) -> None:
     for wait in engine.waits.of_token(instance.id, token.id):
         message = engine.bus.consume_retained(
             wait.name, wait.correlation, wait.match_any
         )
         if message is not None:
-            # count the delivery: this path bypasses _deliver_to_wait
-            engine._c_messages_delivered.inc()
-            core.deliver_race_message(
-                engine, instance, definition, token, wait, message.payload
-            )
+            engine._deliver_to_wait(instance, token, wait, message.payload)
             return
 
 

@@ -3,11 +3,13 @@
 Service tasks call named services through a
 :class:`~repro.services.invoker.ServiceInvoker` that layers retry (with
 backoff) and a circuit breaker over a plain
-:class:`~repro.services.registry.ServiceRegistry`.  A lightweight in-memory
-:class:`~repro.services.bus.MessageBus` carries messages between processes
-and external parties, and :mod:`repro.services.edi` provides an
-EDIFACT-style flat-file codec for the legacy-integration scenarios the BPM
-literature of the era cares about (cargo manifests, customs declarations).
+:class:`~repro.services.registry.ServiceRegistry`.  The engine correlates
+messages to waiting instances itself;
+:class:`~repro.services.bus.MessageBus` is only the in-memory buffer of
+messages that arrived before their receiver.  :mod:`repro.services.edi`
+provides an EDIFACT-style flat-file codec for the legacy-integration
+scenarios the BPM literature of the era cares about (cargo manifests,
+customs declarations).
 Fault injection (:mod:`repro.services.faults`) drives the resilience
 experiment T6.
 """

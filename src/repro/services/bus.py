@@ -1,15 +1,15 @@
-"""In-memory message bus: publish/subscribe with correlation payloads.
+"""The retained-message buffer: messages that arrived before their receiver.
 
-Send tasks publish; the engine subscribes a catch-all and correlates
-messages to waiting receive tasks / message events.  Undelivered messages
-are retained per message name so a message arriving *before* its receiver
-is not lost (at-least-once, buffer semantics).
+Correlation is an engine step (:meth:`ProcessEngine.publish_message
+<repro.engine.engine.ProcessEngine.publish_message>`): a send task or a
+``CorrelateMessage`` is matched directly against the engine's message
+waits, and a message no wait takes is retained here per message name, so
+a receiver activating later still gets it (at-least-once, buffer
+semantics).  A cluster passes one buffer to every shard, which makes
+retention cluster-wide.
 
-Mutating operations are serialized by a re-entrant lock.  An engine binds
-its dispatch lock here (:meth:`MessageBus.bind_lock`) so bus traffic and
-command dispatch share one serialization gate — a publish arriving from a
-foreign thread queues behind the running command instead of interleaving
-with it.
+The buffer's lock is innermost everywhere: it is taken under an engine's
+dispatch lock, never around one.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
-
-Subscriber = Callable[["Message"], bool]
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -33,73 +31,24 @@ class Message:
 
 
 class MessageBus:
-    """Named-topic bus with retained undelivered messages.
-
-    Subscribers return ``True`` when they consumed the message; consumed
-    messages are not retained.  ``deliver_retained`` lets late subscribers
-    (a receive task activating after the send) drain the buffer.
-    """
+    """Undelivered messages per name, oldest first, with monotonic ids."""
 
     def __init__(self) -> None:
-        self._subscribers: list[Subscriber] = []
         self._retained: dict[str, list[Message]] = {}
+        # next() on a count is atomic, so minting needs no lock
         self._ids = itertools.count(1)
-        self._lock = threading.RLock()
-        self.published_count = 0
-        self.delivered_count = 0
+        self._lock = threading.Lock()
 
-    def bind_lock(self, lock: threading.RLock) -> None:
-        """Share the caller's (engine's) serialization lock.
-
-        Re-entrant, so a publish issued from inside a dispatched command
-        (send task) does not deadlock against the dispatch gate.
-        """
-        self._lock = lock
-
-    def subscribe(self, subscriber: Subscriber) -> None:
-        """Register a consumer; called for every published message."""
-        with self._lock:
-            self._subscribers.append(subscriber)
-
-    def adjust_delivered(self, delta: int) -> None:
-        """Atomically shift ``delivered_count`` (cluster forwarder hook).
-
-        The counter is a bare int mutated under the bus lock everywhere
-        else; an unguarded read-modify-write from a forwarder claiming a
-        message would race the ``+= 1`` in :meth:`publish` /
-        :meth:`consume_retained` and lose increments.
-        """
-        with self._lock:
-            self.delivered_count += delta
-
-    def publish(
-        self,
-        name: str,
-        correlation: Any = None,
-        payload: dict[str, Any] | None = None,
+    def message(
+        self, name: str, correlation: Any = None, payload: dict[str, Any] | None = None
     ) -> Message:
-        """Publish a message; retained if no subscriber consumes it."""
-        if not name:
-            raise ValueError("message name must be non-empty")
-        with self._lock:
-            message = Message(
-                id=next(self._ids),
-                name=name,
-                correlation=correlation,
-                payload=dict(payload or {}),
-            )
-            self.published_count += 1
-            for subscriber in self._subscribers:
-                if subscriber(message):
-                    self.delivered_count += 1
-                    return message
-            self._retain(message)
-            return message
+        """A new message with the next id (not yet retained)."""
+        return Message(next(self._ids), name, correlation, dict(payload or {}))
 
-    def _retain(self, message: Message) -> None:
-        """Buffer an unconsumed message (hook: the cluster's shard buses
-        redirect this into one shared, cluster-wide buffer)."""
-        self._retained.setdefault(message.name, []).append(message)
+    def retain(self, message: Message) -> None:
+        """Buffer a message no receiver took."""
+        with self._lock:
+            self._retained.setdefault(message.name, []).append(message)
 
     def retained(self, name: str) -> list[Message]:
         """Undelivered messages for a name, oldest first."""
@@ -120,7 +69,6 @@ class MessageBus:
                 return None
             for index, message in enumerate(queue):
                 if match_any or message.correlation == correlation:
-                    self.delivered_count += 1
                     return queue.pop(index)
             return None
 

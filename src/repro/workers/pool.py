@@ -56,7 +56,6 @@ class WorkerPool:
         self,
         workers: int = 4,
         queue_capacity: int = 64,
-        max_inflight_per_service: int | None = None,
         only_services: set[str] | None = None,
         name: str = "workers",
     ) -> None:
@@ -66,11 +65,8 @@ class WorkerPool:
             raise ValueError("queue_capacity must be >= 1")
         self.name = name
         self.queue_capacity = queue_capacity
-        self.max_inflight_per_service = (
-            max_inflight_per_service
-            if max_inflight_per_service is not None
-            else max(1, workers)
-        )
+        # the per-service in-flight cap (bulkhead): one call per worker
+        self.max_inflight_per_service = max(1, workers)
         self.only_services = (
             frozenset(only_services) if only_services is not None else None
         )

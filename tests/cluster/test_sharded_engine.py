@@ -4,6 +4,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.cluster import ShardedEngine, parse_shard_tag, shard_of_key
+from repro.engine.engine import ProcessEngine
 from repro.engine.errors import EngineError
 from repro.engine.instance import InstanceState
 from repro.model.builder import ProcessBuilder
@@ -232,6 +233,47 @@ class TestCrossShardMessages:
         states = [c.instance(i.id).state for i in waiting]
         assert states.count(InstanceState.COMPLETED) == 1
         assert states.count(InstanceState.RUNNING) == 2
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["engine", "2-shard"])
+    def test_send_task_republishing_a_routed_message_is_forwarded(self, shards):
+        """A relay that receives ping(k) and sends ping(k) on: the send
+        inside the routed delivery must reach the sink on the other shard,
+        not stay retained on the relay's shard."""
+        if shards is None:
+            engine = ProcessEngine(clock=VirtualClock(0))
+        else:
+            engine = cluster(shards)
+        engine.deploy(
+            ProcessBuilder("relay")
+            .start()
+            .receive_task("rx", message_name="ping", correlation_expression="k")
+            .send_task(
+                "tx", message_name="ping", payload_expression="{'correlation': k}"
+            )
+            .end()
+            .build()
+        )
+        engine.deploy(
+            ProcessBuilder("sink")
+            .start()
+            .receive_task("rx", message_name="ping", correlation_expression="k")
+            .end()
+            .build()
+        )
+        # the relay waits first and on the lower shard, so the probe picks it
+        relay = engine.start_instance(
+            "relay", {"k": "x"}, business_key=business_key_for_shard(0, 2)
+        )
+        sink = engine.start_instance(
+            "sink", {"k": "x"}, business_key=business_key_for_shard(1, 2)
+        )
+        if shards is not None:
+            assert [parse_shard_tag(i.id) for i in (relay, sink)] == [0, 1]
+        engine.correlate_message("ping", "x")
+        for instance in (relay, sink):
+            assert engine.instance(instance.id).state is InstanceState.COMPLETED
+        buses = [engine.bus] if shards is None else [s.bus for s in engine.shards]
+        assert [bus.retained_count for bus in buses] == [0] * len(buses)
 
 
 class TestTimeFanOut:

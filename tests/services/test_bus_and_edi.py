@@ -1,10 +1,10 @@
-"""Tests for the message bus and the EDI codec."""
+"""Tests for the retained-message buffer and the EDI codec."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.services.bus import MessageBus
+from repro.engine.engine import ProcessEngine
 from repro.services.edi import (
     EdiDecodeError,
     EdiMessage,
@@ -15,90 +15,43 @@ from repro.services.edi import (
 
 
 class TestMessageBus:
-    def test_subscriber_consumes(self):
-        bus = MessageBus()
-        seen = []
-        bus.subscribe(lambda m: (seen.append(m), True)[1])
-        bus.publish("ping", payload={"n": 1})
-        assert len(seen) == 1
-        assert bus.retained_count == 0
-        assert bus.delivered_count == 1
+    """The retained buffer, fed the way the engine feeds it: a message
+    ``correlate_message`` finds no receiver for lands on ``engine.bus``."""
 
     def test_unconsumed_messages_are_retained(self):
-        bus = MessageBus()
-        bus.subscribe(lambda m: False)
-        bus.publish("ping")
-        assert bus.retained_count == 1
-        assert len(bus.retained("ping")) == 1
-
-    @pytest.mark.threads
-    def test_adjust_delivered_races_with_publish(self):
-        """Regression: the cluster forwarder used to decrement
-        ``delivered_count`` with a bare ``-= 1`` racing the ``+= 1`` in
-        publish; lost updates left the counter drifting.  The adjust
-        method takes the bus lock, so N publishes matched by N claims
-        must net to exactly zero."""
-        import threading
-
-        bus = MessageBus()
-        bus.subscribe(lambda m: True)
-        rounds = 500
-        barrier = threading.Barrier(2)
-
-        def publisher():
-            barrier.wait()
-            for _ in range(rounds):
-                bus.publish("ping")
-
-        def claimer():
-            barrier.wait()
-            for _ in range(rounds):
-                bus.adjust_delivered(-1)
-
-        threads = [
-            threading.Thread(target=publisher),
-            threading.Thread(target=claimer),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert bus.published_count == rounds
-        assert bus.delivered_count == 0
+        engine = ProcessEngine()
+        engine.correlate_message("ping")
+        assert engine.bus.retained_count == 1
+        assert len(engine.bus.retained("ping")) == 1
 
     def test_consume_retained_by_correlation(self):
-        bus = MessageBus()
-        bus.publish("reply", correlation="a")
-        bus.publish("reply", correlation="b")
-        message = bus.consume_retained("reply", correlation="b")
+        engine = ProcessEngine()
+        engine.correlate_message("reply", correlation="a")
+        engine.correlate_message("reply", correlation="b")
+        message = engine.bus.consume_retained("reply", correlation="b")
         assert message.correlation == "b"
-        assert bus.retained_count == 1
-        assert bus.consume_retained("reply", correlation="zzz") is None
+        assert engine.bus.retained_count == 1
+        assert engine.bus.consume_retained("reply", correlation="zzz") is None
 
     def test_consume_retained_match_any_takes_oldest(self):
-        bus = MessageBus()
-        bus.publish("reply", correlation="a")
-        bus.publish("reply", correlation="b")
-        message = bus.consume_retained("reply", match_any=True)
+        engine = ProcessEngine()
+        engine.correlate_message("reply", correlation="a")
+        engine.correlate_message("reply", correlation="b")
+        message = engine.bus.consume_retained("reply", match_any=True)
         assert message.correlation == "a"
 
-    def test_first_consuming_subscriber_wins(self):
-        bus = MessageBus()
-        order = []
-        bus.subscribe(lambda m: (order.append("first"), True)[1])
-        bus.subscribe(lambda m: (order.append("second"), True)[1])
-        bus.publish("x")
-        assert order == ["first"]
-
     def test_empty_name_rejected(self):
+        engine = ProcessEngine()
         with pytest.raises(ValueError):
-            MessageBus().publish("")
+            engine.correlate_message("")
+        assert engine.bus.retained_count == 0
 
     def test_ids_are_monotonic(self):
-        bus = MessageBus()
-        a = bus.publish("x")
-        b = bus.publish("x")
+        engine = ProcessEngine()
+        a = engine.correlate_message("x")
+        b = engine.correlate_message("x")
         assert b.id > a.id
+        assert [m.id for m in engine.bus.retained("x")] == [a.id, b.id]
 
 
 class TestEdiCodec:
