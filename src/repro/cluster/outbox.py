@@ -18,7 +18,6 @@ contract :mod:`repro.workers.records` established for service invocations.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,6 +25,7 @@ from repro.clock import Clock
 from repro.cluster.router import forward_dedup_key
 from repro.services.bus import Message
 from repro.storage.kvstore import KeyValueStore
+from repro.storage.serializers import from_record, to_record
 from repro.storage.writeset import Sequences, WriteSet
 
 #: store-key family of undrained forwards (``outbox/<zero-padded seq>``)
@@ -55,19 +55,11 @@ class OutboxRecord:
         return forward_dedup_key(self.origin, self.seq)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "origin": self.origin,
-            "name": self.name,
-            "correlation": self.correlation,
-            "payload": dict(self.payload),
-            "created_at": self.created_at,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "OutboxRecord":
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in names})
+        return from_record(cls, raw)
 
 
 class Outbox:

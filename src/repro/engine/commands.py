@@ -26,9 +26,10 @@ and carry no dedup key.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
+
+from repro.storage.serializers import from_record, to_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.instance import ProcessInstance
@@ -76,21 +77,18 @@ class Command:
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation, ``{"command": name, **fields}``.
 
-        Shallow on purpose: command fields are scalars or one-level dicts
-        (``variables``, ``payload``, ...), and ``dataclasses.asdict``'s
-        recursive deep copy is measurable on the dispatch hot path.
+        ``name`` and ``external`` are written too (logs have always held
+        them) and never read back.
         """
-        payload: dict[str, Any] = {"command": self.name}
-        for field_name in self.__dataclass_fields__:
-            value = getattr(self, field_name)
-            payload[field_name] = dict(value) if isinstance(value, dict) else value
-        return payload
+        record = to_record(self)
+        record["command"] = record["name"] = self.name
+        record["external"] = self.external
+        return record
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Command":
         """Rebuild a command of this type from :meth:`to_dict` output."""
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in names})
+        return from_record(cls, raw)
 
 
 def command_from_dict(raw: dict[str, Any]) -> Command:
@@ -120,16 +118,13 @@ class DeployDefinition(Command):
     #: out to its remaining shards); registration skips re-analysis
     pre_verified: bool = False
 
+    # the definition is the one field that is not a plain value
     def to_dict(self) -> dict[str, Any]:
         from repro.model.serialization import definition_to_dict
 
-        return {
-            "command": self.name,
-            "definition": definition_to_dict(self.definition),
-            "verify": self.verify,
-            "force": self.force,
-            "pre_verified": self.pre_verified,
-        }
+        record = to_record(self)
+        record["definition"] = definition_to_dict(self.definition)
+        return {"command": self.name, **record}
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "DeployDefinition":
@@ -138,12 +133,7 @@ class DeployDefinition(Command):
         definition = raw.get("definition")
         if isinstance(definition, dict):
             definition = definition_from_dict(definition)
-        return cls(
-            definition=definition,
-            verify=raw.get("verify"),
-            force=raw.get("force", False),
-            pre_verified=raw.get("pre_verified", False),
-        )
+        return from_record(cls, {**raw, "definition": definition})
 
 
 # -- instance lifecycle -------------------------------------------------------
@@ -401,11 +391,11 @@ class CommandClient:
 
         The full static analysis (:func:`repro.analysis.analyze`) always
         runs.  Structural errors block deployment; behavioural errors
-        (deadlock, lack of synchronization, ...) block when ``verify``
-        (or the engine-wide ``verify_soundness``) is true.  Unresolved
-        references (services, roles, decisions) block only for engines
-        constructed with ``strict_references=True`` — otherwise they are
-        warnings, since registration order is a legitimate workflow.
+        (deadlock, lack of synchronization, ...) block when ``verify`` is
+        true.  Unresolved references (services, roles, decisions) block
+        only for engines constructed with ``strict_references=True`` —
+        otherwise they are warnings, since registration order is a
+        legitimate workflow.
         ``force=True`` deploys despite errors (they are still recorded).
         Every non-info finding is emitted as a ``lint.diagnostic``
         observability event.

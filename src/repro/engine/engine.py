@@ -102,8 +102,6 @@ class ProcessEngine(CommandClient):
         allocator: Allocator | None = None,
         services: ServiceRegistry | None = None,
         bus: MessageBus | None = None,
-        verify_soundness: bool = False,
-        max_steps: int = 100_000,
         obs: Observability | None = None,
         strict_references: bool = False,
         commit_interval: int = 1,
@@ -142,8 +140,6 @@ class ProcessEngine(CommandClient):
         )
         self.services = services if services is not None else ServiceRegistry()
         self.bus = bus if bus is not None else MessageBus()
-        self.verify_soundness = verify_soundness
-        self.max_steps = max_steps
         self.strict_references = strict_references
         self.shard_tag = shard_tag
         self._id_ns = f"{shard_tag}-" if shard_tag else ""
@@ -323,7 +319,6 @@ class ProcessEngine(CommandClient):
         definition = cmd.definition
         if cmd.pre_verified:
             return self._register_deployment(definition)
-        behavioral = cmd.verify if cmd.verify is not None else self.verify_soundness
         # unless strict_references, unresolved references (REF00x, and
         # CALL001: call target not deployed) are warnings — registration
         # and deploy order are legitimate workflows
@@ -337,7 +332,7 @@ class ProcessEngine(CommandClient):
         report = analyze(
             definition,
             context=AnalysisContext.from_engine(self),
-            behavioral=behavioral,
+            behavioral=bool(cmd.verify),
             severity_overrides=overrides,
         )
         self._emit_findings("lint.diagnostic", definition, report.diagnostics)

@@ -28,6 +28,9 @@ from repro.model.process import ProcessDefinition
 #: error code the engine synthesizes for technical (non-BPMN) failures.
 TECHNICAL_ERROR_CODE = "TECHNICAL_FAILURE"
 
+#: token moves one advance may make before the instance fails as a livelock
+MAX_STEPS = 100_000
+
 
 # -- main loop ---------------------------------------------------------------
 
@@ -52,10 +55,9 @@ def advance(engine, instance: ProcessInstance) -> None:
             if not active:
                 break
             steps += 1
-            if steps > engine.max_steps:
+            if steps > MAX_STEPS:
                 engine._fail_instance(
-                    instance,
-                    f"step budget ({engine.max_steps}) exhausted — livelock?",
+                    instance, f"step budget ({MAX_STEPS}) exhausted — livelock?"
                 )
                 break
             engine._c_token_moves.inc()

@@ -93,8 +93,8 @@ def execute_service_task(engine, instance, definition, token, node: ServiceTask)
     if pool is not None and pool.admit(node.service):
         enqueue_service_invocation(engine, instance, definition, token, node)
         return
-    # no pool, scope excludes this service, or its queue is full: the
-    # synchronous inline path doubles as the load-leveling fallback
+    # no pool, or the service's queue is full: the synchronous inline
+    # path doubles as the load-leveling fallback
     perform_service_invocation(engine, instance, definition, token, node)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.storage.kvstore import KeyValueStore
+from repro.storage.serializers import from_record, to_record
 from repro.storage.writeset import WriteSet
 
 #: store-key family of pending jobs (``jobs/<job id>``)
@@ -34,23 +35,11 @@ class Job:
     data: dict[str, Any] = field(default_factory=dict, hash=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "due": self.due,
-            "kind": self.kind,
-            "instance_id": self.instance_id,
-            "data": self.data,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Job":
-        return cls(
-            id=raw["id"],
-            due=raw["due"],
-            kind=raw["kind"],
-            instance_id=raw["instance_id"],
-            data=raw.get("data", {}),
-        )
+        return from_record(cls, raw)
 
 
 class JobScheduler:

@@ -26,6 +26,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterator
 
 from repro.storage.kvstore import KeyValueStore
+from repro.storage.serializers import from_record, to_record
 from repro.storage.writeset import WriteSet
 
 #: store-key family of open subscriptions (``wait/<zero-padded seq>``)
@@ -59,22 +60,11 @@ class MessageWait:
     race_event: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "instance_id": self.instance_id,
-            "token_id": self.token_id,
-            "name": self.name,
-            "correlation": self.correlation,
-            "match_any": self.match_any,
-            "node_id": self.node_id,
-            "is_activity": self.is_activity,
-            "race_gateway": self.race_gateway,
-            "race_event": self.race_event,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "MessageWait":
-        return cls(**raw)
+        return from_record(cls, raw)
 
 
 class _NameIndex:

@@ -383,7 +383,7 @@ EVENT_TYPES = (
     BoundaryEvent,
 )
 
-#: id -> class map used by serializers.
-NODE_CLASSES: dict[str, type] = {
+#: type tag -> node class; the definition codec decodes nodes through it
+NODE_CLASSES: dict[str, type[Node]] = {
     cls.__name__: cls for cls in (*ACTIVITY_TYPES, *GATEWAY_TYPES, *EVENT_TYPES)
 }

@@ -19,7 +19,7 @@ The translation follows the classical BPMN→Petri-net scheme:
 * event-based gateways map like XOR (the race is a free choice in the net).
 
 The result is verified with :func:`repro.petri.workflow_net.check_soundness`
-at deploy time when the engine is configured with ``verify_soundness=True``.
+at deploy time when the definition is deployed with ``verify=True``.
 
 Caveat documented for model authors: a process with multiple end events on
 *parallel* paths completes fine under BPMN implicit-termination semantics

@@ -1,225 +1,35 @@
 """Dict (JSON-safe) codec for process definitions.
 
 Used by engine persistence (definitions must survive restarts alongside the
-instances that reference them) and as the substrate for the BPMN XML
-serializer.  The codec is explicit per element type — no pickle, no
-reflection surprises.
+instances that reference them) and by the dispatch log's deploy commands.
+Nodes and flows go through the shared record codec
+(:func:`repro.storage.serializers.to_record`): a node is its dataclass
+fields plus a ``type`` tag, decoded through :data:`NODE_CLASSES`, so a new
+element type or attribute needs no codec change.  No pickle: the stored
+form is plain JSON.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.model.elements import (
-    BoundaryEvent,
-    BusinessRuleTask,
-    CallActivity,
-    EndEvent,
-    EventBasedGateway,
-    ExclusiveGateway,
-    InclusiveGateway,
-    IntermediateMessageEvent,
-    IntermediateTimerEvent,
-    ManualTask,
-    MultiInstanceActivity,
-    Node,
-    ParallelGateway,
-    ReceiveTask,
-    RetryPolicy,
-    ScriptTask,
-    SendTask,
-    SequenceFlow,
-    ServiceTask,
-    StartEvent,
-    UserTask,
-)
+from repro.model.elements import NODE_CLASSES, Node, SequenceFlow
 from repro.model.errors import ModelError
 from repro.model.process import ProcessDefinition
+from repro.storage.serializers import from_record, to_record
 
 
 def node_to_dict(node: Node) -> dict[str, Any]:
     """Serialize one node to a JSON-safe dict with a ``type`` tag."""
-    base: dict[str, Any] = {"type": node.type_name, "id": node.id, "name": node.name}
-    if isinstance(node, EndEvent):
-        base["terminate"] = node.terminate
-    elif isinstance(node, IntermediateTimerEvent):
-        base["duration"] = node.duration
-    elif isinstance(node, IntermediateMessageEvent):
-        base["message_name"] = node.message_name
-        base["correlation_expression"] = node.correlation_expression
-    elif isinstance(node, BoundaryEvent):
-        base.update(
-            attached_to=node.attached_to,
-            kind=node.kind,
-            error_code=node.error_code,
-            duration=node.duration,
-        )
-    elif isinstance(node, UserTask):
-        base.update(
-            role=node.role,
-            priority=node.priority,
-            due_seconds=node.due_seconds,
-            form_fields=list(node.form_fields),
-            separate_from=list(node.separate_from),
-            compensation_handler=node.compensation_handler,
-        )
-    elif isinstance(node, ServiceTask):
-        base.update(
-            service=node.service,
-            inputs=dict(node.inputs),
-            output_variable=node.output_variable,
-            retry={
-                "max_attempts": node.retry.max_attempts,
-                "initial_backoff": node.retry.initial_backoff,
-                "backoff_multiplier": node.retry.backoff_multiplier,
-            },
-            async_execution=node.async_execution,
-            compensation_handler=node.compensation_handler,
-        )
-    elif isinstance(node, ScriptTask):
-        base["script"] = node.script
-        base["compensation_handler"] = node.compensation_handler
-    elif isinstance(node, BusinessRuleTask):
-        base["decision"] = node.decision
-        base["result_variable"] = node.result_variable
-    elif isinstance(node, SendTask):
-        base["message_name"] = node.message_name
-        base["payload_expression"] = node.payload_expression
-    elif isinstance(node, ReceiveTask):
-        base["message_name"] = node.message_name
-        base["correlation_expression"] = node.correlation_expression
-    elif isinstance(node, MultiInstanceActivity):
-        base.update(
-            process_key=node.process_key,
-            cardinality_expression=node.cardinality_expression,
-            input_mappings=dict(node.input_mappings),
-            output_mappings=dict(node.output_mappings),
-            output_collection=node.output_collection,
-            sequential=node.sequential,
-            wait_for_completion=node.wait_for_completion,
-        )
-    elif isinstance(node, CallActivity):
-        base.update(
-            process_key=node.process_key,
-            input_mappings=dict(node.input_mappings),
-            output_mappings=dict(node.output_mappings),
-        )
-    return base
+    return {"type": node.type_name, **to_record(node)}
 
 
 def node_from_dict(raw: dict[str, Any]) -> Node:
     """Inverse of :func:`node_to_dict`."""
-    kind = raw.get("type")
-    node_id = raw["id"]
-    name = raw.get("name", "")
-    if kind == "StartEvent":
-        return StartEvent(node_id, name)
-    if kind == "EndEvent":
-        return EndEvent(node_id, name, terminate=raw.get("terminate", False))
-    if kind == "IntermediateTimerEvent":
-        return IntermediateTimerEvent(node_id, name, duration=raw.get("duration", 0.0))
-    if kind == "IntermediateMessageEvent":
-        return IntermediateMessageEvent(
-            node_id,
-            name,
-            message_name=raw["message_name"],
-            correlation_expression=raw.get("correlation_expression"),
-        )
-    if kind == "BoundaryEvent":
-        return BoundaryEvent(
-            node_id,
-            name,
-            attached_to=raw["attached_to"],
-            kind=raw.get("kind", "error"),
-            error_code=raw.get("error_code"),
-            duration=raw.get("duration", 0.0),
-        )
-    if kind == "UserTask":
-        return UserTask(
-            node_id,
-            name,
-            role=raw["role"],
-            priority=raw.get("priority", 0),
-            due_seconds=raw.get("due_seconds"),
-            form_fields=tuple(raw.get("form_fields", ())),
-            separate_from=tuple(raw.get("separate_from", ())),
-            compensation_handler=raw.get("compensation_handler"),
-        )
-    if kind == "ManualTask":
-        return ManualTask(node_id, name)
-    if kind == "ServiceTask":
-        retry_raw = raw.get("retry", {})
-        return ServiceTask(
-            node_id,
-            name,
-            service=raw["service"],
-            inputs=dict(raw.get("inputs", {})),
-            output_variable=raw.get("output_variable"),
-            retry=RetryPolicy(
-                max_attempts=retry_raw.get("max_attempts", 3),
-                initial_backoff=retry_raw.get("initial_backoff", 0.1),
-                backoff_multiplier=retry_raw.get("backoff_multiplier", 2.0),
-            ),
-            async_execution=raw.get("async_execution", False),
-            compensation_handler=raw.get("compensation_handler"),
-        )
-    if kind == "ScriptTask":
-        return ScriptTask(
-            node_id,
-            name,
-            script=raw["script"],
-            compensation_handler=raw.get("compensation_handler"),
-        )
-    if kind == "BusinessRuleTask":
-        return BusinessRuleTask(
-            node_id,
-            name,
-            decision=raw["decision"],
-            result_variable=raw.get("result_variable"),
-        )
-    if kind == "SendTask":
-        return SendTask(
-            node_id,
-            name,
-            message_name=raw["message_name"],
-            payload_expression=raw.get("payload_expression"),
-        )
-    if kind == "ReceiveTask":
-        return ReceiveTask(
-            node_id,
-            name,
-            message_name=raw["message_name"],
-            correlation_expression=raw.get("correlation_expression"),
-        )
-    if kind == "CallActivity":
-        return CallActivity(
-            node_id,
-            name,
-            process_key=raw["process_key"],
-            input_mappings=dict(raw.get("input_mappings", {})),
-            output_mappings=dict(raw.get("output_mappings", {})),
-        )
-    if kind == "MultiInstanceActivity":
-        return MultiInstanceActivity(
-            node_id,
-            name,
-            process_key=raw["process_key"],
-            cardinality_expression=raw["cardinality_expression"],
-            input_mappings=dict(raw.get("input_mappings", {})),
-            output_mappings=dict(raw.get("output_mappings", {})),
-            output_collection=raw.get("output_collection"),
-            sequential=raw.get("sequential", False),
-            wait_for_completion=raw.get("wait_for_completion", True),
-        )
-    if kind == "ExclusiveGateway":
-        return ExclusiveGateway(node_id, name)
-    if kind == "ParallelGateway":
-        return ParallelGateway(node_id, name)
-    if kind == "InclusiveGateway":
-        return InclusiveGateway(node_id, name)
-    if kind == "EventBasedGateway":
-        return EventBasedGateway(node_id, name)
-    raise ModelError(f"unknown node type {kind!r}")
+    cls = NODE_CLASSES.get(raw.get("type"))
+    if cls is None:
+        raise ModelError(f"unknown node type {raw.get('type')!r}")
+    return from_record(cls, raw)
 
 
 def definition_to_dict(definition: ProcessDefinition) -> dict[str, Any]:
@@ -230,16 +40,7 @@ def definition_to_dict(definition: ProcessDefinition) -> dict[str, Any]:
         "version": definition.version,
         "description": definition.description,
         "nodes": [node_to_dict(n) for n in definition.nodes.values()],
-        "flows": [
-            {
-                "id": f.id,
-                "source": f.source,
-                "target": f.target,
-                "condition": f.condition,
-                "is_default": f.is_default,
-            }
-            for f in definition.flows.values()
-        ],
+        "flows": [to_record(f) for f in definition.flows.values()],
     }
     if definition.attributes:
         payload["attributes"] = dict(definition.attributes)
@@ -258,13 +59,5 @@ def definition_from_dict(raw: dict[str, Any]) -> ProcessDefinition:
     for node_raw in raw.get("nodes", ()):
         definition.add_node(node_from_dict(node_raw))
     for flow_raw in raw.get("flows", ()):
-        definition.add_flow(
-            SequenceFlow(
-                id=flow_raw["id"],
-                source=flow_raw["source"],
-                target=flow_raw["target"],
-                condition=flow_raw.get("condition"),
-                is_default=flow_raw.get("is_default", False),
-            )
-        )
+        definition.add_flow(from_record(SequenceFlow, flow_raw))
     return definition

@@ -18,7 +18,12 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.storage.errors import StorageError
 from repro.storage.journal import Journal
-from repro.storage.serializers import json_decode, json_encode
+from repro.storage.serializers import (
+    from_record,
+    json_decode,
+    json_encode,
+    to_record,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
@@ -35,23 +40,11 @@ class EventRecord:
     data: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "sequence": self.sequence,
-            "stream": self.stream,
-            "type": self.type,
-            "timestamp": self.timestamp,
-            "data": self.data,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "EventRecord":
-        return cls(
-            sequence=raw["sequence"],
-            stream=raw["stream"],
-            type=raw["type"],
-            timestamp=raw["timestamp"],
-            data=raw.get("data", {}),
-        )
+        return from_record(cls, raw)
 
 
 class EventStore:

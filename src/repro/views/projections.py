@@ -38,8 +38,8 @@ drain.  A page keeps its members in ``(rank, id)`` order, so its content
 is a function of their final records alone, and the manager drops a
 re-put of a paged entity before any table sees it.
 
-Suffixes beginning with ``__`` (``__queues``, ``__p<k>``) are reserved
-for table bookkeeping.
+Suffixes beginning with ``__`` (``__p<k>``) are reserved for table
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -639,13 +639,13 @@ class DefinitionStats:
 
 
 class WorklistQueues(_Tiered):
-    """The worklist queue view: live items, finished pages, ``__queues``.
+    """The worklist queue view: live items and finished pages.
 
     Persists one compact record per open work item
-    (``view/worklist/<id>``), the finished tier's pages
-    (``view/worklist/__p<k>``) and a single ``__queues`` aggregate: total
-    open items, open count per role, and a per-state census.  Loading
-    derives the aggregate from the live records and the page codes.
+    (``view/worklist/<id>``) and the finished tier's pages
+    (``view/worklist/__p<k>``).  The queue aggregates — total open items,
+    open count per role, and the per-state census — live in memory only:
+    loading derives them from the live records and the page codes.
     """
 
     name = "worklist"
@@ -678,27 +678,10 @@ class WorklistQueues(_Tiered):
                 role_open[old["role"]] = role_open.get(old["role"], 1) - 1
         self.open_total = open_total
 
-    def dirty_records(self) -> dict[str, Any]:
-        out = super().dirty_records()
-        if out:  # every applied item dirties a record, so the aggregate moved
-            out["__queues"] = self._queues_record()
-        return out
-
-    def _queues_record(self) -> dict[str, Any]:
-        return {
-            "open": self.open_total,
-            "roles": {
-                role: count
-                for role, count in sorted(self.role_open.items())
-                if count > 0
-            },
-            "states": {
-                state: self.state_counts.get(state, 0) for state in ITEM_STATES
-            },
-        }
-
     def load_record(self, suffix: str, value: Any) -> None:
-        if suffix != "__queues":  # derived in finish_load
+        # stores written by older versions hold a ``__queues`` aggregate;
+        # finish_load derives it instead
+        if suffix != "__queues":
             super().load_record(suffix, value)
 
     def finish_load(self) -> None:

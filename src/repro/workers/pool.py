@@ -9,18 +9,18 @@ execution):
   record to :meth:`WorkerPool.submit` only *after* the group commit that
   made it durable.
 * **execute in the pool** — worker threads drain one bounded queue per
-  service (queue-based load leveling) under a per-service in-flight cap
-  (bulkhead), and run the engine's invoker/retry/breaker stack while
-  holding **no** shard lock — the 2 ms service call that capped a shard
-  at ~370 inst/s in F11 now overlaps with dispatch.
+  service (queue-based load leveling) round-robin, and run the engine's
+  invoker/retry/breaker stack while holding **no** shard lock — the 2 ms
+  service call that capped a shard at ~370 inst/s in F11 now overlaps
+  with dispatch.
 * **complete via dispatch** — the outcome returns as an idempotent
   :class:`~repro.engine.commands.CompleteServiceInvocation` through the
   normal dispatch path: serialized, deduped, logged, group-committed.
 
 Admission control is producer-pays: :meth:`admit` refuses when the
-service's queue is full (or the service is outside ``only_services``),
-and the executor falls back to the synchronous inline path — callers feel
-backpressure instead of the queue growing without bound.
+service's queue is full, and the executor falls back to the synchronous
+inline path — callers feel backpressure instead of the queue growing
+without bound.
 
 ``workers=0`` builds a *manual* pool: no threads, entries execute on the
 caller's thread via :meth:`run_next` — what the crash-matrix and property
@@ -56,7 +56,6 @@ class WorkerPool:
         self,
         workers: int = 4,
         queue_capacity: int = 64,
-        only_services: set[str] | None = None,
         name: str = "workers",
     ) -> None:
         if workers < 0:
@@ -65,11 +64,6 @@ class WorkerPool:
             raise ValueError("queue_capacity must be >= 1")
         self.name = name
         self.queue_capacity = queue_capacity
-        # the per-service in-flight cap (bulkhead): one call per worker
-        self.max_inflight_per_service = max(1, workers)
-        self.only_services = (
-            frozenset(only_services) if only_services is not None else None
-        )
         self._cond = threading.Condition()
         self._queues: dict[str, deque[_Entry]] = {}
         self._services: list[str] = []  # round-robin order over queues
@@ -114,19 +108,13 @@ class WorkerPool:
 
     # -- admission (called under the enqueueing shard's lock) -------------------
 
-    def accepts(self, service: str) -> bool:
-        """Whether this pool executes the named service at all."""
-        return self.only_services is None or service in self.only_services
-
     def admit(self, service: str) -> bool:
-        """Admission check for one enqueue: bulkhead scope + queue bound.
+        """Admission check for one enqueue: the queue bound.
 
         ``False`` sends the caller down the synchronous inline path — the
         load-leveling contract is that a full queue pushes latency back to
         the producer instead of growing without bound.
         """
-        if not self.accepts(service):
-            return False
         with self._cond:
             if self._closed:
                 return False
@@ -168,16 +156,14 @@ class WorkerPool:
         gauge.set(depth)
 
     def _next_entry(self) -> _Entry | None:
-        """Pop the next runnable entry (round-robin across services,
-        skipping services at their bulkhead cap).  Caller holds the lock."""
+        """Pop the next entry (round-robin across services).  Caller holds
+        the lock."""
         count = len(self._services)
         for offset in range(count):
             index = (self._rr_cursor + offset) % count
             service = self._services[index]
             queue = self._queues[service]
             if not queue:
-                continue
-            if self._inflight.get(service, 0) >= self.max_inflight_per_service:
                 continue
             self._rr_cursor = (index + 1) % count
             entry = queue.popleft()
@@ -343,17 +329,11 @@ class WorkerPool:
             thread.join(timeout)
 
     def status(self) -> dict[str, Any]:
-        """Point-in-time queue/bulkhead occupancy (CLI + cluster status)."""
+        """Point-in-time queue and in-flight occupancy (cluster status)."""
         with self._cond:
             return {
                 "workers": len(self._threads),
                 "queue_capacity": self.queue_capacity,
-                "max_inflight_per_service": self.max_inflight_per_service,
-                "only_services": (
-                    sorted(self.only_services)
-                    if self.only_services is not None
-                    else None
-                ),
                 "queued": {
                     service: len(queue)
                     for service, queue in self._queues.items()

@@ -11,11 +11,11 @@ failure context attached (see the ``repro dlq`` CLI).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.model.elements import RetryPolicy
+from repro.storage.serializers import from_record, to_record
 
 
 @dataclass
@@ -48,15 +48,7 @@ class InvocationRecord:
         enqueued_at: float,
     ) -> "InvocationRecord":
         policy = getattr(node, "retry", None)
-        retry = (
-            {
-                "max_attempts": policy.max_attempts,
-                "initial_backoff": policy.initial_backoff,
-                "backoff_multiplier": policy.backoff_multiplier,
-            }
-            if policy is not None
-            else {}
-        )
+        retry = to_record(policy) if policy is not None else {}
         return cls(
             id=invocation_id,
             instance_id=instance_id,
@@ -75,21 +67,10 @@ class InvocationRecord:
         return f"inv:{self.id}:{self.requeues}"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "instance_id": self.instance_id,
-            "token_id": self.token_id,
-            "node_id": self.node_id,
-            "service": self.service,
-            "arguments": dict(self.arguments),
-            "retry": dict(self.retry),
-            "enqueued_at": self.enqueued_at,
-            "requeues": self.requeues,
-        }
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "InvocationRecord":
         # dead-letter records carry extra context (error, failed_at, ...);
         # rebuilding for a requeue keeps only the record fields
-        names = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in names})
+        return from_record(cls, raw)

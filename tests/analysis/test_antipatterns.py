@@ -25,8 +25,8 @@ def completed_activities(engine, instance_id):
 
 
 def deploy_forced(model, **variables):
-    engine = ProcessEngine(clock=VirtualClock(0), verify_soundness=True)
-    engine.deploy(model, force=True)
+    engine = ProcessEngine(clock=VirtualClock(0))
+    engine.deploy(model, verify=True, force=True)
     instance = engine.start_instance(model.key, dict(variables))
     return engine, instance
 

@@ -312,10 +312,12 @@ class TestLoops:
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["n"] == 5
 
-    def test_infinite_loop_hits_step_budget(self, clock):
+    def test_infinite_loop_hits_step_budget(self, clock, monkeypatch):
+        from repro.engine import execution
         from repro.engine.engine import ProcessEngine
 
-        engine = ProcessEngine(clock=clock, max_steps=50)
+        monkeypatch.setattr(execution, "MAX_STEPS", 50)
+        engine = ProcessEngine(clock=clock)
         model = (
             ProcessBuilder("forever")
             .start()

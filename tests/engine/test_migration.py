@@ -185,6 +185,11 @@ def guarded_task(suffix="", result=1):
     )
 
 
+def held(timer_id):
+    """A timer between start and end."""
+    return ProcessBuilder("hold").start().timer(timer_id, duration=60).end().build()
+
+
 class TestMigrationOfScheduledJobs:
     """A scheduler job names the node its firing resumes; the job (live
     and in the store) follows a renamed node like the message waits do."""
@@ -237,3 +242,25 @@ class TestMigrationOfScheduledJobs:
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["v"] == 2
         assert len(engine.scheduler) == 0 and store.keys("jobs/") == []
+
+    @pytest.mark.parametrize("restart", [False, True], ids=["live", "recovered"])
+    def test_stored_job_changes_only_with_the_migration_commit(self, restart):
+        """The store holds a copy of a job: remapping the live job inside a
+        batch leaves the committed record as it was until the batch
+        commits, in step with the instance record."""
+        store = MemoryKV()
+        engine, clock = self.build(store)
+        engine.deploy(held("wait"))
+        engine.deploy(held("pause"))
+        instance = engine.start_instance("hold", version=1)
+        if restart:
+            engine, clock = self.build(store)
+            engine.recover()
+        (job_key,) = store.keys("jobs/")
+        instance_key = f"instance/{instance.id}"
+        with engine.batch():
+            engine.migrate_instance(instance.id, 2, MigrationPlan({"wait": "pause"}))
+            assert store.get(job_key)["data"]["node_id"] == "wait"
+            assert store.get(instance_key)["definition_id"] == "hold:1"
+        assert store.get(job_key)["data"]["node_id"] == "pause"
+        assert store.get(instance_key)["definition_id"] == "hold:2"

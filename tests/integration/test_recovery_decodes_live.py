@@ -216,8 +216,8 @@ def recover_counted(cluster):
     for shard in cluster.shards:
         store, views = shard.store, shard.views
         assert not {"instance/", "workitem/"} & set(store.keys_prefixes)
-        # the cursor, one record per definition, the worklist's __queues
-        bound = 1 + views.def_stats.record_count() + 1
+        # the cursor and one record per definition
+        bound = 1 + views.def_stats.record_count()
         for table in (views.by_state, views.worklist):
             finished = table.record_count() - len(table.records)
             bound += len(table.records) + math.ceil(finished / PAGE)

@@ -187,16 +187,16 @@ class TestProjectionTransitions:
         open_item = self._item(1)
         view.apply_items(((None, open_item),))
         view.apply_items(((None, self._item(2, role="manager")),))
-        queues = view.dirty_records()["__queues"]
-        assert queues["open"] == 2
-        assert queues["roles"] == {"clerk": 1, "manager": 1}
+        assert view.open_total == 2
+        assert view.role_open == {"clerk": 1, "manager": 1}
         done = self._item(1, state="completed")
         view.apply_items(((open_item, done),))
-        queues = view.dirty_records()["__queues"]
-        assert queues["open"] == 1
-        assert queues["roles"] == {"manager": 1}
-        assert queues["states"]["completed"] == 1
+        assert view.open_total == 1
+        assert view.role_open == {"clerk": 0, "manager": 1}
+        assert view.state_counts["completed"] == 1
         assert view.ids("allocated") == ["wi-2"]
+        # the aggregate lives in memory only: no record carries it
+        assert set(view.dirty_records()) == {"wi-2", "__p0"}
 
     def test_dirty_records_survive_until_clear(self):
         view = InstancesByState()

@@ -274,6 +274,32 @@ class TestOldLayout:
         assert_byte_identical(again.store, again)
         again.store.close()
 
+    def test_queues_aggregate_of_older_builds_loads_unread(self, tmp_path):
+        """Older builds also wrote a ``view/worklist/__queues`` aggregate;
+        a store holding one still takes the load path, and the queue
+        counts come from the item records, not from it."""
+        path = str(tmp_path / "store")
+        engine = build_engine(store=DurableKV(path))
+        run_some_work(engine, instances=4)
+        expected = answers(engine)
+        assert engine.store.get("view/worklist/__queues") is None
+        engine.store.close()
+
+        offline = DurableKV(path)
+        with offline.transaction():
+            offline.put(
+                "view/worklist/__queues",
+                {"open": 99, "roles": {"clerk": 99}, "states": {"offered": 99}},
+            )
+        offline.close()
+
+        recovered = reopen(path)
+        assert recovered.views.recovered_mode == "load"
+        assert answers(recovered) == expected
+        assert recovered.views.open_work_items() == 3
+        assert recovered.views.open_by_role() == {"clerk": 3}
+        recovered.store.close()
+
 
 class TestTornCommit:
     """A torn group commit drops base records, view records, and the

@@ -243,16 +243,6 @@ class TestAdmissionControl:
         pool.drain()
         assert engine.instance(first.id).state is InstanceState.COMPLETED
 
-    def test_only_services_scopes_the_pool(self):
-        engine, pool = pooled_engine(only_services={"other"})
-        engine.services.register("svc", lambda n: n * 2)
-        engine.deploy(service_model())
-        instance = engine.start_instance("p", {"n": 3})
-        # svc is outside the pool's scope: inline, synchronous
-        assert instance.state is InstanceState.COMPLETED
-        assert pool.run_next() is None
-        assert engine.workers_status() == {}  # nothing was ever pooled
-
 
 class TestCancellation:
     def test_boundary_timer_cancels_pending_invocation(self):
