@@ -709,9 +709,8 @@ def cmd_views_status(args: argparse.Namespace) -> int:
 def cmd_views_query(args: argparse.Namespace) -> int:
     """Query persisted view records offline (no engine, no recovery).
 
-    Cross-store results merge exactly like the live ``ClusterViews``
-    facade: instance lists interleave by creation rank, analytics
-    aggregate across shards.
+    Cross-store results merge exactly like a live cluster's: instance
+    lists interleave by creation rank, analytics aggregate across shards.
     """
     from repro.views.cluster import merge_definition_stats
     from repro.views.projections import creation_rank

@@ -33,9 +33,10 @@ Cross-shard semantics:
 * ``advance_time`` — the shared clock advances exactly once, then
   ``RunDueJobs`` fans out to every shard and the counts merge.
 * ``instances(state=)`` / ``find_instances`` / ``work_items`` — each
-  shard's read models list its ids (see :mod:`repro.views.cluster`); a
-  ``business_key`` filter narrows to the key's home shard because
-  instances are co-located by business key at start.
+  shard answers from its own read models and the answers merge per
+  query on ``(creation rank, shard index)``; a ``business_key`` filter
+  narrows to the key's home shard because instances are co-located by
+  business key at start.
 * ``recover()`` — reattaches each shard's partition from its own store
   and rejects a store whose persisted topology (shard count/index) does
   not match the cluster, so a 4-shard store set cannot be silently
@@ -65,12 +66,17 @@ from repro.services.bus import Message, MessageBus
 from repro.services.registry import ServiceRegistry
 from repro.storage.kvstore import KeyValueStore, MemoryKV
 from repro.views.cluster import ClusterViews
+from repro.views.projections import creation_rank, merge_ranked
 from repro.worklist.allocation import Allocator
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
 
 #: store key holding each shard's persisted topology record
 TOPOLOGY_KEY = "cluster/meta"
+
+
+def _rank(entity: ProcessInstance | WorkItem) -> int:
+    return creation_rank(entity.id)
 
 
 class ShardedEngine(CommandClient):
@@ -125,9 +131,7 @@ class ShardedEngine(CommandClient):
             )
             for i in range(shards)
         )
-        # the CQRS read side: cross-shard queries served from each
-        # shard's materialized projections, pre-merged on creation rank —
-        # flat in shard count at equal total size (see repro.views)
+        # cluster-wide aggregates of the shards' read models
         self.views = ClusterViews(self)
         try:
             self._check_or_stamp_topology()
@@ -348,7 +352,8 @@ class ShardedEngine(CommandClient):
 
         The route is pinned under the record's ``fwd:`` dedup key before
         publishing, so a retry (live failure or post-crash redelivery)
-        presents the same key to the same shard and dedupes.  The record
+        presents the same key to the same shard and dedupes; the pin is
+        dropped with the record.  The record
         is deleted from the origin outbox only after the target's
         delivery dispatch has flushed — a crash in between re-delivers,
         never loses.  The delete itself is garbage collection, not a
@@ -387,6 +392,10 @@ class ShardedEngine(CommandClient):
         origin_shard = self.shards[origin]
         with origin_shard._dispatch_lock:
             origin_shard.outbox.remove(record.seq)
+        # with the record gone no live retry can present the key again; a
+        # post-crash redelivery routes through what recover() rebuilds
+        with self._route_lock:
+            self._dedup_route.pop(key, None)
         return True
 
     def _probe_target(self, name: str, correlation: Any) -> int:
@@ -464,9 +473,8 @@ class ShardedEngine(CommandClient):
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
         """All instances (optionally by state), cluster creation order:
-        per-shard read models merged on creation rank (see
-        :class:`~repro.views.cluster.ClusterViews`)."""
-        return self.views.instances(state)
+        the shards' answers merged on ``(creation rank, shard index)``."""
+        return self.find_instances(state=state)
 
     def find_instances(self, **filters: Any) -> list[ProcessInstance]:
         """Cross-shard :meth:`ProcessEngine.find_instances`.
@@ -480,11 +488,16 @@ class ShardedEngine(CommandClient):
         if business_key is not None:
             index = shard_of_key(business_key, self.shard_count)
             return self.shards[index].find_instances(**filters)
-        return self.views.find_instances(**filters)
+        return merge_ranked(
+            [shard.find_instances(**filters) for shard in self.shards], _rank
+        )
 
     def work_items(self, state: WorkItemState | None = None) -> list[WorkItem]:
-        """All work items across shards (optionally by state)."""
-        return self.views.work_items(state)
+        """All work items across shards (optionally by state), merged on
+        ``(creation rank, shard index)``."""
+        return merge_ranked(
+            [shard.worklist.items(state) for shard in self.shards], _rank
+        )
 
     def dead_letters(self) -> list[dict[str, Any]]:
         """Dead-lettered invocations across every shard, oldest first."""

@@ -105,14 +105,18 @@ class DispatchLog:
         """Restore the ``dispatch/`` records of a store; returns entries
         retained.  Restores the idempotency window with them, so a client
         retrying a dedup-keyed command across a crash still gets the
-        recorded (summarized) result instead of a double apply."""
-        log = sorted(
-            (raw for _, raw in store.scan(DISPATCH_PREFIX)),
-            key=lambda r: r.get("seq", 0),
+        recorded (summarized) result instead of a double apply.  Entries
+        beyond ``retention`` (a store written with a longer one) are
+        deleted at the next commit."""
+        entries = sorted(
+            store.scan(DISPATCH_PREFIX), key=lambda entry: entry[1].get("seq", 0)
         )
-        self.records = log[max(0, len(log) - self.retention):]
-        if log:
-            self.seq = max(self.seq, log[-1].get("seq", 0))
+        cut = max(0, len(entries) - self.retention)
+        for key, _ in entries[:cut]:
+            self._writes.delete(DISPATCH_PREFIX, key[len(DISPATCH_PREFIX):])
+        self.records = [raw for _, raw in entries[cut:]]
+        if entries:
+            self.seq = max(self.seq, entries[-1][1].get("seq", 0))
         for record in self.records:
             key = record.get("dedup_key")
             if key is not None and record.get("status") == "applied":

@@ -8,14 +8,16 @@ Record layout on disk::
 
 Properties:
 
-* **torn-write safety** — a scan stops at the first record whose header or
-  body is incomplete or whose CRC fails *at the tail*; the file is truncated
-  to the last good record on open, so a crash mid-append never corrupts
-  recovery.  A CRC failure *before* the tail is data loss and raises.
-* **one pass to open** — ``Journal(path, auto_recover=False).recover()``
-  yields every intact record and leaves the file cut to the last one, so
-  an owner that must read its log anyway (``DurableKV``, ``EventStore``)
-  checks each byte's CRC once, not once to repair and again to replay.
+* **one scan** — :meth:`Journal.recover` yields every intact record in
+  append order and, once exhausted, has cut a torn tail (a record whose
+  header or body is incomplete or whose CRC fails *at the tail*) off the
+  file, so a crash mid-append never corrupts recovery.  A CRC failure
+  *before* the tail is data loss and raises.
+* **crash-safe open** — ``Journal(path)`` runs that scan itself before
+  the first append.  An owner that must read its log anyway (``DurableKV``,
+  ``EventStore``) opens with ``auto_recover=False`` and iterates
+  ``recover()`` once, so each byte's CRC is checked once, not once to
+  repair and again to read.
 * **group commit** — ``append`` buffers; ``sync`` flushes+fsyncs once for
   all buffered records.  ``append(..., sync=True)`` is the single-record
   durable path.  Experiment F4 measures the batch-size/throughput shape
@@ -43,7 +45,7 @@ HEADER_SIZE = _HEADER.size
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One replayed record: its byte offset and payload."""
+    """One recovered record: its byte offset and payload."""
 
     offset: int
     payload: bytes
@@ -69,7 +71,7 @@ class Journal:
         #: bytes cut from a torn tail (0 = the file was clean);
         #: recovery is deliberately *surfaced*, never silent
         self.recovered_bytes = 0
-        #: byte offset where the last scan hit a torn tail
+        #: byte offset where the last scan cut a torn tail
         #: (``None`` = the log read back clean end to end)
         self.torn_tail_offset: int | None = None
         directory = os.path.dirname(path)
@@ -112,22 +114,6 @@ class Journal:
         if sync:
             self.sync()
         return offset
-
-    def append_many(self, payloads: list[bytes], sync: bool = True) -> list[int]:
-        """Group-commit helper: append a batch, then one sync.
-
-        The ``sync`` defaults are deliberately asymmetric with
-        :meth:`append` (``sync=False``): ``append`` is the low-level
-        buffered primitive callers compose with an explicit :meth:`sync`,
-        while ``append_many`` *is* the group-commit operation — its
-        contract is "the whole batch is durable on return", amortizing one
-        fsync over the batch.  Pass ``sync=False`` only to concatenate
-        batches under a caller-managed sync (see DESIGN.md §Persistence).
-        """
-        offsets = [self.append(p, sync=False) for p in payloads]
-        if sync:
-            self.sync()
-        return offsets
 
     def sync(self) -> None:
         """Flush buffered records and fsync the file."""
@@ -178,23 +164,16 @@ class Journal:
             self._flushed = self._size
         return os.pread(self._file.fileno(), length, offset)
 
-    def replay(self) -> Iterator[JournalRecord]:
-        """Yield all intact records in append order.
+    def recover(self) -> Iterator[JournalRecord]:
+        """Yield all intact records in append order, then repair.
 
         Raises :class:`CorruptRecordError` for corruption in the *middle*
-        of the log (data loss); a torn tail (crash artifact) ends iteration
-        but is surfaced via :attr:`torn_tail_offset` and the
-        ``storage.journal.torn_tails`` counter rather than swallowed.
+        of the log (data loss).  A torn tail (crash artifact) ends the
+        iteration and is cut off the file: :attr:`recovered_bytes` and
+        :attr:`torn_tail_offset` say how much and where, the
+        ``storage.journal.torn_tails`` counter and a ``journal.recovered``
+        event surface it.
         """
-        return self._scan(truncate=False)
-
-    def recover(self) -> Iterator[JournalRecord]:
-        """:meth:`replay` that also repairs: once exhausted, a torn tail
-        has been cut off the file (:attr:`recovered_bytes` says how much),
-        so the owner's one reading pass is also the crash-safe open."""
-        return self._scan(truncate=True)
-
-    def _scan(self, truncate: bool) -> Iterator[JournalRecord]:
         if not self._file.closed:
             self._file.flush()
         self.torn_tail_offset = None
@@ -219,29 +198,25 @@ class Journal:
                             )
                         intact = False  # corrupt final record
                 if not intact:
-                    self._torn_tail(offset, file_size, truncate)
+                    self._cut_tail(offset, file_size)
                     return
                 yield JournalRecord(offset=offset, payload=payload)
                 offset += HEADER_SIZE + length
 
-    def _torn_tail(self, offset: int, file_size: int, truncate: bool) -> None:
-        """Surface a torn tail found by a scan; cut it off when repairing."""
+    def _cut_tail(self, offset: int, file_size: int) -> None:
+        """Truncate a torn tail found by :meth:`recover` and surface it."""
         self.torn_tail_offset = offset
-        if truncate:
-            self.recovered_bytes = file_size - offset
-            self._file.truncate(offset)
-            self._size = self._flushed = offset
+        self.recovered_bytes = file_size - offset
+        self._file.truncate(offset)
+        self._size = self._flushed = offset
         if self._obs is not None:
             self._obs.registry.counter("storage.journal.torn_tails").inc()
-            if truncate:
-                self._obs.event(
-                    "journal.recovered",
-                    path=self.path,
-                    truncated_to=offset,
-                    recovered_bytes=self.recovered_bytes,
-                )
-            else:
-                self._obs.event("journal.torn_tail", path=self.path, offset=offset)
+            self._obs.event(
+                "journal.recovered",
+                path=self.path,
+                truncated_to=offset,
+                recovered_bytes=self.recovered_bytes,
+            )
 
     # -- lifecycle ------------------------------------------------------------
 

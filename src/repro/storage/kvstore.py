@@ -9,6 +9,13 @@ log-structured (Bitcask-shaped): values stay on disk, memory holds a
 to and including its first ``/`` — so ``scan("jobs/")`` walks the
 ``jobs/`` keys only, not every key of the store.
 
+**Transactions.**  ``begin()`` … ``commit()`` queues puts and deletes
+and applies them as one batch (one journal record).  Reads never see the
+queue: ``get``, ``scan``, ``keys``, ``in``, ``len`` and ``delete``'s
+return value answer from committed state, inside a transaction too.  The
+engine's pending writes are visible in one place, its
+:class:`~repro.storage.writeset.WriteSet`, never through the store.
+
 **Files.**  ``journal.log`` is a :class:`~repro.storage.journal.Journal`;
 one commit appends (and, with ``sync_writes``, fsyncs) one CRC-framed
 record whose payload is a sequence of op frames::
@@ -83,8 +90,8 @@ _OFFSET_SHIFT = 33
 _LENGTH_MASK = 0xFFFFFFFF
 _LENGTH_BITS = _LENGTH_MASK << 1
 
-#: marks a key the open transaction deleted
-_GONE = object()
+#: marks a key the store does not hold
+_ABSENT = object()
 
 
 class KeyValueStore:
@@ -120,7 +127,8 @@ class KeyValueStore:
     # -- transactions --------------------------------------------------------
 
     def begin(self) -> None:
-        """Start buffering writes; they apply atomically at :meth:`commit`."""
+        """Start buffering writes; they apply atomically at :meth:`commit`,
+        and reads see committed state until then."""
         raise NotImplementedError
 
     def commit(self) -> None:
@@ -177,14 +185,16 @@ def _family(key: str) -> str:
 
 
 class _TransactionMixin:
-    """What both backends share: the per-family map, write buffering with
-    read-your-writes, and the reads over both.
+    """What both backends share: the per-family map, write buffering, and
+    the reads over committed state.
 
     ``_data`` maps each family to its ``key -> entry`` dict; an entry is
     the value itself (:class:`MemoryKV`) or a keydir entry
     (:class:`DurableKV`), and ``_value(entry)`` turns it into the value.
-    Subclasses implement ``_apply_batch(ops)`` where each op is
-    ``("put", key, value)`` or ``("del", key, None)``.
+    Between :meth:`begin` and :meth:`commit` puts and deletes queue in
+    ``_buffer``; every read, and ``delete``'s return value, sees committed
+    state only.  Subclasses implement ``_apply_batch(ops)`` where each op
+    is ``("put", key, value)`` or ``("del", key, None)``.
     """
 
     def __init__(self) -> None:
@@ -215,36 +225,9 @@ class _TransactionMixin:
             return family
         return {key: entry for key, entry in family.items() if key.startswith(prefix)}
 
-    def _overlay(self) -> dict[str, Any]:
-        """The open transaction's net effect: key -> value, or ``_GONE``."""
-        overlay: dict[str, Any] = {}
-        for op, key, value in self._buffer or ():
-            overlay[key] = value if op == "put" else _GONE
-        return overlay
-
-    @staticmethod
-    def _visible(
-        prefix: str, committed: dict[str, Any], overlay: dict[str, Any]
-    ) -> list[str]:
-        """Sorted keys with the prefix, as the open transaction sees them."""
-        if not overlay:
-            return sorted(committed)
-        names = set(committed)
-        for key, value in overlay.items():
-            if value is _GONE:
-                names.discard(key)
-            elif key.startswith(prefix):
-                names.add(key)
-        return sorted(names)
-
     def get(self, key: str, default: Any = None) -> Any:
-        if self._buffer:
-            # read-your-writes inside a transaction
-            for op, k, value in reversed(self._buffer):
-                if k == key:
-                    return value if op == "put" else default
-        entry = self._entry(key, _GONE)
-        return default if entry is _GONE else self._value(entry)
+        entry = self._entry(key, _ABSENT)
+        return default if entry is _ABSENT else self._value(entry)
 
     def put(self, key: str, value: Any) -> None:
         if not isinstance(key, str) or not key:
@@ -255,39 +238,26 @@ class _TransactionMixin:
             self._apply_batch([("put", key, value)])
 
     def delete(self, key: str) -> bool:
-        existed = self._entry(key, _GONE) is not _GONE
+        existed = self._entry(key, _ABSENT) is not _ABSENT
         if self._buffer is not None:
-            for op, k, _ in self._buffer:
-                if k == key and op == "put":
-                    existed = True
             self._buffer.append(("del", key, None))
-            return existed
-        if existed:
+        elif existed:
             self._apply_batch([("del", key, None)])
         return existed
 
     def scan(self, prefix: str = "") -> Iterator[tuple[str, Any]]:
-        overlay = self._overlay()
         committed = self._committed(prefix)
-        for key in self._visible(prefix, committed, overlay):
-            if key in overlay:
-                yield key, overlay[key]
-            else:
-                yield key, self._value(committed[key])
+        for key in sorted(committed):
+            yield key, self._value(committed[key])
 
     def keys(self, prefix: str = "") -> list[str]:
-        return self._visible(prefix, self._committed(prefix), self._overlay())
+        return sorted(self._committed(prefix))
 
     def __contains__(self, key: str) -> bool:
-        for op, k, _ in reversed(self._buffer or ()):
-            if k == key:
-                return op == "put"
-        return self._entry(key, _GONE) is not _GONE
+        return self._entry(key, _ABSENT) is not _ABSENT
 
     def __len__(self) -> int:
-        if not self._buffer:
-            return sum(map(len, self._data.values()))
-        return len(self.keys())
+        return sum(map(len, self._data.values()))
 
     def begin(self) -> None:
         if self._buffer is not None:

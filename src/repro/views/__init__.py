@@ -9,8 +9,8 @@ See DESIGN.md §Read models.  Layout:
 * :mod:`repro.views.manager` — ``ProjectionManager``: the group-commit
   apply hook, the one image cursor (``view/__cursor``), recovery (load /
   tail replay / rebuild).
-* :mod:`repro.views.cluster` — ``ClusterViews``: cross-shard queries
-  served from per-shard read models, flat in shard count.
+* :mod:`repro.views.cluster` — ``ClusterViews``: cluster-wide
+  aggregates (definition stats, open work items, per-shard status).
 * :mod:`repro.views.rebuild` — offline full rebuild for closed stores
   (``repro views rebuild``).
 """

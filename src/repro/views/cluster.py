@@ -1,17 +1,13 @@
-"""``ClusterViews``: cross-shard queries served from per-shard read models.
+"""``ClusterViews``: the cluster-wide aggregates of the per-shard read models.
 
 Each shard's :class:`~repro.views.manager.ProjectionManager` is that
-shard's only instance and work-item index: per-state and per-key buckets
-are materialized and rank-ordered, so a query costs O(matches) per shard
-plus one O(T log k) k-way merge — flat in shard count at equal total
-size.  The per-shard answer is the shard's own
-query (``shard.instances`` / ``find_instances`` / ``worklist.items``),
-exact whatever the commit policy: the views fold in a shard's
-uncommitted puts before they answer.
-
-Ordering contract: creation rank interleaved across shards with shard
-index as the tie-break, through the
-:func:`~repro.views.projections.merge_ranked` k-way merge.
+shard's only instance and work-item index.  Cross-shard *lists*
+(``instances``, ``find_instances``, ``work_items``) are the shards' own
+answers merged per query by :func:`~repro.views.projections.merge_ranked`
+on ``(creation rank, shard index)``; :class:`~repro.cluster.sharded.ShardedEngine`
+does that itself and nothing caches the result.  What lives here are
+the aggregates the CLI, the dashboard readers and the benchmark call:
+``definition_stats``, ``open_work_items`` and ``status``.
 """
 
 from __future__ import annotations
@@ -19,16 +15,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.analytics.kpis import CycleTimeAggregate
-from repro.views.projections import creation_rank, merge_ranked
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.sharded import ShardedEngine
-    from repro.engine.instance import InstanceState, ProcessInstance
-    from repro.worklist.items import WorkItem, WorkItemState
-
-
-def _instance_rank(instance: "ProcessInstance") -> int:
-    return creation_rank(instance.id)
 
 
 def merge_definition_stats(
@@ -62,64 +51,13 @@ def merge_definition_stats(
 
 
 class ClusterViews:
-    """Pre-merged, view-backed cross-shard queries for ``ShardedEngine``.
+    """Cluster-wide read-model aggregates for ``ShardedEngine``.
 
-    Each per-shard read takes that shard's dispatch lock (inside the
-    shard's own query), one shard at a time."""
+    Each per-shard read takes that shard's dispatch lock, one shard at a
+    time."""
 
     def __init__(self, cluster: "ShardedEngine") -> None:
         self._cluster = cluster
-        # the *pre-merged* ordering: merged per-state instance lists keyed
-        # by state value, each stamped with the per-shard dispatch-seq
-        # fingerprint it was computed at.  A repeated query over a
-        # quiescent cluster (the dashboard steady state) returns a copy of
-        # the merged list — O(total) copy, zero per-shard scans, zero
-        # re-merges — and any shard commit changes the fingerprint, which
-        # lazily invalidates on the next read.
-        self._merge_cache: dict[
-            str | None, tuple[tuple[int, ...], list["ProcessInstance"]]
-        ] = {}
-
-    def _fingerprint(self) -> tuple[int, ...]:
-        return tuple(
-            shard.dispatch_log.seq for shard in self._cluster.shards
-        )
-
-    def instances(
-        self, state: "InstanceState | None" = None
-    ) -> list["ProcessInstance"]:
-        """All instances (optionally by state), cluster creation order."""
-        key = None if state is None else state.value
-        fingerprint = self._fingerprint()
-        cached = self._merge_cache.get(key)
-        if cached is not None and cached[0] == fingerprint:
-            return list(cached[1])
-        merged = merge_ranked(
-            [shard.instances(state) for shard in self._cluster.shards],
-            _instance_rank,
-        )
-        self._merge_cache[key] = (fingerprint, merged)
-        return list(merged)
-
-    def find_instances(self, **filters: Any) -> list["ProcessInstance"]:
-        """Cross-shard ``find_instances`` over the per-shard read models."""
-        # a pure state filter is exactly the pre-merged per-state list
-        if all(value is None for name, value in filters.items() if name != "state"):
-            return self.instances(filters.get("state"))
-        return merge_ranked(
-            [shard.find_instances(**filters) for shard in self._cluster.shards],
-            _instance_rank,
-        )
-
-    def work_items(
-        self, state: "WorkItemState | None" = None
-    ) -> list["WorkItem"]:
-        """All work items across shards, per-shard creation order."""
-        return [
-            item
-            for shard in self._cluster.shards
-            for item in shard.worklist.items(state)
-        ]
 
     def open_work_items(self) -> int:
         """Cluster-wide open (non-terminal) work items, O(shards)."""

@@ -299,10 +299,6 @@ class _Tiered:
         # deletes it), and live ids no drain has written yet
         self._gone: set[str] = set()
         self._unwritten: set[str] = set()
-        # memoized rank-ordered id lists per query key (state or None for
-        # all): repeated queries over a quiesced engine are the dashboard
-        # steady state.  Any applied batch invalidates them.
-        self._id_cache: dict[str | None, list[str]] = {}
 
     def _apply(self, pairs: Sequence[tuple[dict | None, dict]]) -> None:
         records = self.records
@@ -341,7 +337,6 @@ class _Tiered:
             dirty.add(entity_id)
             if old is None:
                 unwritten.add(entity_id)
-        self._id_cache.clear()
 
     def _seal(self, record: dict[str, Any]) -> None:
         number = record["rank"] // PAGE
@@ -412,31 +407,25 @@ class _Tiered:
                 counts[state] = counts.get(state, 0) + codes.count(self._codes[state])
         self.buckets = buckets
         self.state_counts = counts
-        self._id_cache = {}
 
     def record_count(self) -> int:
         return sum(self.state_counts.values())
 
-    # -- queries (returned lists are cached — callers must not mutate)
+    # -- queries
     def ids(self, state: str | None = None) -> list[str]:
         """Ids in ``(rank, id)`` order, all or of one state."""
-        ids = self._id_cache.get(state)
-        if ids is None:
-            live = sorted(
-                (rank, entity_id)
-                for name, bucket in self.buckets.items()
-                if state in (None, name)
-                for entity_id, rank in bucket.items()
-            )
-            paged = (
-                self._paged(self._codes.get(state))
-                if state is None or state in self.terminal
-                else ()
-            )
-            ids = self._id_cache[state] = [
-                entity_id for _, entity_id in heapq.merge(paged, live)
-            ]
-        return ids
+        live = sorted(
+            (rank, entity_id)
+            for name, bucket in self.buckets.items()
+            if state in (None, name)
+            for entity_id, rank in bucket.items()
+        )
+        paged = (
+            self._paged(self._codes.get(state))
+            if state is None or state in self.terminal
+            else ()
+        )
+        return [entity_id for _, entity_id in heapq.merge(paged, live)]
 
     def _paged(self, code: int | None) -> Iterator[tuple[int, str]]:
         for number in sorted(self.pages):

@@ -92,6 +92,24 @@ def send_from(cluster, key, shard, shards=2):
 
 
 class TestOutboxClaim:
+    def test_forward_route_pins_leave_with_their_records(self):
+        """A ``fwd:`` route pin lives as long as its outbox record, not
+        forever: the cluster's routing table stays bounded by the
+        in-flight forwards."""
+        cluster = ShardedEngine(
+            shards=2, clock=VirtualClock(0), dispatch_log_retention=8
+        )
+        cluster.deploy(waiter_model())
+        cluster.deploy(sender_model())
+        for n in range(40):
+            receiver = start_waiter(cluster, f"K{n}", shard=1)
+            send_from(cluster, f"K{n}", shard=0)
+            assert cluster.instance(receiver.id).state is InstanceState.COMPLETED
+        assert cluster._c_forwards.value >= 40
+        assert not any(shard.outbox for shard in cluster.shards)
+        assert [k for k in cluster._dedup_route if k.startswith("fwd:")] == []
+        cluster.close()
+
     def test_claim_persists_in_origin_commit_and_drains_after(self, factory):
         """With the drain held off, the claimed record is already durable
         in the origin shard's store; the drain then delivers and deletes."""

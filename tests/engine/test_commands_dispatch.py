@@ -254,6 +254,29 @@ class TestDispatchLogRetention:
         assert len(engine.instances()) == 11
         store.close()
 
+    def test_lowered_retention_prunes_the_store_after_reopen(self, tmp_path):
+        path = str(tmp_path / "kv")
+        engine = ProcessEngine(
+            clock=VirtualClock(0), store=DurableKV(path), dispatch_log_retention=16
+        )
+        engine.deploy(automated_model())
+        for n in range(20):
+            engine.start_instance("auto", {"n": n})
+        assert len(engine.store.keys("dispatch/")) == 16
+        engine.store.close()
+
+        store = DurableKV(path)
+        reopened = ProcessEngine(
+            clock=VirtualClock(0), store=store, dispatch_log_retention=4
+        )
+        reopened.recover()
+        reopened.start_instance("auto", {"n": 99})
+        # the entries older than the new window go with the first commit
+        assert store.keys("dispatch/") == [
+            f"dispatch/{seq:010d}" for seq in (19, 20, 21, 22)
+        ]
+        store.close()
+
     def test_dispatch_history_limit(self, engine):
         engine.deploy(automated_model())
         for n in range(5):

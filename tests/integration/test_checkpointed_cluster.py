@@ -254,7 +254,7 @@ def test_cluster_restarts_from_self_checkpointed_stores(port):
     # the recovered read models agree with the shard tables
     views, shards = port.cluster.views, port.cluster.shards
     for state in (InstanceState.RUNNING, InstanceState.COMPLETED):
-        assert {i.id for i in views.instances(state)} == {
+        assert {i.id for i in port.cluster.instances(state)} == {
             i.id for shard in shards for i in shard.instances(state)
         }
     # open: both epochs' held cases and the first epoch's queued one

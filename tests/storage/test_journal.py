@@ -21,15 +21,17 @@ class TestAppendReplay:
         with Journal(journal_path) as journal:
             journal.append(b"hello", sync=True)
         with Journal(journal_path) as journal:
-            records = list(journal.replay())
+            records = list(journal.recover())
         assert [r.payload for r in records] == [b"hello"]
 
     def test_roundtrip_many_records_in_order(self, journal_path):
         payloads = [f"record-{i}".encode() for i in range(50)]
         with Journal(journal_path) as journal:
-            journal.append_many(payloads)
+            for payload in payloads:
+                journal.append(payload)
+            journal.sync()
         with Journal(journal_path) as journal:
-            assert [r.payload for r in journal.replay()] == payloads
+            assert [r.payload for r in journal.recover()] == payloads
 
     def test_offsets_are_monotonic(self, journal_path):
         with Journal(journal_path) as journal:
@@ -37,13 +39,13 @@ class TestAppendReplay:
             journal.sync()
         assert offsets == sorted(offsets)
         with Journal(journal_path) as journal:
-            assert [r.offset for r in journal.replay()] == offsets
+            assert [r.offset for r in journal.recover()] == offsets
 
     def test_empty_payload_roundtrips(self, journal_path):
         with Journal(journal_path) as journal:
             journal.append(b"", sync=True)
         with Journal(journal_path) as journal:
-            assert [r.payload for r in journal.replay()] == [b""]
+            assert [r.payload for r in journal.recover()] == [b""]
 
     def test_append_after_close_raises(self, journal_path):
         journal = Journal(journal_path)
@@ -66,7 +68,7 @@ class TestAppendReplay:
             journal.append(b"first", sync=True)
         with Journal(journal_path) as journal:
             journal.append(b"second", sync=True)
-            assert [r.payload for r in journal.replay()] == [b"first", b"second"]
+            assert [r.payload for r in journal.recover()] == [b"first", b"second"]
 
 
 class TestSizeReporting:
@@ -92,24 +94,13 @@ class TestSizeReporting:
 
 
 class TestSyncDefaults:
-    """Pin the deliberate append/append_many asymmetry (DESIGN.md
-    §Persistence): append is the buffered primitive (sync=False),
-    append_many is the group-commit operation (durable on return)."""
+    """append is the buffered primitive: it leaves the record pending
+    until sync() or an append with sync=True."""
 
     def test_append_default_is_buffered(self, journal_path):
         with Journal(journal_path) as journal:
             journal.append(b"a")
             assert journal.pending_records == 1
-
-    def test_append_many_default_is_durable(self, journal_path):
-        with Journal(journal_path) as journal:
-            journal.append_many([b"a", b"b", b"c"])
-            assert journal.pending_records == 0
-
-    def test_append_many_opt_out_stays_buffered(self, journal_path):
-        with Journal(journal_path) as journal:
-            journal.append_many([b"a", b"b"], sync=False)
-            assert journal.pending_records == 2
 
 
 class TestCrashSafety:
@@ -124,7 +115,7 @@ class TestCrashSafety:
     def test_torn_body_truncated_on_open(self, journal_path):
         self._write_then_tear(journal_path, keep_bytes_off_end=3)
         with Journal(journal_path) as journal:
-            records = [r.payload for r in journal.replay()]
+            records = [r.payload for r in journal.recover()]
         assert records == [b"good-one"]
 
     def test_torn_header_truncated_on_open(self, journal_path):
@@ -133,13 +124,13 @@ class TestCrashSafety:
         with open(journal_path, "ab") as fh:
             fh.write(b"\x05\x00")  # half a header
         with Journal(journal_path) as journal:
-            assert [r.payload for r in journal.replay()] == [b"good"]
+            assert [r.payload for r in journal.recover()] == [b"good"]
 
     def test_append_after_tear_recovers_cleanly(self, journal_path):
         self._write_then_tear(journal_path, keep_bytes_off_end=3)
         with Journal(journal_path) as journal:
             journal.append(b"after-crash", sync=True)
-            assert [r.payload for r in journal.replay()] == [b"good-one", b"after-crash"]
+            assert [r.payload for r in journal.recover()] == [b"good-one", b"after-crash"]
 
     def test_mid_log_corruption_raises(self, journal_path):
         with Journal(journal_path) as journal:
@@ -151,7 +142,7 @@ class TestCrashSafety:
             fh.write(b"Z")
         journal = Journal(journal_path, auto_recover=False)
         with pytest.raises(CorruptRecordError):
-            list(journal.replay())
+            list(journal.recover())
         journal.close()
 
     def test_corrupt_tail_record_treated_as_torn(self, journal_path):
@@ -163,7 +154,7 @@ class TestCrashSafety:
             fh.seek(size - 1)
             fh.write(b"Z")
         journal = Journal(journal_path, auto_recover=False)
-        assert [r.payload for r in journal.replay()] == [b"aaaa"]
+        assert [r.payload for r in journal.recover()] == [b"aaaa"]
         journal.close()
 
     def test_reset_erases_contents(self, journal_path):
@@ -171,7 +162,7 @@ class TestCrashSafety:
             journal.append(b"soon-gone", sync=True)
             journal.reset()
             journal.append(b"fresh", sync=True)
-            assert [r.payload for r in journal.replay()] == [b"fresh"]
+            assert [r.payload for r in journal.recover()] == [b"fresh"]
 
 
 class TestProperties:
@@ -180,9 +171,11 @@ class TestProperties:
     def test_any_payload_sequence_roundtrips(self, tmp_path_factory, payloads):
         path = str(tmp_path_factory.mktemp("journal") / "prop.log")
         with Journal(path) as journal:
-            journal.append_many(payloads)
+            for payload in payloads:
+                journal.append(payload)
+            journal.sync()
         with Journal(path) as journal:
-            assert [r.payload for r in journal.replay()] == payloads
+            assert [r.payload for r in journal.recover()] == payloads
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=50), min_size=1, max_size=10),
@@ -199,7 +192,7 @@ class TestProperties:
         with open(path, "r+b") as fh:
             fh.truncate(size - cut)
         with Journal(path) as journal:
-            recovered = [r.payload for r in journal.replay()]
+            recovered = [r.payload for r in journal.recover()]
         # the torn tail may cost the last record, never more
         assert recovered == payloads[: len(recovered)]
         assert len(recovered) >= len(payloads) - 1
@@ -218,7 +211,7 @@ class TestTornTailSurfacing:
         with Journal(journal_path) as journal:
             journal.append(b"fine", sync=True)
         with Journal(journal_path) as journal:
-            list(journal.replay())
+            list(journal.recover())
             assert journal.recovered_bytes == 0
             assert journal.torn_tail_offset is None
 
@@ -229,8 +222,8 @@ class TestTornTailSurfacing:
         self._tear(journal_path, cut=2)
         with Journal(journal_path) as journal:
             assert journal.recovered_bytes == struct.calcsize("<II") + 4 - 2
-            assert [r.payload for r in journal.replay()] == [b"good"]
-            # replay of the repaired file is clean
+            assert [r.payload for r in journal.recover()] == [b"good"]
+            # a scan of the repaired file is clean
             assert journal.torn_tail_offset is None
 
     def test_replay_reports_torn_tail_offset(self, journal_path):
@@ -240,11 +233,10 @@ class TestTornTailSurfacing:
             journal.append(b"torn", sync=True)
         self._tear(journal_path, cut=2)
         journal = Journal(journal_path, auto_recover=False)
-        assert [r.payload for r in journal.replay()] == [b"good"]
+        assert [r.payload for r in journal.recover()] == [b"good"]
         assert journal.torn_tail_offset == good_end
-        # a later clean replay resets the marker
-        self._tear(journal_path, cut=struct.calcsize("<II") + 4 - 2)
-        assert [r.payload for r in journal.replay()] == [b"good"]
+        # a later clean scan resets the marker
+        assert [r.payload for r in journal.recover()] == [b"good"]
         assert journal.torn_tail_offset is None
         journal.close()
 
@@ -274,10 +266,10 @@ class TestTornTailSurfacing:
         exporter = InMemorySpanExporter()
         obs = Observability(enabled=True, exporters=[exporter])
         journal = Journal(journal_path, auto_recover=False, obs=obs)
-        list(journal.replay())
+        list(journal.recover())
         assert obs.registry.counter("storage.journal.torn_tails").value == 1
-        (event,) = exporter.by_name("journal.torn_tail")
-        assert event.attributes["offset"] == journal.torn_tail_offset
+        (event,) = exporter.by_name("journal.recovered")
+        assert event.attributes["truncated_to"] == journal.torn_tail_offset
         journal.close()
 
     def test_obs_journal_times_appends_and_syncs(self, journal_path):
@@ -294,7 +286,7 @@ class TestTornTailSurfacing:
 
 
 class TestOnePassOpen:
-    """recover() is replay and repair together; read() is positional."""
+    """recover() reads and repairs in one pass; read() is positional."""
 
     def _torn(self, path):
         with Journal(path) as journal:
@@ -316,7 +308,7 @@ class TestOnePassOpen:
         assert journal.size == os.path.getsize(journal_path) == good_end
         offset = journal.append(b"after", sync=True)
         assert offset == good_end
-        assert [r.payload for r in journal.replay()][-1] == b"after"
+        assert [r.payload for r in journal.recover()][-1] == b"after"
         journal.close()
 
     def test_recover_checks_every_byte_once(self, journal_path, monkeypatch):

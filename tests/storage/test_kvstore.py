@@ -72,21 +72,47 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert store.get("a") is None
 
-    def test_read_your_writes(self, store):
-        store.put("a", 1)
-        with store.transaction():
-            store.put("a", 2)
-            assert store.get("a") == 2
-            store.delete("a")
-            assert store.get("a") is None
-        assert store.get("a") is None
+    def test_point_reads_see_committed_state(self, store):
+        """Inside begin() … commit(), get, in and len answer from committed
+        state; pending writes are visible only once committed."""
 
-    def test_scan_sees_buffered_writes(self, store):
+        def reads():
+            return (
+                store.get("x/1"),
+                store.get("x/2"),
+                "x/1" in store,
+                "x/2" in store,
+                len(store),
+            )
+
         store.put("x/1", 1)
-        with store.transaction():
+        old = (1, None, True, False, 1)
+        new = (None, 2, False, True, 1)
+        for finish, after in ((store.rollback, old), (store.commit, new)):
+            store.begin()
             store.put("x/2", 2)
             store.delete("x/1")
-            assert store.keys("x/") == ["x/2"]
+            assert reads() == old
+            finish()
+            assert reads() == after
+
+    def test_scan_sees_committed_state(self, store):
+        """Inside begin() … commit(), scan and keys answer from committed
+        state; pending writes are visible only once committed."""
+
+        def reads():
+            return list(store.scan("x/")), store.keys("x/")
+
+        store.put("x/1", 1)
+        old = ([("x/1", 1)], ["x/1"])
+        new = ([("x/2", 2)], ["x/2"])
+        for finish, after in ((store.rollback, old), (store.commit, new)):
+            store.begin()
+            store.put("x/2", 2)
+            store.delete("x/1")
+            assert reads() == old
+            finish()
+            assert reads() == after
 
     def test_nested_begin_rejected(self, store):
         store.begin()
@@ -107,7 +133,8 @@ class TestTransactions:
         with store.transaction():
             assert store.delete("present") is True
             store.put("fresh", 2)
-            assert store.delete("fresh") is True
+            # committed state answers: the pending put is not there yet
+            assert store.delete("fresh") is False
 
 
 class TestDurability:
@@ -224,11 +251,19 @@ class TestProperties:
     def test_scan_and_keys_equal_the_naive_filter(
         self, tmp_path_factory, committed, buffered, open_transaction, prefix
     ):
-        """Family-bucketed scans return what filtering every key would,
-        in the same order, with and without an open transaction."""
+        """Family-bucketed scans return what filtering every committed key
+        would, in the same order, with and without an open transaction."""
         durable = DurableKV(str(tmp_path_factory.mktemp("kv") / "store"))
         stores = (MemoryKV(), durable)
         model = {}
+
+        def check():
+            naive = sorted((k, v) for k, v in model.items() if k.startswith(prefix))
+            for store in stores:
+                assert list(store.scan(prefix)) == naive
+                assert store.keys(prefix) == [k for k, _ in naive]
+                assert len(store) == len(model)
+
         for key, value in committed:
             for store in stores:
                 store.put(key, value)
@@ -239,13 +274,13 @@ class TestProperties:
             for op, key, value in buffered:
                 for store in stores:
                     store.put(key, value) if op == "put" else store.delete(key)
+            check()  # the buffered writes are not visible yet
+            for store in stores:
+                store.commit()
+            for op, key, value in buffered:
                 if op == "put":
                     model[key] = value
                 else:
                     model.pop(key, None)
-        naive = sorted((k, v) for k, v in model.items() if k.startswith(prefix))
-        for store in stores:
-            assert list(store.scan(prefix)) == naive
-            assert store.keys(prefix) == [k for k, _ in naive]
-            assert len(store) == len(model)
+        check()
         durable.close()
