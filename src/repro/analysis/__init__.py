@@ -49,7 +49,7 @@ from repro.analysis.reporting import (
     render_console,
     render_json,
 )
-from repro.analysis.rules import RULES, RuleSpec, rule
+from repro.analysis.rules import RULES, RuleSpec
 from repro.analysis.structural import structural_pass
 from repro.model.process import ProcessDefinition
 
@@ -84,7 +84,6 @@ __all__ = [
     "render_deployment_console",
     "render_deployment_json",
     "render_json",
-    "rule",
     "structural_pass",
 ]
 

@@ -60,10 +60,6 @@ class DeploymentReport:
     def suppressed(self) -> int:
         return sum(r.suppressed for r in self.reports.values())
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
     def by_rule(self, rule_id: str) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.rule == rule_id]
 

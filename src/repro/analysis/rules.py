@@ -38,11 +38,6 @@ def _register(spec: RuleSpec) -> RuleSpec:
     return spec
 
 
-def rule(rule_id: str) -> RuleSpec:
-    """Look up a rule spec; raises ``KeyError`` for unknown ids."""
-    return RULES[rule_id]
-
-
 # -- structural ---------------------------------------------------------------
 
 STR001 = _register(RuleSpec(

@@ -83,10 +83,6 @@ class ActivityStats:
     def mean_duration(self) -> float:
         return mean(self.durations) if self.durations else 0.0
 
-    @property
-    def max_duration(self) -> float:
-        return max(self.durations, default=0.0)
-
 
 @dataclass
 class FleetReport:

@@ -51,6 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable
 
 from repro.clock import Clock, VirtualClock, WallClock
@@ -150,9 +151,12 @@ class ShardedEngine(CommandClient):
         # routing table for dedup keys whose first routing decision was
         # nondeterministic (round-robin starts, state-dependent message
         # probes) — a retry must land on the shard that recorded the key
+        # (innermost: taken under a shard lock, never held while taking one)
         self._route_lock = threading.Lock()
         self._rr_cursor = 0
         self._dedup_route: dict[str, int] = {}
+        for index, shard in enumerate(self.shards):
+            shard.dispatch_log.on_expire = partial(self._forget_route, index)
         # cross-shard message forwarding: send-task messages a shard's
         # own engine did not consume are recorded in that shard's
         # persisted outbox (under its lock, same group commit) and drained
@@ -243,6 +247,13 @@ class ShardedEngine(CommandClient):
             if cmd.dedup_key is not None:
                 self._dedup_route[cmd.dedup_key] = index
             return index
+
+    def _forget_route(self, index: int, key: str) -> None:
+        """``key`` left shard ``index``'s dedup window: a retry can no
+        longer replay there, so its route goes too."""
+        with self._route_lock:
+            if self._dedup_route.get(key) == index:
+                del self._dedup_route[key]
 
     # -- the dispatch path ------------------------------------------------------
 
@@ -363,12 +374,7 @@ class ShardedEngine(CommandClient):
         redeliver — the target's persisted dedup window absorbs it.
         """
         key = record.dedup_key
-        with self._route_lock:
-            target = self._dedup_route.get(key)
-        if target is None:
-            probed = self._probe_target(record.name, record.correlation)
-            with self._route_lock:
-                target = self._dedup_route.setdefault(key, probed)
+        target = self._pinned_target(key, record.name, record.correlation)
         try:
             self._c_forwards.inc()
             command = cmds.CorrelateMessage(
@@ -424,17 +430,23 @@ class ShardedEngine(CommandClient):
             target = self._probe_target(command.message_name, command.correlation)
         return self._dispatch_on(target, command)
 
+    def _pinned_target(self, key: str, name: str, correlation: Any) -> int:
+        """The shard ``key`` is pinned to; a new key is pinned where
+        :meth:`_probe_target` points, probed without the route lock."""
+        with self._route_lock:
+            target = self._dedup_route.get(key)
+        if target is None:
+            probed = self._probe_target(name, correlation)
+            with self._route_lock:
+                target = self._dedup_route.setdefault(key, probed)
+        return target
+
     def _correlate(self, command: cmds.CorrelateMessage) -> Message:
         """A dedup-keyed message pins its route first, so a retry repeats it."""
-        target = None
-        if command.dedup_key is not None:
-            with self._route_lock:
-                target = self._dedup_route.get(command.dedup_key)
-                if target is None:
-                    target = self._probe_target(
-                        command.message_name, command.correlation
-                    )
-                    self._dedup_route[command.dedup_key] = target
+        key = command.dedup_key
+        if key is None:
+            return self._route_publish(command)
+        target = self._pinned_target(key, command.message_name, command.correlation)
         return self._route_publish(command, target)
 
     # -- deployment and queries (mirror ProcessEngine) --------------------------

@@ -68,6 +68,9 @@ class DispatchLog:
         self.seq = 0
         #: client dedup key -> ``{"result", "seq"}`` of its first apply
         self.dedup: dict[str, dict[str, Any]] = {}
+        #: called, under the dispatch lock, with the dedup key of a pruned
+        #: entry that no later apply re-recorded (a cluster forgets its route)
+        self.on_expire: Callable[[str], None] | None = None
 
     def append(self, record: dict[str, Any]) -> None:
         """Assign the next sequence number, store the entry, prune."""
@@ -86,8 +89,10 @@ class DispatchLog:
             key = old.get("dedup_key")
             if key is not None:
                 hit = self.dedup.get(key)
-                if hit is not None and hit.get("seq") == seq:
-                    del self.dedup[key]
+                if hit is None or hit.get("seq") == seq:
+                    self.dedup.pop(key, None)
+                    if self.on_expire is not None:
+                        self.on_expire(key)
 
     def state_changed(self) -> bool:
         """Whether any record besides log entries awaits commit — the

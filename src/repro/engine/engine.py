@@ -32,6 +32,7 @@ are the thin command constructors of
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.clock import Clock, VirtualClock, WallClock
@@ -227,11 +228,12 @@ class ProcessEngine(CommandClient):
 
         self._definitions: dict[str, ProcessDefinition] = {}
         self._latest_version: dict[str, int] = {}
-        # every instance object this engine created or read through (one
-        # per id): after a restart only the live cases until first use, so
-        # a miss on .get() is a finished case — or none — and the lookups
-        # that treat both alike (skip / resume nothing) need no read
+        # live cases only (and finished ones until the views fold them): a
+        # miss on .get() is a finished case — or none — and the lookups that
+        # treat both alike (skip / resume nothing) need no read.  The views
+        # hand folded finished cases to the weak identity cache
         self._instances: dict[str, ProcessInstance] = {}
+        self._finished: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.waits = MessageWaits(self._writes)
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
         self._advancing: set[str] = set()
@@ -307,7 +309,9 @@ class ProcessEngine(CommandClient):
         return self.dispatch_log.history(limit)
 
     def _touch(self, instance: ProcessInstance) -> None:
-        """Mark an instance changed: its record joins the next commit."""
+        """Mark an instance changed: its record joins the next commit,
+        and the object stays live until the views fold the change."""
+        self._instances[instance.id] = instance
         self._writes.put(INSTANCE_PREFIX, instance.id, instance.to_dict)
 
     # -- deployment -----------------------------------------------------------
@@ -506,27 +510,31 @@ class ProcessEngine(CommandClient):
     def instance(self, instance_id: str) -> ProcessInstance:
         """Look up an instance; raises :class:`InstanceNotFoundError`.
 
-        A stored case not in memory (after a restart: a finished one) is
-        read from the store on first use and kept, so an id maps to one
-        object."""
+        A finished case nothing holds is read from the store; while
+        anything holds it, an id maps to one object."""
         instance = self._find(instance_id)
         if instance is None:
             raise InstanceNotFoundError(f"unknown instance {instance_id!r}")
         return instance
 
     def _find(self, instance_id: str) -> ProcessInstance | None:
-        """The instance object, read through on a miss; ``None`` when the
-        store has no such instance either."""
+        """The live object, else the cached finished one, else a read of
+        the store; ``None`` when the store has no such instance either."""
         instance = self._instances.get(instance_id)
         if instance is not None:
             return instance
         with self._dispatch_lock:
             instance = self._instances.get(instance_id)
             if instance is None:
+                instance = self._finished.get(instance_id)
+            if instance is None:
                 raw = self.store.get(INSTANCE_PREFIX + instance_id)
                 if raw is not None:
                     instance = ProcessInstance.from_dict(raw)
-                    self._instances[instance_id] = instance
+                    if instance.state.is_finished:
+                        self._finished[instance_id] = instance
+                    else:
+                        self._instances[instance_id] = instance
             return instance
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
@@ -781,7 +789,7 @@ class ProcessEngine(CommandClient):
                 break
             for job in due:
                 # read through: a finished case's stale job is processed
-                # (and ignored by _dispatch_job), not counted as orphaned
+                # (and fires nothing), not counted as orphaned
                 instance = self._find(job.instance_id)
                 if instance is None:
                     self._c_jobs_orphaned.inc()
@@ -790,7 +798,12 @@ class ProcessEngine(CommandClient):
                     deferred.append(job)
                     continue
                 processed += 1
-                self._dispatch_job(job)
+                token = instance.token(job.data.get("token_id"))
+                if instance.state is InstanceState.RUNNING and token is not None:
+                    fire = JOB_KINDS.get(job.kind)
+                    if fire is None:
+                        raise EngineError(f"unknown job kind {job.kind!r}")
+                    fire(self, instance, self._definition_of(instance), token, job)
         for job in deferred:
             self.scheduler.schedule(
                 job.due, job.kind, job.instance_id, job.data, job_id=job.id
@@ -806,19 +819,6 @@ class ProcessEngine(CommandClient):
         # nested dispatch: re-enters the serialization gate (re-entrant
         # lock) and logs at depth 2 — replay tooling skips nested entries
         return self.dispatch(cmds.RunDueJobs())
-
-    def _dispatch_job(self, job) -> None:
-        instance = self._instances.get(job.instance_id)
-        if instance is None or instance.state is not InstanceState.RUNNING:
-            return
-        definition = self._definition_of(instance)
-        token = instance.token(job.data.get("token_id"))
-        if token is None:
-            return
-        fire = JOB_KINDS.get(job.kind)
-        if fire is None:
-            raise EngineError(f"unknown job kind {job.kind!r}")
-        fire(self, instance, definition, token, job)
 
     # -- messages ----------------------------------------------------------------
 

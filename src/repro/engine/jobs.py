@@ -129,10 +129,6 @@ class JobScheduler:
             heapq.heappop(self._heap)  # drain cancelled head
         return None
 
-    def get(self, job_id: str) -> Job | None:
-        """Look up a pending job."""
-        return self._jobs.get(job_id)
-
     def __len__(self) -> int:
         return len(self._jobs)
 

@@ -33,19 +33,6 @@ class DependencyGraph:
         """Dependency score of a retained edge (0.0 when absent)."""
         return self.dependencies.get((a, b), 0.0)
 
-    def successors(self, a: str) -> set[str]:
-        return {b for (x, b) in self.dependencies if x == a}
-
-    def predecessors(self, b: str) -> set[str]:
-        return {a for (a, y) in self.dependencies if y == b}
-
-    def edges(self) -> list[tuple[str, str, float]]:
-        """All retained edges, strongest first."""
-        return sorted(
-            ((a, b, s) for (a, b), s in self.dependencies.items()),
-            key=lambda e: (-e[2], e[0], e[1]),
-        )
-
 
 def dependency_measure(dfg: DirectlyFollowsGraph, a: str, b: str) -> float:
     """The classic Weijters dependency measure in [-1, 1]."""

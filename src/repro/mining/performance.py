@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean, median
+from statistics import mean
 
 from repro.history.log import EventLog
 
@@ -19,10 +19,6 @@ class PerformanceProfile:
     @property
     def mean_case_duration(self) -> float:
         return mean(self.case_durations) if self.case_durations else 0.0
-
-    @property
-    def median_case_duration(self) -> float:
-        return median(self.case_durations) if self.case_durations else 0.0
 
     @property
     def max_case_duration(self) -> float:

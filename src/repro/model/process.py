@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.model.elements import (
@@ -229,9 +230,10 @@ class ProcessDefinition:
             self._type_cache[node_type] = cached
         return cached
 
-    @property
+    @cached_property
     def identifier(self) -> str:
-        """The engine-facing ``key:version`` identifier."""
+        """The engine-facing ``key:version`` identifier, one string per
+        definition (each instance of it shares it)."""
         return f"{self.key}:{self.version}"
 
     def with_version(self, version: int) -> "ProcessDefinition":

@@ -95,11 +95,6 @@ class Observability:
         """Whether the span path is live (metrics are always live)."""
         return self.tracer.enabled
 
-    @property
-    def exporters(self) -> list[Any]:
-        """The tracer's exporter list (shared, mutable)."""
-        return self.tracer.exporters
-
     @enabled.setter
     def enabled(self, value: bool) -> None:
         self.tracer.enabled = bool(value)
@@ -115,16 +110,3 @@ class Observability:
 
     def event(self, name: str, parent: Span | None = None, **attributes: Any) -> None:
         self.tracer.event(name, parent=parent, **attributes)
-
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str, buckets: tuple[float, ...] | None = None) -> Histogram:
-        return self.registry.histogram(name, buckets)
-
-    def flush(self) -> None:
-        """Flush every exporter."""
-        self.tracer.flush()

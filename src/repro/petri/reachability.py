@@ -38,10 +38,6 @@ class ReachabilityGraph:
         """Number of firing edges."""
         return sum(len(v) for v in self.edges.values())
 
-    def successors(self, marking: Marking) -> list[tuple[str, Marking]]:
-        """Outgoing (transition, marking) edges of a node."""
-        return list(self.edges.get(marking, ()))
-
     def deadlocks(self) -> list[Marking]:
         """Reachable markings with no enabled transition."""
         return [m for m in self.markings if not self.edges.get(m)]

@@ -93,6 +93,14 @@ CURSOR_KEY = VIEW_PREFIX + "__cursor"
 _RANK_ID = itemgetter("rank", "id")
 
 
+def _retire(entities: list[Any], live: dict[str, Any], cache: Any) -> None:
+    """Move folded finished entities from a live map to its weak identity
+    cache (under the dispatch lock, which a lookup's re-check takes)."""
+    for entity in entities:
+        cache[entity.id] = entity
+        del live[entity.id]
+
+
 class ProjectionManager:
     """The three read-model tables plus apply/recover/rebuild plumbing."""
 
@@ -194,11 +202,14 @@ class ProjectionManager:
         instance and work-item puts not yet committed, into the in-memory
         image.
 
-        Every id folded names an object the engine holds (it created or
-        changed it since its restart), so the lookups below never read
-        through.  Folding an uncommitted change marks its view records
-        dirty; they persist only with a drain, in the transaction that
-        commits the change itself, so the stored image still never leads.
+        Every id folded names an object the engine holds live (it created
+        or touched it since the views last folded it), so the lookups below
+        never read through; a miss was folded already.  Once folded, a
+        finished entity leaves the live map for the weak identity cache:
+        the tables are the last reader that needs it by id.  Folding an
+        uncommitted change marks its view records dirty; they persist only
+        with a drain, in the transaction that commits the change itself,
+        so the stored image still never leads.
         """
         engine = self._source
         if engine is None:
@@ -210,21 +221,27 @@ class ProjectionManager:
             if not self._pending_instances and not self._pending_items:
                 return
             started = time.perf_counter()
-            get_instance = engine._instances.get
-            instances = []
+            live_instances = engine._instances
+            instances, finished = [], []
             for instance_id in self._pending_instances:
-                instance = get_instance(instance_id)
+                instance = live_instances.get(instance_id)
                 if instance is not None:
                     instances.append(compact_instance_obj(instance))
-            get_item = engine.worklist._items.get
-            items = []
+                    if instance.state.is_finished:
+                        finished.append(instance)
+            worklist = engine.worklist
+            items, done = [], []
             for item_id in self._pending_items:
-                item = get_item(item_id)
+                item = worklist._items.get(item_id)
                 if item is not None:
                     items.append(compact_item_obj(item))
+                    if item.state.is_terminal:
+                        done.append(item)
             self._pending_instances.clear()
             self._pending_items.clear()
             self._apply_memory(instances, items, self._noted_seq)
+            _retire(finished, live_instances, engine._finished)
+            _retire(done, worklist._items, worklist._finished)
             if self._h_apply is not None:
                 self._h_apply.observe(time.perf_counter() - started)
 

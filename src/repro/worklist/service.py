@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.clock import Clock, WallClock
@@ -72,9 +73,11 @@ class WorklistService:
         self._g_open = None if obs is None else obs.registry.gauge(
             "worklist.open_items"
         )
-        # every item this service created or read; with an engine's index
-        # bound (bind_index) that is the open ones plus those read through
+        # every item this service created or read; with an engine bound
+        # (bind_index) the open ones and those its views have not folded,
+        # and the weak identity cache keeps a folded item while held
         self._items: dict[str, WorkItem] = {}
+        self._finished: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._store: KeyValueStore | None = None
         self._index: Callable[[str | None], list[str]] | None = None
         self._completion_listeners: list[CompletionListener] = []
@@ -112,6 +115,7 @@ class WorklistService:
         self._index = ids
 
     def _touch(self, item: WorkItem) -> None:
+        self._items[item.id] = item  # live until the views fold the change
         self._writes.put(WORKITEM_PREFIX, item.id, item.to_dict)
 
     def on_completion(self, listener: CompletionListener) -> None:
@@ -161,7 +165,7 @@ class WorklistService:
             )
             if item.id in self._items:
                 raise WorklistError(f"duplicate work item id {item.id!r}")
-            self._items[item.id] = self._open[item.id] = item
+            self._open[item.id] = item
             self._touch(item)
             if self._g_open is not None:
                 self._g_open.inc()
@@ -194,24 +198,27 @@ class WorklistService:
     def item(self, item_id: str) -> WorkItem:
         """Look up an item; raises :class:`UnknownWorkItemError`.
 
-        An item not in memory (after a restart: a finished one) is read
-        from the bound store on first use and kept, so an id maps to one
-        object."""
+        A finished item nothing holds is read from the bound store; while
+        anything holds it, an id maps to one object."""
         item = self._find(item_id)
         if item is None:
             raise UnknownWorkItemError(f"unknown work item {item_id!r}")
         return item
 
     def _find(self, item_id: str) -> WorkItem | None:
+        """The live item, else the cached finished one, else a read of the
+        bound store (into the cache when finished, else the live map)."""
         item = self._items.get(item_id)
         if item is not None or self._store is None:
             return item
         with self._lock:
-            item = self._items.get(item_id)
+            item = self._items.get(item_id) or self._finished.get(item_id)
             if item is None:
                 raw = self._store.get(WORKITEM_PREFIX + item_id)
                 if raw is not None:
-                    item = self._items[item_id] = WorkItem.from_dict(raw)
+                    item = WorkItem.from_dict(raw)
+                    held = self._finished if item.state.is_terminal else self._items
+                    held[item_id] = item
             return item
 
     def items(self, state: WorkItemState | None = None) -> list[WorkItem]:

@@ -7,6 +7,8 @@ one shard, ids stay unique cluster-wide, and per-shard dispatch logs
 stay gap-free — the cluster adds parallelism, not new interleavings.
 """
 
+import collections
+import sys
 import threading
 
 import pytest
@@ -96,7 +98,7 @@ class TestConcurrentClusterStress:
         assert len({i.id for i in merged}) == total  # cluster-unique ids
         assert all(i.state is InstanceState.COMPLETED for i in merged)
         # conservation: every start is on exactly one shard
-        assert sum(len(s._instances) for s in cluster.shards) == total
+        assert sum(len(s.instances()) for s in cluster.shards) == total
         # and each shard's own dispatch log is gap-free
         for shard in cluster.shards:
             seqs = [
@@ -187,3 +189,63 @@ class TestConcurrentClusterStress:
                 cluster.instance(instance_id).state is InstanceState.COMPLETED
             )
         assert sum(s.bus.retained_count for s in cluster.shards) == 0
+
+    def test_readers_racing_hand_overs_get_one_object(self):
+        """Readers look instances up while the dispatches finishing them
+        let the views move them to the weak identity cache.  Every object
+        a reader gets stays held, so two objects for one id would both be
+        alive: each id must map to one object throughout."""
+        cluster = build_cluster(shards=2)
+        cluster.deploy(approval_model())
+        ids = [cluster.start_instance("approval").id for _ in range(60)]
+        item_ids = [item.id for item in cluster.work_items()]
+        writing = threading.Event()
+        writing.set()
+        errors = []
+        seen = [collections.defaultdict(list) for _ in range(2)]
+
+        def writer(chunk):
+            try:
+                for item_id in chunk:
+                    cluster.start_work_item(item_id)
+                    cluster.complete_work_item(item_id, {"ok": True})
+            except Exception as exc:  # pragma: no cover - only on bugs
+                errors.append(exc)
+
+        def reader(got):
+            try:
+                while True:
+                    last = not writing.is_set()  # one full round after the writers
+                    for instance_id in ids:
+                        got[instance_id].append(cluster.instance(instance_id))
+                    for instance in cluster.instances():  # folds: hands over
+                        got[instance.id].append(instance)
+                    if last:
+                        return
+            except Exception as exc:  # pragma: no cover - only on bugs
+                errors.append(exc)
+
+        writers = [
+            threading.Thread(target=writer, args=(item_ids[k::2],)) for k in range(2)
+        ]
+        readers = [threading.Thread(target=reader, args=(got,)) for got in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            writing.clear()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers + writers)
+        if errors:
+            raise errors[0]
+        for instance_id in ids:
+            got = seen[0][instance_id] + seen[1][instance_id]
+            assert all(instance is got[0] for instance in got), instance_id
+            assert got[-1].state is InstanceState.COMPLETED
+        assert all(not shard._instances for shard in cluster.shards)

@@ -335,6 +335,26 @@ class TestIdempotency:
         assert c.instance(keyed.id).state is InstanceState.COMPLETED
         assert "SHARED" in c.shards[shard_b].dispatch_log.dedup
 
+    def test_dedup_routes_leave_with_the_shards_windows(self):
+        """A client dedup key's route is dropped once the key leaves the
+        recording shard's window, so the table stays within the windows;
+        a retry inside the window still replays on its shard."""
+        c = cluster(shards=2, dispatch_log_retention=8)
+        c.deploy(auto_model())
+        c.deploy(waiter_model())
+        for k in range(100):
+            c.start_instance("auto", {"n": k}, dedup_key=f"S{k}")
+        for k in range(100):
+            c.correlate_message("go", correlation=f"C{k}", dedup_key=f"M{k}")
+        assert len(c._dedup_route) <= 16
+        home = c._dedup_route["M99"]
+        recorded = c.shards[home].dispatch_log.dedup["M99"]["result"]
+        assert c.correlate_message("go", correlation="C99", dedup_key="M99") is recorded
+        assert c.shards[0].bus.retained_count == 100
+        started = c.start_instance("auto", {"n": 0}, dedup_key="S-last")
+        assert c.start_instance("auto", {"n": 0}, dedup_key="S-last") is started
+        assert len(c.instances()) == 101
+
     def test_correlate_dedup_routes_to_recorded_shard(self):
         c = cluster()
         c.deploy(waiter_model())

@@ -69,6 +69,17 @@ class TestDeployment:
         engine.deploy(other)
         assert [d.identifier for d in engine.definitions()] == ["linear:1", "other:1"]
 
+    def test_instances_share_their_definition_identifier(self, engine):
+        engine.deploy(linear())
+        engine.deploy(linear())
+        definition = engine.definition("linear")
+        first, second = (engine.start_instance("linear") for _ in range(2))
+        assert first.definition_id is definition.identifier
+        assert second.definition_id is first.definition_id
+        started = engine.history.instance_events(first.id)[0]
+        assert started.data["definition_id"] is definition.identifier
+        assert engine.definition("linear", version=1).identifier == "linear:1"
+
 
 class TestLinearExecution:
     def test_straight_through_completion(self, engine):
