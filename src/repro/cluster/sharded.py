@@ -6,8 +6,8 @@ a single lock.  This module partitions process instances across N
 :class:`~repro.engine.engine.ProcessEngine` shards, each with its own
 dispatch lock, store, journal, group-commit policy, and idempotency
 window, the way Zeebe partitions and Camunda's sharded job executor
-scale the same architecture.  Per-instance commands route determinis-
-tically (see :mod:`repro.cluster.router`) and dispatch in parallel;
+scale the same architecture.  Each command routes by the ``route`` its
+class declares (:mod:`repro.engine.commands`) and dispatches in parallel;
 the GIL releases during store transactions, journal fsyncs, and service
 invocations, so the parallelism is real wall-clock win on I/O-bound
 workloads.
@@ -52,14 +52,15 @@ import threading
 import time
 from dataclasses import replace
 from functools import partial
-from typing import Any, Callable
+from itertools import chain
+from typing import Any, Callable, TypeVar
 
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.cluster.router import message_home_shard, parse_shard_tag, shard_of_key
 from repro.engine import commands as cmds
 from repro.engine.commands import Command, CommandClient
 from repro.engine.engine import ProcessEngine
-from repro.engine.errors import EngineError, InstanceNotFoundError
+from repro.engine.errors import EngineError
 from repro.engine.instance import InstanceState, ProcessInstance
 from repro.model.process import ProcessDefinition
 from repro.obs import Observability
@@ -74,6 +75,8 @@ from repro.worklist.resources import OrganizationalModel
 
 #: store key holding each shard's persisted topology record
 TOPOLOGY_KEY = "cluster/meta"
+
+T = TypeVar("T")
 
 
 def _rank(entity: ProcessInstance | WorkItem) -> int:
@@ -157,6 +160,15 @@ class ShardedEngine(CommandClient):
         self._dedup_route: dict[str, int] = {}
         for index, shard in enumerate(self.shards):
             shard.dispatch_log.on_expire = partial(self._forget_route, index)
+        # how each command route runs (see repro.engine.commands)
+        self._routes: dict[str, Callable[[Any], Any]] = {
+            **dict.fromkeys(cmds.ID_ROUTES, self._route_by_id),
+            "start": lambda cmd: self._dispatch_on(self._route_start(cmd), cmd),
+            "message": self._correlate,
+            "broadcast": self._broadcast_deploy,
+            "every_shard": self._every_shard,
+            "clock": self._advance_time,
+        }
         # cross-shard message forwarding: send-task messages a shard's
         # own engine did not consume are recorded in that shard's
         # persisted outbox (under its lock, same group commit) and drained
@@ -214,22 +226,18 @@ class ShardedEngine(CommandClient):
 
     # -- routing ----------------------------------------------------------------
 
-    def _shard_for_instance(self, instance_id: str) -> int:
-        tagged = parse_shard_tag(instance_id)
-        if tagged is not None:
-            if tagged >= self.shard_count:
-                raise InstanceNotFoundError(
-                    f"instance {instance_id!r} belongs to shard {tagged}, "
-                    f"outside this {self.shard_count}-shard cluster"
-                )
-            return tagged
-        return shard_of_key(instance_id, self.shard_count)
-
-    def _shard_for_item(self, item_id: str) -> int:
-        tagged = parse_shard_tag(item_id)
+    def _shard_of_id(self, entity_id: str) -> int:
+        """The shard an id's tag names (``order-s2-7`` -> 2).  An untagged
+        or out-of-range id hashes, so it reaches a shard that raises its
+        usual not-found error."""
+        tagged = parse_shard_tag(entity_id)
         if tagged is not None and tagged < self.shard_count:
             return tagged
-        return shard_of_key(item_id, self.shard_count)
+        return shard_of_key(entity_id, self.shard_count)
+
+    def _route_by_id(self, command: Command) -> Any:
+        index = self._shard_of_id(getattr(command, command.route))
+        return self._dispatch_on(index, command)
 
     def _route_start(self, cmd: cmds.StartInstance) -> int:
         """Business keys co-locate (stable hash); keyless starts spread
@@ -258,45 +266,14 @@ class ShardedEngine(CommandClient):
     # -- the dispatch path ------------------------------------------------------
 
     def dispatch(self, command: Command) -> Any:
-        """Route a typed command to its shard (or fan it out) and run it."""
-        if isinstance(command, cmds.StartInstance):
-            return self._dispatch_on(self._route_start(command), command)
-        if isinstance(
-            command,
-            (
-                cmds.TerminateInstance,
-                cmds.CompensateInstance,
-                cmds.SuspendInstance,
-                cmds.ResumeInstance,
-                cmds.MigrateInstance,
-            ),
-        ):
-            return self._dispatch_on(
-                self._shard_for_instance(command.instance_id), command
-            )
-        if isinstance(
-            command, (cmds.ClaimWorkItem, cmds.StartWorkItem, cmds.CompleteWorkItem)
-        ):
-            return self._dispatch_on(self._shard_for_item(command.item_id), command)
-        if isinstance(
-            command, (cmds.CompleteServiceInvocation, cmds.RequeueDeadLetter)
-        ):
-            # invocation ids carry the enqueueing shard's tag (inv-s2-7)
-            return self._dispatch_on(
-                self._shard_for_item(command.invocation_id), command
-            )
-        if isinstance(command, cmds.CorrelateMessage):
-            return self._correlate(command)
-        if isinstance(command, cmds.DeployDefinition):
-            return self._broadcast_deploy(command)
-        if isinstance(command, cmds.RunDueJobs):
-            return sum(
-                self._dispatch_on(i, cmds.RunDueJobs())
-                for i in range(self.shard_count)
-            )
-        if isinstance(command, cmds.AdvanceTime):
-            return self._advance_time(command.seconds)
-        raise EngineError(f"cluster cannot route command {command.name!r}")
+        """Route a typed command by its declared ``route`` and run it."""
+        handler = self._routes.get(command.route)
+        if handler is None:
+            raise EngineError(f"cluster cannot route command {command.name!r}")
+        return handler(command)
+
+    def _every_shard(self, command: Command) -> int:
+        return sum(self._dispatch_on(i, command) for i in range(self.shard_count))
 
     def _dispatch_on(self, index: int, command: Command) -> Any:
         """Run one command on one shard, measuring lock contention.
@@ -383,7 +360,7 @@ class ShardedEngine(CommandClient):
                 payload=dict(record.payload),
                 dedup_key=key,
             )
-            self._route_publish(command, target)
+            self._dispatch_on(target, command)
             # the delivery (and its always-logged dedup entry) must be
             # durable on the target before the origin forgets the intent;
             # the lock-free peek skips the fence when this thread's own
@@ -419,17 +396,6 @@ class ShardedEngine(CommandClient):
             return suspended
         return message_home_shard(name, correlation, self.shard_count)
 
-    def _route_publish(
-        self, command: cmds.CorrelateMessage, target: int | None = None
-    ) -> Message:
-        """Dispatch a message on ``target``, else where :meth:`_probe_target`
-        points.  The routed command never forwards again: with no receiver
-        (say the matched wait went away between probe and dispatch) it is
-        retained on the target."""
-        if target is None:
-            target = self._probe_target(command.message_name, command.correlation)
-        return self._dispatch_on(target, command)
-
     def _pinned_target(self, key: str, name: str, correlation: Any) -> int:
         """The shard ``key`` is pinned to; a new key is pinned where
         :meth:`_probe_target` points, probed without the route lock."""
@@ -442,12 +408,17 @@ class ShardedEngine(CommandClient):
         return target
 
     def _correlate(self, command: cmds.CorrelateMessage) -> Message:
-        """A dedup-keyed message pins its route first, so a retry repeats it."""
-        key = command.dedup_key
-        if key is None:
-            return self._route_publish(command)
-        target = self._pinned_target(key, command.message_name, command.correlation)
-        return self._route_publish(command, target)
+        """Dispatch a message where :meth:`_probe_target` points; a
+        dedup-keyed one pins that route first, so a retry repeats it.  The
+        routed command never forwards again: with no receiver (say the
+        matched wait went away between probe and dispatch) it is retained
+        on the target."""
+        name, correlation = command.message_name, command.correlation
+        if command.dedup_key is None:
+            target = self._probe_target(name, correlation)
+        else:
+            target = self._pinned_target(command.dedup_key, name, correlation)
+        return self._dispatch_on(target, command)
 
     # -- deployment and queries (mirror ProcessEngine) --------------------------
 
@@ -479,9 +450,7 @@ class ShardedEngine(CommandClient):
 
     def instance(self, instance_id: str) -> ProcessInstance:
         """Look up an instance on its routed shard."""
-        return self.shards[self._shard_for_instance(instance_id)].instance(
-            instance_id
-        )
+        return self.shards[self._shard_of_id(instance_id)].instance(instance_id)
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
         """All instances (optionally by state), cluster creation order:
@@ -511,57 +480,46 @@ class ShardedEngine(CommandClient):
             [shard.worklist.items(state) for shard in self.shards], _rank
         )
 
-    def dead_letters(self) -> list[dict[str, Any]]:
-        """Dead-lettered invocations across every shard, oldest first."""
-        collected: list[dict[str, Any]] = []
+    def _each_shard(self, read: Callable[[ProcessEngine], T]) -> list[T]:
+        """``read(shard)`` for every shard in turn, each under that shard's
+        lock — one lock at a time, in shard order."""
+        results = []
         for shard in self.shards:
             with shard._dispatch_lock:
-                collected.extend(shard.dead_letters())
-        collected.sort(
-            key=lambda raw: (raw.get("failed_at", 0.0), raw.get("id", ""))
+                results.append(read(shard))
+        return results
+
+    def dead_letters(self) -> list[dict[str, Any]]:
+        """Dead-lettered invocations across every shard, oldest first."""
+        return sorted(
+            chain.from_iterable(self._each_shard(ProcessEngine.dead_letters)),
+            key=lambda raw: (raw.get("failed_at", 0.0), raw.get("id", "")),
         )
-        return collected
 
     def workers_status(self) -> dict[str, dict[str, int]]:
         """Per-service invocation accounting, merged across shards."""
         merged: dict[str, dict[str, int]] = {}
-        for shard in self.shards:
-            with shard._dispatch_lock:
-                per_shard = shard.workers_status()
+        for per_shard in self._each_shard(ProcessEngine.workers_status):
             for service, counts in per_shard.items():
-                slot = merged.setdefault(
-                    service,
-                    {
-                        "enqueued": 0,
-                        "completed": 0,
-                        "pending": 0,
-                        "dead_lettered": 0,
-                    },
-                )
+                slot = merged.setdefault(service, dict.fromkeys(counts, 0))
                 for key, value in counts.items():
                     slot[key] += value
         return merged
 
-    def _advance_time(self, seconds: float) -> int:
+    def _advance_time(self, command: cmds.AdvanceTime) -> int:
         if not isinstance(self.clock, VirtualClock):
             raise EngineError("advance_time requires a VirtualClock")
         # the clock is shared: advance it exactly once here, not once per
         # shard — then fan out the job pump so each partition's timers
         # fire exactly once
-        self.clock.advance(seconds)
-        return sum(
-            self._dispatch_on(i, cmds.RunDueJobs())
-            for i in range(self.shard_count)
-        )
+        self.clock.advance(command.seconds)
+        return self.dispatch(cmds.RunDueJobs())
 
     # -- persistence & lifecycle ------------------------------------------------
 
     def flush(self) -> None:
         """Force-commit every shard's pending dirty state."""
-        for index in range(self.shard_count):
-            shard = self.shards[index]
-            with shard._dispatch_lock:
-                shard.flush()
+        self._each_shard(ProcessEngine.flush)
 
     def recover(self) -> dict[str, int]:
         """Recover every shard from its own partition; merged counts.
@@ -576,13 +534,7 @@ class ShardedEngine(CommandClient):
         redeliveries carry their original ``fwd:`` keys and dedup at the
         target.
         """
-        totals = {
-            "definitions": 0,
-            "instances": 0,
-            "jobs": 0,
-            "workitems": 0,
-            "commands": 0,
-        }
+        totals: dict[str, int] = {}
         for index, shard in enumerate(self.shards):
             recorded = shard.store.get(TOPOLOGY_KEY, None)
             if recorded is not None:

@@ -15,13 +15,26 @@ concurrent-dispatch stress tests replay.
 Taxonomy
 --------
 
-*Externally-originated* commands (``external = True``) come from clients
-the engine cannot trust to call exactly once — worklist handlers, message
-gateways, admin consoles.  They accept an optional ``dedup_key``: two
-dispatches with the same key apply once, the second returning the
-recorded result (see :mod:`repro.engine.dispatch`).  *Internal* commands
-(``RunDueJobs``, ``AdvanceTime``) originate from the owning driver loop
-and carry no dedup key.
+*Externally-originated* commands come from clients the engine cannot
+trust to call exactly once — worklist handlers, message gateways, admin
+consoles.  They declare an optional ``dedup_key`` field, which is what
+sets ``external = True``: two dispatches with the same key apply once,
+the second returning the recorded result (see :mod:`repro.engine.
+dispatch`).  *Internal* commands (``RunDueJobs``, ``AdvanceTime``)
+originate from the owning driver loop and carry no dedup key.
+
+One declaration per command
+---------------------------
+
+Defining a ``Command`` subclass registers it in :data:`COMMAND_TYPES`;
+the engine's handler for it is ``_handle_<name>``, and a cluster routes
+it by its ``route``: the field holding a shard-tagged id (``instance_id``,
+``item_id``, ``invocation_id``), ``start`` (business-key hash, else
+round-robin), ``message`` (probe for a receiver), ``broadcast`` (every
+shard, analysed once), ``every_shard`` (the same command on each shard,
+results summed) or ``clock`` (advance the shared clock once, then run due
+jobs everywhere).  A class with no name, a reused name, an unknown route
+or an id route that is not one of its own fields fails at definition.
 """
 
 from __future__ import annotations
@@ -38,18 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.services.bus import Message
     from repro.worklist.items import WorkItem
 
-#: name -> command class, populated by :func:`register_command`.
+#: name -> command class; every :class:`Command` subclass registers itself.
 COMMAND_TYPES: dict[str, type["Command"]] = {}
 
-
-def register_command(cls: type["Command"]) -> type["Command"]:
-    """Class decorator adding a command type to the registry."""
-    if not cls.name:
-        raise ValueError(f"command class {cls.__name__} has no name")
-    if cls.name in COMMAND_TYPES:
-        raise ValueError(f"duplicate command name {cls.name!r}")
-    COMMAND_TYPES[cls.name] = cls
-    return cls
+#: routes naming the dataclass field that holds a cluster-tagged id
+ID_ROUTES = frozenset({"instance_id", "item_id", "invocation_id"})
+#: every route a command may declare (see :attr:`Command.route`)
+ROUTES = ID_ROUTES | {"start", "message", "broadcast", "every_shard", "clock"}
 
 
 @dataclass(frozen=True)
@@ -58,12 +66,29 @@ class Command:
 
     #: wire/registry name, e.g. ``"start_instance"``.
     name: ClassVar[str] = ""
-    #: True for client-originated commands that accept a ``dedup_key``.
+    #: True for client-originated commands: those declaring a ``dedup_key``.
     external: ClassVar[bool] = False
+    #: how a cluster routes the command, one of :data:`ROUTES`
+    route: ClassVar[str] = ""
 
     # non-external commands have no dedup field; this class attribute is
     # shadowed by a real dataclass field on external command types
     dedup_key = None  # type: str | None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if not cls.name:
+            raise ValueError(f"command class {cls.__name__} has no name")
+        if cls.name in COMMAND_TYPES:
+            raise ValueError(f"duplicate command name {cls.name!r}")
+        if cls.route not in ROUTES:
+            raise ValueError(f"command {cls.name!r} has unknown route {cls.route!r}")
+        # @dataclass has not run yet: fields are the class's own annotations
+        fields = cls.__dict__.get("__annotations__", {})
+        if cls.route in ID_ROUTES and cls.route not in fields:
+            raise ValueError(f"command {cls.name!r} routes on a missing field")
+        cls.external = "dedup_key" in fields
+        COMMAND_TYPES[cls.name] = cls
 
     def loggable(self, result: Any) -> bool:
         """Whether a successful dispatch is worth a dispatch-log entry.
@@ -103,12 +128,12 @@ def command_from_dict(raw: dict[str, Any]) -> Command:
 # -- deployment ---------------------------------------------------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class DeployDefinition(Command):
     """Deploy a process definition (admin-tool interface)."""
 
     name: ClassVar[str] = "deploy_definition"
+    route: ClassVar[str] = "broadcast"
 
     definition: Any = None  # ProcessDefinition
     verify: bool | None = None
@@ -139,13 +164,12 @@ class DeployDefinition(Command):
 # -- instance lifecycle -------------------------------------------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class StartInstance(Command):
     """Create and advance a new instance of a deployed definition."""
 
     name: ClassVar[str] = "start_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "start"
 
     key: str = ""
     variables: dict[str, Any] = field(default_factory=dict)
@@ -154,20 +178,18 @@ class StartInstance(Command):
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class TerminateInstance(Command):
     """Administratively cancel a running instance."""
 
     name: ClassVar[str] = "terminate_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "instance_id"
 
     instance_id: str = ""
     reason: str = "user request"
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class CompensateInstance(Command):
     """Run the instance's compensation handlers in reverse order (saga).
@@ -179,43 +201,40 @@ class CompensateInstance(Command):
     """
 
     name: ClassVar[str] = "compensate_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "instance_id"
 
     instance_id: str = ""
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class SuspendInstance(Command):
     """Pause an instance: waiting triggers defer until resume."""
 
     name: ClassVar[str] = "suspend_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "instance_id"
 
     instance_id: str = ""
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class ResumeInstance(Command):
     """Resume a suspended instance and advance it."""
 
     name: ClassVar[str] = "resume_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "instance_id"
 
     instance_id: str = ""
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class MigrateInstance(Command):
     """Move a running instance to another deployed version."""
 
     name: ClassVar[str] = "migrate_instance"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "instance_id"
 
     instance_id: str = ""
     target_version: int = 0
@@ -227,38 +246,35 @@ class MigrateInstance(Command):
 # -- work items (worklist-handler interface) ----------------------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class ClaimWorkItem(Command):
     """A resource pulls an offered item from its role queue."""
 
     name: ClassVar[str] = "claim_work_item"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "item_id"
 
     item_id: str = ""
     resource_id: str = ""
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class StartWorkItem(Command):
     """The allocated resource begins work on an item."""
 
     name: ClassVar[str] = "start_work_item"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "item_id"
 
     item_id: str = ""
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class CompleteWorkItem(Command):
     """Complete a started work item; the owning token advances."""
 
     name: ClassVar[str] = "complete_work_item"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "item_id"
 
     item_id: str = ""
     result: dict[str, Any] = field(default_factory=dict)
@@ -268,13 +284,12 @@ class CompleteWorkItem(Command):
 # -- messages -----------------------------------------------------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class CorrelateMessage(Command):
     """Correlate an external message to the instance waiting for it."""
 
     name: ClassVar[str] = "correlate_message"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "message"
 
     message_name: str = ""
     correlation: Any = None
@@ -295,7 +310,6 @@ class CorrelateMessage(Command):
 # -- asynchronous service execution (worker-pool interface) -------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class CompleteServiceInvocation(Command):
     """Report a pooled service invocation's outcome.
@@ -309,7 +323,7 @@ class CompleteServiceInvocation(Command):
     """
 
     name: ClassVar[str] = "complete_service_invocation"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "invocation_id"
 
     invocation_id: str = ""
     #: ``"success"`` | ``"failure"`` (retries exhausted) | ``"bpmn_error"``
@@ -321,13 +335,12 @@ class CompleteServiceInvocation(Command):
     dedup_key: str | None = None
 
 
-@register_command
 @dataclass(frozen=True)
 class RequeueDeadLetter(Command):
     """Move a dead-lettered invocation back onto its service queue."""
 
     name: ClassVar[str] = "requeue_dead_letter"
-    external: ClassVar[bool] = True
+    route: ClassVar[str] = "invocation_id"
 
     invocation_id: str = ""
     dedup_key: str | None = None
@@ -336,12 +349,12 @@ class RequeueDeadLetter(Command):
 # -- time (driver-loop interface) ---------------------------------------------
 
 
-@register_command
 @dataclass(frozen=True)
 class RunDueJobs(Command):
     """Fire every due job (timer pump)."""
 
     name: ClassVar[str] = "run_due_jobs"
+    route: ClassVar[str] = "every_shard"
 
     def loggable(self, result: Any) -> bool:
         # an idle pump (nothing fired) is a read-only call; logging it
@@ -351,7 +364,6 @@ class RunDueJobs(Command):
         return bool(result)
 
 
-@register_command
 @dataclass(frozen=True)
 class AdvanceTime(Command):
     """Advance a virtual clock and fire everything that became due.
@@ -361,6 +373,7 @@ class AdvanceTime(Command):
     """
 
     name: ClassVar[str] = "advance_time"
+    route: ClassVar[str] = "clock"
 
     seconds: float = 0.0
 
@@ -510,7 +523,9 @@ class CommandClient:
         """Correlate a message to a waiting instance (external entry point).
 
         If a waiting catch matches it is delivered immediately; otherwise
-        the message is retained for a future receiver.
+        the message is retained for a future receiver.  Retention is
+        best-effort: the retained buffer lives in memory only, so an
+        unmatched message is gone after ``recover()``.
         """
         return self.dispatch(
             CorrelateMessage(

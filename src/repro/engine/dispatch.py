@@ -33,7 +33,6 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.commands import Command
-from repro.engine.errors import EngineError
 from repro.engine.instance import INSTANCE_PREFIX, ProcessInstance
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
@@ -210,7 +209,9 @@ class Dispatcher:
 
     def dispatch(self, command: Command) -> Any:
         """Execute one command through every step of the path."""
-        if not isinstance(command, Command):
+        # every Command subclass has a handler: a miss is no command
+        handler = self.handlers.get(type(command))
+        if handler is None:
             raise TypeError(
                 f"dispatch expects a Command, got {type(command).__name__}"
             )
@@ -246,7 +247,7 @@ class Dispatcher:
                 )
                 try:
                     try:
-                        result = self._apply_and_log(command)
+                        result = self._apply_and_log(command, handler)
                     finally:
                         engine._flush()
                 except BaseException:
@@ -261,7 +262,9 @@ class Dispatcher:
             finally:
                 self.depth -= 1
 
-    def _apply_and_log(self, command: Command) -> Any:
+    def _apply_and_log(
+        self, command: Command, handler: Callable[[Command], Any]
+    ) -> Any:
         """Run the handler and record the command in the dispatch log.
 
         Skips only commands that report themselves unloggable (idle
@@ -283,11 +286,6 @@ class Dispatcher:
             "status": "applied",
         }
         try:
-            handler = self.handlers.get(type(command))
-            if handler is None:
-                raise EngineError(
-                    f"no handler registered for command {command.name!r}"
-                )
             result = handler(command)
         except BaseException as exc:
             record["status"] = "error"

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.engine import commands as cmds
@@ -260,9 +260,12 @@ class ProcessEngine(CommandClient):
         self._dispatch_lock = threading.RLock()
         self.worklist.bind_lock(self._dispatch_lock)
         self.dispatch_log = DispatchLog(self._writes, dispatch_log_retention)
-        self._dispatcher = Dispatcher(
-            self, handlers=self._command_handlers(), lock=self._dispatch_lock
-        )
+        # a registered command without a ``_handle_<name>`` fails here
+        handlers = {
+            cls: getattr(self, f"_handle_{name}")
+            for name, cls in cmds.COMMAND_TYPES.items()
+        }
+        self._dispatcher = Dispatcher(self, handlers, lock=self._dispatch_lock)
         # the CQRS read side (repro.views) and the one instance and
         # work-item index: write-behind materialized projections whose
         # records persist inside the same store transaction as a group
@@ -285,25 +288,6 @@ class ProcessEngine(CommandClient):
         """
         return self._dispatcher.dispatch(command)
 
-    def _command_handlers(self) -> dict[type[Command], Callable[[Any], Any]]:
-        return {
-            cmds.DeployDefinition: self._handle_deploy,
-            cmds.StartInstance: self._handle_start_instance,
-            cmds.TerminateInstance: self._handle_terminate_instance,
-            cmds.CompensateInstance: self._handle_compensate_instance,
-            cmds.SuspendInstance: self._handle_suspend_instance,
-            cmds.ResumeInstance: self._handle_resume_instance,
-            cmds.MigrateInstance: self._handle_migrate_instance,
-            cmds.ClaimWorkItem: self._handle_claim_work_item,
-            cmds.StartWorkItem: self._handle_start_work_item,
-            cmds.CompleteWorkItem: self._handle_complete_work_item,
-            cmds.CorrelateMessage: self._handle_correlate_message,
-            cmds.RunDueJobs: self._handle_run_due_jobs,
-            cmds.AdvanceTime: self._handle_advance_time,
-            cmds.CompleteServiceInvocation: self._handle_complete_invocation,
-            cmds.RequeueDeadLetter: self._handle_requeue_dead_letter,
-        }
-
     def dispatch_history(self, limit: int | None = None) -> list[dict[str, Any]]:
         """Recent dispatch-log entries, oldest first (``repro commands``)."""
         return self.dispatch_log.history(limit)
@@ -316,7 +300,7 @@ class ProcessEngine(CommandClient):
 
     # -- deployment -----------------------------------------------------------
 
-    def _handle_deploy(self, cmd: cmds.DeployDefinition) -> str:
+    def _handle_deploy_definition(self, cmd: cmds.DeployDefinition) -> str:
         from repro.analysis import AnalysisCache, AnalysisContext, Severity, analyze
         from repro.analysis.deployment import candidate_findings
 
@@ -949,7 +933,7 @@ class ProcessEngine(CommandClient):
         for record in self.ledger.take_unsubmitted():
             self.workers.submit(self, record)
 
-    def _handle_complete_invocation(
+    def _handle_complete_service_invocation(
         self, cmd: cmds.CompleteServiceInvocation
     ) -> dict[str, Any]:
         """Apply one pooled invocation outcome, exactly once.

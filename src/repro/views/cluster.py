@@ -7,7 +7,8 @@ answers merged per query by :func:`~repro.views.projections.merge_ranked`
 on ``(creation rank, shard index)``; :class:`~repro.cluster.sharded.ShardedEngine`
 does that itself and nothing caches the result.  What lives here are
 the aggregates the CLI, the dashboard readers and the benchmark call:
-``definition_stats``, ``open_work_items`` and ``status``.
+``definition_stats`` and ``open_work_items``; per-shard view lag is a
+column of :meth:`ShardedEngine.status`.
 """
 
 from __future__ import annotations
@@ -65,25 +66,6 @@ class ClusterViews:
 
     def definition_stats(self) -> dict[str, dict[str, Any]]:
         """Per-definition analytics merged across shards."""
-        reports = []
-        for shard in self._cluster.shards:
-            with shard._dispatch_lock:
-                reports.append(shard.views.definition_stats())
-        return merge_definition_stats(reports)
-
-    def status(self) -> dict[str, Any]:
-        """Per-shard applied seq and lag (``repro cluster status``)."""
-        per_shard = []
-        for index, shard in enumerate(self._cluster.shards):
-            manager = shard.views
-            with shard._dispatch_lock:
-                per_shard.append(
-                    {
-                        "shard": index,
-                        "applied_seq": manager.applied_seq,
-                        "dispatch_seq": shard.dispatch_log.seq,
-                        "lag": shard.dispatch_log.seq - manager.applied_seq,
-                        "recovered_mode": manager.recovered_mode,
-                    }
-                )
-        return {"per_shard": per_shard}
+        return merge_definition_stats(
+            self._cluster._each_shard(lambda shard: shard.views.definition_stats())
+        )

@@ -227,16 +227,18 @@ class TestFailedForward:
         cluster.deploy(sender_model())
         receiver = start_waiter(cluster, "X", shard=1)
 
-        real_publish = cluster._route_publish
+        target = cluster.shards[1]
+        real_dispatch = target.dispatch
         calls = {"n": 0}
 
-        def failing_publish(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("injected target failure")
-            return real_publish(*args, **kwargs)
+        def failing_dispatch(command):
+            if command.name == "correlate_message":
+                calls["n"] += 1
+                if calls["n"] == 1:
+                    raise RuntimeError("injected target failure")
+            return real_dispatch(command)
 
-        cluster._route_publish = failing_publish
+        target.dispatch = failing_dispatch
         send_from(cluster, "X", shard=0)
         failures = cluster.obs.registry.counter("cluster.forward_failures")
         assert failures.value == 1
