@@ -4,9 +4,9 @@ Shape claims: (a) the seed's whole-export autocommit (every API call
 re-serializes *all* jobs/work items and fsyncs) is O(total state) per
 completion and quadratic over a run; the incremental write-set makes
 autocommit O(changed records); (b) cross-call group commit
-(``engine.batch()`` / ``commit_interval``) amortizes the transaction +
-fsync across many completions, buying >= 5x completions/sec over the
-seed policy at 1000 work items.
+(``engine.batch()``) amortizes the transaction + fsync across many
+completions, buying >= 5x completions/sec over the seed policy at 1000
+work items.
 
 Smoke mode (``F9_SMOKE=1``, used by CI) shrinks the workload so the
 bench exercises every policy without meaningful wall time; at that
@@ -15,6 +15,7 @@ correctness (every policy completes every item) but skip the
 perf-shape assertions — those are full-run gates.
 """
 
+import contextlib
 import os
 import time
 
@@ -44,13 +45,10 @@ def approval_model():
     )
 
 
-def build_engine(directory, **kwargs):
+def build_engine(directory):
     store = DurableKV(directory)
     engine = ProcessEngine(
-        clock=VirtualClock(0),
-        store=store,
-        allocator=ShortestQueueAllocator(),
-        **kwargs,
+        clock=VirtualClock(0), store=store, allocator=ShortestQueueAllocator()
     )
     engine.organization.add("ana", roles=["clerk"])
     engine.deploy(approval_model())
@@ -86,29 +84,22 @@ def legacy_flush(engine):
 
 def run_policy(tmp_dir, policy, n):
     """Complete n work items under one commit policy; completions/sec."""
-    interval = 10**9 if policy in ("legacy", "interval-64") else 1
-    if policy == "interval-64":
-        interval = 64
-    engine, store = build_engine(
-        os.path.join(tmp_dir, f"kv-{policy}"), commit_interval=interval
-    )
+    engine, store = build_engine(os.path.join(tmp_dir, f"kv-{policy}"))
     item_ids = populate(engine, n)
     # drain deltas left by setup so the timed loop measures steady state
     engine.flush()
 
     started = time.perf_counter()
-    if policy == "batch":
-        with engine.batch():
-            for item_id in item_ids:
-                engine.worklist.start(item_id)
-                engine.complete_work_item(item_id)
-    else:
+    # legacy defers the engine's own commit too, and pays the seed's
+    # whole export on every call instead
+    scope = contextlib.nullcontext() if policy == "autocommit" else engine.batch()
+    with scope:
         for item_id in item_ids:
             engine.worklist.start(item_id)
             engine.complete_work_item(item_id)
             if policy == "legacy":
                 legacy_flush(engine)
-        engine.flush()
+    engine.flush()
     elapsed = time.perf_counter() - started
 
     completed = len(engine.instances(InstanceState.COMPLETED))
@@ -121,7 +112,6 @@ def test_f9_flush_policies(benchmark, tmp_path, emit):
     rows = [
         ("legacy full-export", run_policy(str(tmp_path), "legacy", N_LEGACY), N_LEGACY),
         ("autocommit", run_policy(str(tmp_path), "autocommit", N_ITEMS), N_ITEMS),
-        ("interval-64", run_policy(str(tmp_path), "interval-64", N_ITEMS), N_ITEMS),
         ("batch", run_policy(str(tmp_path), "batch", N_ITEMS), N_ITEMS),
     ]
     benchmark.pedantic(
@@ -140,7 +130,7 @@ def test_f9_flush_policies(benchmark, tmp_path, emit):
     if _SMOKE:
         return  # correctness asserted in run_policy; shapes need full scale
     legacy_rate, autocommit_rate = rows[0][1], rows[1][1]
-    batch_rate = rows[3][1]
+    batch_rate = rows[2][1]
     # shape: incremental autocommit already beats whole-export autocommit;
     # group commit buys >= 5x over the seed policy (the ISSUE 3 criterion)
     assert autocommit_rate > legacy_rate
@@ -155,7 +145,7 @@ def test_f9_store_size_does_not_degrade_flush(tmp_path, emit):
     rates = []
     for resident in ([50, 200] if _SMOKE else [100, 1000]):
         directory = str(tmp_path / f"resident-{resident}")
-        engine, store = build_engine(directory, commit_interval=1)
+        engine, store = build_engine(directory)
         populate(engine, resident)
         engine.flush()
         # complete a fixed-size slice against the growing resident set;

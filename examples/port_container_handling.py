@@ -144,7 +144,7 @@ for cid, instance in instances.items():
 # dangerous-goods clearance for the DGS container
 for item in engine.worklist.items():
     if item.node_id == "dg_clearance":
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {"dg_approved": True})
 
 # customs verdicts arrive over the (simulated) single window
@@ -153,13 +153,13 @@ engine.correlate_message("customs_inspection", "HLXU7654321")
 inspection = [
     i for i in engine.worklist.items() if i.node_id == "physical_inspection"
 ][0]
-engine.worklist.start(inspection.id)
+engine.start_work_item(inspection.id)
 engine.complete_work_item(inspection.id, {"seal_intact": True})
 
 # yard moves
 for item in list(engine.worklist.items()):
     if item.node_id == "yard_move":
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
 
 print("\nafter customs + yard operations:")

@@ -43,8 +43,8 @@ print(f"big expense  : {big.state.name} (waiting on manager)")
 
 # 4. Work the human task through the worklist.
 item = engine.worklist.offered_for_resource("morgan")[0]
-engine.worklist.claim(item.id, "morgan")
-engine.worklist.start(item.id)
+engine.claim_work_item(item.id, "morgan")
+engine.start_work_item(item.id)
 engine.complete_work_item(item.id, {"approved": True})
 print(f"big expense  : {big.state.name}, status={big.variables['status']}")
 

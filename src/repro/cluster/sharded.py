@@ -110,6 +110,8 @@ class ShardedEngine(CommandClient):
     ) -> None:
         if shards < 1:
             raise EngineError(f"cluster needs at least one shard, got {shards}")
+        if commit_interval != 1:  # the keyword goes once ROADMAP item 6 drops it
+            raise ValueError("commit_interval is gone; defer with a shard's batch()")
         self.shard_count = shards
         self.clock = clock if clock is not None else WallClock()
         self.obs = obs if obs is not None else Observability()
@@ -129,7 +131,6 @@ class ShardedEngine(CommandClient):
                 services=self.services,
                 bus=bus,
                 obs=self.obs,
-                commit_interval=commit_interval,
                 dispatch_log_retention=dispatch_log_retention,
                 shard_tag=f"s{i}",
             )
@@ -361,14 +362,12 @@ class ShardedEngine(CommandClient):
                 dedup_key=key,
             )
             self._dispatch_on(target, command)
-            # the delivery (and its always-logged dedup entry) must be
-            # durable on the target before the origin forgets the intent;
-            # the lock-free peek skips the fence when this thread's own
-            # delivery dispatch already committed (commit_interval 1)
+            # the delivery (and its dedup entry) must be durable on the
+            # target before the origin forgets the intent; the lock-free
+            # peek skips the fence unless a caller's batch() deferred it
             target_shard = self.shards[target]
             if target_shard.has_pending_writes():
-                with target_shard._dispatch_lock:
-                    target_shard.flush()
+                target_shard.flush()
         except Exception:
             self._c_forward_failures.inc()
             return False

@@ -19,17 +19,16 @@ typed :class:`~repro.engine.commands.Command` executed through
    recorded in a bounded, persisted log of applied commands
    (``dispatch/<seq>`` records; see ``repro commands`` CLI) and as a
    ``command.dispatched`` event on the engine history stream; then the
-   group-commit/flush policy runs once (and honours ``engine.batch()``
-   deferral), even when the handler raised: memory is the source of
-   truth and the store must not lag behind it.  The flush comes after
-   the log step, so it persists the finalized entry.
+   flush runs once (deferred only inside the calling thread's
+   ``engine.batch()``), even when the handler raised: memory is the
+   source of truth and the store must not lag behind it.  The flush
+   comes after the log step, so it persists the finalized entry.
 5. **dedup record** — only a successful dispatch records its key, so a
    client may retry a failed command under the same key.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.commands import Command
@@ -189,20 +188,19 @@ def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
 class Dispatcher:
     """Executes commands one at a time, in the order the module lists.
 
-    The lock is shared with the worklist service (``bind_lock``), so
-    even clients that talk to it directly serialize against command
-    dispatch.
+    The gate is the engine's ``_dispatch_lock``, shared with the
+    worklist service (``bind_lock``) and held by an open
+    ``engine.batch()``, so direct worklist clients and other threads'
+    batches serialize against command dispatch.
     """
 
     def __init__(
         self,
         engine: "ProcessEngine",
         handlers: dict[type[Command], Callable[[Command], Any]],
-        lock: "threading.RLock | None" = None,
     ) -> None:
         self.engine = engine
         self.handlers = dict(handlers)
-        self.lock = lock if lock is not None else threading.RLock()
         #: current dispatch nesting depth (1 = outermost), valid only
         #: while the lock is held
         self.depth = 0
@@ -217,7 +215,7 @@ class Dispatcher:
             )
         engine = self.engine
         log = engine.dispatch_log
-        with self.lock:
+        with engine._dispatch_lock:
             self.depth += 1
             try:
                 # a hit replays the first application's result (after a

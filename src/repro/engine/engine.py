@@ -14,10 +14,10 @@ crash, construct an engine over the same store (with services re-registered
 
 Persistence is incremental: the engine and its components record every
 changed record in one shared :class:`~repro.storage.writeset.WriteSet`,
-a flush commits exactly that set in one transaction, and the commit
-policy decides when flushes happen — per call (default), every
-``commit_interval`` records, or once per :meth:`ProcessEngine.batch`
-block (group commit for bulk traffic).
+and a flush commits exactly that set in one transaction — at the end of
+each dispatch (a command is durable when it returns), or once at the
+outermost exit of a :meth:`ProcessEngine.batch` block (group commit of
+the caller's commands, under the dispatch lock).
 
 Every public mutation is a typed :class:`~repro.engine.commands.Command`
 executed through :meth:`ProcessEngine.dispatch` — one path carrying the
@@ -105,15 +105,11 @@ class ProcessEngine(CommandClient):
         bus: MessageBus | None = None,
         obs: Observability | None = None,
         strict_references: bool = False,
-        commit_interval: int = 1,
         dispatch_log_retention: int = 256,
         shard_tag: str = "",
     ) -> None:
-        """``commit_interval`` sets the durable commit policy: ``1``
-        (default) flushes dirty state after every public API call
-        (autocommit); ``n > 1`` defers until at least ``n`` dirty records
-        accumulate — call :meth:`flush` (or use :meth:`batch`) to force a
-        commit earlier.  ``dispatch_log_retention`` bounds the persisted
+        """Every dispatch commits before it returns (:meth:`batch` defers
+        its caller's).  ``dispatch_log_retention`` bounds the persisted
         command log and with it the idempotency (dedup-key) window.
         ``shard_tag`` (e.g. ``"s2"``, set by the cluster layer) namespaces
         generated instance and work-item ids (``order-s2-7``, ``wi-s2-3``)
@@ -237,8 +233,7 @@ class ProcessEngine(CommandClient):
         self.waits = MessageWaits(self._writes)
         self._reach_cache: dict[str, dict[tuple[str, str], bool]] = {}
         self._advancing: set[str] = set()
-        # the commit policy and the batch() nesting depth
-        self._commit_interval = max(1, int(commit_interval))
+        # the batch() nesting depth, read and written under _dispatch_lock
         self._batch_depth = 0
         # asynchronous service execution (see repro.workers): the ledger
         # of pending invocations and dead letters, and the attached pool
@@ -265,7 +260,7 @@ class ProcessEngine(CommandClient):
             cls: getattr(self, f"_handle_{name}")
             for name, cls in cmds.COMMAND_TYPES.items()
         }
-        self._dispatcher = Dispatcher(self, handlers, lock=self._dispatch_lock)
+        self._dispatcher = Dispatcher(self, handlers)
         # the CQRS read side (repro.views) and the one instance and
         # work-item index: write-behind materialized projections whose
         # records persist inside the same store transaction as a group
@@ -1015,15 +1010,16 @@ class ProcessEngine(CommandClient):
     # -- persistence & recovery ---------------------------------------------------
 
     def batch(self) -> "_EngineBatch":
-        """Context manager deferring all flushes to one group commit.
+        """Context manager deferring the caller's flushes to one group commit.
 
-        Inside the block every public API call mutates memory but skips
-        persistence; the outermost exit performs a single
-        :meth:`_flush` — one store transaction, one journal sync — no
-        matter how many calls ran.  Re-entrant (nested batches commit once,
-        at the outermost exit).  On an exception the accumulated state is
-        still flushed: the in-memory mutations already happened and memory
-        is the source of truth.
+        The block holds the dispatch lock, so other threads' commands wait
+        at the gate until it has committed.  Inside the block every public
+        API call mutates memory but skips persistence; the outermost exit
+        performs a single :meth:`_flush` — one store transaction, one
+        journal sync — no matter how many calls ran.  Re-entrant (nested
+        batches commit once, at the outermost exit).  On an exception the
+        accumulated state is still flushed: the in-memory mutations
+        already happened and memory is the source of truth.
 
         >>> # with engine.batch():
         >>> #     for item in engine.worklist.items():
@@ -1032,8 +1028,9 @@ class ProcessEngine(CommandClient):
         return _EngineBatch(self)
 
     def flush(self) -> None:
-        """Force-persist all pending writes now, whatever the policy."""
-        self._flush(force=True)
+        """Force-persist all pending writes now, under the dispatch lock."""
+        with self._dispatch_lock:
+            self._flush(force=True)
 
     def has_pending_writes(self) -> bool:
         """Whether a forced flush would persist anything beyond outbox GC
@@ -1052,16 +1049,15 @@ class ProcessEngine(CommandClient):
         return self._writes.has_pending(ignoring_deletes_of=self._gc_family)
 
     def _flush(self, force: bool = False) -> None:
-        """Commit the write-set in one transaction, per the commit policy.
+        """Commit the write-set in one transaction.
 
         Writes nothing — not even an empty transaction — when nothing is
-        pending.  Inside :meth:`batch` or below ``commit_interval`` pending
-        records the flush is deferred (unless ``force``).  The write-set
-        (and the views' differential sets) are cleared only after the
-        transaction and sync succeeded, so a failed commit leaves
-        everything pending for the next flush to retry.
+        pending.  Inside :meth:`batch` the flush is deferred (unless
+        ``force``).  The write-set (and the views' differential sets) are
+        cleared only after the transaction and sync succeeded, so a failed
+        commit leaves everything pending for the next flush to retry.
         """
-        if self._batch_depth > 0 and not force:
+        if not force and self._batch_depth > 0:
             return
         writes, views = self._writes, self.views
         records = len(writes)
@@ -1069,8 +1065,6 @@ class ProcessEngine(CommandClient):
             # read-only call: zero store writes, zero syncs (a *forced*
             # flush still drains write-behind view dirt noted earlier)
             return
-        if not force and records < self._commit_interval:
-            return  # defer until the record-count policy is met
         seq = self.dispatch_log.seq
         # write-behind read models: the touched ids are noted now; the
         # view records join this commit only when forced (the group-
@@ -1157,18 +1151,24 @@ def _describe(diagnostics: list) -> str:
 
 
 class _EngineBatch:
-    """Re-entrant deferral scope returned by :meth:`ProcessEngine.batch`."""
+    """Re-entrant deferral scope returned by :meth:`ProcessEngine.batch`
+    (a class: a generator would flush when collected, and a batch that a
+    crash abandons must leave its writes uncommitted)."""
 
     def __init__(self, engine: ProcessEngine) -> None:
         self._engine = engine
 
     def __enter__(self) -> ProcessEngine:
+        self._engine._dispatch_lock.acquire()
         self._engine._batch_depth += 1
         return self._engine
 
     def __exit__(self, exc_type: type | None, *exc_info: object) -> None:
-        self._engine._batch_depth -= 1
-        if self._engine._batch_depth == 0:
-            # flush even on exception: memory already mutated and is the
-            # source of truth; the store must not lag behind it
-            self._engine._flush(force=True)
+        try:
+            self._engine._batch_depth -= 1
+            if self._engine._batch_depth == 0:
+                # flush even on exception: memory already mutated and is
+                # the source of truth; the store must not lag behind it
+                self._engine._flush(force=True)
+        finally:
+            self._engine._dispatch_lock.release()

@@ -61,7 +61,7 @@ class WriteSet:
         return len(self._puts[prefix]) + len(self._deletes[prefix])
 
     def __len__(self) -> int:
-        """Pending operations — the ``commit_interval`` record count."""
+        """Pending operations — the record count of the next commit."""
         return sum(map(len, self._puts.values())) + sum(
             map(len, self._deletes.values())
         )

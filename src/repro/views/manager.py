@@ -29,9 +29,9 @@ per-dispatch critical path:
   replaying just the ``touched`` entity ids stamped on the log tail;
 * in-memory table state is exact on read: queries first fold in the
   noted-but-unapplied entities *and* the engine's instance and
-  work-item puts not yet committed (inside ``batch()``, or below
-  ``commit_interval``), so the image answers for the engine's memory at
-  any moment — it is the engine's only instance and work-item index.
+  work-item puts not yet committed (inside ``batch()``), so the image
+  answers for the engine's memory at any moment — it is the engine's
+  only instance and work-item index.
 
 Cursor semantics: every drain stamps ``view/__cursor`` with the
 engine's dispatch sequence at commit time.  On recovery the cursor tells

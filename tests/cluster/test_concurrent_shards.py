@@ -42,12 +42,11 @@ def approval_model():
     )
 
 
-def build_cluster(shards=4, commit_interval=1):
+def build_cluster(shards=4):
     cluster = ShardedEngine(
         shards=shards,
         clock=VirtualClock(0),
         allocator=ShortestQueueAllocator(),
-        commit_interval=commit_interval,
         dispatch_log_retention=10_000,
     )
     cluster.organization.add("ana", roles=["clerk"])
@@ -105,19 +104,6 @@ class TestConcurrentClusterStress:
                 r["seq"] for r in shard.dispatch_history() if r["depth"] == 1
             ]
             assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
-
-    def test_threaded_starts_under_group_commit(self):
-        cluster = build_cluster(commit_interval=64)
-        cluster.deploy(automated_model())
-
-        def start_many(idx):
-            for k in range(self.PER_THREAD):
-                cluster.start_instance("auto", {"n": k})
-
-        run_in_threads(self.N_THREADS, start_many)
-        cluster.flush()
-        total = self.N_THREADS * self.PER_THREAD
-        assert len(cluster.instances()) == total
 
     def test_threaded_worklist_across_shards(self):
         """Four threads each drain one quarter of the open work items;

@@ -55,13 +55,8 @@ def factory(tmp_path):
     return make
 
 
-def build_cluster(factory, clock, shards=2, commit_interval=1):
-    return ShardedEngine(
-        shards=shards,
-        store_factory=factory,
-        clock=clock,
-        commit_interval=commit_interval,
-    )
+def build_cluster(factory, clock, shards=2):
+    return ShardedEngine(shards=shards, store_factory=factory, clock=clock)
 
 
 def business_key_for_shard(target, shards):

@@ -45,13 +45,12 @@ def factory(tmp_path):
     return make
 
 
-def build_cluster(factory, clock, shards=2, commit_interval=1):
+def build_cluster(factory, clock, shards=2):
     cluster = ShardedEngine(
         shards=shards,
         store_factory=factory,
         clock=clock,
         allocator=ShortestQueueAllocator(),
-        commit_interval=commit_interval,
     )
     cluster.organization.add("ana", roles=["clerk"])
     return cluster
@@ -71,7 +70,7 @@ class TestCrashMidBatchAcrossShards:
         window, then die before either batch commits: both partitions
         must recover to consistent pre-completion states independently."""
         clock = VirtualClock(0)
-        cluster = build_cluster(factory, clock, commit_interval=64)
+        cluster = build_cluster(factory, clock)
         cluster.deploy(approval_model())
         instance_ids = {}
         for shard in range(2):
@@ -87,8 +86,11 @@ class TestCrashMidBatchAcrossShards:
         }
         for shard in range(2):
             cluster.start_work_item(item_ids[shard])
-        # persist the in-progress baseline, then dirty both shards
+        # persist the in-progress baseline, open a batch on each shard
+        # (never exited), then dirty both shards
         cluster.flush()
+        for shard in cluster.shards:
+            shard.batch().__enter__()
         for shard in range(2):
             cluster.complete_work_item(item_ids[shard], {"approved": True})
             # fully applied in memory...
@@ -101,7 +103,7 @@ class TestCrashMidBatchAcrossShards:
         for shard in cluster.shards:
             shard.store.close()
 
-        recovered_cluster = build_cluster(factory, clock, commit_interval=64)
+        recovered_cluster = build_cluster(factory, clock)
         counts = recovered_cluster.recover()
         assert counts["definitions"] == 2  # one per shard
         assert counts["instances"] == 2

@@ -42,11 +42,10 @@ def approval_model():
     )
 
 
-def build_engine(commit_interval=1):
+def build_engine():
     engine = ProcessEngine(
         clock=VirtualClock(0),
         allocator=ShortestQueueAllocator(),
-        commit_interval=commit_interval,
         dispatch_log_retention=10_000,
     )
     engine.organization.add("ana", roles=["clerk"])
@@ -120,21 +119,6 @@ class TestConcurrentStress:
             ] == [
                 e.type for e in engine.history.instance_events(original.id)
             ]
-
-    def test_threaded_run_under_group_commit(self):
-        engine = build_engine(commit_interval=64)
-        engine.deploy(automated_model())
-
-        def start_many(idx):
-            for k in range(self.PER_THREAD):
-                engine.start_instance("auto", {"n": k})
-
-        run_in_threads(self.N_THREADS, start_many)
-        engine.flush()
-        total = self.N_THREADS * self.PER_THREAD
-        assert len(engine.instances()) == total
-        fresh = replay_log(engine)
-        assert len(fresh.instances()) == total
 
     def test_threaded_worklist_lifecycle(self):
         engine = build_engine()

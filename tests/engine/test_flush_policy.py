@@ -3,11 +3,17 @@
 The seed engine rewrote every collection (jobs, work items, message waits,
 meta) as whole-store blobs on every flush — O(total state) per API call.
 These tests pin the replacement: differential writes only for what
-changed, a real early return when nothing is dirty, and the batch() /
-commit_interval policies that coalesce many calls into one commit.
+changed, a real early return when nothing is dirty, and the batch()
+scope that coalesces its caller's calls into one commit.
 """
 
+import sys
+import threading
+
+import pytest
+
 from repro.clock import VirtualClock
+from repro.cluster.sharded import ShardedEngine
 from repro.engine.engine import ProcessEngine
 from repro.engine.instance import InstanceState
 from repro.engine.migration import MigrationPlan
@@ -338,16 +344,6 @@ class TestCommitPolicies:
         assert store.deletes == 1
         assert store.keys("dispatch/") == dispatch_puts
 
-    def test_commit_interval_defers_until_threshold(self):
-        store = CountingKV()
-        engine = build_engine(store, commit_interval=1000)
-        engine.deploy(approval_model())
-        instance = engine.start_instance("approval")
-        # a couple of dirty records < 1000: nothing committed yet
-        assert store.keys("instance/") == []
-        engine.flush()
-        assert store.get(f"instance/{instance.id}") is not None
-
     def test_state_survives_batched_run(self, tmp_path):
         from repro.storage.kvstore import DurableKV
 
@@ -470,3 +466,116 @@ class TestFlushInstrumentation:
         assert histogram.count >= 1
         names = [s.name for s in exporter.spans]
         assert "engine.flush" in names
+
+
+class FailingCommitKV(CountingKV):
+    def commit(self):
+        raise OSError("disk full")
+
+
+class TestBatchDefersOnlyItsCaller:
+    """A batch holds the dispatch lock: it defers its own thread's
+    commands, never another thread's acknowledged one."""
+
+    @pytest.mark.threads
+    def test_other_thread_waits_and_is_durable_when_it_returns(self):
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(approval_model())
+        started = []
+        other = threading.Thread(
+            target=lambda: started.append(engine.start_instance("approval").id)
+        )
+        with engine.batch():
+            other.start()
+            other.join(timeout=0.5)
+            # B's command waits at the gate instead of joining A's batch
+            assert other.is_alive()
+            assert started == []
+        other.join(timeout=10)
+        assert not other.is_alive()
+        (instance_id,) = started
+        assert store.get(f"instance/{instance_id}") is not None
+
+    @pytest.mark.threads
+    def test_flush_from_another_thread_waits_at_the_gate(self):
+        """flush() takes the dispatch lock: it cannot commit a write-set
+        another thread is still building."""
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(approval_model())
+        flusher = threading.Thread(target=engine.flush)
+        with engine.batch():
+            engine.start_instance("approval")
+            flusher.start()
+            flusher.join(timeout=0.5)
+            assert flusher.is_alive()
+            assert store.keys("instance/") == []
+        flusher.join(timeout=10)
+        assert not flusher.is_alive()
+        assert len(store.keys("instance/")) == 1
+
+    def test_lock_released_when_the_batch_commit_raises(self):
+        store = FailingCommitKV()
+        engine = build_engine(store)
+        with pytest.raises(OSError):
+            with engine.batch():
+                engine.deploy(approval_model())
+        # the gate is free again: another thread can take it
+        acquired = []
+        probe = threading.Thread(
+            target=lambda: acquired.append(engine._dispatch_lock.acquire(False))
+        )
+        probe.start()
+        probe.join(timeout=10)
+        assert not probe.is_alive()
+        assert acquired == [True]
+
+    @pytest.mark.threads
+    def test_overlapping_batches_beside_plain_callers(self):
+        """Threads in nested batches race plain callers: every plain call
+        is stored when it returns, and no batch depth update is lost."""
+        store = CountingKV()
+        engine = build_engine(store)
+        engine.deploy(approval_model())
+        late, errors = [], []
+
+        def batcher():
+            try:
+                for _ in range(20):
+                    with engine.batch():
+                        with engine.batch():
+                            engine.start_instance("approval")
+                        engine.start_instance("approval")
+            except Exception as exc:  # pragma: no cover - only on bugs
+                errors.append(exc)
+
+        def caller():
+            try:
+                for _ in range(20):
+                    instance_id = engine.start_instance("approval").id
+                    if store.get(f"instance/{instance_id}") is None:
+                        late.append(instance_id)
+            except Exception as exc:  # pragma: no cover - only on bugs
+                errors.append(exc)
+
+        threads = [threading.Thread(target=batcher) for _ in range(4)]
+        threads += [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert late == []
+        assert engine._batch_depth == 0
+        assert len(store.keys("instance/")) == 4 * 20 * 2 + 4 * 20
+
+    def test_cluster_accepts_no_commit_interval_but_one(self):
+        with pytest.raises(ValueError, match="batch"):
+            ShardedEngine(2, commit_interval=2)

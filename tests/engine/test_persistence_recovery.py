@@ -396,13 +396,12 @@ class TestStoreHoldsWhatWasCommitted:
             clock=clock,
             store=store,
             allocator=ShortestQueueAllocator(),
-            commit_interval=1000,
         )
         engine.organization.add("ana", roles=["clerk"])
         engine.deploy(approval_model())
         started = engine.start_instance("approval", {"a": 1})
-        engine.flush()
         item_id = engine.worklist.items()[0].id
+        engine.batch().__enter__()  # never exited
         engine.start_work_item(item_id)
         engine.complete_work_item(item_id, {"x": 99})  # deferred, never committed
         assert started.state is InstanceState.COMPLETED
@@ -436,11 +435,11 @@ class TestStoreHoldsWhatWasCommitted:
         builder.end()
         clock = VirtualClock(0)
         store = MemoryKV() if kind == "memory" else DurableKV(store_path)
-        engine = ProcessEngine(clock=clock, store=store, commit_interval=1000)
+        engine = ProcessEngine(clock=clock, store=store)
         engine.services.register("refund", lambda: "yes")
         engine.deploy(builder.build())
         done = engine.start_instance("paid")
-        engine.flush()
+        engine.batch().__enter__()  # never exited
         engine.compensate_instance(done.id)  # deferred, never committed
         assert done.variables == {"paid": 40, "refunded": "yes"}
         if kind == "durable":

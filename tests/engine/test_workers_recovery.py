@@ -42,9 +42,7 @@ def store_path(tmp_path):
 
 def build(store, calls, fail=False):
     """Fresh engine + manual pool over an existing store."""
-    engine = ProcessEngine(
-        clock=VirtualClock(1000.0), store=store, commit_interval=1
-    )
+    engine = ProcessEngine(clock=VirtualClock(1000.0), store=store)
 
     def svc(n):
         calls.append(n)

@@ -442,9 +442,7 @@ class TestDlq:
 
         path = str(tmp_path / "store")
         store = DurableKV(path)
-        engine = ProcessEngine(
-            clock=VirtualClock(1000.0), store=store, commit_interval=1
-        )
+        engine = ProcessEngine(clock=VirtualClock(1000.0), store=store)
         pool = WorkerPool(workers=0)
         engine.attach_workers(pool)
 

@@ -21,6 +21,13 @@ def cluster(shards=4, **kwargs):
     return c
 
 
+def open_batches(c):
+    """Enter every shard's batch() and leave it open: this thread's
+    commands stay uncommitted."""
+    for shard in c.shards:
+        shard.batch().__enter__()
+
+
 def scatter_instances(c, state=None):
     """Every shard's own answer, merged by creation rank."""
     from repro.views.projections import creation_rank, merge_ranked
@@ -94,9 +101,10 @@ class TestQueryEquivalence:
 
 class TestFallback:
     def test_pending_writes_fall_back_to_memory_state(self):
-        # commit_interval > 1 leaves flushes pending: the views fold the
+        # open batches leave flushes pending: the views fold the
         # uncommitted puts in before they answer
-        c = cluster(shards=2, commit_interval=50)
+        c = cluster(shards=2)
+        open_batches(c)
         c.deploy(approval_model())
         for k in range(6):
             c.start_instance("approval", business_key=f"bk-{k}")
@@ -107,9 +115,9 @@ class TestFallback:
         assert c.views.open_work_items() == 6
 
     def test_state_changes_show_before_any_flush(self):
-        c = cluster(shards=2, commit_interval=1000)
+        c = cluster(shards=2)
         c.deploy(approval_model())
-        c.flush()
+        open_batches(c)
         gold = c.start_instance("approval", {"tier": "gold"}, business_key="bk-1")
         basic = c.start_instance("approval", {"tier": "basic"}, business_key="bk-1")
         other = c.start_instance("approval", {"tier": "gold"}, business_key="bk-2")

@@ -1,7 +1,5 @@
 """Engine-level view maintenance: the flush hook, cursors, write gating."""
 
-import contextlib
-
 import pytest
 
 from repro.engine.instance import InstanceState
@@ -191,18 +189,15 @@ class TestWriteBehind:
 
 class TestExactBetweenFlushes:
     """The views are the engine's only index: its queries see a state
-    change before any flush, inside batch() and below commit_interval."""
+    change before any flush, inside batch()."""
 
-    @pytest.mark.parametrize("deferral", ["batch", "commit_interval"])
-    def test_queries_reflect_unflushed_changes(self, deferral):
+    def test_queries_reflect_unflushed_changes(self):
         store = CountingKV()
-        interval = 1000 if deferral == "commit_interval" else 1
-        engine = build_engine(store=store, commit_interval=interval)
+        engine = build_engine(store=store)
         engine.deploy(approval_model())
         engine.flush()
         store.reset_counts()
-        scope = engine.batch() if deferral == "batch" else contextlib.nullcontext()
-        with scope:
+        with engine.batch():
             gold = engine.start_instance("approval", {"tier": "gold"}, business_key="bk")
             basic = engine.start_instance("approval", {"tier": "basic"}, business_key="bk")
             other = engine.start_instance("approval", {"tier": "gold"})
@@ -222,8 +217,7 @@ class TestExactBetweenFlushes:
             assert engine.worklist.items(WorkItemState.COMPLETED) == [item]
             assert len(engine.worklist.items(WorkItemState.ALLOCATED)) == 2
             assert engine.views.open_work_items() == engine.worklist.open_count == 2
-        if deferral == "batch":
-            assert store.puts > 0
+        assert store.puts > 0
 
 
 class TestWorklistOpenCount:

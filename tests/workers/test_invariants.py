@@ -59,7 +59,7 @@ def check_invariant(engine):
 @_settings
 @given(ACTIONS)
 def test_conservation_invariant_under_arbitrary_interleavings(actions):
-    engine = ProcessEngine(clock=VirtualClock(1000.0), commit_interval=1)
+    engine = ProcessEngine(clock=VirtualClock(1000.0))
     pool = WorkerPool(workers=0)
     engine.attach_workers(pool)
     behavior = {"fail": False}

@@ -42,7 +42,7 @@ def service_model(key="p", retry=None, boundary_error_code=None):
 
 
 def pooled_engine(workers=0, **pool_kwargs):
-    engine = ProcessEngine(clock=VirtualClock(1000.0), commit_interval=1)
+    engine = ProcessEngine(clock=VirtualClock(1000.0))
     pool = WorkerPool(workers=workers, **pool_kwargs)
     engine.attach_workers(pool)
     return engine, pool

@@ -205,7 +205,7 @@ class TestLockFreeServiceExecution:
         return verdict[0]
 
     def build(self, pooled):
-        engine = ProcessEngine(commit_interval=1)
+        engine = ProcessEngine()
         observed = []
 
         def sentinel(n):
