@@ -94,7 +94,7 @@ def _measure_user():
             item = next(
                 i for i in engine.worklist.queue_of("worker")
             )
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)
             engine.complete_work_item(item.id)
     elapsed = time.perf_counter() - started
     return elapsed / (5 * REPEAT) * 1e6

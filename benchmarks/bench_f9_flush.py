@@ -95,7 +95,7 @@ def run_policy(tmp_dir, policy, n):
     scope = contextlib.nullcontext() if policy == "autocommit" else engine.batch()
     with scope:
         for item_id in item_ids:
-            engine.worklist.start(item_id)
+            engine.start_work_item(item_id)
             engine.complete_work_item(item_id)
             if policy == "legacy":
                 legacy_flush(engine)
@@ -154,7 +154,7 @@ def test_f9_store_size_does_not_degrade_flush(tmp_path, emit):
         slice_ids = [item.id for item in engine.worklist.items()][:25]
         samples = []
         for item_id in slice_ids:
-            engine.worklist.start(item_id)
+            engine.start_work_item(item_id)
             started = time.perf_counter()
             engine.complete_work_item(item_id)
             samples.append(time.perf_counter() - started)

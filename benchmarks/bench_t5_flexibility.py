@@ -79,7 +79,7 @@ def run_bpms_scenario():
         migrated += 1
     # the pending human work continues seamlessly on v2
     for item in list(engine.worklist.items()):
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
     survived = sum(
         1

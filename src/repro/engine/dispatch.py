@@ -17,9 +17,9 @@ typed :class:`~repro.engine.commands.Command` executed through
    name.  No per-entry-point instrumentation code remains in the engine.
 4. **handler, dispatch log, commit** — the handler runs; the command is
    recorded in a bounded, persisted log of applied commands
-   (``dispatch/<seq>`` records; see ``repro commands`` CLI) and as a
-   ``command.dispatched`` event on the engine history stream; then the
-   flush runs once (deferred only inside the calling thread's
+   (``dispatch/<seq>`` records; see ``repro commands`` CLI), which is the
+   one record of a command: the history stream carries no copy of it;
+   then the flush runs once (deferred only inside the calling thread's
    ``engine.batch()``), even when the handler raised: memory is the
    source of truth and the store must not lag behind it.  The flush
    comes after the log step, so it persists the finalized entry.
@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.engine.commands import Command
 from repro.engine.instance import INSTANCE_PREFIX, ProcessInstance
-from repro.history.audit import HistoryService
-from repro.history.events import EventTypes
 from repro.services.bus import Message
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.writeset import WriteSet
@@ -71,7 +69,9 @@ class DispatchLog:
         self.on_expire: Callable[[str], None] | None = None
 
     def append(self, record: dict[str, Any]) -> None:
-        """Assign the next sequence number, store the entry, prune."""
+        """Stamp the entry's ``touched`` ids, assign the next sequence
+        number, store the entry, prune."""
+        record["touched"] = _touched_snapshot(self._writes)
         self.seq += 1
         record["seq"] = self.seq
         self.records.append(record)
@@ -154,7 +154,7 @@ def summarize_result(result: Any) -> Any:
 TOUCHED_STAMP_CAP = 64
 
 
-def _touched_snapshot(engine: "ProcessEngine") -> dict[str, list[str]] | None:
+def _touched_snapshot(writes: WriteSet) -> dict[str, list[str]] | None:
     """The view-relevant dirty ids at log time, or ``None`` if over cap.
 
     Pending puts only grow between commits, so the stamp on the *last*
@@ -163,26 +163,11 @@ def _touched_snapshot(engine: "ProcessEngine") -> dict[str, list[str]] | None:
     tail's touched entities from final base state sufficient (see
     ``ProjectionManager.recover``).
     """
-    instance_ids = engine._writes.puts(INSTANCE_PREFIX)
-    item_ids = engine._writes.puts(WORKITEM_PREFIX)
+    instance_ids = writes.puts(INSTANCE_PREFIX)
+    item_ids = writes.puts(WORKITEM_PREFIX)
     if len(instance_ids) + len(item_ids) > TOUCHED_STAMP_CAP:
         return None
     return {"instances": sorted(instance_ids), "items": sorted(item_ids)}
-
-
-def _log(engine: "ProcessEngine", record: dict[str, Any]) -> None:
-    """Stamp, append and announce one finalized dispatch-log entry."""
-    record["touched"] = _touched_snapshot(engine)
-    engine.dispatch_log.append(record)
-    engine.history.record(
-        HistoryService.ENGINE_STREAM,
-        EventTypes.COMMAND_DISPATCHED,
-        command=record["name"],
-        seq=record["seq"],
-        dedup_key=record["dedup_key"],
-        depth=record["depth"],
-        status=record["status"],
-    )
 
 
 class Dispatcher:
@@ -204,6 +189,10 @@ class Dispatcher:
         #: current dispatch nesting depth (1 = outermost), valid only
         #: while the lock is held
         self.depth = 0
+
+    def running(self) -> bool:
+        """Whether the thread holding the gate is running a command."""
+        return self.depth > 0
 
     def dispatch(self, command: Command) -> Any:
         """Execute one command through every step of the path."""
@@ -288,9 +277,9 @@ class Dispatcher:
         except BaseException as exc:
             record["status"] = "error"
             record["error"] = f"{type(exc).__name__}: {exc}"
-            _log(engine, record)
+            engine.dispatch_log.append(record)
             raise
         if command.loggable(result) or engine.dispatch_log.state_changed():
             record["result"] = summarize_result(result)
-            _log(engine, record)
+            engine.dispatch_log.append(record)
         return result

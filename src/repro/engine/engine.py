@@ -253,7 +253,6 @@ class ProcessEngine(CommandClient):
         # shared with the worklist, and the bounded persisted dispatch log
         # with its idempotency window
         self._dispatch_lock = threading.RLock()
-        self.worklist.bind_lock(self._dispatch_lock)
         self.dispatch_log = DispatchLog(self._writes, dispatch_log_retention)
         # a registered command without a ``_handle_<name>`` fails here
         handlers = {
@@ -261,6 +260,7 @@ class ProcessEngine(CommandClient):
             for name, cls in cmds.COMMAND_TYPES.items()
         }
         self._dispatcher = Dispatcher(self, handlers)
+        self.worklist.bind_lock(self._dispatch_lock, self._dispatcher.running)
         # the CQRS read side (repro.views) and the one instance and
         # work-item index: write-behind materialized projections whose
         # records persist inside the same store transaction as a group

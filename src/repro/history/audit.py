@@ -8,6 +8,13 @@ from repro.clock import Clock, WallClock
 from repro.history.events import EventTypes
 from repro.storage.eventstore import EventRecord, EventStore
 
+#: the events that end an instance's run
+_FINISHED = (
+    EventTypes.INSTANCE_COMPLETED,
+    EventTypes.INSTANCE_TERMINATED,
+    EventTypes.INSTANCE_FAILED,
+)
+
 
 class HistoryService:
     """Records and queries engine events.
@@ -50,26 +57,13 @@ class HistoryService:
 
     def instance_duration(self, instance_id: str) -> float | None:
         """Wall time from start to completion/termination, if both exist."""
-        events = self.instance_events(instance_id)
-        started = next(
-            (e for e in events if e.type == EventTypes.INSTANCE_STARTED), None
-        )
-        finished = next(
-            (
-                e
-                for e in events
-                if e.type
-                in (
-                    EventTypes.INSTANCE_COMPLETED,
-                    EventTypes.INSTANCE_TERMINATED,
-                    EventTypes.INSTANCE_FAILED,
-                )
-            ),
-            None,
-        )
-        if started is None or finished is None:
-            return None
-        return finished.timestamp - started.timestamp
+        started = finished = None
+        for event in self.instance_events(instance_id):
+            if event.type == EventTypes.INSTANCE_STARTED and started is None:
+                started = event.timestamp
+            elif event.type in _FINISHED and finished is None:
+                finished = event.timestamp
+        return None if started is None or finished is None else finished - started
 
     def node_durations(self, instance_id: str) -> dict[str, list[float]]:
         """Per-node durations (entered → completed) for one instance.
@@ -92,12 +86,8 @@ class HistoryService:
 
     def completed_instances(self) -> list[str]:
         """Instance ids that reached normal completion."""
-        return sorted(
-            {
-                e.stream
-                for e in self.store.of_type(EventTypes.INSTANCE_COMPLETED)
-            }
-        )
+        completed = self.store.of_type(EventTypes.INSTANCE_COMPLETED)
+        return sorted({event.stream for event in completed})
 
     def close(self) -> None:
         """Close the backing store."""

@@ -58,6 +58,3 @@ class EventTypes:
 
     # deployment
     DEFINITION_DEPLOYED = "definition.deployed"
-
-    # command pipeline
-    COMMAND_DISPATCHED = "command.dispatched"

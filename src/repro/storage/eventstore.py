@@ -51,12 +51,15 @@ class EventStore:
     """Globally ordered, stream-indexed, append-only event log.
 
     Row ``i`` is the event with sequence ``i``: coded columns over one flat
-    value list, so appending allocates nothing that outlives the call.
-    Appends are serialized by the caller (the engine's dispatch lock);
-    readers take no lock, so a table entry is in before any row uses it,
-    the row-end column is appended *last*, ``len()`` reads it, and every
-    reader bounds itself by one ``len()`` — a row is visible only once all
-    its columns are.
+    value list, so appending allocates nothing that outlives the call.  A
+    stream is a chain of back-links (a row holds 1 + its stream's previous
+    row, a stream 1 + its last row, 0 for none): 24 fixed bytes a row, 4 a
+    stream.  Integer columns are 32-bit: 2^32 rows or values would not fit
+    in memory first.  Appends are serialized by the caller (the engine's
+    dispatch lock); readers take no lock, so a table entry, a link and a
+    last row are in before any row uses them, the row-end column is
+    appended *last*, ``len()`` reads it, and every reader bounds itself by
+    one ``len()`` — a row is visible only once all its columns are.
     """
 
     def __init__(
@@ -66,13 +69,13 @@ class EventStore:
         obs: "Observability | None" = None,
     ) -> None:
         self._time_col = array("d")
-        # codes into the tables below: 2^32 entries would not fit in memory
-        self._stream_col = array("I")
+        self._stream_col = array("I")  # codes into the tables below
         self._schema_col = array("I")
-        self._end_col = array("Q")  # end of the row's slice of _values
+        self._link_col = array("I")  # 1 + the stream's previous row, or 0
+        self._end_col = array("I")  # end of the row's slice of _values
         self._values: list[Any] = []
         self._stream_names: list[str] = []
-        self._stream_rows: list[array[int]] = []  # sequences, per stream code
+        self._last_row = array("I")  # 1 + the stream's last row, per code
         self._stream_codes: dict[str, int] = {}
         self._schemas: list[tuple[str, ...]] = []  # (event_type, *keys)
         self._schema_codes: dict[tuple[str, ...], int] = {}
@@ -118,9 +121,9 @@ class EventStore:
             self._journal.append(json_encode(record.to_dict()), sync=self.sync_writes)
         self._time_col.append(timestamp)  # the one that can refuse: a non-number
         stream_code = self._stream_codes.get(stream)
-        if stream_code is None:  # name and rows go in before stream() can find them
+        if stream_code is None:  # name and link go in before stream() can find them
             self._stream_names.append(stream)
-            self._stream_rows.append(array("Q"))
+            self._last_row.append(0)
             stream_code = self._stream_codes[stream] = len(self._stream_names) - 1
         schema = (event_type, *data) if data else (event_type,)
         schema_code = self._schema_codes.get(schema)
@@ -131,7 +134,8 @@ class EventStore:
         self._schema_col.append(schema_code)
         if data:
             self._values.extend(data.values())
-        self._stream_rows[stream_code].append(sequence)
+        self._link_col.append(self._last_row[stream_code])
+        self._last_row[stream_code] = sequence + 1
         self._end_col.append(len(self._values))  # last: publishes the row
         if self._h_append is not None:
             self._h_append.observe(time.perf_counter() - started)
@@ -167,8 +171,12 @@ class EventStore:
         """All events of one stream, in order."""
         visible = len(self)
         code = self._stream_codes.get(stream)
-        rows = self._stream_rows[code] if code is not None else ()
-        return [self._row(i) for i in rows if i < visible]
+        link = self._last_row[code] if code is not None else 0
+        rows = []
+        while link:  # newest first, from rows the bound may not show yet
+            rows.append(link - 1)
+            link = self._link_col[link - 1]
+        return [self._row(i) for i in reversed(rows) if i < visible]
 
     def streams(self) -> list[str]:
         """All stream names, sorted."""

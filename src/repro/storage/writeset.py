@@ -62,9 +62,12 @@ class WriteSet:
 
     def __len__(self) -> int:
         """Pending operations — the record count of the next commit."""
-        return sum(map(len, self._puts.values())) + sum(
-            map(len, self._deletes.values())
-        )
+        pending = 0
+        for prefix, puts in self._puts.items():
+            deletes = self._deletes[prefix]
+            if puts or deletes:
+                pending += len(puts) + len(deletes)
+        return pending
 
     def has_pending(self, ignoring_deletes_of: str | None = None) -> bool:
         """Whether a commit would write anything, optionally not counting
@@ -84,25 +87,27 @@ class WriteSet:
         """Write everything pending in one transaction, sync, then clear.
 
         Families go in construction order, ids sorted, puts before
-        deletes.  The set is cleared only after both the transaction and
-        the sync succeeded: when either raises, everything stays pending
-        and the next commit retries the whole (idempotent) batch.
+        deletes, visiting only the families with pending writes.  The set
+        is cleared only after both the transaction and the sync succeeded:
+        when either raises, everything stays pending and the next commit
+        retries the whole (idempotent) batch.
         """
+        touched = [p for p, puts in self._puts.items() if puts or self._deletes[p]]
         with store.transaction():
-            for prefix, puts in self._puts.items():
-                for record_id in sorted(puts):
+            for prefix in touched:
+                puts, deletes = self._puts[prefix], self._deletes[prefix]
+                for record_id in sorted(puts) if len(puts) > 1 else list(puts):
                     value = puts[record_id]
                     if callable(value):
                         value = value()
                     store.put(prefix + record_id, value)
-                for record_id in sorted(self._deletes[prefix]):
+                for record_id in sorted(deletes) if len(deletes) > 1 else list(deletes):
                     store.delete(prefix + record_id)
         # group-commit boundary for deferred-sync stores (no-op otherwise)
         store.sync()
-        for puts in self._puts.values():
-            puts.clear()
-        for deletes in self._deletes.values():
-            deletes.clear()
+        for prefix in touched:
+            self._puts[prefix].clear()
+            self._deletes[prefix].clear()
 
 
 class Sequences:

@@ -8,7 +8,9 @@ Lifecycle mutations are serialized by a re-entrant lock.  An engine binds
 its dispatch lock here (:meth:`WorklistService.bind_lock`) so direct
 worklist calls from foreign threads queue behind the running command
 instead of interleaving with it; calls made from inside a dispatched
-command re-enter the same lock without deadlocking.
+command re-enter the same lock without deadlocking.  A bound worklist
+claims, starts and completes only inside a command, which logs and
+commits the change.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class WorklistService:
         self._id_counter = itertools.count(1)
         self._id_prefix = f"wi-{id_namespace}-" if id_namespace else "wi-"
         self._lock = threading.RLock()
+        self._dispatching: Callable[[], bool] = lambda: True  # standalone
         # created or mutated items are put (items are never deleted); an
         # engine binds its shared write-set in place of this private one
         self._writes = WriteSet((WORKITEM_PREFIX,))
@@ -96,9 +99,14 @@ class WorklistService:
 
     # -- wiring -----------------------------------------------------------------
 
-    def bind_lock(self, lock: threading.RLock) -> None:
-        """Share the caller's (engine's) serialization lock."""
-        self._lock = lock
+    def bind_lock(self, lock: threading.RLock, dispatching: Callable[[], bool]) -> None:
+        """Share the caller's (engine's) serialization lock; under it,
+        ``dispatching()`` says whether the holder runs a command."""
+        self._lock, self._dispatching = lock, dispatching
+
+    def _require_command(self, name: str) -> None:
+        if not self._dispatching():
+            raise WorklistError(f"use engine.{name}: a direct call commits nothing")
 
     def bind_writes(self, writes: WriteSet) -> None:
         """Share the caller's (engine's) write-set."""
@@ -276,6 +284,7 @@ class WorklistService:
         item's data).
         """
         with self._lock:
+            self._require_command("claim_work_item")
             item = self.item(item_id)
             resource = self.organization.get(resource_id)
             if not resource.has_role(item.role):
@@ -305,6 +314,7 @@ class WorklistService:
     def start(self, item_id: str) -> WorkItem:
         """The allocated resource begins work."""
         with self._lock:
+            self._require_command("start_work_item")
             item = self.item(item_id)
             item.start(self.clock.now())
             self._touch(item)
@@ -316,6 +326,7 @@ class WorklistService:
     def complete(self, item_id: str, result: dict[str, Any] | None = None) -> WorkItem:
         """Finish an item; fires completion listeners (the engine resumes)."""
         with self._lock:
+            self._require_command("complete_work_item")
             item = self.item(item_id)
             item.complete(result, self.clock.now())
             self._touch(item)

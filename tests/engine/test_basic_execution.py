@@ -397,7 +397,7 @@ class TestTerminateAndAdmin:
         instance = engine.start_instance("susp")
         item = engine.worklist.items()[0]
         engine.suspend_instance(instance.id)
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {"approved": True})
         # suspended: the token moved? no — completion handler checks RUNNING
         assert instance.state is InstanceState.SUSPENDED

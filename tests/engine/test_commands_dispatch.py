@@ -14,7 +14,6 @@ from repro.engine import (
 )
 from repro.engine.engine import ProcessEngine
 from repro.engine.instance import InstanceState
-from repro.history.events import EventTypes
 from repro.model.builder import ProcessBuilder
 from repro.storage.kvstore import DurableKV
 from repro.worklist.errors import WorklistError
@@ -115,22 +114,6 @@ class TestDispatch:
         for record in engine.dispatch_history():
             rebuilt = command_from_dict(record["command"])
             assert rebuilt.name == record["name"]
-
-    def test_history_gets_unified_command_events(self, engine):
-        engine.deploy(automated_model())
-        engine.start_instance("auto", {"n": 1})
-        from repro.history.audit import HistoryService
-
-        events = [
-            e
-            for e in engine.history.instance_events(HistoryService.ENGINE_STREAM)
-            if e.type == EventTypes.COMMAND_DISPATCHED
-        ]
-        assert [e.data["command"] for e in events] == [
-            "deploy_definition",
-            "start_instance",
-        ]
-        assert all(e.data["status"] == "applied" for e in events)
 
     def test_command_metrics_per_type(self, engine):
         engine.deploy(automated_model())

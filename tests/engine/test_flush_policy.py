@@ -132,9 +132,9 @@ class TestIncrementalWrites:
         item = next(
             i for i in engine.worklist.items() if i.instance_id == first.id
         )
+        engine.start_work_item(item.id)
         store.reset_counts()
 
-        engine.worklist.start(item.id)
         engine.complete_work_item(item.id)
         assert f"instance/{first.id}" in store.put_keys
         assert f"workitem/{item.id}" in store.put_keys
@@ -295,7 +295,7 @@ class TestCommitPolicies:
 
         with engine.batch():
             for item_id in items:
-                engine.worklist.start(item_id)
+                engine.start_work_item(item_id)
                 engine.complete_work_item(item_id)
             assert store.commits == 0  # all deferred
         assert store.commits == 1
@@ -353,7 +353,7 @@ class TestCommitPolicies:
         with engine.batch():
             ids = [engine.start_instance("approval").id for _ in range(3)]
             for item in engine.worklist.items():
-                engine.worklist.start(item.id)
+                engine.start_work_item(item.id)
                 engine.complete_work_item(item.id)
         store.close()
 

@@ -68,7 +68,7 @@ class TestMigration:
         assert instance.definition_id == "claim:2"
         # complete the pending user task: the NEW path runs
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables.get("fraud_checked") is True
@@ -85,7 +85,7 @@ class TestMigration:
         )
         assert instance.tokens[0].node_id == "triage"
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         assert instance.state is InstanceState.COMPLETED
 
@@ -116,7 +116,7 @@ class TestMigration:
         engine.deploy(v1())
         instance = engine.start_instance("claim")
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         engine.deploy(v2_extra_step())
         with pytest.raises(MigrationError, match="finished"):
@@ -133,7 +133,7 @@ class TestMigration:
         old_item = [
             i for i in engine.worklist.items() if i.instance_id == old_instance.id
         ][0]
-        engine.worklist.start(old_item.id)
+        engine.start_work_item(old_item.id)
         engine.complete_work_item(old_item.id)
         assert old_instance.state is InstanceState.COMPLETED
         assert "fraud_checked" not in old_instance.variables
@@ -146,7 +146,7 @@ class TestMigration:
             engine.migrate_instance(instance.id, target_version=2)
         assert all(i.definition_id == "claim:2" for i in instances)
         for item in list(engine.worklist.items()):
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)
             engine.complete_work_item(item.id)
         assert all(i.state is InstanceState.COMPLETED for i in instances)
         assert all(i.variables.get("fraud_checked") for i in instances)

@@ -153,10 +153,10 @@ class TestParallelMi:
         items = engine.worklist.items()
         assert len(items) == 3
         for item in items[:2]:
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)
             engine.complete_work_item(item.id)
         assert instance.state is InstanceState.RUNNING
-        engine.worklist.start(items[2].id)
+        engine.start_work_item(items[2].id)
         engine.complete_work_item(items[2].id)
         assert instance.state is InstanceState.COMPLETED
 
@@ -228,7 +228,7 @@ class TestSequentialMi:
                 i for i in engine.worklist.items() if not i.state.is_terminal
             ]
             assert len(open_items) == expected_open
-            engine.worklist.start(open_items[0].id)
+            engine.start_work_item(open_items[0].id)
             engine.complete_work_item(open_items[0].id)
         assert instance.state is InstanceState.COMPLETED
         children = [
@@ -359,7 +359,7 @@ class TestRoundTrips:
         engine2.recover()
         for item in list(engine2.worklist.items()):
             if not item.state.is_terminal:
-                engine2.worklist.start(item.id)
+                engine2.start_work_item(item.id)
                 engine2.complete_work_item(item.id)
         assert engine2.instance(parent_id).state is InstanceState.COMPLETED
         store2.close()

@@ -12,6 +12,8 @@ from repro.engine.instance import InstanceState
 from repro.model.builder import ProcessBuilder
 from repro.storage.kvstore import DurableKV, MemoryKV
 from repro.worklist.allocation import ShortestQueueAllocator
+from repro.worklist.errors import WorklistError
+from repro.worklist.items import WorkItemState
 
 
 def approval_model():
@@ -70,7 +72,7 @@ class TestRecovery:
         recovered = engine2.instance(original_id)
         assert recovered.state is InstanceState.RUNNING
         assert recovered.variables == {"amount": 9}
-        engine2.worklist.start(item_id)
+        engine2.start_work_item(item_id)
         engine2.complete_work_item(item_id, {"approved": True})
         assert recovered.state is InstanceState.COMPLETED
         assert recovered.variables["done"] is True
@@ -189,7 +191,7 @@ class TestBatchedCommitCrashConsistency:
         engine.deploy(approval_model())
         instance_id = engine.start_instance("approval", {"amount": 5}).id
         item_id = engine.worklist.items()[0].id
-        engine.worklist.start(item_id)
+        engine.start_work_item(item_id)
         engine.flush()
 
         scope = engine.batch()
@@ -381,6 +383,46 @@ class TestWorklistOrderSurvivesRestart:
         # and new ids continue after the highest recovered one
         engine2.start_instance("approval")
         assert engine2.worklist.items()[-1].id == "wi-13"
+        store2.close()
+
+
+class TestClaimsAreCommands:
+    """An engine's work item is claimed, started and completed only as a
+    command, so the change is logged and committed: a direct worklist call
+    would change memory alone, and a restart would undo an acknowledged
+    claim."""
+
+    def test_claim_survives_reopen_and_a_direct_claim_raises(self, store_path):
+        clock = VirtualClock(0)
+        store = DurableKV(store_path)
+        engine = ProcessEngine(clock=clock, store=store)  # offers, allocates none
+        engine.organization.add("ana", roles=["clerk"])
+        engine.deploy(approval_model())
+        engine.start_instance("approval")
+        item_id = engine.worklist.items()[0].id
+        with pytest.raises(WorklistError, match=r"engine\.claim_work_item"):
+            engine.worklist.claim(item_id, "ana")
+        with pytest.raises(WorklistError, match=r"engine\.start_work_item"):
+            engine.worklist.start(item_id)
+        with pytest.raises(WorklistError, match=r"engine\.complete_work_item"):
+            engine.worklist.complete(item_id)
+        with engine.batch(), pytest.raises(WorklistError):
+            engine.worklist.claim(item_id, "ana")  # a batch is not a command
+        assert engine.worklist.item(item_id).state is WorkItemState.OFFERED
+
+        engine.claim_work_item(item_id, "ana")
+        assert store.get(f"workitem/{item_id}")["state"] == "allocated"
+        assert engine.dispatch_history()[-1]["name"] == "claim_work_item"
+        store.close()
+
+        store2 = DurableKV(store_path)
+        engine2 = build_engine(store2, clock)
+        engine2.recover()
+        item = engine2.worklist.item(item_id)
+        assert (item.state, item.allocated_to) == (WorkItemState.ALLOCATED, "ana")
+        engine2.start_work_item(item_id)
+        engine2.complete_work_item(item_id)
+        assert engine2.instances()[0].state is InstanceState.COMPLETED
         store2.close()
 
 

@@ -60,13 +60,13 @@ class TestEnforcement:
         instance = engine.start_instance("payment")
         first = engine.worklist.items()[0]
         performer = first.allocated_to
-        engine.worklist.start(first.id)
+        engine.start_work_item(first.id)
         engine.complete_work_item(first.id)
         second = [i for i in engine.worklist.items() if i.node_id == "approve"][0]
         assert second.data["excluded_resources"] == [performer]
         assert second.allocated_to is not None
         assert second.allocated_to != performer
-        engine.worklist.start(second.id)
+        engine.start_work_item(second.id)
         engine.complete_work_item(second.id)
         assert instance.state is InstanceState.COMPLETED
 
@@ -79,13 +79,13 @@ class TestEnforcement:
         engine.deploy(four_eyes_model())
         engine.start_instance("payment")
         first = engine.worklist.items()[0]
-        engine.worklist.claim(first.id, "ana")
-        engine.worklist.start(first.id)
+        engine.claim_work_item(first.id, "ana")
+        engine.start_work_item(first.id)
         engine.complete_work_item(first.id)
         second = [i for i in engine.worklist.items() if i.node_id == "approve"][0]
         with pytest.raises(WorklistError, match="separation of duties"):
-            engine.worklist.claim(second.id, "ana")
-        engine.worklist.claim(second.id, "bo")  # the other clerk may
+            engine.claim_work_item(second.id, "ana")
+        engine.claim_work_item(second.id, "bo")  # the other clerk may
 
     def test_excluded_items_hidden_from_offered_queue(self, clock):
         from repro.engine.engine import ProcessEngine
@@ -96,8 +96,8 @@ class TestEnforcement:
         engine.deploy(four_eyes_model())
         engine.start_instance("payment")
         first = engine.worklist.items()[0]
-        engine.worklist.claim(first.id, "ana")
-        engine.worklist.start(first.id)
+        engine.claim_work_item(first.id, "ana")
+        engine.start_work_item(first.id)
         engine.complete_work_item(first.id)
         assert engine.worklist.offered_for_resource("ana") == []
         assert len(engine.worklist.offered_for_resource("bo")) == 1
@@ -113,7 +113,7 @@ class TestEnforcement:
         engine.deploy(four_eyes_model())
         instance = engine.start_instance("payment")
         first = engine.worklist.items()[0]
-        engine.worklist.start(first.id)
+        engine.start_work_item(first.id)
         engine.complete_work_item(first.id)
         second = [i for i in engine.worklist.items() if i.node_id == "approve"][0]
         assert second.state is WorkItemState.OFFERED
@@ -141,7 +141,7 @@ class TestEnforcement:
         for node in ("draft", "check", "sign"):
             item = [i for i in engine.worklist.items() if i.node_id == node][0]
             performers.append(item.allocated_to)
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)
             engine.complete_work_item(item.id)
         assert instance.state is InstanceState.COMPLETED
         assert len(set(performers)) == 3  # three different people

@@ -90,7 +90,7 @@ class TestAsynchronousChild:
         token = instance.tokens[0]
         assert token.waiting_on["reason"] == "child"
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {"inspection": "passed"})
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["inspection"] == "passed"

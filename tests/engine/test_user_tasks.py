@@ -46,7 +46,7 @@ class TestUserTaskLifecycle:
         engine.deploy(approval_model())
         instance = engine.start_instance("approval")
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {"approved": True})
         assert instance.state is InstanceState.COMPLETED
         assert instance.variables["status"] == "accepted"
@@ -55,7 +55,7 @@ class TestUserTaskLifecycle:
         engine.deploy(approval_model())
         instance = engine.start_instance("approval")
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {"approved": False})
         assert instance.variables["status"] == "rejected"
 
@@ -86,12 +86,12 @@ class TestUserTaskLifecycle:
         engine.deploy(model)
         instance = engine.start_instance("two")
         first = engine.worklist.items()[0]
-        engine.worklist.start(first.id)
+        engine.start_work_item(first.id)
         engine.complete_work_item(first.id)
         assert instance.state is InstanceState.RUNNING
         second = [i for i in engine.worklist.items() if i.node_id == "second"][0]
         assert second.role == "manager"
-        engine.worklist.start(second.id)
+        engine.start_work_item(second.id)
         engine.complete_work_item(second.id)
         assert instance.state is InstanceState.COMPLETED
 
@@ -114,10 +114,10 @@ class TestUserTaskLifecycle:
         instance = engine.start_instance("par_users")
         items = {i.node_id: i for i in engine.worklist.items()}
         # complete in reverse creation order
-        engine.worklist.start(items["ub"].id)
+        engine.start_work_item(items["ub"].id)
         engine.complete_work_item(items["ub"].id)
         assert instance.state is InstanceState.RUNNING
-        engine.worklist.start(items["ua"].id)
+        engine.start_work_item(items["ua"].id)
         engine.complete_work_item(items["ua"].id)
         assert instance.state is InstanceState.COMPLETED
 
@@ -130,8 +130,8 @@ class TestUserTaskLifecycle:
         engine.start_instance("approval")
         offered = engine.worklist.offered_for_resource("cleo")
         assert len(offered) == 1
-        engine.worklist.claim(offered[0].id, "cleo")
-        engine.worklist.start(offered[0].id)
+        engine.claim_work_item(offered[0].id, "cleo")
+        engine.start_work_item(offered[0].id)
         engine.complete_work_item(offered[0].id, {"approved": True})
         assert engine.instances()[0].state is InstanceState.COMPLETED
 
@@ -192,7 +192,7 @@ class TestBoundaryTimerOnUserTask:
         engine.deploy(self.make_model())
         instance = engine.start_instance("sla")
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         assert instance.variables["path"] == "normal"
         clock.advance(1000)
@@ -210,4 +210,4 @@ class TestBoundaryTimerOnUserTask:
         clock.advance(301)
         engine.run_due_jobs()
         with pytest.raises(IllegalWorkItemTransition):
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)

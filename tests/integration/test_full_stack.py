@@ -99,7 +99,7 @@ class TestFullStack:
         # 6. staff finish the recovered human work
         for item in list(engine2.worklist.items()):
             if not item.state.is_terminal:
-                engine2.worklist.start(item.id)
+                engine2.start_work_item(item.id)
                 engine2.complete_work_item(item.id, {"approved": True})
         for instance_id in big_ids:
             recovered = engine2.instance(instance_id)

@@ -103,7 +103,7 @@ class TestHandoverNetwork:
             if not open_items:
                 break
             for item in open_items:
-                engine.worklist.start(item.id)
+                engine.start_work_item(item.id)
                 engine.complete_work_item(item.id)
         network = HandoverNetwork.from_log(to_event_log(engine.history))
         # four-eyes guarantees every case has exactly one handover

@@ -266,7 +266,7 @@ class TestWorklistInstrumentation:
         engine.start_instance("approval")
         assert gauge.value == 2
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {})
         assert gauge.value == 1
         engine.worklist.cancel_for_instance(
@@ -291,7 +291,7 @@ class TestWorklistInstrumentation:
             item = next(
                 i for i in target.worklist.items() if not i.state.is_terminal
             )
-            target.worklist.start(item.id)
+            target.start_work_item(item.id)
             target.complete_work_item(item.id, {})
 
         first = build()

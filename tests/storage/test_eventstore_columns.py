@@ -1,15 +1,18 @@
 """The columnar event log against a list-of-dicts model, its allocation
-budget, and its lock-free readers.
+budget, its row layout, and its lock-free readers.
 
 ``EventStore`` keeps events as coded columns over one flat value list and
-builds ``EventRecord`` objects only on read.  The differential test drives
-random appends and reads against the obvious model — a list of record
+builds ``EventRecord`` objects only on read; a stream is a chain of
+back-links through the rows.  The differential test drives random appends
+over many streams and reads against the obvious model — a list of record
 dicts — in memory and across a close/reopen of a journal-backed store.
-The budget test pins what one recorded event retains.  The ``threads``
-test races four readers against an appending writer: a reader sees an
-event whole or not at all.
+The budget test pins what one recorded event retains, and the layout test
+the fixed bytes of a row and of a stream.  The ``threads`` tests race
+readers against an appending writer: a reader sees an event whole or not
+at all, and a stream or a tail as an in-order prefix.
 """
 
+import bisect
 import gc
 import json
 import os
@@ -18,6 +21,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -47,9 +51,13 @@ json_values = st.recursive(
 data_dicts = st.none() | st.dictionaries(
     st.sampled_from(KEYS) | st.text(max_size=3), json_values, max_size=4
 )
+# forty numbered streams interleave many back-link chains
+MANY_STREAMS = [f"c-{n}" for n in range(40)]
 appends = st.tuples(
     st.just("append"),
-    st.sampled_from(STREAMS) | st.text(min_size=1, max_size=4),
+    st.sampled_from(STREAMS)
+    | st.sampled_from(MANY_STREAMS)
+    | st.text(min_size=1, max_size=4),
     st.sampled_from(TYPES),
     st.integers(-(10**9), 10**9) | st.floats(allow_nan=False, allow_infinity=False),
     data_dicts,
@@ -60,11 +68,12 @@ reads = st.one_of(
     st.tuples(st.just("streams")),
     st.tuples(st.just("since"), st.integers(-4, 12)),
     st.tuples(st.just("stream"), st.sampled_from(STREAMS + ["missing"])),
+    st.tuples(st.just("every_stream")),
     st.tuples(st.just("of_type"), st.sampled_from(TYPES + ["missing"])),
     st.tuples(st.just("mutate"), st.integers(0, 40)),
     st.tuples(st.just("reopen")),
 )
-operations = st.lists(appends | reads, max_size=40)
+operations = st.lists(appends | reads, max_size=60)
 
 
 def same(records, expected):
@@ -103,6 +112,9 @@ def run_against_model(ops, path):
                 same(store.since(op[1]), model[op[1]:])
             elif kind == "stream":
                 same(store.stream(op[1]), [e for e in model if e["stream"] == op[1]])
+            elif kind == "every_stream":
+                for name in {e["stream"] for e in model}:
+                    same(store.stream(name), [e for e in model if e["stream"] == name])
             elif kind == "of_type":
                 same(store.of_type(op[1]), [e for e in model if e["type"] == op[1]])
             elif kind == "mutate" and model:
@@ -247,6 +259,49 @@ def test_recording_an_event_retains_at_most_64_bytes():
     assert (after - before) / BUDGET_EVENTS <= BUDGET_BYTES_PER_EVENT
 
 
+# ---------------------------------------------------------------- row layout
+
+FIXED_BYTES_PER_ROW = 24  # time 8, stream code, schema code, link, row end 4
+
+
+def column_bytes(store):
+    """The arrays the store holds, also inside its lists, as ``(per_row,
+    per_stream, count, total)``: the item bytes of the per-row columns and
+    of the per-stream arrays, how many arrays there are, and their bytes."""
+    arrays = [v for v in vars(store).values() if isinstance(v, array)]
+    arrays += [
+        a
+        for v in vars(store).values()
+        if isinstance(v, list)
+        for a in v
+        if isinstance(a, array)
+    ]
+    rows = [a for a in arrays if len(a) == len(store)]
+    streams = [a for a in arrays if len(a) == len(store.streams())]
+    return (
+        sum(a.itemsize for a in rows),
+        sum(a.itemsize for a in streams),
+        len(arrays),
+        sum(a.itemsize * len(a) for a in arrays),
+    )
+
+
+def test_a_row_holds_at_most_24_fixed_column_bytes():
+    """A row costs its fixed columns and its values, nothing per stream but
+    one 32-bit last-row entry: no array per stream, no 64-bit index."""
+    store = EventStore()
+    store.append("warm", "x", 0.0)
+    _, _, arrays, _ = column_bytes(store)
+    rows, streams = 3_000, 300
+    for n in range(rows):
+        store.append(f"s{n % streams}", "node.entered", float(n), {"n": n})
+    per_row, per_stream, after, total = column_bytes(store)
+    assert after == arrays  # opening a stream allocates no array
+    assert per_row <= FIXED_BYTES_PER_ROW
+    assert per_stream <= 4
+    assert total == per_row * len(store) + per_stream * len(store.streams())
+
+
 # ------------------------------------------------------------ racing readers
 
 
@@ -344,3 +399,78 @@ def test_lock_free_readers_never_see_a_partial_row():
     for record in store.since(total - 100):
         check(record)
     assert len(read_of_type()) == len(range(1, total, 3))
+
+
+class YieldFirst(array):
+    """A column whose append lets other threads run first: a reader then
+    meets every write the writer made before this one, and none after."""
+
+    def append(self, value):
+        time.sleep(0)
+        super().append(value)
+
+
+@pytest.mark.threads
+def test_racing_stream_and_since_readers_see_in_order_prefixes():
+    """Readers walking back-links (``stream``) and tails (``since``) while a
+    writer appends to interleaved streams see, each time, an in-order
+    prefix of what the writer will have written, holding at least every
+    row published before the read began."""
+    store = EventStore()
+    store._link_col, store._end_col = YieldFirst("I"), YieldFirst("I")
+    total, width = 20_000, 7
+    streams = [f"s{k}" for k in range(width)]
+    # row n goes to stream (n * n) % width: uneven gaps between a stream's rows
+    expected = {name: [] for name in streams}
+    for n in range(total):
+        expected[streams[(n * n) % width]].append(n)
+    failures = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for n in range(total):
+                store.append(streams[(n * n) % width], "t", float(n), {"n": n})
+        except Exception as exc:  # pragma: no cover - only on bugs
+            failures.append(exc)
+        finally:
+            done.set()
+
+    def stream_reader(name):
+        try:
+            while not done.is_set():
+                published = len(store)
+                records = store.stream(name)
+                rows = [record.sequence for record in records]
+                assert rows == expected[name][: len(rows)]
+                # every row published before the call is in it
+                assert len(rows) >= bisect.bisect_left(expected[name], published)
+                assert all(record.data["n"] == record.sequence for record in records)
+        except Exception as exc:  # pragma: no cover - only on bugs
+            failures.append(exc)
+
+    def since_reader():
+        try:
+            while not done.is_set():
+                start = max(0, len(store) - 25)
+                rows = [record.sequence for record in store.since(start)]
+                assert rows == list(range(start, start + len(rows)))
+        except Exception as exc:  # pragma: no cover - only on bugs
+            failures.append(exc)
+
+    threads = [threading.Thread(target=writer)]
+    threads += [threading.Thread(target=stream_reader, args=(s,)) for s in streams[:3]]
+    threads.append(threading.Thread(target=since_reader))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    for name in streams:
+        assert [r.sequence for r in store.stream(name)] == expected[name]

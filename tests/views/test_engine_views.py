@@ -47,7 +47,7 @@ class TestFlushHook:
         instance = engine.start_instance("approval")
         engine.clock.advance(30)
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         engine.flush()
         # finished: out of the live records, into rank page 0
@@ -173,7 +173,7 @@ class TestWriteBehind:
         engine.deploy(approval_model())
         engine.start_instance("approval")
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         engine.complete_work_item(item.id)
         store.reset_counts()
         engine.flush()
@@ -228,7 +228,7 @@ class TestWorklistOpenCount:
         engine.start_instance("approval")
         assert engine.worklist.open_count == 2
         item = engine.worklist.items()[0]
-        engine.worklist.start(item.id)
+        engine.start_work_item(item.id)
         assert engine.worklist.open_count == 2
         engine.complete_work_item(item.id)
         assert engine.worklist.open_count == 1

@@ -35,7 +35,7 @@ def run_some_work(engine, instances=3):
         for k in range(instances)
     ]
     item = engine.worklist.items()[0]
-    engine.worklist.start(item.id)
+    engine.start_work_item(item.id)
     engine.clock.advance(10)
     engine.complete_work_item(item.id)
     # orderly shutdown: the forced flush drains write-behind view dirt,

@@ -53,7 +53,7 @@ def apply_op(engine, action, n):
         ]
         if open_items:
             item = open_items[n % len(open_items)]
-            engine.worklist.start(item.id)
+            engine.start_work_item(item.id)
             engine.complete_work_item(item.id)
     elif action == "cancel_item":
         open_items = [

@@ -21,7 +21,7 @@ def engine_store(tmp_path):
     for k in range(3):
         engine.start_instance("approval", business_key=f"bk-{k}")
     item = engine.worklist.items()[0]
-    engine.worklist.start(item.id)
+    engine.start_work_item(item.id)
     engine.complete_work_item(item.id)
     engine.flush()  # orderly shutdown drains the write-behind view dirt
     engine.store.close()
