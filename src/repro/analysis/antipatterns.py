@@ -1,8 +1,9 @@
 """Behavioural anti-pattern rules (SND001–SND006) on the WF-net translation.
 
 The pass reuses the BPMN→Petri mapping (:func:`repro.model.mapping.to_workflow_net`)
-and the coverability/reachability machinery, but classifies defects into
-*model-level* diagnoses instead of net-level soundness verdicts:
+and the one state-space core (:func:`repro.petri.workflow_net.explore`), but
+maps its classified markings to *model-level* diagnoses instead of net-level
+soundness verdicts:
 
 * **SND001 deadlock** — a stuck non-final marking; attributed to the
   parallel join that is partially enabled in it (the XOR-split→AND-join
@@ -22,16 +23,16 @@ and the coverability/reachability machinery, but classifies defects into
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import SND001, SND002, SND003, SND004, SND005, SND006
 from repro.model.elements import ACTIVITY_TYPES, ParallelGateway
 from repro.model.errors import ModelError
 from repro.model.mapping import to_workflow_net
 from repro.model.process import ProcessDefinition
-from repro.petri.coverability import build_coverability_graph
-from repro.petri.errors import AnalysisBudgetExceeded
 from repro.petri.marking import Marking
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.workflow_net import explore
 
 
 def behavioral_pass(
@@ -47,44 +48,19 @@ def behavioral_pass(
         wf_net = to_workflow_net(definition)
     except ModelError as exc:
         return [_skipped(definition, f"model has no WF-net translation: {exc}")]
-    net = wf_net.net
-
-    try:
-        coverability = build_coverability_graph(
-            net, Marking.single(wf_net.source), max_states=max_states
-        )
-    except AnalysisBudgetExceeded as exc:
-        return [_skipped(definition, f"analysis budget exceeded: {exc}")]
-
-    if not coverability.is_bounded():
-        return _unbounded_diagnostics(definition, wf_net, coverability)
-
-    try:
-        graph = build_reachability_graph(
-            net, Marking.single(wf_net.source), max_states=max_states
-        )
-    except AnalysisBudgetExceeded as exc:  # pragma: no cover - bounded nets fit
-        return [_skipped(definition, f"analysis budget exceeded: {exc}")]
-
-    diagnostics: list[Diagnostic] = []
-    final = Marking.single(wf_net.sink)
-
-    reaching_final = (
-        graph.markings_reaching(final) if final in graph.markings else set()
+    space = explore(
+        wf_net.net, wf_net.initial_marking(), wf_net.final_marking(), max_states
     )
-    stuck = graph.markings - reaching_final
-    # markings that already produced a completion token are termination
-    # states (proper or not) — classified by SND002/SND004, not as
-    # deadlock/livelock
-    deadlocks = [
-        m for m in stuck
-        if not graph.edges.get(m) and m[wf_net.sink] == 0
-    ]
-    livelocked = [
-        m for m in stuck if graph.edges.get(m) and m[wf_net.sink] == 0
-    ]
+    if space.skipped is not None:
+        return [_skipped(definition, space.skipped)]
+    if space.unbounded:
+        return _unbounded_diagnostics(definition, wf_net.sink, space.unbounded)
 
-    for marking in sorted(deadlocks, key=repr)[:3]:
+    # deadlocks and livelocks exclude markings that already produced a
+    # completion token: those are termination states (proper or not),
+    # classified by SND002/SND004
+    diagnostics: list[Diagnostic] = []
+    for marking in space.deadlocks[:3]:
         joins = _partial_joins(definition, marking)
         element = joins[0] if joins else definition.key
         detail = (
@@ -100,7 +76,7 @@ def behavioral_pass(
                  "join types on every path",
         ))
 
-    duplicates = _duplicate_token_elements(definition, wf_net.sink, graph.markings)
+    duplicates = _duplicate_token_elements(definition, wf_net.sink, space.markings)
     for element, marking in duplicates[:3]:
         diagnostics.append(Diagnostic(
             rule=SND002.id,
@@ -113,8 +89,8 @@ def behavioral_pass(
             hint="an AND-split merged by an XOR-join? Join parallel branches "
                  "with a parallel gateway",
         ))
-    if livelocked and not deadlocks:
-        marking = sorted(livelocked, key=repr)[0]
+    if space.livelocks and not space.deadlocks:
+        marking = space.livelocks[0]
         diagnostics.append(Diagnostic(
             rule=SND005.id,
             severity=SND005.severity,
@@ -127,15 +103,8 @@ def behavioral_pass(
                  "end event",
         ))
 
-    if not deadlocks and not duplicates:
-        improper = sorted(
-            (
-                m for m in graph.markings
-                if m[wf_net.sink] >= 1 and m != final
-            ),
-            key=repr,
-        )
-        for marking in improper[:1]:
+    if not space.deadlocks and not duplicates:
+        for marking in space.improper[:1]:
             leftovers = _token_elements(definition, wf_net.sink, marking)
             if leftovers:
                 detail = (
@@ -156,7 +125,9 @@ def behavioral_pass(
                      "end event for the strict completion guarantee",
             ))
 
-    for node_id in _dead_activities(definition, graph.dead_transitions()):
+    for node_id in space.dead_transitions:
+        if not isinstance(definition.nodes.get(node_id), ACTIVITY_TYPES):
+            continue
         diagnostics.append(Diagnostic(
             rule=SND003.id,
             severity=SND003.severity,
@@ -179,15 +150,9 @@ def _skipped(definition: ProcessDefinition, reason: str) -> Diagnostic:
 
 
 def _unbounded_diagnostics(
-    definition: ProcessDefinition, wf_net: object, coverability: object
+    definition: ProcessDefinition, sink: str, places: list[str]
 ) -> list[Diagnostic]:
-    places = coverability.unbounded_places()  # type: ignore[attr-defined]
-    sink = wf_net.sink  # type: ignore[attr-defined]
-    elements = sorted({
-        _place_element(definition, place)
-        for place in places
-        if place != sink
-    })
+    elements = _token_elements(definition, sink, places)
     diagnostics = [
         Diagnostic(
             rule=SND002.id,
@@ -225,21 +190,18 @@ def _place_element(definition: ProcessDefinition, place: str) -> str:
 
 
 def _token_elements(
-    definition: ProcessDefinition, sink: str, marking: Marking
+    definition: ProcessDefinition, sink: str, places: Iterable[str]
 ) -> list[str]:
-    elements = []
-    for place, count in marking.items():
-        if place == sink or count < 1:
-            continue
-        elements.append(_place_element(definition, place))
-    return sorted(set(elements))
+    """The model elements the places belong to, the sink excluded (a
+    marking iterates over its marked places)."""
+    return sorted({_place_element(definition, p) for p in places if p != sink})
 
 
 def _duplicate_token_elements(
-    definition: ProcessDefinition, sink: str, markings: set[Marking]
+    definition: ProcessDefinition, sink: str, markings: list[Marking]
 ) -> list[tuple[str, Marking]]:
     seen: dict[str, Marking] = {}
-    for marking in sorted(markings, key=repr):
+    for marking in markings:
         for place, count in marking.items():
             if count >= 2 and place != sink:
                 element = _place_element(definition, place)
@@ -260,15 +222,3 @@ def _partial_joins(definition: ProcessDefinition, marking: Marking) -> list[str]
         if marked and len(marked) < len(incoming):
             joins.append(node.id)
     return sorted(joins)
-
-
-def _dead_activities(
-    definition: ProcessDefinition, dead_transitions: set[str]
-) -> list[str]:
-    """Dead net transitions filtered down to real model activities/events."""
-    dead = []
-    for transition_id in dead_transitions:
-        node = definition.nodes.get(transition_id)
-        if node is not None and isinstance(node, ACTIVITY_TYPES):
-            dead.append(transition_id)
-    return sorted(dead)

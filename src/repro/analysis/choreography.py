@@ -14,9 +14,9 @@ Channels with no internal sender are *open*: an external client may
 publish the message, so their receive transitions stay unconstrained
 (otherwise every externally-triggered wait would be reported as a
 deadlock; MSG002 already flags them statically).  Composition is done per
-connected component of the closed-channel topology, and the state space
-is budget-guarded like the per-model pass — exhaustion yields **CHOR003**
-(info), never a false verdict.
+connected component of the closed-channel topology, and its state space
+comes from the per-model pass's core (:func:`repro.petri.workflow_net.explore`)
+— an exceeded budget yields **CHOR003** (info), never a false verdict.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from repro.analysis.interproc import DeploymentGraph
 from repro.analysis.rules import CHOR001, CHOR003
 from repro.model.errors import ModelError
 from repro.model.mapping import to_workflow_net
-from repro.petri.coverability import build_coverability_graph
-from repro.petri.errors import AnalysisBudgetExceeded
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.workflow_net import explore
 
 #: separator between a definition key and an embedded node id
 _SEP = "::"
@@ -158,30 +156,21 @@ def _analyze_component(
         net, initial, final = compose_component(graph, keys)
     except ModelError as exc:
         return _skipped(keys, f"a member has no WF-net translation: {exc}")
-    try:
-        coverability = build_coverability_graph(
-            net, initial, max_states=max_states
-        )
-    except AnalysisBudgetExceeded as exc:
-        return _skipped(keys, f"analysis budget exceeded: {exc}")
-    if not coverability.is_bounded():
+    space = explore(net, initial, final, max_states)
+    if space.skipped is not None:
+        return _skipped(keys, space.skipped)
+    if space.unbounded:
         return _skipped(
             keys,
             "the composed net is unbounded (a send loop can flood a "
             "channel); cross-process behavioural rules were not decided",
         )
-    try:
-        reachability = build_reachability_graph(
-            net, initial, max_states=max_states
-        )
-    except AnalysisBudgetExceeded as exc:  # pragma: no cover - bounded nets
-        return _skipped(keys, f"analysis budget exceeded: {exc}")
 
+    # deadlocks exclude markings where every instance completed: their
+    # leftovers are per-model SND004
     findings: list[tuple[str, Diagnostic]] = []
     reported: set[tuple[str, str]] = set()
-    for marking in reachability.deadlocks():
-        if all(marking[sink] >= count for sink, count in final.items()):
-            continue  # every instance completed; leftovers are per-model SND004
+    for marking in space.deadlocks:
         for key, element_id, message in _starved_receives(net, marking, keys):
             if (key, element_id) in reported:
                 continue

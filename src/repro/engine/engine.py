@@ -802,11 +802,11 @@ class ProcessEngine(CommandClient):
     # -- messages ----------------------------------------------------------------
 
     def _handle_correlate_message(self, cmd: cmds.CorrelateMessage) -> Message:
-        return self.publish_message(
+        return self._publish_message(
             cmd.message_name, cmd.correlation, cmd.payload, forward=False
         )
 
-    def publish_message(
+    def _publish_message(
         self,
         name: str,
         correlation: Any = None,

@@ -345,7 +345,7 @@ def execute_send_task(engine, instance, definition, token, node: SendTask) -> No
             return
         payload = value if isinstance(value, dict) else {"value": value}
     correlation = payload.get("correlation")
-    engine.publish_message(node.message_name, correlation, payload)
+    engine._publish_message(node.message_name, correlation, payload)
     engine._record(
         instance,
         EventTypes.MESSAGE_SENT,

@@ -18,8 +18,9 @@ The translation follows the classical BPMN→Petri-net scheme:
   activity's input place;
 * event-based gateways map like XOR (the race is a free choice in the net).
 
-The result is verified with :func:`repro.petri.workflow_net.check_soundness`
-at deploy time when the definition is deployed with ``verify=True``.
+Deploying with ``verify=True`` runs :func:`repro.analysis.analyze`, whose
+behavioural pass (SND rules) classifies this net's state space with
+:func:`repro.petri.workflow_net.explore`, the core behind ``check_soundness``.
 
 Caveat documented for model authors: a process with multiple end events on
 *parallel* paths completes fine under BPMN implicit-termination semantics

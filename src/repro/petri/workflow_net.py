@@ -8,20 +8,22 @@ Soundness (van der Aalst) requires, from the initial marking [i]:
 * **proper completion** — any reachable marking covering ``o`` equals [o];
 * **no dead transitions** — every transition fires in some run.
 
-The checker first runs Karp–Miller to rule out unboundedness (an unbounded
-WF-net is never sound), then decides the three properties on the explicit
-reachability graph and reports diagnostics with counterexample markings.
+:func:`explore` is the one state-space core behind this check, the deploy
+gate's SND rules and the choreography pass: a single Karp–Miller run rules
+out unboundedness (an unbounded WF-net is never sound) and, on a bounded
+net, is the reachability graph the three properties are decided on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.petri.coverability import build_coverability_graph
 from repro.petri.errors import AnalysisBudgetExceeded, NotAWorkflowNetError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.reachability import ReachabilityGraph
 
 
 @dataclass
@@ -110,6 +112,74 @@ class WorkflowNet:
 
 
 @dataclass
+class StateSpace:
+    """A net's state space from ``initial``, classified against ``final``.
+
+    ``stuck`` markings cannot reach ``final``; of those that do not cover
+    it, ``deadlocks`` have no successor and ``livelocks`` have one.
+    ``improper`` markings cover ``final`` and differ from it.  Every list
+    is sorted by ``repr``, so nothing depends on set order.
+    """
+
+    skipped: str | None = None
+    unbounded: list[str] = field(default_factory=list)
+    state_count: int = 0
+    markings: list[Marking] = field(default_factory=list)
+    stuck: list[Marking] = field(default_factory=list)
+    deadlocks: list[Marking] = field(default_factory=list)
+    livelocks: list[Marking] = field(default_factory=list)
+    improper: list[Marking] = field(default_factory=list)
+    dead_transitions: list[str] = field(default_factory=list)
+    graph: ReachabilityGraph | None = None
+
+
+def explore(
+    net: PetriNet, initial: Marking, final: Marking, max_states: int
+) -> StateSpace:
+    """Explore ``net`` once and classify what it reaches; never raises.
+
+    An exceeded budget sets only ``skipped``, an unbounded net only
+    ``unbounded`` and ``state_count``.  On a bounded net no Karp–Miller
+    acceleration fires, so the coverability graph is ``graph``.
+    """
+    try:
+        coverability = build_coverability_graph(net, initial, max_states=max_states)
+    except AnalysisBudgetExceeded as exc:
+        return StateSpace(skipped=f"analysis budget exceeded: {exc}")
+    if not coverability.is_bounded():
+        return StateSpace(
+            unbounded=sorted(coverability.unbounded_places()),
+            state_count=coverability.size,
+        )
+    plain = {
+        node: Marking((p, c) for p, c in node.items() if isinstance(c, int))
+        for node in coverability.nodes
+    }
+    graph = ReachabilityGraph(
+        net=net,
+        initial=initial,
+        markings=set(plain.values()),
+        edges={
+            plain[node]: [(t, plain[succ]) for t, succ in successors]
+            for node, successors in coverability.edges.items()
+        },
+    )
+    markings = sorted(graph.markings, key=repr)
+    reaching_final = graph.markings_reaching(final)
+    stuck = [m for m in markings if m not in reaching_final]
+    return StateSpace(
+        state_count=graph.size,
+        markings=markings,
+        stuck=stuck,
+        deadlocks=[m for m in stuck if not graph.edges[m] and not m.covers(final)],
+        livelocks=[m for m in stuck if graph.edges[m] and not m.covers(final)],
+        improper=[m for m in markings if m.covers(final) and m != final],
+        dead_transitions=sorted(graph.dead_transitions()),
+        graph=graph,
+    )
+
+
+@dataclass
 class SoundnessReport:
     """Outcome and diagnostics of a soundness check."""
 
@@ -120,7 +190,10 @@ class SoundnessReport:
     proper_completion: bool | None = None
     dead_transitions: set[str] = field(default_factory=set)
     structural_errors: list[str] = field(default_factory=list)
+    #: witness against option to complete: a dead end if there is one
     counterexample: Marking | None = None
+    #: witness against proper completion: it covers the sink
+    improper_marking: Marking | None = None
     state_count: int = 0
 
     @property
@@ -135,7 +208,7 @@ class SoundnessReport:
             )
         if self.proper_completion is False:
             issues.append(
-                f"proper completion violated (tokens left behind in {self.counterexample})"
+                f"proper completion violated (tokens left behind in {self.improper_marking})"
             )
         if self.dead_transitions:
             issues.append(f"dead transitions: {sorted(self.dead_transitions)}")
@@ -158,59 +231,28 @@ def check_soundness(
             is_workflow_net=False, sound=False, structural_errors=[str(exc)]
         )
 
-    initial = wf_net.initial_marking()
-    final = wf_net.final_marking()
-
-    # Step 1: boundedness via Karp-Miller (reachability would diverge).
-    try:
-        coverability = build_coverability_graph(net, initial, max_states=max_states)
-    except AnalysisBudgetExceeded as exc:
+    space = explore(net, wf_net.initial_marking(), wf_net.final_marking(), max_states)
+    if space.skipped is not None:
         return SoundnessReport(
-            is_workflow_net=True,
-            sound=False,
-            structural_errors=[f"analysis budget exceeded: {exc}"],
+            is_workflow_net=True, sound=False, structural_errors=[space.skipped]
         )
-    if not coverability.is_bounded():
+    if space.unbounded:
         return SoundnessReport(
             is_workflow_net=True,
             sound=False,
             bounded=False,
-            state_count=coverability.size,
+            state_count=space.state_count,
         )
-
-    # Step 2: exact properties on the explicit reachability graph.
-    try:
-        graph = build_reachability_graph(net, initial, max_states=max_states)
-    except AnalysisBudgetExceeded as exc:
-        return SoundnessReport(
-            is_workflow_net=True,
-            sound=False,
-            bounded=True,
-            structural_errors=[f"analysis budget exceeded: {exc}"],
-        )
-
-    report = SoundnessReport(
-        is_workflow_net=True, sound=True, bounded=True, state_count=graph.size
+    assert space.graph is not None
+    dead_ends = [m for m in space.stuck if not space.graph.edges[m]]
+    return SoundnessReport(
+        is_workflow_net=True,
+        sound=not (space.stuck or space.improper or space.dead_transitions),
+        bounded=True,
+        option_to_complete=not space.stuck,
+        proper_completion=not space.improper,
+        dead_transitions=set(space.dead_transitions),
+        counterexample=next(chain(dead_ends, space.stuck), None),
+        improper_marking=next(iter(space.improper), None),
+        state_count=space.state_count,
     )
-
-    reaching_final = graph.markings_reaching(final) if final in graph.markings else set()
-    stuck = graph.markings - reaching_final
-    report.option_to_complete = not stuck
-    if stuck:
-        report.counterexample = next(iter(stuck))
-
-    improper = [
-        m for m in graph.markings if m[wf_net.sink] >= 1 and m != final
-    ]
-    report.proper_completion = not improper
-    if improper and report.counterexample is None:
-        report.counterexample = improper[0]
-
-    report.dead_transitions = graph.dead_transitions()
-
-    report.sound = bool(
-        report.option_to_complete
-        and report.proper_completion
-        and not report.dead_transitions
-    )
-    return report

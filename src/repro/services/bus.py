@@ -1,7 +1,7 @@
 """The retained-message buffer: messages that arrived before their receiver.
 
-Correlation is an engine step (:meth:`ProcessEngine.publish_message
-<repro.engine.engine.ProcessEngine.publish_message>`): a send task or a
+Correlation is an engine step (``ProcessEngine._publish_message``; the
+public path is ``correlate_message``): a send task or a
 ``CorrelateMessage`` is matched directly against the engine's message
 waits, and a message no wait takes is retained here per message name, so
 a receiver activating later still gets it (at-least-once, buffer

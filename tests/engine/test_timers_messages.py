@@ -151,6 +151,12 @@ class TestMessages:
         engine.correlate_message("ping", correlation="whatever")
         assert instance.state is InstanceState.COMPLETED
 
+    def test_correlation_has_one_public_path(self, engine):
+        # delivering outside a command would change a case in memory with
+        # no log entry and no commit; recover() would undo it
+        assert not hasattr(engine, "publish_message")
+        assert callable(engine.correlate_message)
+
 
 class TestSendReceiveBetweenProcesses:
     def test_send_task_feeds_waiting_receive(self, engine):

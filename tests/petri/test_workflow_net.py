@@ -1,9 +1,16 @@
 """Tests for WF-net detection and the soundness checker."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.petri import builders
 from repro.petri.errors import NotAWorkflowNetError
 from repro.petri.marking import Marking
@@ -132,3 +139,47 @@ class TestReportDiagnostics:
 
     def test_problems_empty_for_sound_net(self):
         assert check_soundness(builders.sequence_net(3)).problems == []
+
+
+# the T2 defect nets, reported from a fresh interpreter so that the hash
+# seed (and with it every set's iteration order) can differ between runs
+_WITNESS_SCRIPT = """
+import json
+from repro.petri import builders
+from repro.petri.workflow_net import check_soundness
+out = {}
+for family in ("deadlocking_net", "improper_completion_net",
+               "dead_transition_net", "unbounded_net"):
+    report = check_soundness(getattr(builders, family)())
+    improper = report.improper_marking
+    out[family] = [report.problems, improper and improper.to_dict()]
+print(json.dumps(out))
+"""
+
+
+def _witnesses(hash_seed: str) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _WITNESS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(done.stdout)
+
+
+class TestWitnesses:
+    def test_problems_do_not_depend_on_the_hash_seed(self):
+        first, second = _witnesses("1"), _witnesses("3")
+        assert first == second
+        problems, improper = first["improper_completion_net"]
+        assert improper["o"] >= 1 and improper != {"o": 1}
+        assert any("proper completion" in p for p in problems)
+
+    def test_option_witness_is_a_dead_end(self):
+        report = check_soundness(builders.deadlocking_net())
+        assert report.counterexample == Marking({"pa": 1})
+        report = check_soundness(builders.improper_completion_net())
+        # no non-completing dead end exists, so the witness is the stuck
+        # double completion
+        assert report.counterexample == Marking({"o": 2})
+        assert report.improper_marking == Marking({"o": 1, "pa": 1})
