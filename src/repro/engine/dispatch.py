@@ -173,10 +173,9 @@ def _touched_snapshot(writes: WriteSet) -> dict[str, list[str]] | None:
 class Dispatcher:
     """Executes commands one at a time, in the order the module lists.
 
-    The gate is the engine's ``_dispatch_lock``, shared with the
-    worklist service (``bind_lock``) and held by an open
-    ``engine.batch()``, so direct worklist clients and other threads'
-    batches serialize against command dispatch.
+    The gate is the engine's ``_dispatch_lock``, held by an open
+    ``engine.batch()`` and shared with the worklist service, which
+    changes nothing unless :meth:`running` (``bind_lock``).
     """
 
     def __init__(

@@ -181,7 +181,6 @@ class ProcessEngine(CommandClient):
             id_namespace=shard_tag,
         )
         self.worklist.bind_writes(self._writes)
-        self.worklist.on_completion(self._on_work_item_completed)
         self.invoker = ServiceInvoker(self.services, clock=self.clock, obs=self.obs)
         # observability wiring: cached instruments for the hot loop, the
         # engine root span, and per-instance spans (ended on finish)
@@ -722,15 +721,13 @@ class ProcessEngine(CommandClient):
         return self.worklist.start(cmd.item_id)
 
     def _handle_complete_work_item(self, cmd: cmds.CompleteWorkItem) -> WorkItem:
-        return self.worklist.complete(cmd.item_id, dict(cmd.result))
-
-    def _on_work_item_completed(self, item: WorkItem) -> None:
+        item = self.worklist.complete(cmd.item_id, dict(cmd.result))
         instance = self._instances.get(item.instance_id)
         if instance is None or instance.state.is_finished:
-            return
+            return item
         token = instance.token(item.data.get("token_id"))
         if token is None or token.waiting_on.get("work_item_id") != item.id:
-            return
+            return item
         definition = self._definition_of(instance)
         node = definition.node(token.node_id)
         core.cancel_boundary_jobs(self, instance, token)
@@ -756,6 +753,7 @@ class ProcessEngine(CommandClient):
             core.advance(self, instance)
         else:
             self._touch(instance)
+        return item
 
     # -- timers ------------------------------------------------------------------
 

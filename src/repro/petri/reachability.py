@@ -81,35 +81,64 @@ class ReachabilityGraph:
                     queue.append(prev)
         return result
 
+    def _bottom_components(self) -> list[set[Marking]]:
+        """The terminal strongly connected components: markings that reach
+        one another and nothing else.  Every marking reaches one of them
+        (one iterative Tarjan pass, linear in markings and edges)."""
+        successors = {
+            m: [n for _, n in self.edges.get(m, ()) if n in self.markings]
+            for m in self.markings
+        }
+        index: dict[Marking, int] = {}
+        low: dict[Marking, int] = {}  # its keys: the markings on the stack
+        stack: list[Marking] = []
+        bottoms: list[set[Marking]] = []
+        for root in self.markings:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            work = [(root, iter(successors[root]))]
+            while work:
+                node, pending = work[-1]
+                for nxt in pending:
+                    if nxt not in index:
+                        index[nxt] = low[nxt] = len(index)
+                        stack.append(nxt)
+                        work.append((nxt, iter(successors[nxt])))
+                        break
+                    if nxt in low:
+                        low[node] = min(low[node], index[nxt])
+                else:
+                    work.pop()
+                    if low[node] < index[node]:  # not a component's root
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                        continue
+                    component = set()
+                    while node not in component:
+                        member = stack.pop()
+                        del low[member]
+                        component.add(member)
+                    if all(n in component for m in component for n in successors[m]):
+                        bottoms.append(component)
+        return bottoms
+
     def is_live(self) -> bool:
         """Classical liveness: every transition can fire again from every
-        reachable marking (L4-liveness).
-
-        Implemented as: for every transition ``t``, every reachable marking
-        can reach some marking that enables ``t``.
-        """
-        for transition_id in self.net.transitions:
-            enabling = {
-                m
-                for m in self.markings
-                if self.net.is_enabled(m, transition_id)
-            }
-            if not enabling:
-                return False
-            reaching: set[Marking] = set()
-            for m in enabling:
-                reaching |= self.markings_reaching(m)
-            if reaching != self.markings:
-                return False
-        return True
+        reachable marking (L4-liveness) — so every bottom component, which
+        all markings reach and none leaves, enables every transition."""
+        transitions = set(self.net.transitions)
+        return all(
+            {t for m in bottom for t in self.net.enabled(m)} >= transitions
+            for bottom in self._bottom_components()
+        )
 
     def home_markings(self) -> set[Marking]:
-        """Markings reachable from every reachable marking."""
-        result = set()
-        for candidate in self.markings:
-            if self.markings_reaching(candidate) == self.markings:
-                result.add(candidate)
-        return result
+        """Markings reachable from every reachable marking: the one bottom
+        component when there is exactly one, else none."""
+        bottoms = self._bottom_components()
+        return bottoms[0] if len(bottoms) == 1 else set()
 
     def max_tokens_per_place(self) -> dict[str, int]:
         """The bound observed for each place over the explored space."""

@@ -92,7 +92,7 @@ class WorkItem:
         self.allocated_at = now
 
     def reoffer(self, now: float) -> None:
-        """Return an allocated item to the queue (delegation/escalation)."""
+        """Return an allocated item to the queue (deadline escalation)."""
         self._transition(WorkItemState.OFFERED)
         self.allocated_to = None
         self.offered_at = now

@@ -1,16 +1,13 @@
 """The worklist service: queues, lifecycle operations, deadlines.
 
-The engine calls :meth:`WorklistService.create_item` when a token reaches a
-user task and registers a completion listener to resume the token.  People
-(or the simulator) interact through ``claim``/``start``/``complete``.
-
-Lifecycle mutations are serialized by a re-entrant lock.  An engine binds
-its dispatch lock here (:meth:`WorklistService.bind_lock`) so direct
-worklist calls from foreign threads queue behind the running command
-instead of interleaving with it; calls made from inside a dispatched
-command re-enter the same lock without deadlocking.  A bound worklist
-claims, starts and completes only inside a command, which logs and
-commits the change.
+The engine creates an item when a token reaches a user task, claims,
+starts and completes it from the work-item commands (then resuming the
+token itself), cancels it when it withdraws the token, and checks
+deadlines on every timer pump.  Every change enters through one gate,
+:meth:`WorklistService._changing`: the lock and, once an engine has bound
+its dispatch lock here (:meth:`WorklistService.bind_lock`), a refusal
+outside a running command, since only a command logs and commits the
+change.  A standalone service takes direct calls.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ from repro.worklist.allocation import Allocator, OfferOnlyAllocator
 from repro.worklist.errors import UnknownWorkItemError, WorklistError
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
-
-CompletionListener = Callable[[WorkItem], None]
 
 #: store-key family of work items (``workitem/<item id>``)
 WORKITEM_PREFIX = "workitem/"
@@ -82,7 +77,6 @@ class WorklistService:
         self._finished: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._store: KeyValueStore | None = None
         self._index: Callable[[str | None], list[str]] | None = None
-        self._completion_listeners: list[CompletionListener] = []
         self._id_counter = itertools.count(1)
         self._id_prefix = f"wi-{id_namespace}-" if id_namespace else "wi-"
         self._lock = threading.RLock()
@@ -100,13 +94,20 @@ class WorklistService:
     # -- wiring -----------------------------------------------------------------
 
     def bind_lock(self, lock: threading.RLock, dispatching: Callable[[], bool]) -> None:
-        """Share the caller's (engine's) serialization lock; under it,
-        ``dispatching()`` says whether the holder runs a command."""
+        """Share the caller's (engine's) dispatch lock and ``dispatching()``,
+        which says whether the holder runs a command; reads still take the
+        lock against the views handing finished items to the weak cache."""
         self._lock, self._dispatching = lock, dispatching
 
-    def _require_command(self, name: str) -> None:
-        if not self._dispatching():
-            raise WorklistError(f"use engine.{name}: a direct call commits nothing")
+    def _changing(self, command: str = "an engine command") -> threading.RLock:
+        """The lock a change runs under.  A bound worklist first checks,
+        under it, that a command runs (else a :class:`WorklistError` naming
+        ``command``); a caller that passes already holds the lock for that
+        command, so nothing runs between the check and the change."""
+        with self._lock:
+            if not self._dispatching():
+                raise WorklistError(f"use {command}: a direct call commits nothing")
+        return self._lock
 
     def bind_writes(self, writes: WriteSet) -> None:
         """Share the caller's (engine's) write-set."""
@@ -125,10 +126,6 @@ class WorklistService:
     def _touch(self, item: WorkItem) -> None:
         self._items[item.id] = item  # live until the views fold the change
         self._writes.put(WORKITEM_PREFIX, item.id, item.to_dict)
-
-    def on_completion(self, listener: CompletionListener) -> None:
-        """Register a callback fired on every completed item (engine hook)."""
-        self._completion_listeners.append(listener)
 
     def _record(self, item: WorkItem, event_type: str, **data: Any) -> None:
         history = self.history
@@ -159,7 +156,7 @@ class WorklistService:
         item_id: str | None = None,
     ) -> WorkItem:
         """Create, then offer/allocate a work item per the allocator."""
-        with self._lock:
+        with self._changing():
             now = self.clock.now()
             item = WorkItem(
                 id=item_id or f"{self._id_prefix}{next(self._id_counter)}",
@@ -283,8 +280,7 @@ class WorklistService:
         separation-of-duties constraint (``excluded_resources`` in the
         item's data).
         """
-        with self._lock:
-            self._require_command("claim_work_item")
+        with self._changing("engine.claim_work_item"):
             item = self.item(item_id)
             resource = self.organization.get(resource_id)
             if not resource.has_role(item.role):
@@ -302,19 +298,9 @@ class WorklistService:
             self._record(item, EventTypes.WORKITEM_ALLOCATED, resource=resource_id)
             return item
 
-    def delegate(self, item_id: str) -> WorkItem:
-        """Return an allocated item to its role queue."""
-        with self._lock:
-            item = self.item(item_id)
-            item.reoffer(self.clock.now())
-            self._touch(item)
-            self._record(item, EventTypes.WORKITEM_OFFERED, delegated=True)
-            return item
-
     def start(self, item_id: str) -> WorkItem:
         """The allocated resource begins work."""
-        with self._lock:
-            self._require_command("start_work_item")
+        with self._changing("engine.start_work_item"):
             item = self.item(item_id)
             item.start(self.clock.now())
             self._touch(item)
@@ -324,9 +310,8 @@ class WorklistService:
             return item
 
     def complete(self, item_id: str, result: dict[str, Any] | None = None) -> WorkItem:
-        """Finish an item; fires completion listeners (the engine resumes)."""
-        with self._lock:
-            self._require_command("complete_work_item")
+        """Finish an item (the engine then resumes its token)."""
+        with self._changing("engine.complete_work_item"):
             item = self.item(item_id)
             item.complete(result, self.clock.now())
             self._touch(item)
@@ -342,13 +327,11 @@ class WorklistService:
             record_completion = getattr(self.allocator, "record_completion", None)
             if record_completion is not None and item.allocated_to:
                 record_completion(item.instance_id, item.allocated_to)
-            for listener in self._completion_listeners:
-                listener(item)
             return item
 
     def cancel(self, item_id: str) -> WorkItem:
         """Withdraw a live item (engine calls this on interrupts)."""
-        with self._lock:
+        with self._changing():
             item = self.item(item_id)
             item.cancel(self.clock.now())
             self._touch(item)
@@ -357,16 +340,6 @@ class WorklistService:
                 self._g_open.dec()
             self._record(item, EventTypes.WORKITEM_CANCELLED)
             return item
-
-    def cancel_for_instance(self, instance_id: str) -> int:
-        """Cancel every live item of one instance; returns the count."""
-        with self._lock:
-            cancelled = 0
-            for item in list(self._open.values()):
-                if item.instance_id == instance_id:
-                    self.cancel(item.id)
-                    cancelled += 1
-            return cancelled
 
     # -- deadlines -----------------------------------------------------------------
 
@@ -377,7 +350,7 @@ class WorklistService:
         items to their role queue so a less-loaded resource can claim them.
         Items already started are only bumped.  Returns escalated items.
         """
-        with self._lock:
+        with self._changing():
             now = self.clock.now()
             escalated = []
             for item in self._open.values():

@@ -384,6 +384,22 @@ class TestTerminateAndAdmin:
         engine.terminate_instance(instance.id, reason="testing")
         assert instance.state is InstanceState.TERMINATED
 
+    def test_terminate_cancels_only_its_items(self, engine):
+        from repro.worklist.items import WorkItemState
+
+        engine.deploy(
+            ProcessBuilder("wait").start().user_task("approve", role="clerk").end().build()
+        )
+        doomed = engine.start_instance("wait")
+        other = engine.start_instance("wait")
+        engine.terminate_instance(doomed.id)
+        states = {i.instance_id: i.state for i in engine.worklist.items()}
+        assert states == {
+            doomed.id: WorkItemState.CANCELLED,
+            other.id: WorkItemState.ALLOCATED,
+        }
+        assert engine.worklist.open_count == 1
+
     def test_suspend_blocks_resume_restores(self, engine):
         model = (
             ProcessBuilder("susp")

@@ -269,9 +269,7 @@ class TestWorklistInstrumentation:
         engine.start_work_item(item.id)
         engine.complete_work_item(item.id, {})
         assert gauge.value == 1
-        engine.worklist.cancel_for_instance(
-            engine.worklist.items()[1].instance_id
-        )
+        engine.terminate_instance(engine.worklist.items()[1].instance_id)
         assert gauge.value == 0
 
     def test_open_items_gauge_is_restored_by_recovery(self):

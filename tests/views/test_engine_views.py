@@ -233,7 +233,7 @@ class TestWorklistOpenCount:
         engine.complete_work_item(item.id)
         assert engine.worklist.open_count == 1
         second = [i for i in engine.worklist.items() if not i.state.is_terminal]
-        engine.worklist.cancel(second[0].id)
+        engine.terminate_instance(second[0].instance_id)
         assert engine.worklist.open_count == 0
         assert engine.worklist.open_count == sum(
             1 for i in engine.worklist.items() if not i.state.is_terminal

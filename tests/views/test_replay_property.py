@@ -62,7 +62,8 @@ def apply_op(engine, action, n):
             if not item.state.is_terminal
         ]
         if open_items:
-            engine.worklist.cancel(open_items[n % len(open_items)].id)
+            # an item is withdrawn only by a command: ending its case
+            engine.terminate_instance(open_items[n % len(open_items)].instance_id)
     elif action == "suspend":
         running = [
             i for i in engine.instances() if i.state.value == "running"

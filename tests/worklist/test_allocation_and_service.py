@@ -163,23 +163,6 @@ class TestWorklistService:
         visible = service.offered_for_resource("multi")
         assert {i.id for i in visible} == {a.id, b.id}
 
-    def test_completion_listener_fires(self):
-        service, _ = make_service(allocator=ShortestQueueAllocator())
-        seen = []
-        service.on_completion(lambda item: seen.append(item.id))
-        item = service.create_item("i1", "t", "clerk")
-        service.start(item.id)
-        service.complete(item.id, {"x": 1})
-        assert seen == [item.id]
-
-    def test_cancel_for_instance_only_touches_that_instance(self):
-        service, _ = make_service()
-        a = service.create_item("inst-A", "t", "clerk")
-        b = service.create_item("inst-B", "t", "clerk")
-        assert service.cancel_for_instance("inst-A") == 1
-        assert a.state is WorkItemState.CANCELLED
-        assert b.state is WorkItemState.OFFERED
-
     def test_deadline_escalation_bumps_and_reoffers(self):
         service, clock = make_service(allocator=ShortestQueueAllocator())
         item = service.create_item("i1", "t", "clerk", due_seconds=100)
@@ -213,11 +196,3 @@ class TestWorklistService:
         # id generation continues without collision
         fresh = restored.create_item("i3", "t", "clerk")
         assert fresh.id not in {"wi-1", "wi-2"}
-
-    def test_delegate_returns_item_to_queue(self):
-        service, _ = make_service(allocator=ShortestQueueAllocator())
-        item = service.create_item("i1", "t", "clerk")
-        assert item.state is WorkItemState.ALLOCATED
-        service.delegate(item.id)
-        assert item.state is WorkItemState.OFFERED
-        assert item in service.offered_for_role("clerk")

@@ -56,11 +56,9 @@ pick = st.integers(0, 30)
 operation = st.one_of(
     st.tuples(st.just("create"), st.sampled_from(ROLES), st.integers(0, 2), st.sampled_from([None, 5.0])),
     st.tuples(st.just("claim"), pick, st.sampled_from([r for r, _ in RESOURCES])),
-    st.tuples(st.just("delegate"), pick),
     st.tuples(st.just("start"), pick),
     st.tuples(st.just("complete"), pick),
     st.tuples(st.just("cancel"), pick),
-    st.tuples(st.just("cancel_for_instance"), st.integers(0, 3)),
     st.tuples(st.just("escalate"), st.integers(1, 10)),
     st.tuples(st.just("export_import")),
 )
@@ -80,8 +78,6 @@ def test_open_index_equals_full_scan(push, operations):
                 service.create_item(
                     f"inst-{len(items) % 4}", "task", role, priority=priority, due_seconds=due
                 )
-            elif kind == "cancel_for_instance":
-                service.cancel_for_instance(f"inst-{op[1]}")
             elif kind == "escalate":
                 clock.advance(op[1])
                 service.check_deadlines()
