@@ -76,8 +76,6 @@ def test_builder_families_match_the_definitions(net, initial):
 
 
 def test_a_net_with_two_bottom_components_has_no_home_marking():
-    graph = build_reachability_graph(builders.choice_net(2), Marking({"i": 1}))
-    assert graph.home_markings() == {Marking({"o": 1})}
     net = PetriNet("split")
     for place in ("i", "a", "b"):
         net.add_place(place)
