@@ -25,8 +25,11 @@ serialization gate (thread safety), idempotent dedup keys, observability,
 the dispatch log, and the commit policy.  The public mutation methods
 are the thin command constructors of
 :class:`~repro.engine.commands.CommandClient`; node semantics live in
-:mod:`repro.engine.executors` and the interpreter core in
-:mod:`repro.engine.execution`.
+:mod:`repro.engine.executors` and the interpreter core, through which
+every wait is entered and left, in :mod:`repro.engine.execution`.  The
+engine orchestrates: it finds the case and token a command, job, message
+or finished child is for and hands them over; it completes no node and
+moves no token itself.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ from repro.engine.errors import (
     IllegalInstanceStateError,
     InstanceNotFoundError,
 )
-from repro.engine.executors import events, gateways, tasks
-from repro.engine.executors.subprocesses import on_mi_child_finished
+from repro.engine.executors import events, gateways, subprocesses, tasks
 from repro.engine.instance import (
     INSTANCE_PREFIX,
     InstanceState,
@@ -56,7 +58,7 @@ from repro.engine.instance import (
 )
 from repro.engine.jobs import JOBS_PREFIX, JobScheduler
 from repro.engine.migration import MigrationPlan, apply_migration
-from repro.engine.waits import WAIT_PREFIX, MessageWait, MessageWaits
+from repro.engine.waits import WAIT_PREFIX, MessageWaits
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
 from repro.model.process import ProcessDefinition
@@ -87,6 +89,7 @@ JOB_KINDS = {
     "timer": events.fire_timer,
     "boundary_timer": core.fire_boundary_timer,
     "async_service": tasks.fire_async_service,
+    "deadline": tasks.fire_deadline,
     "event_race_timer": gateways.fire_race_timer,
 }
 
@@ -600,7 +603,7 @@ class ProcessEngine(CommandClient):
         self._notify_parent(instance, failed=True)
 
     def _notify_parent(self, child: ProcessInstance, failed: bool = False) -> None:
-        """Resume the parent token waiting on a finished child instance."""
+        """Hand a finished child to the parent token waiting on it."""
         if child.parent_instance_id is None:
             return
         parent = self._instances.get(child.parent_instance_id)
@@ -610,57 +613,15 @@ class ProcessEngine(CommandClient):
         if token is None:
             return
         reason = token.waiting_on.get("reason")
-        if reason == "mi":
-            definition = self._definition_of(parent)
-            node = definition.node(token.node_id)
-            on_mi_child_finished(self, parent, definition, token, node, child, failed)
-            return
-        if reason != "child":
+        if reason == "child":
+            on_finished = subprocesses.on_child_finished
+        elif reason == "mi":
+            on_finished = subprocesses.on_mi_child_finished
+        else:
             return
         definition = self._definition_of(parent)
         node = definition.node(token.node_id)
-        core.cancel_boundary_jobs(self, parent, token)
-        if failed:
-            token.waiting_on = {}
-            core.handle_error(
-                self,
-                parent,
-                definition,
-                token,
-                core.TECHNICAL_ERROR_CODE,
-                f"child instance {child.id!r} failed: {child.failure}",
-            )
-            core.advance(self, parent)
-            return
-        # map child outputs into parent variables
-        from repro.expr import ExpressionError, compile_expression
-
-        mappings = getattr(node, "output_mappings", {})
-        try:
-            if mappings:
-                for name, expr in mappings.items():
-                    parent.variables[name] = compile_expression(expr).evaluate(
-                        child.variables
-                    )
-            else:
-                parent.variables.update(child.variables)
-        except ExpressionError as exc:
-            token.waiting_on = {}
-            core.handle_error(
-                self, parent, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-            )
-            core.advance(self, parent)
-            return
-        self._record(
-            parent,
-            EventTypes.NODE_COMPLETED,
-            node_id=node.id,
-            is_activity=True,
-            child_id=child.id,
-        )
-        flow = core.single_outgoing(definition, node)
-        token.resume(flow.target, arrived_via=flow.id)
-        core.advance(self, parent)
+        on_finished(self, parent, definition, token, node, child, failed)
 
     def _handle_terminate_instance(self, cmd: cmds.TerminateInstance) -> None:
         instance = self.instance(cmd.instance_id)
@@ -710,7 +671,8 @@ class ProcessEngine(CommandClient):
         self._record(instance, EventTypes.INSTANCE_RESUMED)
         self._touch(instance)
         core.advance(self, instance)
-        self._redeliver_retained(instance)
+        # deliveries to a suspended case were retained for this resume
+        core.deliver_retained(self, instance, self.waits.of_instance(instance.id))
 
     # -- work items -------------------------------------------------------------
 
@@ -721,39 +683,7 @@ class ProcessEngine(CommandClient):
         return self.worklist.start(cmd.item_id)
 
     def _handle_complete_work_item(self, cmd: cmds.CompleteWorkItem) -> WorkItem:
-        item = self.worklist.complete(cmd.item_id, dict(cmd.result))
-        instance = self._instances.get(item.instance_id)
-        if instance is None or instance.state.is_finished:
-            return item
-        token = instance.token(item.data.get("token_id"))
-        if token is None or token.waiting_on.get("work_item_id") != item.id:
-            return item
-        definition = self._definition_of(instance)
-        node = definition.node(token.node_id)
-        core.cancel_boundary_jobs(self, instance, token)
-        if item.result:
-            instance.variables.update(item.result)
-            self._record(
-                instance,
-                EventTypes.VARIABLES_UPDATED,
-                node_id=node.id,
-                keys=sorted(item.result.keys()),
-            )
-        self._record(
-            instance,
-            EventTypes.NODE_COMPLETED,
-            node_id=node.id,
-            is_activity=True,
-            resource=item.allocated_to,
-        )
-        core.record_compensation(self, instance, node)
-        flow = core.single_outgoing(definition, node)
-        token.resume(flow.target, arrived_via=flow.id)
-        if instance.state is InstanceState.RUNNING:
-            core.advance(self, instance)
-        else:
-            self._touch(instance)
-        return item
+        return tasks.complete_user_task(self, cmd.item_id, dict(cmd.result))
 
     # -- timers ------------------------------------------------------------------
 
@@ -772,7 +702,7 @@ class ProcessEngine(CommandClient):
                     self._c_jobs_orphaned.inc()
                     continue
                 if instance.state is InstanceState.SUSPENDED:
-                    deferred.append(job)
+                    deferred.append((job, instance))
                     continue
                 processed += 1
                 token = instance.token(job.data.get("token_id"))
@@ -781,11 +711,13 @@ class ProcessEngine(CommandClient):
                     if fire is None:
                         raise EngineError(f"unknown job kind {job.kind!r}")
                     fire(self, instance, self._definition_of(instance), token, job)
-        for job in deferred:
-            self.scheduler.schedule(
-                job.due, job.kind, job.instance_id, job.data, job_id=job.id
-            )
-        self.worklist.check_deadlines()
+        for job, instance in deferred:
+            # a case this pump terminated (its parent's boundary fired)
+            # has nothing left to defer
+            if instance.state is InstanceState.SUSPENDED:
+                self.scheduler.schedule(
+                    job.due, job.kind, job.instance_id, job.data, job_id=job.id
+                )
         self._g_queue_depth.set(len(self.scheduler))
         return processed
 
@@ -822,7 +754,7 @@ class ProcessEngine(CommandClient):
         message = self.bus.message(name, correlation, payload)
         receiver = self._walk_waits(name, correlation, prune=True)[1]
         if receiver is not None:
-            self._deliver_to_wait(*receiver, message.payload)
+            core.deliver_message(self, *receiver, message.payload)
         elif forward and self.shard_tag:
             self.outbox.claim(message)
         else:
@@ -856,40 +788,6 @@ class ProcessEngine(CommandClient):
             if prune:
                 self.waits.remove(wait)
         return verdict, None
-
-    def _deliver_to_wait(
-        self,
-        instance: ProcessInstance,
-        token,
-        wait: MessageWait,
-        payload: dict[str, Any],
-    ) -> None:
-        definition = self._definition_of(instance)
-        self._c_messages_delivered.inc()
-        if wait.race_event is not None:
-            core.deliver_race_message(self, instance, definition, token, wait, payload)
-        else:
-            self.waits.remove(wait)
-            node = definition.node(wait.node_id)
-            core.apply_message(self, instance, node, payload)
-            token.waiting_on = {}
-            core.move_through(
-                self, instance, definition, token, node, is_activity=wait.is_activity
-            )
-            core.advance(self, instance)
-
-    def _redeliver_retained(self, instance: ProcessInstance) -> None:
-        """Match bus-retained messages against this instance's waits
-        (used after resume, when deliveries were deferred)."""
-        for wait in self.waits.of_instance(instance.id):
-            token = instance.token(wait.token_id)
-            if token is None or token.state is not TokenState.WAITING:
-                continue
-            message = self.bus.consume_retained(
-                wait.name, wait.correlation, wait.match_any
-            )
-            if message is not None:
-                self._deliver_to_wait(instance, token, wait, message.payload)
 
     # -- migration ---------------------------------------------------------------
 

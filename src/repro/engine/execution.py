@@ -1,10 +1,17 @@
 """The interpreter core: token-game execution until quiescence.
 
 This module is the shared runtime half of the engine: the advance loop,
-token movement, boundary-event routing, message waits, and cancellation.
-Node *semantics* live in per-family executor modules under
+token movement, waits, boundary-event routing, message delivery, and
+cancellation.  Node *semantics* live in per-family executor modules under
 :mod:`repro.engine.executors`, resolved through the node-type → executor
 registry — the old ``ExecutionMixin`` god-class is gone.
+
+Every wait enters and leaves here.  :func:`park` parks a token and
+schedules the node's timed continuations (timer boundaries, a user
+task's deadline); :func:`finish` and :func:`fail` end a wait that its
+trigger resolved, and :func:`release_waits` one that an interrupt
+withdraws.  No executor parks a token or schedules or cancels those jobs
+itself.
 
 Every function takes the engine as its first argument; nothing here
 holds state.  All calls happen under the engine's dispatch serialization
@@ -40,9 +47,12 @@ def advance(engine, instance: ProcessInstance) -> None:
 
     Re-entrant calls (a child completing synchronously, a message
     delivered to the same instance mid-step) are absorbed: the
-    outermost frame keeps draining active tokens.
+    outermost frame keeps draining active tokens.  A case that is not
+    running only records its change (a suspended case's moved token or
+    migrated version); its resume advances it.
     """
     if instance.state is not InstanceState.RUNNING:
+        engine._touch(instance)
         return
     if instance.id in engine._advancing:
         return
@@ -200,21 +210,152 @@ def performers_of(
     }
 
 
-# -- boundary events --------------------------------------------------------------
+# -- waits: one way in, one way out (DESIGN.md §Command pipeline) ----------------
 
 
-def schedule_boundary_timers(
+def park(
     engine, instance: ProcessInstance, definition: ProcessDefinition,
-    token: Token, node: Node,
+    token: Token, node: Node, reason: str, deadline: float | None = None,
+    **details: Any,
 ) -> None:
-    for boundary in definition.boundary_events_of(node.id):
-        if boundary.kind == "timer":
-            engine.scheduler.schedule(
-                engine.clock.now() + boundary.duration,
-                "boundary_timer",
-                instance.id,
-                {"token_id": token.id, "boundary_id": boundary.id},
-            )
+    """Park ``token`` at ``node`` (``waiting_on`` = ``{"reason": reason,
+    **details}``) and schedule the node's timed continuations: a
+    ``boundary_timer`` job per timer boundary and, for a user task due at
+    ``deadline``, its ``deadline`` job (id ``due-<item id>``)."""
+    token.wait(reason, **details)
+    for boundary in timer_boundaries(definition, node.id):
+        engine.scheduler.schedule(
+            engine.clock.now() + boundary.duration,
+            "boundary_timer",
+            instance.id,
+            {"token_id": token.id, "boundary_id": boundary.id},
+        )
+    if deadline is not None:
+        item_id = details["work_item_id"]
+        engine.scheduler.schedule(
+            deadline,
+            "deadline",
+            instance.id,
+            {"token_id": token.id, "work_item_id": item_id},
+            job_id=f"due-{item_id}",
+        )
+
+
+def timer_boundaries(definition: ProcessDefinition, node_id: str) -> list:
+    return [b for b in definition.boundary_events_of(node_id) if b.kind == "timer"]
+
+
+def leave(
+    engine, instance: ProcessInstance, definition: ProcessDefinition, token: Token
+) -> None:
+    """End a wait: cancel what :func:`park` scheduled for it (and the
+    rest of an event race), then clear ``waiting_on``.  A token that is
+    not parked (the inline service path) has nothing to leave."""
+    waiting = token.waiting_on
+    if not waiting:
+        return
+    reason = waiting["reason"]
+    if reason == "user_task":
+        engine.scheduler.cancel(f"due-{waiting['work_item_id']}")
+    elif reason == "event_race":
+        for job_id in waiting["job_ids"]:
+            engine.scheduler.cancel(job_id)
+        engine.waits.drop_token(instance.id, token.id)
+    if timer_boundaries(definition, token.node_id):
+        engine.scheduler.cancel_where(
+            lambda job: job.kind == "boundary_timer"
+            and job.instance_id == instance.id
+            and job.data.get("token_id") == token.id
+        )
+    token.waiting_on = {}
+
+
+def finish(
+    engine, instance: ProcessInstance, definition: ProcessDefinition,
+    token: Token, node: Node, is_activity: bool, **event_data: Any,
+) -> None:
+    """The way out of a wait that completed: leave it, complete ``node``
+    along its one flow, and run the case on."""
+    leave(engine, instance, definition, token)
+    move_through(engine, instance, definition, token, node, is_activity, **event_data)
+    advance(engine, instance)
+
+
+def fail(
+    engine, instance: ProcessInstance, definition: ProcessDefinition,
+    token: Token, detail: str, code: str = TECHNICAL_ERROR_CODE,
+) -> None:
+    """The way out of a wait that failed: leave it, route the error to a
+    boundary or fail the instance, and run the case on."""
+    leave(engine, instance, definition, token)
+    handle_error(engine, instance, definition, token, detail, code)
+    advance(engine, instance)
+
+
+def raise_error(
+    engine, instance: ProcessInstance, definition: ProcessDefinition,
+    token: Token, message: str | None, code: str = TECHNICAL_ERROR_CODE,
+) -> None:
+    """The token's task raised an error: record it, then :func:`fail`."""
+    engine._record(
+        instance,
+        EventTypes.ERROR_RAISED,
+        node_id=token.node_id,
+        code=code,
+        message=message,
+    )
+    fail(engine, instance, definition, token, message or "", code)
+
+
+def release_waits(
+    engine, instance: ProcessInstance, definition: ProcessDefinition, token: Token
+) -> None:
+    """Interrupt a wait: withdraw the trigger it waits for, then leave it."""
+    waiting = token.waiting_on
+    reason = waiting.get("reason")
+    children: tuple = ()
+    if reason == "user_task":
+        item = engine.worklist.item(waiting["work_item_id"])
+        if not item.state.is_terminal:
+            engine.worklist.cancel(item.id)
+    elif reason == "message":
+        engine.waits.drop_token(instance.id, token.id)
+    elif reason == "service":
+        # pooled invocation: drop the pending record so its completion
+        # (possibly already executing) lands as a counted duplicate
+        invocation_id = waiting.get("invocation_id")
+        if invocation_id is not None:
+            engine.ledger.cancel(invocation_id)
+    elif reason == "child":
+        children = (waiting.get("child_id"),)
+    elif reason == "mi":
+        children = tuple(waiting.get("children", ()))
+    elif "job_id" in waiting:  # timer, async_service
+        engine.scheduler.cancel(waiting["job_id"])
+    # leave first: a child's termination must not resume this token
+    leave(engine, instance, definition, token)
+    for child_id in children:
+        child = engine._instances.get(child_id)
+        if child is not None and not child.state.is_finished:
+            engine._terminate_instance_internal(child, "parent cancelled")
+
+
+def cancel_token(
+    engine, instance: ProcessInstance, token: Token, reason: str
+) -> None:
+    definition = engine._definition_of(instance)
+    release_waits(engine, instance, definition, token)
+    engine._record(
+        instance,
+        EventTypes.NODE_CANCELLED,
+        node_id=token.node_id,
+        is_activity=isinstance(definition.nodes.get(token.node_id), ACTIVITY_TYPES),
+        detail=reason,
+    )
+    instance.remove_token(token)
+
+
+# -- boundary events --------------------------------------------------------------
 
 
 def fire_boundary_timer(
@@ -234,14 +375,6 @@ def fire_boundary_timer(
         engine, instance, definition, boundary, token, detail="boundary timer"
     )
     advance(engine, instance)
-
-
-def cancel_boundary_jobs(engine, instance: ProcessInstance, token: Token) -> None:
-    engine.scheduler.cancel_where(
-        lambda job: job.kind == "boundary_timer"
-        and job.instance_id == instance.id
-        and job.data.get("token_id") == token.id
-    )
 
 
 def trigger_boundary(
@@ -267,7 +400,7 @@ def trigger_boundary(
         node_id=boundary.attached_to,
         is_activity=True,
     )
-    release_waits(engine, instance, token)
+    release_waits(engine, instance, definition, token)
     flow = single_outgoing(definition, boundary)
     token.resume(flow.target, arrived_via=flow.id)
 
@@ -277,10 +410,11 @@ def handle_error(
     instance: ProcessInstance,
     definition: ProcessDefinition,
     token: Token,
-    code: str,
     detail: str,
+    code: str = TECHNICAL_ERROR_CODE,
 ) -> None:
-    """Route an error to a matching boundary event or fail the instance."""
+    """Route an error (a technical failure unless ``code`` says otherwise)
+    to a matching boundary event or fail the instance."""
     node = definition.nodes.get(token.node_id)
     if node is not None:
         boundaries = definition.boundary_events_of(node.id)
@@ -312,6 +446,7 @@ def correlation_of(
 def await_message(
     engine,
     instance: ProcessInstance,
+    definition: ProcessDefinition,
     token: Token,
     node: Node,
     message_name: str,
@@ -327,7 +462,6 @@ def await_message(
         # it like the live-subscription path does
         engine._c_messages_delivered.inc()
         apply_message(engine, instance, node, retained.payload)
-        definition = engine._definition_of(instance)
         move_through(engine, instance, definition, token, node, is_activity=is_activity)
         return
     engine.waits.subscribe(
@@ -339,11 +473,9 @@ def await_message(
         node_id=node.id,
         is_activity=is_activity,
     )
-    token.wait(
-        "message",
-        message_name=message_name,
-        correlation=correlation,
-        node_id=node.id,
+    park(
+        engine, instance, definition, token, node, "message",
+        message_name=message_name, correlation=correlation, node_id=node.id,
     )
 
 
@@ -360,94 +492,38 @@ def apply_message(
     )
 
 
-def deliver_race_message(
-    engine,
-    instance: ProcessInstance,
-    definition: ProcessDefinition,
-    token: Token,
-    wait: MessageWait,
+def deliver_message(
+    engine, instance: ProcessInstance, token: Token, wait: MessageWait,
     payload: dict[str, Any],
 ) -> None:
-    """A raced catch event won via message: settle the race."""
-    event = definition.node(wait.race_event)
-    settle_race(engine, instance, token)
-    apply_message(engine, instance, event, payload)
-    enter(engine, instance, event, is_activity=False)
-    move_through(engine, instance, definition, token, event, is_activity=False)
-    advance(engine, instance)
+    """A message ends ``token``'s wait: a receive task or catch event
+    completes, or the raced catch event wins its event race."""
+    definition = engine._definition_of(instance)
+    engine._c_messages_delivered.inc()
+    if wait.race_event is not None:
+        node = definition.node(wait.race_event)
+        apply_message(engine, instance, node, payload)
+        enter(engine, instance, node, is_activity=False)
+        finish(engine, instance, definition, token, node, is_activity=False)
+        return
+    engine.waits.remove(wait)
+    node = definition.node(wait.node_id)
+    apply_message(engine, instance, node, payload)
+    finish(engine, instance, definition, token, node, is_activity=wait.is_activity)
 
 
-def settle_race(engine, instance: ProcessInstance, token: Token) -> None:
-    """Cancel all pending subscriptions of an event race."""
-    job_ids = set(token.waiting_on.get("job_ids", ()))
-    for job_id in job_ids:
-        engine.scheduler.cancel(job_id)
-    engine.waits.drop_token(instance.id, token.id)
-
-
-# -- token cancellation ------------------------------------------------------------------------
-
-
-def release_waits(engine, instance: ProcessInstance, token: Token) -> None:
-    """Cancel everything a waiting token is parked on."""
-    reason = token.waiting_on.get("reason")
-    if reason == "user_task":
-        item_id = token.waiting_on.get("work_item_id")
-        if item_id is not None:
-            try:
-                item = engine.worklist.item(item_id)
-            except Exception:  # noqa: BLE001 - already gone is fine
-                item = None
-            if item is not None and not item.state.is_terminal:
-                engine.worklist.cancel(item_id)
-    elif reason == "timer":
-        job_id = token.waiting_on.get("job_id")
-        if job_id is not None:
-            engine.scheduler.cancel(job_id)
-    elif reason == "message":
-        engine.waits.drop_token(instance.id, token.id)
-    elif reason == "event_race":
-        settle_race(engine, instance, token)
-    elif reason == "service":
-        # pooled invocation: drop the pending record so its completion
-        # (possibly already executing) lands as a counted duplicate
-        invocation_id = token.waiting_on.get("invocation_id")
-        if invocation_id is not None:
-            engine.ledger.cancel(invocation_id)
-    elif reason == "child":
-        child_id = token.waiting_on.get("child_id")
-        # clear the linkage FIRST so the child's completion callback
-        # cannot resume the token we are cancelling
-        token.waiting_on = {}
-        if child_id is not None:
-            child = engine._instances.get(child_id)
-            if child is not None and not child.state.is_finished:
-                engine._terminate_instance_internal(child, "parent cancelled")
-    elif reason == "mi":
-        children = list(token.waiting_on.get("children", ()))
-        token.waiting_on = {}
-        for child_id in children:
-            child = engine._instances.get(child_id)
-            if child is not None and not child.state.is_finished:
-                engine._terminate_instance_internal(child, "parent cancelled")
-    cancel_boundary_jobs(engine, instance, token)
-    token.waiting_on = {}
-
-
-def cancel_token(
-    engine, instance: ProcessInstance, token: Token, reason: str
-) -> None:
-    release_waits(engine, instance, token)
-    engine._record(
-        instance,
-        EventTypes.NODE_CANCELLED,
-        node_id=token.node_id,
-        is_activity=isinstance(
-            engine._definition_of(instance).nodes.get(token.node_id), ACTIVITY_TYPES
-        ),
-        detail=reason,
-    )
-    instance.remove_token(token)
+def deliver_retained(engine, instance: ProcessInstance, waits: list) -> None:
+    """Deliver bus-retained messages to those of ``waits`` whose token
+    still waits (after a resume, or as an event race opens)."""
+    for wait in waits:
+        token = instance.token(wait.token_id)
+        if token is None or token.state is not TokenState.WAITING:
+            continue
+        message = engine.bus.consume_retained(
+            wait.name, wait.correlation, wait.match_any
+        )
+        if message is not None:
+            deliver_message(engine, instance, token, wait, message.payload)
 
 
 # -- static reachability cache ---------------------------------------------------------------------

@@ -47,7 +47,10 @@ def execute_timer_event(
         instance.id,
         {"token_id": token.id, "node_id": node.id},
     )
-    token.wait("timer", job_id=job.id, node_id=node.id)
+    core.park(
+        engine, instance, definition, token, node, "timer",
+        job_id=job.id, node_id=node.id,
+    )
     engine._record(
         instance,
         EventTypes.TIMER_SCHEDULED,
@@ -64,9 +67,7 @@ def fire_timer(engine, instance, definition, token, job) -> None:
     node = definition.node(job.data["node_id"])
     engine._c_timers_fired.inc()
     engine._record(instance, EventTypes.TIMER_FIRED, node_id=node.id, job_id=job.id)
-    token.waiting_on = {}
-    core.move_through(engine, instance, definition, token, node, is_activity=False)
-    core.advance(engine, instance)
+    core.finish(engine, instance, definition, token, node, is_activity=False)
 
 
 @executor(IntermediateMessageEvent)
@@ -77,6 +78,7 @@ def execute_message_event(
     core.await_message(
         engine,
         instance,
+        definition,
         token,
         node,
         node.message_name,

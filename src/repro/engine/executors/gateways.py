@@ -27,9 +27,7 @@ def execute_exclusive(engine, instance, definition, token, node: ExclusiveGatewa
     try:
         flow = core._select_exclusive_flow(definition, node, instance.variables)
     except (NoFlowSelectedError, ExpressionError) as exc:
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return
     engine._record(
         instance, EventTypes.NODE_COMPLETED, node_id=node.id, is_activity=False,
@@ -51,7 +49,9 @@ def execute_parallel(engine, instance, definition, token, node: ParallelGateway)
             and (t is token or t.waiting_on.get("reason") == "join")
         }
         if arrived < {f.id for f in incoming}:
-            token.wait("join", node_id=node.id)
+            core.park(
+                engine, instance, definition, token, node, "join", node_id=node.id
+            )
             return
         # all partners present: consume them, keep this token
         core.enter(engine, instance, node, is_activity=False)
@@ -75,7 +75,9 @@ def execute_inclusive(engine, instance, definition, token, node: InclusiveGatewa
     outgoing = definition.outgoing(node.id)
     if len(incoming) > 1:
         if not inclusive_join_ready(engine, instance, definition, node, token):
-            token.wait("join", node_id=node.id)
+            core.park(
+                engine, instance, definition, token, node, "join", node_id=node.id
+            )
             return
         core.enter(engine, instance, node, is_activity=False)
         for other in list(instance.tokens_at(node.id)):
@@ -107,9 +109,7 @@ def execute_inclusive(engine, instance, definition, token, node: InclusiveGatewa
                 raise NoFlowSelectedError(node.id, instance.variables)
             chosen = [default]
     except (NoFlowSelectedError, ExpressionError) as exc:
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return
     engine._record(
         instance, EventTypes.NODE_COMPLETED, node_id=node.id, is_activity=False,
@@ -180,19 +180,13 @@ def execute_event_gateway(
             )
     if not job_ids and not wait_count:
         raise EngineError(f"event gateway {node.id!r} has nothing to wait for")
-    token.wait("event_race", gateway_id=node.id, job_ids=job_ids)
+    core.park(
+        engine, instance, definition, token, node, "event_race",
+        gateway_id=node.id, job_ids=job_ids,
+    )
     # a raced message may already be retained on the bus — try immediately
-    try_retained_for_race(engine, instance, token)
-
-
-def try_retained_for_race(engine, instance, token) -> None:
-    for wait in engine.waits.of_token(instance.id, token.id):
-        message = engine.bus.consume_retained(
-            wait.name, wait.correlation, wait.match_any
-        )
-        if message is not None:
-            engine._deliver_to_wait(instance, token, wait, message.payload)
-            return
+    waits = engine.waits.of_token(instance.id, token.id)
+    core.deliver_retained(engine, instance, waits)
 
 
 def fire_race_timer(engine, instance, definition, token, job) -> None:
@@ -201,9 +195,7 @@ def fire_race_timer(engine, instance, definition, token, job) -> None:
     if token.waiting_on.get("reason") != "event_race":
         return
     event = definition.node(job.data["event_id"])
-    core.settle_race(engine, instance, token)
     engine._c_timers_fired.inc()
     engine._record(instance, EventTypes.TIMER_FIRED, node_id=event.id, job_id=job.id)
     core.enter(engine, instance, event, is_activity=False)
-    core.move_through(engine, instance, definition, token, event, is_activity=False)
-    core.advance(engine, instance)
+    core.finish(engine, instance, definition, token, event, is_activity=False)

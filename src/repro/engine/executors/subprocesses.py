@@ -7,7 +7,6 @@ from typing import Any
 from repro.engine import execution as core
 from repro.engine.executors.registry import executor
 from repro.expr import ExpressionError, compile_expression
-from repro.history.events import EventTypes
 from repro.model.elements import CallActivity, MultiInstanceActivity
 
 
@@ -23,12 +22,9 @@ def execute_call_activity(engine, instance, definition, token, node: CallActivit
         else:
             child_variables = dict(instance.variables)
     except ExpressionError as exc:
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return
-    token.wait("child", node_id=node.id)
-    core.schedule_boundary_timers(engine, instance, definition, token, node)
+    core.park(engine, instance, definition, token, node, "child", node_id=node.id)
     child = engine._start_instance_internal(
         key=node.process_key,
         version=None,
@@ -53,17 +49,11 @@ def execute_multi_instance(
             instance.variables
         )
     except ExpressionError as exc:
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return
     if isinstance(cardinality, bool) or not isinstance(cardinality, int) or cardinality < 0:
         core.handle_error(
-            engine,
-            instance,
-            definition,
-            token,
-            core.TECHNICAL_ERROR_CODE,
+            engine, instance, definition, token,
             f"multi-instance cardinality must be a non-negative integer, "
             f"got {cardinality!r}",
         )
@@ -99,8 +89,8 @@ def execute_multi_instance(
         )
         return
 
-    token.wait(
-        "mi",
+    core.park(
+        engine, instance, definition, token, node, "mi",
         node_id=node.id,
         remaining=cardinality,
         total=cardinality,
@@ -108,7 +98,6 @@ def execute_multi_instance(
         children=[],
         collected=[],
     )
-    core.schedule_boundary_timers(engine, instance, definition, token, node)
     spawn = 1 if node.sequential else cardinality
     for index in range(spawn):
         if token.waiting_on.get("reason") != "mi":
@@ -130,9 +119,7 @@ def mi_child_variables(
         else:
             variables = dict(instance.variables)
     except ExpressionError as exc:
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return None
     variables["instance_index"] = index
     return variables
@@ -157,28 +144,45 @@ def spawn_mi_child(
         token.waiting_on["children"] = [*token.waiting_on["children"], child.id]
 
 
+def on_child_finished(
+    engine, parent, definition, token, node: CallActivity, child, failed: bool
+) -> None:
+    """The child case of a waiting call activity ended: map its outputs
+    into the parent and complete the activity, or fail it."""
+    if failed:
+        detail = f"child instance {child.id!r} failed: {child.failure}"
+        core.fail(engine, parent, definition, token, detail)
+        return
+    try:
+        if node.output_mappings:
+            for name, expr in node.output_mappings.items():
+                parent.variables[name] = compile_expression(expr).evaluate(
+                    child.variables
+                )
+        else:
+            parent.variables.update(child.variables)
+    except ExpressionError as exc:
+        core.fail(engine, parent, definition, token, str(exc))
+        return
+    core.finish(
+        engine, parent, definition, token, node, is_activity=True, child_id=child.id
+    )
+
+
 def on_mi_child_finished(
     engine, parent, definition, token, node: MultiInstanceActivity, child, failed: bool
 ) -> None:
     """One child of a waiting multi-instance activity ended."""
     waiting = token.waiting_on
     if failed:
-        children = list(waiting.get("children", ()))
-        token.waiting_on = {}
-        for child_id in children:
+        siblings = waiting.get("children", ())
+        core.leave(engine, parent, definition, token)
+        for child_id in siblings:
             sibling = engine._instances.get(child_id)
             if sibling is not None and not sibling.state.is_finished:
                 engine._terminate_instance_internal(sibling, "mi sibling failed")
-        core.cancel_boundary_jobs(engine, parent, token)
-        core.handle_error(
-            engine,
-            parent,
-            definition,
-            token,
-            core.TECHNICAL_ERROR_CODE,
-            f"multi-instance child {child.id!r} failed: {child.failure}",
-        )
-        core.advance(engine, parent)
+        detail = f"multi-instance child {child.id!r} failed: {child.failure}"
+        core.fail(engine, parent, definition, token, detail)
         return
     try:
         if node.output_mappings:
@@ -189,12 +193,7 @@ def on_mi_child_finished(
         else:
             result = dict(child.variables)
     except ExpressionError as exc:
-        token.waiting_on = {}
-        core.cancel_boundary_jobs(engine, parent, token)
-        core.handle_error(
-            engine, parent, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
-        core.advance(engine, parent)
+        core.fail(engine, parent, definition, token, str(exc))
         return
     waiting["collected"] = [*waiting["collected"], result]
     waiting["remaining"] -= 1
@@ -203,20 +202,11 @@ def on_mi_child_finished(
             next_index = waiting["next_index"]
             waiting["next_index"] += 1
             spawn_mi_child(engine, parent, definition, token, node, next_index)
+        engine._touch(parent)  # the wait itself changed
         return
-    # all children done
-    collected = waiting["collected"]
-    token.waiting_on = {}
-    core.cancel_boundary_jobs(engine, parent, token)
     if node.output_collection is not None:
-        parent.variables[node.output_collection] = collected
-    engine._record(
-        parent,
-        EventTypes.NODE_COMPLETED,
-        node_id=node.id,
-        is_activity=True,
+        parent.variables[node.output_collection] = waiting["collected"]
+    core.finish(
+        engine, parent, definition, token, node, is_activity=True,
         children=waiting.get("total"),
     )
-    flow = core.single_outgoing(definition, node)
-    token.resume(flow.target, arrived_via=flow.id)
-    core.advance(engine, parent)

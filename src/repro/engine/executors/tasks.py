@@ -38,8 +38,47 @@ def execute_user_task(engine, instance, definition, token, node: UserTask) -> No
         due_seconds=node.due_seconds,
         data=data,
     )
-    token.wait("user_task", work_item_id=item.id, node_id=node.id)
-    core.schedule_boundary_timers(engine, instance, definition, token, node)
+    core.park(
+        engine, instance, definition, token, node, "user_task",
+        deadline=item.due_at, work_item_id=item.id, node_id=node.id,
+    )
+
+
+def complete_user_task(engine, item_id: str, result: dict[str, Any]):
+    """Complete a work item and move its waiting token on.
+
+    The item's result joins the case variables before the task completes,
+    with the completing resource on ``node.completed``.  Returns the item.
+    """
+    item = engine.worklist.complete(item_id, result)
+    instance = engine._instances.get(item.instance_id)
+    if instance is None or instance.state.is_finished:
+        return item
+    token = instance.token(item.data.get("token_id"))
+    if token is None or token.waiting_on.get("work_item_id") != item.id:
+        return item
+    definition = engine._definition_of(instance)
+    node = definition.node(token.node_id)
+    if item.result:
+        instance.variables.update(item.result)
+        engine._record(
+            instance,
+            EventTypes.VARIABLES_UPDATED,
+            node_id=node.id,
+            keys=sorted(item.result.keys()),
+        )
+    core.finish(
+        engine, instance, definition, token, node, is_activity=True,
+        resource=item.allocated_to,
+    )
+    return item
+
+
+def fire_deadline(engine, instance, definition, token, job) -> None:
+    """A ``deadline`` job came due: escalate the waiting user task's item."""
+    item_id = job.data["work_item_id"]
+    if token.waiting_on.get("work_item_id") == item_id:
+        engine.worklist.escalate(item_id)
 
 
 @executor(ManualTask)
@@ -56,16 +95,7 @@ def execute_script_task(engine, instance, definition, token, node: ScriptTask) -
     try:
         run_script(node.script, scratch)
     except ExpressionError as exc:
-        engine._record(
-            instance,
-            EventTypes.ERROR_RAISED,
-            node_id=node.id,
-            code=core.TECHNICAL_ERROR_CODE,
-            message=str(exc),
-        )
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.raise_error(engine, instance, definition, token, str(exc))
         return
     instance.variables = scratch
     engine._record(
@@ -78,7 +108,6 @@ def execute_script_task(engine, instance, definition, token, node: ScriptTask) -
 @executor(ServiceTask)
 def execute_service_task(engine, instance, definition, token, node: ServiceTask) -> None:
     core.enter(engine, instance, node, is_activity=True)
-    core.schedule_boundary_timers(engine, instance, definition, token, node)
     if node.async_execution:
         # decouple from the caller: park the token, invoke on the next pump
         job = engine.scheduler.schedule(
@@ -87,7 +116,10 @@ def execute_service_task(engine, instance, definition, token, node: ServiceTask)
             instance.id,
             {"token_id": token.id, "node_id": node.id},
         )
-        token.wait("async_service", job_id=job.id, node_id=node.id)
+        core.park(
+            engine, instance, definition, token, node, "async_service",
+            job_id=job.id, node_id=node.id,
+        )
         return
     pool = engine.workers
     if pool is not None and pool.admit(node.service):
@@ -103,9 +135,7 @@ def fire_async_service(engine, instance, definition, token, job) -> None:
     if token.waiting_on.get("job_id") != job.id:
         return
     node = definition.node(job.data["node_id"])
-    token.waiting_on = {}
     perform_service_invocation(engine, instance, definition, token, node)
-    core.advance(engine, instance)
 
 
 def enqueue_service_invocation(
@@ -122,10 +152,7 @@ def enqueue_service_invocation(
             for name, expr in node.inputs.items()
         }
     except ExpressionError as exc:
-        core.cancel_boundary_jobs(engine, instance, token)
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.handle_error(engine, instance, definition, token, str(exc))
         return
     # the record is persisted by the surrounding dispatch's group commit
     # and submitted to the pool only after that commit — at-least-once
@@ -133,7 +160,10 @@ def enqueue_service_invocation(
     record = engine.ledger.enqueue(
         instance.id, token.id, node, arguments, engine.clock.now()
     )
-    token.wait("service", invocation_id=record.id, node_id=node.id)
+    core.park(
+        engine, instance, definition, token, node, "service",
+        invocation_id=record.id, node_id=node.id,
+    )
     engine._record(
         instance,
         EventTypes.SERVICE_ENQUEUED,
@@ -193,36 +223,12 @@ def apply_invocation_outcome(
         service=record.service,
         invocation_id=record.id,
     )
-    core.cancel_boundary_jobs(engine, instance, token)
-    token.waiting_on = {}
     if cmd.outcome == "bpmn_error":
         code = cmd.error_code or core.TECHNICAL_ERROR_CODE
-        engine._record(
-            instance,
-            EventTypes.ERROR_RAISED,
-            node_id=node.id,
-            code=code,
-            message=cmd.error,
-        )
-        core.handle_error(engine, instance, definition, token, code, cmd.error or "")
-        status = "error_routed"
-    else:
-        if node.output_variable is not None:
-            instance.variables[node.output_variable] = cmd.value
-            engine._record(
-                instance,
-                EventTypes.VARIABLES_UPDATED,
-                node_id=node.id,
-                keys=[node.output_variable],
-            )
-        core.move_through(
-            engine, instance, definition, token, node, is_activity=True,
-            attempts=cmd.attempts,
-        )
-        status = "completed"
-    core.advance(engine, instance)
-    engine._touch(instance)
-    return status
+        core.raise_error(engine, instance, definition, token, cmd.error, code)
+        return "error_routed"
+    finish_service(engine, instance, definition, token, node, cmd.value, cmd.attempts)
+    return "completed"
 
 
 def perform_service_invocation(
@@ -232,7 +238,8 @@ def perform_service_invocation(
 
     Also the landing point for ``async_service`` jobs (see
     :func:`fire_async_service`), hence a module function rather than a
-    closure.
+    closure.  Its exits, :func:`core.finish` and :func:`core.fail`, end
+    that job's ``async_service`` wait; inline, nothing is parked.
     """
     from repro.engine.errors import BpmnError  # cycle guard
 
@@ -242,10 +249,7 @@ def perform_service_invocation(
             for name, expr in node.inputs.items()
         }
     except ExpressionError as exc:
-        core.cancel_boundary_jobs(engine, instance, token)
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.fail(engine, instance, definition, token, str(exc))
         return
     engine._record(
         instance, EventTypes.SERVICE_INVOKED, node_id=node.id, service=node.service
@@ -253,17 +257,8 @@ def perform_service_invocation(
     try:
         result = engine.invoker.invoke(node.service, arguments, retry=node.retry)
     except BpmnError as exc:
-        core.cancel_boundary_jobs(engine, instance, token)
-        engine._record(
-            instance,
-            EventTypes.ERROR_RAISED,
-            node_id=node.id,
-            code=exc.code,
-            message=exc.detail,
-        )
-        core.handle_error(engine, instance, definition, token, exc.code, exc.detail)
+        core.raise_error(engine, instance, definition, token, exc.detail, exc.code)
         return
-    core.cancel_boundary_jobs(engine, instance, token)
     if not result.succeeded:
         engine._record(
             instance,
@@ -273,22 +268,29 @@ def perform_service_invocation(
             attempts=result.attempts,
             error=result.error,
         )
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE,
-            result.error or "service failed",
+        core.fail(
+            engine, instance, definition, token, result.error or "service failed"
         )
         return
+    finish_service(
+        engine, instance, definition, token, node, result.value, result.attempts
+    )
+
+
+def finish_service(
+    engine, instance, definition, token, node: ServiceTask, value, attempts: int
+) -> None:
+    """The service returned ``value``: store it, complete the task."""
     if node.output_variable is not None:
-        instance.variables[node.output_variable] = result.value
+        instance.variables[node.output_variable] = value
         engine._record(
             instance,
             EventTypes.VARIABLES_UPDATED,
             node_id=node.id,
             keys=[node.output_variable],
         )
-    core.move_through(
-        engine, instance, definition, token, node, is_activity=True,
-        attempts=result.attempts,
+    core.finish(
+        engine, instance, definition, token, node, is_activity=True, attempts=attempts
     )
 
 
@@ -303,16 +305,7 @@ def execute_business_rule_task(
         table = engine.decisions.get(node.decision)
         outputs = table.evaluate(instance.variables)
     except DecisionError as exc:
-        engine._record(
-            instance,
-            EventTypes.ERROR_RAISED,
-            node_id=node.id,
-            code=core.TECHNICAL_ERROR_CODE,
-            message=str(exc),
-        )
-        core.handle_error(
-            engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-        )
+        core.raise_error(engine, instance, definition, token, str(exc))
         return
     if node.result_variable is not None:
         instance.variables[node.result_variable] = outputs
@@ -339,9 +332,7 @@ def execute_send_task(engine, instance, definition, token, node: SendTask) -> No
                 instance.variables
             )
         except ExpressionError as exc:
-            core.handle_error(
-                engine, instance, definition, token, core.TECHNICAL_ERROR_CODE, str(exc)
-            )
+            core.handle_error(engine, instance, definition, token, str(exc))
             return
         payload = value if isinstance(value, dict) else {"value": value}
     correlation = payload.get("correlation")
@@ -362,6 +353,7 @@ def execute_receive_task(engine, instance, definition, token, node: ReceiveTask)
     core.await_message(
         engine,
         instance,
+        definition,
         token,
         node,
         node.message_name,

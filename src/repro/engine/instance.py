@@ -46,12 +46,18 @@ class Token:
     node_id: str
     state: TokenState = TokenState.ACTIVE
     arrived_via: str | None = None  # flow id, for join bookkeeping
-    # what a WAITING token is parked on, e.g.
-    # {"reason": "user_task", "work_item_id": "wi-3"}
-    # {"reason": "timer", "job_id": "job-7"}
-    # {"reason": "message", "message_name": "reply", "correlation": "ord-1"}
-    # {"reason": "join"} / {"reason": "child", "child_id": "..."}
-    # {"reason": "event_race", "job_ids": [...], "targets": [...]}
+    # what a WAITING token is parked on (execution.park sets it; DESIGN.md
+    # §Command pipeline has the wait table), by reason, keys in order:
+    #   user_task      work_item_id, node_id
+    #   service        invocation_id, node_id   (worker-pool invocation)
+    #   async_service  job_id, node_id
+    #   timer          job_id, node_id
+    #   message        message_name, correlation, node_id
+    #   child          node_id, child_id (once the child has started)
+    #   mi             node_id, remaining, total, next_index, children,
+    #                  collected
+    #   join           node_id
+    #   event_race     gateway_id, job_ids (the race timers)
     waiting_on: dict[str, Any] = field(default_factory=dict)
 
     def wait(self, reason: str, **details: Any) -> None:

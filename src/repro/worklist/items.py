@@ -129,14 +129,6 @@ class WorkItem:
             return None
         return self.finished_at - self.started_at
 
-    def is_overdue(self, now: float) -> bool:
-        """True when a live item has passed its deadline."""
-        return (
-            self.due_at is not None
-            and not self.state.is_terminal
-            and now > self.due_at
-        )
-
     # -- persistence ----------------------------------------------------------
     #
     # data and result are copied both ways, as ProcessInstance does: a

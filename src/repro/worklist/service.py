@@ -2,12 +2,12 @@
 
 The engine creates an item when a token reaches a user task, claims,
 starts and completes it from the work-item commands (then resuming the
-token itself), cancels it when it withdraws the token, and checks
-deadlines on every timer pump.  Every change enters through one gate,
-:meth:`WorklistService._changing`: the lock and, once an engine has bound
-its dispatch lock here (:meth:`WorklistService.bind_lock`), a refusal
-outside a running command, since only a command logs and commits the
-change.  A standalone service takes direct calls.
+token itself), cancels it when it withdraws the token, and escalates it
+when the task's ``deadline`` job fires.  Every change enters through one
+gate, :meth:`WorklistService._changing`: the lock and, once an engine has
+bound its dispatch lock here (:meth:`WorklistService.bind_lock`), a
+refusal outside a running command, since only a command logs and commits
+the change.  A standalone service takes direct calls.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from repro.history.events import EventTypes
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.writeset import WriteSet
 from repro.worklist.allocation import Allocator, OfferOnlyAllocator
-from repro.worklist.errors import UnknownWorkItemError, WorklistError
+from repro.worklist.errors import (
+    IllegalWorkItemTransition,
+    UnknownWorkItemError,
+    WorklistError,
+)
 from repro.worklist.items import WorkItem, WorkItemState
 from repro.worklist.resources import OrganizationalModel
 
@@ -86,9 +90,9 @@ class WorklistService:
         self._writes = WriteSet((WORKITEM_PREFIX,))
         # the open (non-terminal) items in creation order: added on create,
         # dropped on complete/cancel — no other transition closes an item.
-        # Queue queries and the deadline check walk this, not every item
-        # the service has ever held; the queries, which take no lock, walk
-        # a snapshot, since a completion on another thread shrinks it.
+        # Queue queries walk this, not every item the service has ever
+        # held; they take no lock and walk a snapshot, since a completion
+        # on another thread shrinks it.
         self._open: dict[str, WorkItem] = {}
 
     # -- wiring -----------------------------------------------------------------
@@ -343,30 +347,29 @@ class WorklistService:
 
     # -- deadlines -----------------------------------------------------------------
 
-    def check_deadlines(self) -> list[WorkItem]:
-        """Escalate every overdue live item.
+    def escalate(self, item_id: str) -> WorkItem:
+        """Escalate an open item whose deadline passed (an engine fires
+        this from the user task's ``deadline`` job).
 
-        Escalation policy: bump priority and return allocated-but-unstarted
-        items to their role queue so a less-loaded resource can claim them.
-        Items already started are only bumped.  Returns escalated items.
+        Escalation policy: bump priority and return an allocated-but-
+        unstarted item to its role queue so a less-loaded resource can
+        claim it.  A started item is only bumped.  The deadline is spent.
         """
         with self._changing():
+            item = self.item(item_id)
+            if item.state.is_terminal:
+                raise IllegalWorkItemTransition(item.id, item.state.value, "escalated")
             now = self.clock.now()
-            escalated = []
-            for item in self._open.values():
-                if not item.is_overdue(now):
-                    continue
-                item.priority += 1
-                item.escalations += 1
-                item.due_at = None  # one escalation per deadline
-                self._touch(item)
-                if item.state is WorkItemState.ALLOCATED:
-                    item.reoffer(now)
-                self._record(
-                    item, EventTypes.WORKITEM_ESCALATED, new_priority=item.priority
-                )
-                escalated.append(item)
-            return escalated
+            item.priority += 1
+            item.escalations += 1
+            item.due_at = None  # one escalation per deadline
+            self._touch(item)
+            if item.state is WorkItemState.ALLOCATED:
+                item.reoffer(now)
+            self._record(
+                item, EventTypes.WORKITEM_ESCALATED, new_priority=item.priority
+            )
+            return item
 
     # -- persistence hooks -----------------------------------------------------------
 

@@ -95,7 +95,7 @@ CLUSTER_SURFACE = {
 
 WORKLIST_SURFACE = {
     # refused on a bound worklist unless a command runs
-    "change": {"create_item", "claim", "start", "complete", "cancel", "check_deadlines"},
+    "change": {"create_item", "claim", "start", "complete", "cancel", "escalate"},
     "read": {
         "item",
         "items",
@@ -237,7 +237,7 @@ CHANGE_CALLS = {
     "start": lambda wl, ids: wl.start(ids["allocated"]),
     "complete": lambda wl, ids: wl.complete(ids["started"]),
     "cancel": lambda wl, ids: wl.cancel(ids["offered"]),
-    "check_deadlines": lambda wl, ids: wl.check_deadlines(),
+    "escalate": lambda wl, ids: wl.escalate(ids["allocated"]),
 }
 
 

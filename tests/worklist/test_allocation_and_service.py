@@ -167,20 +167,18 @@ class TestWorklistService:
         service, clock = make_service(allocator=ShortestQueueAllocator())
         item = service.create_item("i1", "t", "clerk", due_seconds=100)
         clock.advance(101)
-        escalated = service.check_deadlines()
-        assert escalated == [item]
+        assert service.escalate(item.id) is item
         assert item.priority == 1
+        assert item.escalations == 1
         assert item.state is WorkItemState.OFFERED
-        # second sweep does not escalate again
-        clock.advance(100)
-        assert service.check_deadlines() == []
+        assert item.due_at is None  # the deadline is spent
 
     def test_started_item_keeps_owner_on_escalation(self):
         service, clock = make_service(allocator=ShortestQueueAllocator())
         item = service.create_item("i1", "t", "clerk", due_seconds=10)
         service.start(item.id)
         clock.advance(11)
-        service.check_deadlines()
+        service.escalate(item.id)
         assert item.state is WorkItemState.STARTED
         assert item.priority == 1
 

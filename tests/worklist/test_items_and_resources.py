@@ -62,13 +62,6 @@ class TestLifecycle:
         assert item.state is WorkItemState.OFFERED
         assert item.allocated_to is None
 
-    def test_overdue_detection(self):
-        item = fresh_item(due_at=200.0)
-        assert not item.is_overdue(150.0)
-        assert item.is_overdue(250.0)
-        item.cancel(251.0)
-        assert not item.is_overdue(300.0)  # terminal items are never overdue
-
     def test_service_time_none_for_cancelled(self):
         item = fresh_item()
         item.offer(1.0)

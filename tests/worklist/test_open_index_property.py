@@ -59,7 +59,7 @@ operation = st.one_of(
     st.tuples(st.just("start"), pick),
     st.tuples(st.just("complete"), pick),
     st.tuples(st.just("cancel"), pick),
-    st.tuples(st.just("escalate"), st.integers(1, 10)),
+    st.tuples(st.just("escalate"), pick),
     st.tuples(st.just("export_import")),
 )
 
@@ -78,9 +78,6 @@ def test_open_index_equals_full_scan(push, operations):
                 service.create_item(
                     f"inst-{len(items) % 4}", "task", role, priority=priority, due_seconds=due
                 )
-            elif kind == "escalate":
-                clock.advance(op[1])
-                service.check_deadlines()
             elif kind == "export_import":
                 restored = make_service(clock, push)
                 restored.import_items(service.export_items())
