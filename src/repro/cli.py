@@ -718,43 +718,44 @@ def cmd_views_query(args: argparse.Namespace) -> int:
     if args.view == "by_key" and args.key is None:
         raise SystemExit("error: --key is required for the by_key view")
     with _open_stores(_store_paths(args.store)) as stores:
+        # the tables read finished-tier pages from the open stores
         managers = [_view_image(store)[0] for _, store in stores]
 
-    def records(table: str) -> list[dict[str, Any]]:
-        found = [
-            getattr(manager, table).record(entity_id)
-            for manager in managers
-            for entity_id in getattr(manager, table).ids(args.state)
-        ]
-        return sorted(found, key=lambda r: (r["rank"], r["id"]))
+        def records(table: str) -> list[dict[str, Any]]:
+            found = [
+                getattr(manager, table).record(entity_id)
+                for manager in managers
+                for entity_id in getattr(manager, table).ids(args.state)
+            ]
+            return sorted(found, key=lambda r: (r["rank"], r["id"]))
 
-    payload: dict[str, Any]
-    if args.view == "by_state":
-        payload = {"instances": records("by_state")}
-    elif args.view == "by_key":
-        ids = [i for m in managers for i in m.ids_for_business_key(args.key)]
-        ids.sort(key=lambda i: (creation_rank(i), i))
-        payload = {"business_key": args.key, "ids": ids}
-    elif args.view == "def_stats":
-        merged = merge_definition_stats(m.definition_stats() for m in managers)
-        payload = {
-            "definitions": {
-                name: record
-                for name, record in merged.items()
-                if args.definition in (None, name)
+        payload: dict[str, Any]
+        if args.view == "by_state":
+            payload = {"instances": records("by_state")}
+        elif args.view == "by_key":
+            ids = [i for m in managers for i in m.ids_for_business_key(args.key)]
+            ids.sort(key=lambda i: (creation_rank(i), i))
+            payload = {"business_key": args.key, "ids": ids}
+        elif args.view == "def_stats":
+            merged = merge_definition_stats(m.definition_stats() for m in managers)
+            payload = {
+                "definitions": {
+                    name: record
+                    for name, record in merged.items()
+                    if args.definition in (None, name)
+                }
             }
-        }
-    else:  # worklist
-        roles: dict[str, int] = {}
-        for manager in managers:
-            for role, count in manager.open_by_role().items():
-                roles[role] = roles.get(role, 0) + count
-        payload = {
-            "open": sum(manager.open_work_items() for manager in managers),
-            "roles": {role: roles[role] for role in sorted(roles)},
-            "items": records("worklist"),
-        }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        else:  # worklist
+            roles: dict[str, int] = {}
+            for manager in managers:
+                for role, count in manager.open_by_role().items():
+                    roles[role] = roles.get(role, 0) + count
+            payload = {
+                "open": sum(manager.open_work_items() for manager in managers),
+                "roles": {role: roles[role] for role in sorted(roles)},
+                "items": records("worklist"),
+            }
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

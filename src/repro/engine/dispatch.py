@@ -111,9 +111,8 @@ class DispatchLog:
         recorded (summarized) result instead of a double apply.  Entries
         beyond ``retention`` (a store written with a longer one) are
         deleted at the next commit."""
-        entries = sorted(
-            store.scan(DISPATCH_PREFIX), key=lambda entry: entry[1].get("seq", 0)
-        )
+        # keys are zero-padded seqs, so the scan yields them in seq order
+        entries = list(store.scan(DISPATCH_PREFIX))
         cut = max(0, len(entries) - self.retention)
         for key, _ in entries[:cut]:
             self._writes.delete(DISPATCH_PREFIX, key[len(DISPATCH_PREFIX):])
@@ -175,7 +174,8 @@ class Dispatcher:
 
     The gate is the engine's ``_dispatch_lock``, held by an open
     ``engine.batch()`` and shared with the worklist service, which
-    changes nothing unless :meth:`running` (``bind_lock``).
+    changes nothing unless :meth:`running`, and restores nothing unless
+    :attr:`restoring` (``bind_lock``).
     """
 
     def __init__(
@@ -188,6 +188,8 @@ class Dispatcher:
         #: current dispatch nesting depth (1 = outermost), valid only
         #: while the lock is held
         self.depth = 0
+        #: set while ``ProcessEngine.recover()`` restores the worklist
+        self.restoring = False
 
     def running(self) -> bool:
         """Whether the thread holding the gate is running a command."""

@@ -262,7 +262,7 @@ class ProcessEngine(CommandClient):
             for name, cls in cmds.COMMAND_TYPES.items()
         }
         self._dispatcher = Dispatcher(self, handlers)
-        self.worklist.bind_lock(self._dispatch_lock, self._dispatcher.running)
+        self.worklist.bind_lock(self._dispatch_lock, self._dispatcher)
         # the CQRS read side (repro.views) and the one instance and
         # work-item index: write-behind materialized projections whose
         # records persist inside the same store transaction as a group
@@ -505,17 +505,13 @@ class ProcessEngine(CommandClient):
         if instance is not None:
             return instance
         with self._dispatch_lock:
-            instance = self._instances.get(instance_id)
-            if instance is None:
-                instance = self._finished.get(instance_id)
+            instance = self._instances.get(instance_id) or self._finished.get(instance_id)
             if instance is None:
                 raw = self.store.get(INSTANCE_PREFIX + instance_id)
                 if raw is not None:
                     instance = ProcessInstance.from_dict(raw)
-                    if instance.state.is_finished:
-                        self._finished[instance_id] = instance
-                    else:
-                        self._instances[instance_id] = instance
+                    held = self._finished if instance.state.is_finished else self._instances
+                    held[instance_id] = instance
             return instance
 
     def instances(self, state: InstanceState | None = None) -> list[ProcessInstance]:
@@ -546,17 +542,9 @@ class ProcessEngine(CommandClient):
             )
             found = [i for i in map(self._find, ids) if i is not None]
         if where is not None:
-            found = [
-                instance
-                for instance in found
-                if all(instance.variables.get(k) == v for k, v in where.items())
-            ]
+            found = [i for i in found if all(i.variables.get(k) == v for k, v in where.items())]
         if waiting_at is not None:
-            found = [
-                instance
-                for instance in found
-                if any(token.node_id == waiting_at for token in instance.tokens)
-            ]
+            found = [i for i in found if any(t.node_id == waiting_at for t in i.tokens)]
         return found
 
     # -- instance lifecycle transitions -----------------------------------------
@@ -1002,17 +990,15 @@ class ProcessEngine(CommandClient):
         The read models recover first, from the store alone (load, tail
         replay or rebuild — see :meth:`ProjectionManager.recover`); then
         only the instances and work items they list as live are decoded.
-        A finished case stays on disk until first use (:meth:`instance`,
-        ``worklist.item``).  That is safe because the stored view image is
-        never ahead of the base records and nothing leaves a finished
-        state.  Returns counts per category (``instances`` and
-        ``workitems``: records stored, as the views count them).
+        A finished case, and the views' pages of them, stay on disk until
+        first use: the stored image is never ahead of the base records and
+        nothing leaves a finished state.  Returns counts per category
+        (``instances`` and ``workitems``: records stored, as the views
+        count them off the image cursor).
         """
         store = self.store
         counts = {"definitions": 0, "instances": 0}
-        self._latest_version = dict(
-            store.get(ENGINE_PREFIX + "latest_versions", {})
-        )
+        self._latest_version = dict(store.get(ENGINE_PREFIX + "latest_versions", {}))
         for _, raw in store.scan(DEFINITION_PREFIX):
             definition = definition_from_dict(raw)
             self._definitions[definition.identifier] = definition
@@ -1030,7 +1016,11 @@ class ProcessEngine(CommandClient):
             self._instances[instance_id] = ProcessInstance.from_dict(raw)
         counts["instances"] = views.by_state.record_count()
         counts["jobs"] = self.scheduler.load(store)
-        self.worklist.load(store, views.worklist.live_ids(), views.worklist.top_rank())
+        self._dispatcher.restoring = True
+        try:
+            self.worklist.load(store, views.worklist.live_ids(), views.worklist.top_rank())
+        finally:
+            self._dispatcher.restoring = False
         counts["workitems"] = views.worklist.record_count()
         counts["invocations"] = self.ledger.load(store)
         counts["dead_letters"] = self.ledger.load_dead_letters(store)

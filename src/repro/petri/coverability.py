@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.petri.errors import AnalysisBudgetExceeded
 from repro.petri.marking import Marking
@@ -61,11 +62,13 @@ def _add(a: ExtendedCount, b: int) -> ExtendedCount:
 class ExtendedMarking:
     """A marking over ``int | OMEGA`` counts; hashable and comparable."""
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_hash", "total")
 
     def __init__(self, counts: dict[str, ExtendedCount]) -> None:
         self._counts = {p: c for p, c in counts.items() if c is OMEGA or c > 0}
         self._hash: int | None = None
+        #: tokens held, infinite when a place holds ``OMEGA``
+        self.total = inf if self.has_omega else sum(self._counts.values())
 
     @classmethod
     def from_marking(cls, marking: Marking) -> "ExtendedMarking":
@@ -81,9 +84,8 @@ class ExtendedMarking:
         return all(_ge(self.get(p), w) for p, w in weights.items())
 
     def ge(self, other: "ExtendedMarking") -> bool:
-        """Pointwise >= over the union of supports."""
-        places = set(self._counts) | set(other._counts)
-        return all(_ge(self.get(p), other.get(p)) for p in places)
+        """Pointwise >= (a place outside ``other``'s support holds 0 there)."""
+        return all(_ge(self.get(p), c) for p, c in other._counts.items())
 
     def strictly_gt(self, other: "ExtendedMarking") -> bool:
         return self.ge(other) and self._counts != other._counts
@@ -114,9 +116,7 @@ class ExtendedMarking:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                frozenset((p, "ω" if c is OMEGA else c) for p, c in self._counts.items())
-            )
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -160,33 +160,49 @@ def build_coverability_graph(
     initial: Marking,
     max_states: int = 100_000,
 ) -> CoverabilityGraph:
-    """Karp–Miller construction with ancestor-path acceleration."""
+    """Karp–Miller construction with ancestor-path acceleration.
+
+    A node tries only the transitions its marked places feed (and those
+    without inputs) and walks its ancestors through parent links; a finite
+    successor holding no more tokens than an ancestor cannot strictly
+    cover it, so that pair is not compared place by place."""
+    order = {t: index for index, t in enumerate(net.transitions)}
     pre = {t: net.preset(t) for t in net.transitions}
     post = {t: net.postset(t) for t in net.transitions}
-
+    consumers: dict[str, set[str]] = {}
+    for transition_id, inputs in pre.items():
+        for place in inputs:
+            consumers.setdefault(place, set()).add(transition_id)
+    sources = {t for t, inputs in pre.items() if not inputs}
     root = ExtendedMarking.from_marking(initial)
     graph = CoverabilityGraph(net=net, initial=root)
     graph.nodes.add(root)
-    # queue holds (node, ancestor path) — path needed for acceleration
-    queue: deque[tuple[ExtendedMarking, tuple[ExtendedMarking, ...]]] = deque(
-        [(root, (root,))]
-    )
+    parents: dict[ExtendedMarking, ExtendedMarking | None] = {root: None}
+    queue: deque[ExtendedMarking] = deque([root])
     while queue:
-        node, path = queue.popleft()
+        node = queue.popleft()
         successors = graph.edges.setdefault(node, [])
-        for transition_id in net.transitions:
+        path: list[ExtendedMarking] = []
+        ancestor: ExtendedMarking | None = node
+        while ancestor is not None:
+            path.append(ancestor)
+            ancestor = parents[ancestor]
+        path.reverse()  # root first: acceleration order matters
+        enabled = sources.union(*(consumers.get(place, ()) for place in node._counts))
+        for transition_id in sorted(enabled, key=order.__getitem__):
             if not node.covers(pre[transition_id]):
                 continue
             nxt = node.fire(pre[transition_id], post[transition_id])
             for ancestor in path:
-                if nxt.strictly_gt(ancestor):
+                if (nxt.total > ancestor.total or nxt.total == inf) and nxt.strictly_gt(ancestor):
                     nxt = nxt.accelerate(ancestor)
             successors.append((transition_id, nxt))
             if nxt not in graph.nodes:
                 if len(graph.nodes) >= max_states:
                     raise AnalysisBudgetExceeded(max_states)
                 graph.nodes.add(nxt)
-                queue.append((nxt, path + (nxt,)))
+                parents[nxt] = node
+                queue.append(nxt)
     return graph
 
 

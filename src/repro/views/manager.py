@@ -34,8 +34,9 @@ per-dispatch critical path:
   only instance and work-item index.
 
 Cursor semantics: every drain stamps ``view/__cursor`` with the
-engine's dispatch sequence at commit time.  On recovery the cursor tells
-the manager how much of the dispatch log the persisted image has seen:
+engine's dispatch sequence at commit time and the finished tier's
+census.  On recovery the cursor tells the manager how much of the
+dispatch log the persisted image has seen:
 
 * **cursor == dispatch seq** → load the records, done (clean shutdown
   went through a forced flush, so this is the common case);
@@ -46,13 +47,10 @@ the manager how much of the dispatch log the persisted image has seen:
   older layout, pruned tail, stamps missing/over the cap) → full
   rebuild from the stored base records, linear in state size.
 
-Recovery reads the store only — the ``view/`` records, and for tail
-replay or rebuild raw base records through
-:func:`~repro.views.projections.compact_instance`, as the offline
-rebuild does — and runs before the engine decodes any instance: the
-caught-up image names the live cases the engine decodes, and the
-finished ones it leaves on disk.  A load reads O(live + pages) values,
-not one per case ever run.
+Recovery reads the store only, before the engine decodes any instance:
+the caught-up image names the live cases the engine decodes.  A load
+reads the cursor and one record per live entity and per definition;
+finished cases, and the pages that list them, stay on disk until used.
 
 Failure handling mirrors the write-set's: the tables' dirty keys are
 cleared only by :meth:`confirm` — called after the store transaction
@@ -70,6 +68,7 @@ from repro.engine.instance import INSTANCE_PREFIX
 from repro.storage.writeset import WriteSet
 from repro.views.projections import (
     INSTANCE_STATES,
+    VIEW_PREFIX,
     DefinitionStats,
     InstancesByState,
     WorklistQueues,
@@ -84,8 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.engine import ProcessEngine
     from repro.obs import Observability
 
-#: store-key namespace for all view records
-VIEW_PREFIX = "view/"
 #: the one cursor of the whole image: the dispatch seq it is current through
 CURSOR_KEY = VIEW_PREFIX + "__cursor"
 
@@ -111,6 +108,7 @@ class ProjectionManager:
         #: the tables in drain order, and by record-key name
         self.projections = (self.by_state, self.def_stats, self.worklist)
         self._by_name = {table.name: table for table in self.projections}
+        self._tiered = (self.by_state, self.worklist)
         #: dispatch seq the in-memory image is current through (counting
         #: noted-but-unmaterialized entities, which reads materialize)
         self.applied_seq = 0
@@ -281,7 +279,9 @@ class ProjectionManager:
             prefix = f"{VIEW_PREFIX}{table.name}/"
             for suffix, value in table.dirty_records().items():
                 writes[prefix + suffix] = value
-        writes[CURSOR_KEY] = {"seq": seq}
+        # the finished tier's census: a load counts it without a page read
+        census = {table.name: table.census() for table in self._tiered}
+        writes[CURSOR_KEY] = {"seq": seq, "finished": census}
         self._drained_seq = seq
         return writes
 
@@ -343,31 +343,32 @@ class ProjectionManager:
         stands, without catching it up.
 
         Returns the image cursor (``None`` when there is none) and every
-        ``view/`` key read; sets :attr:`stale` when the image is in a
-        layout this build does not write (a table it does not know, such
-        as the business-key records of older builds, a per-table
-        ``view/<name>/__cursor``, or a finished entity kept per id).  The
-        offline ``repro views`` and ``cluster status`` commands read a
-        closed store through this.
+        ``view/`` key; sets :attr:`stale` when the image is in a layout
+        this build does not write (a table it does not know, such as the
+        business-key records of older builds, a per-table
+        ``view/<name>/__cursor``, or a finished entity kept per id).  Reads
+        the cursor and the live records only: the tables read a page from
+        ``store`` when a call first needs it.  The offline ``repro views``
+        and ``cluster status`` commands read a closed store through this.
         """
-        keys: list[str] = []
-        cursor = None
+        keys = store.keys(VIEW_PREFIX)
+        stamp: dict[str, Any] | None = None
         stale = False
-        for key, raw in store.scan(VIEW_PREFIX):
-            keys.append(key)
+        for key in keys:
             if key == CURSOR_KEY:
-                cursor = int(raw.get("seq", 0))
+                stamp = store.get(key)
                 continue
             name, sep, suffix = key[len(VIEW_PREFIX):].partition("/")
             table = self._by_name.get(name)
             if table is None or not sep or suffix == "__cursor":
                 stale = True
             else:
-                table.load_record(suffix, raw)
-        self.by_state.finish_load()
-        self.worklist.finish_load()
+                table.load_record(suffix, store)
+        census = (stamp or {}).get("finished", {})
+        for table in self._tiered:
+            table.finish_load(census.get(table.name))
         self.stale = stale or self.by_state.stale or self.worklist.stale
-        return cursor, keys
+        return (None if stamp is None else int(stamp.get("seq", 0))), keys
 
     def recover(self, store: Any, dispatch_log: Any) -> dict[str, Any]:
         """Load, tail-replay, or rebuild the views from the store alone.
@@ -392,15 +393,10 @@ class ProjectionManager:
         if cursor is not None and not self.stale and 0 <= cursor <= target:
             self._set_lag_gauges(0)
             if cursor == target:
-                self.applied_seq = target
-                self.persisted_seq = target
+                self.applied_seq = self.persisted_seq = target
                 self.recovered_mode = "load"
                 return {"mode": "load", "records": loaded, "replayed": 0}
-            tail = [
-                record
-                for record in dispatch_log.records
-                if record.get("seq", 0) > cursor
-            ]
+            tail = [record for record in dispatch_log.records if record.get("seq", 0) > cursor]
             covered = (
                 len(tail) == target - cursor
                 and bool(tail)
@@ -412,11 +408,7 @@ class ProjectionManager:
                 writes = self._replay_touched(store, tail, target)
                 self._persist(store, writes, deletes=())
                 self.recovered_mode = "tail"
-                return {
-                    "mode": "tail",
-                    "records": loaded,
-                    "replayed": len(tail),
-                }
+                return {"mode": "tail", "records": loaded, "replayed": len(tail)}
         # no cursor, a cursor ahead of durable state, a stale layout, or
         # the log tail is unusable: rebuild everything from the
         # stored base records
@@ -453,30 +445,13 @@ class ProjectionManager:
         Applies are idempotent transitions against the loaded image, so
         entities that were already current converge to themselves.
         """
-        instance_ids = sorted(
-            {
-                instance_id
-                for record in tail
-                for instance_id in record["touched"].get("instances", ())
-            }
-        )
-        item_ids = sorted(
-            {
-                item_id
-                for record in tail
-                for item_id in record["touched"].get("items", ())
-            }
-        )
-        instances = [
-            compact_instance(raw)
-            for raw in (store.get(INSTANCE_PREFIX + i) for i in instance_ids)
-            if raw is not None
-        ]
-        items = [
-            compact_item(raw)
-            for raw in (store.get(WORKITEM_PREFIX + i) for i in item_ids)
-            if raw is not None
-        ]
+        def stored(kind: str, prefix: str, compact: Any) -> list[dict[str, Any]]:
+            ids = sorted({i for record in tail for i in record["touched"].get(kind, ())})
+            raws = (store.get(prefix + entity_id) for entity_id in ids)
+            return [compact(raw) for raw in raws if raw is not None]
+
+        instances = stored("instances", INSTANCE_PREFIX, compact_instance)
+        items = stored("items", WORKITEM_PREFIX, compact_item)
         return self._apply(instances, items, target)
 
     def _persist(

@@ -36,7 +36,9 @@ reaches a terminal state into page ``rank // PAGE`` of a columnar
 finished tier, persisted whole as ``view/<name>/__p<k>`` by the next
 drain.  A page keeps its members in ``(rank, id)`` order, so its content
 is a function of their final records alone, and the manager drops a
-re-put of a paged entity before any table sees it.
+re-put of a paged entity before any table sees it.  A stored page is
+final, so a loaded table reads page ``k`` when a call first needs it; the
+tier's per-state census rides on the image cursor.
 
 Suffixes beginning with ``__`` (``__p<k>``) are reserved for table
 bookkeeping.
@@ -45,14 +47,18 @@ bookkeeping.
 from __future__ import annotations
 
 import heapq
+import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.analytics.kpis import CycleTimeAggregate
 
 T = TypeVar("T")
 
+#: store-key namespace for all view records (``view/<table>/<suffix>``)
+VIEW_PREFIX = "view/"
 #: finished entities per page of the finished tier: page k holds ranks
 #: k * PAGE to (k + 1) * PAGE - 1
 PAGE = 64
@@ -206,7 +212,8 @@ def compact_item_obj(item: Any) -> dict[str, Any]:
 # last ``clear_dirty()`` — values are built at call time, so a retried
 # flush after a failed transaction re-emits the *current* (converged)
 # image; a value of ``None`` deletes the record — and recovery feeds
-# ``load_record(suffix, value)`` per stored record, then ``finish_load()``.
+# ``load_record(suffix, store)`` per stored record, then
+# ``finish_load(census)``.
 
 
 def _column(field: str, values: Iterable[Any] = ()) -> Any:
@@ -280,14 +287,17 @@ class _Tiered:
 
     def __init__(self) -> None:
         self._codes = {state: code for code, state in enumerate(self.states)}
+        self._reading = threading.Lock()
         self.reset()
 
     def reset(self) -> None:
         #: live entities: id -> compact record, and state -> {id: rank}
         self.records: dict[str, dict[str, Any]] = {}
         self.buckets: dict[str, dict[str, int]] = {}
-        #: the finished tier: page number -> columns
-        self.pages: dict[int, _Page] = {}
+        #: the finished tier: page number -> columns (``None``: in the
+        #: store, not read yet)
+        self.pages: dict[int, _Page | None] = {}
+        self._store: Any = None
         #: entities per state, both tiers
         self.state_counts: dict[str, int] = {}
         #: the loaded records are in a layout this build does not write;
@@ -338,9 +348,22 @@ class _Tiered:
             if old is None:
                 unwritten.add(entity_id)
 
+    def _page(self, number: int) -> _Page | None:
+        """Page ``number``, read from the store on first use (a stored page
+        is final); one thread reads it, so a seal never lands in a copy that
+        a reader outside the dispatch lock then replaces."""
+        page = self.pages.get(number)
+        if page is None and number in self.pages:
+            with self._reading:
+                page = self.pages.get(number)
+                if page is None:
+                    raw = self._store.get(f"{VIEW_PREFIX}{self.name}/{PAGE_SUFFIX}{number}")
+                    page = self.pages[number] = _Page(self.fields, raw)
+        return page
+
     def _seal(self, record: dict[str, Any]) -> None:
         number = record["rank"] // PAGE
-        page = self.pages.get(number)
+        page = self._page(number)
         if page is None:
             page = self.pages[number] = _Page(self.fields)
         page.insert(record, self._codes[record["state"]])
@@ -348,7 +371,7 @@ class _Tiered:
 
     def paged(self, record: dict[str, Any]) -> bool:
         """Whether the entity of ``record`` is final (in a page)."""
-        page = self.pages.get(record["rank"] // PAGE)
+        page = self._page(record["rank"] // PAGE)
         return page is not None and page.find(record["rank"], record["id"]) >= 0
 
     def transitions(
@@ -380,10 +403,12 @@ class _Tiered:
         self._gone.clear()
         self._dirty_pages.clear()
 
-    def load_record(self, suffix: str, value: Any) -> None:
+    def load_record(self, suffix: str, store: Any) -> None:
         if suffix.startswith(PAGE_SUFFIX) and suffix[len(PAGE_SUFFIX):].isdigit():
-            self.pages[int(suffix[len(PAGE_SUFFIX):])] = _Page(self.fields, value)
+            self.pages[int(suffix[len(PAGE_SUFFIX):])] = None
+            self._store = store
             return
+        value = store.get(f"{VIEW_PREFIX}{self.name}/{suffix}")
         state = value.get("state")
         if state in self._codes and state not in self.terminal:
             self.records[suffix] = value
@@ -394,19 +419,27 @@ class _Tiered:
         if state in self.terminal:
             self._seal(value)
 
-    def finish_load(self) -> None:
+    def finish_load(self, census: dict[str, int] | None) -> None:
+        """Index the live records; ``census`` is the cursor's count per
+        terminal state (``None`` for a cursor without one: pages count)."""
         buckets: dict[str, dict[str, int]] = {}
         counts: dict[str, int] = {}
         for entity_id, record in self.records.items():
             state = record["state"]
             buckets.setdefault(state, {})[entity_id] = record["rank"]
             counts[state] = counts.get(state, 0) + 1
-        for page in self.pages.values():
-            codes = page.columns["state"]
-            for state in self.terminal:
-                counts[state] = counts.get(state, 0) + codes.count(self._codes[state])
+        if census is None:
+            codes = bytearray().join(self._page(n).columns["state"] for n in self.pages)
+            census = {state: codes.count(self._codes[state]) for state in self.terminal}
+        for state in self.terminal:
+            counts[state] = census.get(state, 0)
         self.buckets = buckets
         self.state_counts = counts
+
+    def census(self) -> dict[str, int]:
+        """The finished tier's count per terminal state (``finish_load``'s)."""
+        counts = self.state_counts
+        return {state: counts.get(state, 0) for state in self.states if state in self.terminal}
 
     def record_count(self) -> int:
         return sum(self.state_counts.values())
@@ -429,7 +462,7 @@ class _Tiered:
 
     def _paged(self, code: int | None) -> Iterator[tuple[int, str]]:
         for number in sorted(self.pages):
-            columns = self.pages[number].columns
+            columns = self._page(number).columns
             for rank, entity_id, member in zip(
                 columns["rank"], columns["id"], columns["state"]
             ):
@@ -446,17 +479,17 @@ class _Tiered:
         record = self.records.get(entity_id)
         if record is None:
             rank = creation_rank(entity_id)
-            page = self.pages.get(rank // PAGE)
+            page = self._page(rank // PAGE)
             at = -1 if page is None else page.find(rank, entity_id)
             if at >= 0:
                 record = page.record(at, self.states)
         return record
 
     def top_rank(self) -> int:
-        """The highest creation rank indexed (0 when empty)."""
+        """The highest creation rank indexed (0 when empty; reads one page)."""
         top = max((record["rank"] for record in self.records.values()), default=0)
         if self.pages:
-            top = max(top, self.pages[max(self.pages)].columns["rank"][-1])
+            top = max(top, self._page(max(self.pages)).columns["rank"][-1])
         return top
 
 
@@ -466,9 +499,9 @@ class InstancesByState(_Tiered):
     Persists one compact record per live instance
     (``view/by_state/<id>``) and the finished tier's pages
     (``view/by_state/__p<k>``).  The business-key index (key -> ids in
-    creation order) is derived, never persisted: maintained on apply and
-    rebuilt by :meth:`finish_load` from the live records and the page
-    columns.
+    creation order) is derived, never persisted: maintained on apply, and
+    after a load built once, on first use, from the live records and every
+    page's columns.
     """
 
     name = "by_state"
@@ -481,7 +514,7 @@ class InstancesByState(_Tiered):
 
     def reset(self) -> None:
         super().reset()
-        self.keys: dict[str, list[str]] = {}
+        self._keys: dict[str, list[str]] | None = {}
 
     def apply_instances(
         self, pairs: Sequence[tuple[dict | None, dict]]
@@ -489,29 +522,35 @@ class InstancesByState(_Tiered):
         if not pairs:
             return
         self._apply(pairs)
-        keys = self.keys
+        keys = self._keys
+        if keys is None:
+            return  # the first use indexes what the tiers then hold
         for old, new in pairs:
             # keys are assigned at start and never change
             if old is None and new["business_key"] is not None:
-                insort(
-                    keys.setdefault(new["business_key"], []),
-                    new["id"],
-                    key=creation_rank,
-                )
+                ids = keys.setdefault(new["business_key"], [])
+                insort(ids, new["id"], key=creation_rank)
 
-    def finish_load(self) -> None:
-        super().finish_load()
-        keys: dict[str, list[str]] = {}
-        for number in sorted(self.pages):
-            columns = self.pages[number].columns
-            for entity_id, key in zip(columns["id"], columns["business_key"]):
+    def finish_load(self, census: dict[str, int] | None) -> None:
+        super().finish_load(census)
+        self._keys = None
+
+    @property
+    def keys(self) -> dict[str, list[str]]:
+        """Business key -> instance ids in creation order."""
+        if self._keys is None:
+            keys: dict[str, list[str]] = {}
+            for number in sorted(self.pages):
+                columns = self._page(number).columns
+                for entity_id, key in zip(columns["id"], columns["business_key"]):
+                    if key is not None:
+                        keys.setdefault(key, []).append(entity_id)
+            for entity_id in self.live_ids():
+                key = self.records[entity_id]["business_key"]
                 if key is not None:
-                    keys.setdefault(key, []).append(entity_id)
-        for entity_id in self.live_ids():
-            key = self.records[entity_id]["business_key"]
-            if key is not None:
-                insort(keys.setdefault(key, []), entity_id, key=creation_rank)
-        self.keys = keys
+                    insort(keys.setdefault(key, []), entity_id, key=creation_rank)
+            self._keys = keys
+        return self._keys
 
     def ids_for_key(self, business_key: str) -> list[str]:
         return list(self.keys.get(business_key, ()))
@@ -545,48 +584,25 @@ class DefinitionStats:
     def apply_instances(
         self, pairs: Sequence[tuple[dict | None, dict]]
     ) -> None:
+        # an instance keeps its definition key: migration moves it to
+        # another version of the same definition
         slot_of = self._slot
-        observe_cycle = self._observe_cycle
         dirty = self._dirty_keys
         for old, new in pairs:
-            definition = new["definition"]
             state = new["state"]
-            if old is None:
-                slot = slot_of(definition)
-                slot["total"] += 1
-                states = slot["states"]
-                states[state] = states.get(state, 0) + 1
-                if state == "completed":
-                    observe_cycle(slot, new)
-                dirty.add(definition)
-                continue
-            old_definition = old["definition"]
-            old_state = old["state"]
-            if old_definition == definition and old_state == state:
+            if old is not None and old["state"] == state:
                 continue  # record-only change (variables, tokens): no stat moves
-            if old_definition != definition:
-                old_slot = slot_of(old_definition)
-                old_slot["total"] -= 1
-                old_states = old_slot["states"]
-                old_states[old_state] = old_states.get(old_state, 1) - 1
-                slot = slot_of(definition)
+            definition = new["definition"]
+            slot = slot_of(definition)
+            states = slot["states"]
+            if old is None:
                 slot["total"] += 1
-                states = slot["states"]
-                states[state] = states.get(state, 0) + 1
-                dirty.add(old_definition)
             else:
-                slot = slot_of(definition)
-                states = slot["states"]
-                states[old_state] = states.get(old_state, 1) - 1
-                states[state] = states.get(state, 0) + 1
-            if state == "completed" and old_state != "completed":
-                observe_cycle(slot, new)
+                states[old["state"]] = states.get(old["state"], 1) - 1
+            states[state] = states.get(state, 0) + 1
+            if state == "completed" and new["ended_at"] is not None:
+                slot["cycle"].observe(new["ended_at"] - new["created_at"])
             dirty.add(definition)
-
-    @staticmethod
-    def _observe_cycle(slot: dict[str, Any], record: dict[str, Any]) -> None:
-        if record["ended_at"] is not None:
-            slot["cycle"].observe(record["ended_at"] - record["created_at"])
 
     def dirty_records(self) -> dict[str, Any]:
         return {key: self._record(key) for key in self._dirty_keys}
@@ -604,7 +620,8 @@ class DefinitionStats:
             "cycle": slot["cycle"].to_dict(),
         }
 
-    def load_record(self, suffix: str, value: Any) -> None:
+    def load_record(self, suffix: str, store: Any) -> None:
+        value = store.get(f"{VIEW_PREFIX}{self.name}/{suffix}")
         self.stats[suffix] = {
             "total": int(value.get("total", 0)),
             "states": {
@@ -634,7 +651,7 @@ class WorklistQueues(_Tiered):
     (``view/worklist/<id>``) and the finished tier's pages
     (``view/worklist/__p<k>``).  The queue aggregates — total open items,
     open count per role, and the per-state census — live in memory only:
-    loading derives them from the live records and the page codes.
+    loading derives them from the live records and the cursor's census.
     """
 
     name = "worklist"
@@ -667,15 +684,13 @@ class WorklistQueues(_Tiered):
                 role_open[old["role"]] = role_open.get(old["role"], 1) - 1
         self.open_total = open_total
 
-    def load_record(self, suffix: str, value: Any) -> None:
+    def load_record(self, suffix: str, store: Any) -> None:
         # stores written by older versions hold a ``__queues`` aggregate;
         # finish_load derives it instead
         if suffix != "__queues":
-            super().load_record(suffix, value)
+            super().load_record(suffix, store)
 
-    def finish_load(self) -> None:
-        super().finish_load()
+    def finish_load(self, census: dict[str, int] | None) -> None:
+        super().finish_load(census)
         self.open_total = len(self.records)
-        self.role_open = {}
-        for record in self.records.values():
-            self.role_open[record["role"]] = self.role_open.get(record["role"], 0) + 1
+        self.role_open = dict(Counter(record["role"] for record in self.records.values()))

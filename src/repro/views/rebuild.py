@@ -18,10 +18,10 @@ from repro.views.manager import VIEW_PREFIX, ProjectionManager
 
 
 def stored_dispatch_seq(store: Any) -> int:
-    """Highest persisted dispatch sequence in a store (0 when empty)."""
-    return max(
-        (int(raw.get("seq", 0)) for _, raw in store.scan(DISPATCH_PREFIX)), default=0
-    )
+    """Highest persisted dispatch sequence in a store (0 when empty): the
+    last record's, since the keys are zero-padded seqs."""
+    keys = store.keys(DISPATCH_PREFIX)
+    return int(store.get(keys[-1]).get("seq", 0)) if keys else 0
 
 
 def rebuild_store_views(store: Any) -> dict[str, int]:

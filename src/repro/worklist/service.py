@@ -6,8 +6,9 @@ token itself), cancels it when it withdraws the token, and escalates it
 when the task's ``deadline`` job fires.  Every change enters through one
 gate, :meth:`WorklistService._changing`: the lock and, once an engine has
 bound its dispatch lock here (:meth:`WorklistService.bind_lock`), a
-refusal outside a running command, since only a command logs and commits
-the change.  A standalone service takes direct calls.
+refusal outside a running command (a restore, outside the engine's
+recovery), since only a command logs and commits the change.  A
+standalone service takes direct calls.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class WorklistService:
         self._id_counter = itertools.count(1)
         self._id_prefix = f"wi-{id_namespace}-" if id_namespace else "wi-"
         self._lock = threading.RLock()
-        self._dispatching: Callable[[], bool] = lambda: True  # standalone
+        self._gate: Any = None  # standalone: no command gate
         # created or mutated items are put (items are never deleted); an
         # engine binds its shared write-set in place of this private one
         self._writes = WriteSet((WORKITEM_PREFIX,))
@@ -97,19 +98,23 @@ class WorklistService:
 
     # -- wiring -----------------------------------------------------------------
 
-    def bind_lock(self, lock: threading.RLock, dispatching: Callable[[], bool]) -> None:
-        """Share the caller's (engine's) dispatch lock and ``dispatching()``,
-        which says whether the holder runs a command; reads still take the
-        lock against the views handing finished items to the weak cache."""
-        self._lock, self._dispatching = lock, dispatching
+    def bind_lock(self, lock: threading.RLock, gate: Any) -> None:
+        """Share the caller's (engine's) dispatch lock and ``Dispatcher``,
+        the gate every change passes; reads still take the lock against
+        the views handing finished items to the weak cache."""
+        self._lock, self._gate = lock, gate
 
-    def _changing(self, command: str = "an engine command") -> threading.RLock:
+    def _changing(
+        self, command: str = "an engine command", restore: bool = False
+    ) -> threading.RLock:
         """The lock a change runs under.  A bound worklist first checks,
-        under it, that a command runs (else a :class:`WorklistError` naming
-        ``command``); a caller that passes already holds the lock for that
-        command, so nothing runs between the check and the change."""
+        under it, that a command runs (for a ``restore``, the engine's
+        recovery), else raises a :class:`WorklistError` naming ``command``;
+        a caller that passes already holds the lock, so nothing runs
+        between the check and the change."""
         with self._lock:
-            if not self._dispatching():
+            gate = self._gate
+            if gate is not None and not (gate.restoring if restore else gate.running()):
                 raise WorklistError(f"use {command}: a direct call commits nothing")
         return self._lock
 
@@ -383,31 +388,27 @@ class WorklistService:
         return [item.to_dict() for item in self.items()]
 
     def import_items(self, raw_items: list[dict[str, Any]], floor: int = 0) -> None:
-        """Restore items from a snapshot (engine recovery); generated ids
-        continue above ``floor`` and above every imported one."""
-        for raw in raw_items:
-            item = WorkItem.from_dict(raw)
-            self._items[item.id] = item
-        was_open = len(self._open)
-        self._open = {
-            item.id: item
-            for item in self._items.values()
-            if not item.state.is_terminal
-        }
-        if self._g_open is not None:
-            # a delta, not set(): cluster shards share one gauge
-            self._g_open.inc(len(self._open) - was_open)
-        # keep generated ids unique after recovery
-        top = max(
-            [floor]
-            + [
-                _id_counter(item_id)
-                for item_id in self._items
-                if item_id.startswith(self._id_prefix)
-            ]
-        )
-        if top:
-            self._id_counter = itertools.count(top + 1)
+        """Restore items from a snapshot; generated ids continue above
+        ``floor`` and above every imported one.  A bound worklist takes
+        this (and :meth:`load`) only from ``ProcessEngine.recover()``."""
+        with self._changing("ProcessEngine.recover()", restore=True):
+            for raw in raw_items:
+                item = WorkItem.from_dict(raw)
+                self._items[item.id] = item
+            was_open = len(self._open)
+            self._open = {
+                item.id: item
+                for item in self._items.values()
+                if not item.state.is_terminal
+            }
+            if self._g_open is not None:
+                # a delta, not set(): cluster shards share one gauge
+                self._g_open.inc(len(self._open) - was_open)
+            # keep generated ids unique after recovery
+            ours = [_id_counter(i) for i in self._items if i.startswith(self._id_prefix)]
+            top = max([floor, *ours])
+            if top:
+                self._id_counter = itertools.count(top + 1)
 
     def load(self, store: KeyValueStore, ids: Iterable[str], floor: int) -> None:
         """Restore the live items ``ids`` names, in creation order, from a

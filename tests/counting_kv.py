@@ -20,7 +20,8 @@ class Counting:
 
     * ``puts`` / ``put_keys``, ``deletes`` / ``delete_keys``, ``commits``;
     * ``reads[family]``: values handed out by ``get`` (misses included)
-      and ``scan``, per key family (``"view/"``);
+      and ``scan``, per key family (``"view/"``), and ``read_keys``, the
+      key of each;
     * ``keys_prefixes``: the prefix of every ``keys()`` call.
     """
 
@@ -36,6 +37,7 @@ class Counting:
         self.delete_keys = []
         self.keys_prefixes = []
         self.reads = Counter()
+        self.read_keys = []
 
     def put(self, key, value):
         self.puts += 1
@@ -53,11 +55,13 @@ class Counting:
 
     def get(self, key, default=None):
         self.reads[_family(key)] += 1
+        self.read_keys.append(key)
         return super().get(key, default)
 
     def scan(self, prefix=""):
         for key, value in super().scan(prefix):
             self.reads[_family(key)] += 1
+            self.read_keys.append(key)
             yield key, value
 
     def keys(self, prefix=""):

@@ -7,8 +7,9 @@ holds the census of who may change case state:
 * every public name of ``ProcessEngine``, ``ShardedEngine`` and an
   engine-bound ``WorklistService`` is classified below, by introspection,
   so a new public name fails here until it is placed;
-* on a ``DurableKV`` engine, a worklist change called outside a command is
-  refused before anything changes, and each ``CommandClient`` method
+* on a ``DurableKV`` engine, a worklist change called outside a command
+  (or a restore outside ``recover()``) is refused before anything
+  changes, and each ``CommandClient`` method
   leaves memory equal to what reopening the store and ``recover()``
   rebuild.
 """
@@ -108,6 +109,7 @@ WORKLIST_SURFACE = {
     },
     "configuration": {"organization", "allocator", "clock"},
     "wiring": {"bind_lock", "bind_writes", "bind_index"},
+    # refused on a bound worklist unless ProcessEngine.recover() runs
     "recovery": {"load", "import_items"},
     "collaborator": {"history"},
 }
@@ -238,11 +240,16 @@ CHANGE_CALLS = {
     "complete": lambda wl, ids: wl.complete(ids["started"]),
     "cancel": lambda wl, ids: wl.cancel(ids["offered"]),
     "escalate": lambda wl, ids: wl.escalate(ids["allocated"]),
+    # refused unless ProcessEngine.recover() runs them
+    "import_items": lambda wl, ids: wl.import_items(
+        [{**wl.item(ids["started"]).to_dict(), "id": "wi-9"}]
+    ),
+    "load": lambda wl, ids: wl.load(ids["store"], [ids["started"]], 0),
 }
 
 
 def test_every_change_method_has_a_row():
-    assert set(CHANGE_CALLS) == WORKLIST_SURFACE["change"]
+    assert set(CHANGE_CALLS) == WORKLIST_SURFACE["change"] | WORKLIST_SURFACE["recovery"]
 
 
 @pytest.mark.parametrize("name", sorted(CHANGE_CALLS))
@@ -261,6 +268,7 @@ def test_a_worklist_change_outside_a_command_is_refused(name, path):
         "allocated": allocated.id,
         "offered": offered.id,
         "instance": offered.instance_id,
+        "store": engine.store,
     }
     before = digest(engine)
     with pytest.raises(WorklistError, match="commits nothing"):

@@ -358,7 +358,7 @@ class TestFailedCommitRetries:
         assert store.get("view/__cursor") is None
         engine.flush()
         assert engine.views.persisted_seq == engine.dispatch_log.seq
-        assert store.get("view/__cursor") == {"seq": engine.dispatch_log.seq}
+        assert store.get("view/__cursor")["seq"] == engine.dispatch_log.seq
         store.close()
 
 

@@ -31,7 +31,14 @@ class TestFlushHook:
         assert record["state"] == "running"
         assert record["business_key"] == "bk-1"
         cursor = store.get("view/__cursor")
-        assert cursor == {"seq": engine.dispatch_log.seq}
+        # the cursor also stamps the finished tier's census per table
+        assert cursor == {
+            "seq": engine.dispatch_log.seq,
+            "finished": {
+                "by_state": {"completed": 0, "failed": 0, "terminated": 0},
+                "worklist": {"completed": 0, "cancelled": 0},
+            },
+        }
         # one cursor for the whole image, none per table
         assert [k for k in store.keys("view/") if k.endswith("__cursor")] == [
             "view/__cursor"
@@ -134,7 +141,7 @@ class TestWriteBehind:
             "approval-1", "approval-2",
         ]
         engine.start_instance("approval", business_key="bk-2")  # seq 4: drain
-        assert store.get("view/__cursor") == {"seq": 4}
+        assert store.get("view/__cursor")["seq"] == 4
         assert store.get("view/by_state/approval-1")["state"] == "running"
         assert engine.views.persisted_seq == 4
 
@@ -162,7 +169,7 @@ class TestWriteBehind:
         assert engine.views.instance_ids("running") == [instance.id]
         engine.flush()
         assert store.get(f"view/by_state/{instance.id}")["state"] == "running"
-        assert store.get("view/__cursor") == {"seq": engine.dispatch_log.seq}
+        assert store.get("view/__cursor")["seq"] == engine.dispatch_log.seq
         store.reset_counts()
         engine.flush()  # drained and confirmed: nothing left to persist
         assert store.puts == 0
