@@ -36,8 +36,9 @@ class AnalysisContext:
 
     @classmethod
     def from_engine(cls, engine: object) -> "AnalysisContext":
-        """Snapshot an engine's registries (duck-typed to avoid an import
-        cycle with :mod:`repro.engine.engine`)."""
+        """Snapshot an engine's registries and the keys its definition
+        repository has deployed (duck-typed to avoid an import cycle with
+        :mod:`repro.engine.engine`)."""
         services = frozenset(engine.services.names())  # type: ignore[attr-defined]
         organization = engine.organization  # type: ignore[attr-defined]
         roles = frozenset(
@@ -46,7 +47,8 @@ class AnalysisContext:
             for role in resource.roles
         )
         decisions = frozenset(engine.decisions.names())  # type: ignore[attr-defined]
-        process_keys = frozenset(engine._latest_version)  # type: ignore[attr-defined]
+        deployed = engine.definitions()  # type: ignore[attr-defined]
+        process_keys = frozenset(d.key for d in deployed)
         return cls(
             services=services,
             roles=roles,

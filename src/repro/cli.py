@@ -136,19 +136,17 @@ def _load_deployment(path: str):
     ``shard-<n>`` partitions (shard 0 is read — deployments are identical
     on every shard).
     """
-    from repro.engine.engine import DEFINITION_PREFIX
-    from repro.model.serialization import definition_from_dict
+    from repro.deploy import Repository
 
     if not os.path.isdir(path):
         raise SystemExit(f"error: not a directory: {path}")
     path = _store_paths(path)[0][1]
     entries = os.listdir(path)
     if "journal.log" in entries or "snapshot.bin" in entries:
+        repository = Repository()
         with _open_stores([("store", path)]) as [(_, store)]:
-            definitions = [
-                definition_from_dict(raw)
-                for _, raw in store.scan(DEFINITION_PREFIX)
-            ]
+            repository.load(store)
+        definitions = repository.latest()
         if not definitions:
             raise SystemExit(f"error: no definition/ records in store {path}")
         return definitions

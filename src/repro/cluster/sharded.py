@@ -37,10 +37,13 @@ Cross-shard semantics:
   query on ``(creation rank, shard index)``; a ``business_key`` filter
   narrows to the key's home shard because instances are co-located by
   business key at start.
+* ``deploy`` — the shards share one definition repository
+  (:mod:`repro.deploy`); each records a deploy in its own store.
 * ``recover()`` — reattaches each shard's partition from its own store
   and rejects a store whose persisted topology (shard count/index) does
   not match the cluster, so a 4-shard store set cannot be silently
-  reopened as 2 shards with half the instances unreachable.
+  reopened as 2 shards with half the instances unreachable, or whose
+  definition records disagree with the other shards'.
 
 One lock-ordering invariant keeps this deadlock-free: a thread holds at
 most one shard's dispatch lock at any moment.
@@ -50,13 +53,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, TypeVar
 
 from repro.clock import Clock, VirtualClock, WallClock
 from repro.cluster.router import message_home_shard, parse_shard_tag, shard_of_key
+from repro.deploy import Repository
 from repro.engine import commands as cmds
 from repro.engine.commands import Command, CommandClient
 from repro.engine.engine import ProcessEngine
@@ -120,8 +123,10 @@ class ShardedEngine(CommandClient):
         )
         self.services = services if services is not None else ServiceRegistry()
         # one cluster-wide retained-message buffer: a message no shard
-        # took is visible to a receiver activating later on any shard
+        # took is visible to a receiver activating later on any shard;
+        # one definition repository: every shard serves what it minted
         bus = MessageBus()
+        self._repository = Repository(self.obs)
         self.shards: tuple[ProcessEngine, ...] = tuple(
             ProcessEngine(
                 clock=self.clock,
@@ -133,6 +138,7 @@ class ShardedEngine(CommandClient):
                 obs=self.obs,
                 dispatch_log_retention=dispatch_log_retention,
                 shard_tag=f"s{i}",
+                repository=self._repository,
             )
             for i in range(shards)
         )
@@ -424,20 +430,14 @@ class ShardedEngine(CommandClient):
     def _broadcast_deploy(self, command: cmds.DeployDefinition) -> str:
         """Deploy to every shard, running the static analysis exactly once.
 
-        Shard 0 lints the definition (and can reject the deploy for the
-        whole cluster); the remaining shards receive the same command
-        marked ``pre_verified`` and only perform structural registration —
-        previously each of the N shards re-ran the full analysis, making
-        deploy cost O(N × analysis).
+        Shard 0's dispatch passes the shared repository's gate (and can
+        reject the deploy for the whole cluster) and mints the version;
+        every other shard's dispatch finds it minted and records it.
         """
-        identifiers = [self._dispatch_on(0, command)]
-        verified = replace(command, pre_verified=True)
-        identifiers.extend(
-            self._dispatch_on(i, verified) for i in range(1, self.shard_count)
-        )
-        if len(set(identifiers)) != 1:  # pragma: no cover - defensive
-            raise EngineError(f"divergent deployment versions: {identifiers}")
-        return identifiers[0]
+        identifier = self._dispatch_on(0, command)
+        for index in range(1, self.shard_count):
+            self._dispatch_on(index, command)
+        return identifier
 
     def definition(self, key: str, version: int | None = None) -> ProcessDefinition:
         """Look up a deployed definition (identical on every shard)."""
@@ -546,12 +546,10 @@ class ShardedEngine(CommandClient):
                     for dedup_key in shard.dispatch_log.dedup:
                         self._dedup_route[dedup_key] = index
                 self._g_queue_depth[index].set(len(shard.scheduler))
-        # deployed definitions must agree shard-to-shard; recovery is the
-        # one moment a partially written partition could diverge
-        deployed = {
-            tuple(sorted(shard._definitions)) for shard in self.shards
-        }
-        if len(deployed) > 1:
+        # every store must hold every deployed definition, with the same
+        # content; recovery is the one moment a partially written
+        # partition could diverge
+        if not self._repository.held_by_all({s.shard_tag for s in self.shards}):
             raise EngineError(
                 "shards recovered divergent definition sets; "
                 "redeploy before serving traffic"

@@ -138,10 +138,6 @@ class DeployDefinition(Command):
     definition: Any = None  # ProcessDefinition
     verify: bool | None = None
     force: bool = False
-    #: the definition already passed the full static analysis in this
-    #: deployment (set by the cluster layer when fanning a verified deploy
-    #: out to its remaining shards); registration skips re-analysis
-    pre_verified: bool = False
 
     # the definition is the one field that is not a plain value
     def to_dict(self) -> dict[str, Any]:

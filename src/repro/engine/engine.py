@@ -39,6 +39,7 @@ import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.clock import Clock, VirtualClock, WallClock
+from repro.deploy import DEFINITION_PREFIX, Repository
 from repro.engine import commands as cmds
 from repro.engine import execution as core
 from repro.engine.commands import Command, CommandClient
@@ -62,7 +63,6 @@ from repro.engine.waits import WAIT_PREFIX, MessageWaits
 from repro.history.audit import HistoryService
 from repro.history.events import EventTypes
 from repro.model.process import ProcessDefinition
-from repro.model.serialization import definition_from_dict, definition_to_dict
 from repro.obs import Observability
 from repro.obs.spans import Span
 from repro.services.bus import Message, MessageBus
@@ -79,10 +79,8 @@ from repro.worklist.service import WORKITEM_PREFIX, WorklistService
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.views.manager import ProjectionManager
 
-#: store-key family of deployed definitions (``definition/<key>:<version>``)
-DEFINITION_PREFIX = "definition/"
-#: store-key family of the engine's singleton records: ``engine/meta``
-#: (id sequences) and ``engine/latest_versions``
+#: store-key family of the engine's singleton record ``engine/meta`` (id
+#: sequences)
 ENGINE_PREFIX = "engine/"
 #: job kind -> what fires it, kept beside the code that schedules that kind
 JOB_KINDS = {
@@ -110,13 +108,16 @@ class ProcessEngine(CommandClient):
         strict_references: bool = False,
         dispatch_log_retention: int = 256,
         shard_tag: str = "",
+        repository: Repository | None = None,
     ) -> None:
         """Every dispatch commits before it returns (:meth:`batch` defers
         its caller's).  ``dispatch_log_retention`` bounds the persisted
         command log and with it the idempotency (dedup-key) window.
         ``shard_tag`` (e.g. ``"s2"``, set by the cluster layer) namespaces
         generated instance and work-item ids (``order-s2-7``, ``wi-s2-3``)
-        so several engines can coexist without id collisions.  The read
+        so several engines can coexist without id collisions;
+        ``repository`` (set by the cluster layer) shares one definition
+        repository between them (:mod:`repro.deploy`).  The read
         models of :mod:`repro.views` (:attr:`views`) are the engine's one
         instance and work-item index, maintained write-behind: commits
         note touched entity ids, reads materialize them, and the
@@ -197,13 +198,6 @@ class ProcessEngine(CommandClient):
         self._c_messages_delivered = counter("engine.messages_delivered")
         self._c_migrations = counter("engine.migrations")
         self._c_token_moves = counter("engine.token_moves")
-        self._c_lint_warnings = counter("engine.lint.warnings")
-        self._c_lint_blocked = counter("engine.lint.deploy_blocked")
-        self._c_interproc_warnings = counter("engine.lint.interproc_warnings")
-        self._c_interproc_blocked = counter("engine.lint.interproc_blocked")
-        # created lazily on first deploy (keeps repro.analysis off the
-        # import path of engine construction)
-        self._analysis_cache: Any | None = None
         self._g_queue_depth = self.obs.registry.gauge("engine.scheduler.queue_depth")
         self._c_jobs_orphaned = counter("engine.jobs.orphaned")
         self._c_flush_commits = counter("engine.flush.commits")
@@ -224,8 +218,9 @@ class ProcessEngine(CommandClient):
             self.obs.tracer.start_span("engine") if self.obs.enabled else None
         )
 
-        self._definitions: dict[str, ProcessDefinition] = {}
-        self._latest_version: dict[str, int] = {}
+        self._repository = (
+            repository if repository is not None else Repository(self.obs)
+        )
         # live cases only (and finished ones until the views fold them): a
         # miss on .get() is a finished case — or none — and the lookups that
         # treat both alike (skip / resume nothing) need no read.  The views
@@ -298,99 +293,10 @@ class ProcessEngine(CommandClient):
     # -- deployment -----------------------------------------------------------
 
     def _handle_deploy_definition(self, cmd: cmds.DeployDefinition) -> str:
-        from repro.analysis import AnalysisCache, AnalysisContext, Severity, analyze
-        from repro.analysis.deployment import candidate_findings
-
-        definition = cmd.definition
-        if cmd.pre_verified:
-            return self._register_deployment(definition)
-        # unless strict_references, unresolved references (REF00x, and
-        # CALL001: call target not deployed) are warnings — registration
-        # and deploy order are legitimate workflows
-        overrides = interproc_overrides = None
-        if not self.strict_references:
-            overrides = {
-                rule_id: Severity.WARNING
-                for rule_id in ("REF001", "REF002", "REF003", "REF004")
-            }
-            interproc_overrides = {"CALL001": Severity.WARNING}
-        report = analyze(
-            definition,
-            context=AnalysisContext.from_engine(self),
-            behavioral=bool(cmd.verify),
-            severity_overrides=overrides,
-        )
-        self._emit_findings("lint.diagnostic", definition, report.diagnostics)
-        self._c_lint_warnings.inc(len(report.warnings))
-        if self._analysis_cache is None:
-            self._analysis_cache = AnalysisCache()
-        interproc = candidate_findings(
-            definition,
-            (
-                self._definitions[f"{key}:{version}"]
-                for key, version in self._latest_version.items()
-            ),
-            self._analysis_cache,
-            interproc_overrides,
-        )
-        self._emit_findings("lint.interproc", definition, interproc)
-        self._c_interproc_warnings.inc(
-            sum(1 for d in interproc if d.severity is Severity.WARNING)
-        )
-        if not report.ok and not cmd.force:
-            behavioural_rules = {"SND001", "SND002", "SND003", "SND005"}
-            structural = [
-                d for d in report.errors if d.rule not in behavioural_rules
-            ]
-            self._c_lint_blocked.inc()
-            raise EngineError(
-                f"definition {definition.key!r} "
-                f"{'invalid' if structural else 'unsound'}: "
-                + _describe(structural if structural else report.errors)
-            )
-        interproc_errors = [
-            d for d in interproc if d.severity is Severity.ERROR
-        ]
-        if interproc_errors and not cmd.force:
-            self._c_interproc_blocked.inc()
-            raise EngineError(
-                f"definition {definition.key!r} breaks the deployment: "
-                + _describe(interproc_errors)
-            )
-        return self._register_deployment(definition)
-
-    def _emit_findings(
-        self, event: str, definition: ProcessDefinition, diagnostics: list
-    ) -> None:
-        """One observability event per non-info finding of a deploy."""
-        from repro.analysis import Severity
-
-        for diagnostic in diagnostics:
-            if diagnostic.severity is Severity.INFO:
-                continue
-            self.obs.event(
-                event,
-                process=definition.key,
-                rule=diagnostic.rule,
-                severity=diagnostic.severity.value,
-                element=diagnostic.element_id,
-                message=diagnostic.message,
-            )
-
-    def _register_deployment(self, definition: ProcessDefinition) -> str:
-        version = self._latest_version.get(definition.key, 0) + 1
-        deployed = definition.with_version(version)
-        self._definitions[deployed.identifier] = deployed
-        self._latest_version[definition.key] = version
-        # both records join the deploy dispatch's commit: a crash leaves
-        # either a findable definition or none, never a stored version
-        # the next deploy would re-mint and overwrite
-        self._writes.put(
-            DEFINITION_PREFIX, deployed.identifier, definition_to_dict(deployed)
-        )
-        self._writes.put(
-            ENGINE_PREFIX, "latest_versions", dict(self._latest_version)
-        )
+        deployed, record = self._repository.deploy(self, cmd)
+        # the record joins the deploy dispatch's commit: a crash leaves
+        # a findable definition or none, and the version table is its key
+        self._writes.put(DEFINITION_PREFIX, deployed.identifier, record)
         self.history.record(
             HistoryService.ENGINE_STREAM,
             EventTypes.DEFINITION_DEPLOYED,
@@ -401,27 +307,25 @@ class ProcessEngine(CommandClient):
     def definition(self, key: str, version: int | None = None) -> ProcessDefinition:
         """Look up a deployed definition (latest version by default)."""
         if version is None:
-            version = self._latest_version.get(key, 0)
+            version = self._repository.latest_version(key)
         identifier = f"{key}:{version}"
-        try:
-            return self._definitions[identifier]
-        except KeyError:
-            raise DefinitionNotFoundError(
-                f"no deployed definition {identifier!r}"
-            ) from None
+        found = self._repository.get(identifier)
+        if found is None:
+            raise DefinitionNotFoundError(f"no deployed definition {identifier!r}")
+        return found
 
     def definitions(self) -> list[ProcessDefinition]:
         """All deployed definitions, sorted by identifier."""
-        return [self._definitions[k] for k in sorted(self._definitions)]
+        return self._repository.definitions()
 
     def _definition_of(self, instance: ProcessInstance) -> ProcessDefinition:
-        try:
-            return self._definitions[instance.definition_id]
-        except KeyError:
+        found = self._repository.get(instance.definition_id)
+        if found is None:
             raise DefinitionNotFoundError(
                 f"instance {instance.id!r} references missing definition "
                 f"{instance.definition_id!r}"
-            ) from None
+            )
+        return found
 
     # -- history plumbing ------------------------------------------------------
 
@@ -997,16 +901,7 @@ class ProcessEngine(CommandClient):
         count them off the image cursor).
         """
         store = self.store
-        counts = {"definitions": 0, "instances": 0}
-        self._latest_version = dict(store.get(ENGINE_PREFIX + "latest_versions", {}))
-        for _, raw in store.scan(DEFINITION_PREFIX):
-            definition = definition_from_dict(raw)
-            self._definitions[definition.identifier] = definition
-            # a store whose deploy tore before both records were atomic
-            # may hold a definition its version table does not know
-            if definition.version > self._latest_version.get(definition.key, 0):
-                self._latest_version[definition.key] = definition.version
-            counts["definitions"] += 1
+        counts = {"definitions": self._repository.load(store, self.shard_tag)}
         self._seqs.load(store)
         commands = self.dispatch_log.load(store)
         views = self.views
@@ -1030,10 +925,6 @@ class ProcessEngine(CommandClient):
         if self.workers is not None:
             self._submit_pending_invocations()
         return counts
-
-
-def _describe(diagnostics: list) -> str:
-    return "; ".join(f"[{d.rule}] {d.element_id}: {d.message}" for d in diagnostics)
 
 
 class _EngineBatch:

@@ -236,25 +236,6 @@ class ProcessDefinition:
         definition (each instance of it shares it)."""
         return f"{self.key}:{self.version}"
 
-    def with_version(self, version: int) -> "ProcessDefinition":
-        """A shallow copy at a different version (deployment stamping).
-
-        Nodes and flows are shared — definitions are treated as immutable
-        once deployed.
-        """
-        copy = ProcessDefinition(
-            key=self.key,
-            name=self.name,
-            version=version,
-            description=self.description,
-            nodes=dict(self.nodes),
-            flows=dict(self.flows),
-            attributes=dict(self.attributes),
-        )
-        copy.source_path = self.source_path
-        copy.source_lines = dict(self.source_lines)
-        return copy
-
     def reachable_from_start(self) -> set[str]:
         """Node ids reachable from the start event along flows (plus
         boundary-event attachments)."""

@@ -107,6 +107,25 @@ class TestStoreLoading:
         ]) == 1
         assert "MSG001" in capsys.readouterr().out
 
+    def test_lint_reads_the_latest_version_of_each_key(self, tmp_path, capsys):
+        """``definition/sender:10`` sorts before ``definition/sender:2``;
+        version 10, the latest, is still the one linted."""
+        from repro.engine.engine import ProcessEngine
+        from repro.storage.kvstore import DurableKV
+
+        store_path = str(tmp_path / "engine-store")
+        store = DurableKV(store_path)
+        engine = ProcessEngine(store=store)
+        for _ in range(9):
+            engine.deploy(_sender())
+        engine.deploy(ProcessBuilder("sender").start().end().build())
+        store.close()
+
+        main(["lint", store_path, "--deployment", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert [d["process"] for d in payload["definitions"]] == ["sender"]
+        assert "MSG001" not in json.dumps(payload)
+
     def test_lint_reads_shard_zero_of_a_cluster_dir(self, tmp_path, capsys):
         from repro.engine.engine import ProcessEngine
         from repro.storage.kvstore import DurableKV

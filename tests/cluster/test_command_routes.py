@@ -39,7 +39,7 @@ def auto_model():
 def sample(cls):
     command = COMMANDS[cls.name]
     if cls.name == "deploy_definition":
-        return replace(command, definition=auto_model(), pre_verified=False)
+        return replace(command, definition=auto_model())
     return command
 
 

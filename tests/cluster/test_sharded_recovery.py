@@ -7,6 +7,7 @@ every partition to its own consistent pre-completion state.
 
 import pytest
 
+import repro.deploy as deploy_mod
 from repro.clock import VirtualClock
 from repro.cluster import TOPOLOGY_KEY, ShardedEngine, parse_shard_tag, shard_of_key
 from repro.engine.errors import EngineError
@@ -159,17 +160,59 @@ class TestRecoveryTopologyChecks:
             cluster.recover()
         cluster.close()
 
-    def test_recover_rejects_divergent_definitions(self, factory):
+    def test_recover_rejects_divergent_definitions(self, tmp_path):
+        def partial_deployment(cluster):
+            # one shard sees a definition the other missed
+            cluster.shards[0].deploy(approval_model())
+
+        def tampered_record(cluster):
+            # the same identifiers, one shard's record with other content
+            store = cluster.shards[1].store
+            raw = store.get("definition/auto:1")
+            store.put("definition/auto:1", {**raw, "description": "tampered"})
+
         clock = VirtualClock(0)
-        cluster = build_cluster(factory, clock)
+        for diverge in (partial_deployment, tampered_record):
+            directory = tmp_path / diverge.__name__
+
+            def factory(index, directory=directory):
+                return DurableKV(str(directory / f"shard-{index}"))
+
+            cluster = build_cluster(factory, clock)
+            cluster.deploy(auto_model())
+            diverge(cluster)
+            cluster.close()
+
+            reopened = build_cluster(factory, clock)
+            with pytest.raises(EngineError, match="divergent definition"):
+                reopened.recover()
+            reopened.close()
+
+
+class TestDefinitionDecodes:
+    def test_restart_decodes_each_stored_definition_once(self, factory, monkeypatch):
+        clock = VirtualClock(0)
+        cluster = build_cluster(factory, clock, shards=4)
         cluster.deploy(auto_model())
-        # a partial deployment: one shard sees a definition the other missed
-        cluster.shards[0].deploy(approval_model())
+        cluster.deploy(approval_model())
+        cluster.deploy(auto_model())
         cluster.close()
 
-        reopened = build_cluster(factory, clock)
-        with pytest.raises(EngineError, match="divergent definition"):
-            reopened.recover()
+        decoded = []
+        real = deploy_mod.definition_from_dict
+
+        def spy(raw):
+            decoded.append(f"{raw['key']}:{raw['version']}")
+            return real(raw)
+
+        monkeypatch.setattr(deploy_mod, "definition_from_dict", spy)
+        reopened = build_cluster(factory, clock, shards=4)
+        assert reopened.recover()["definitions"] == 12  # 3 records x 4 shards
+        assert sorted(decoded) == ["approval:1", "auto:1", "auto:2"]
+        # every shard serves the one decoded object
+        latest = reopened.shards[0].definition("auto")
+        assert all(shard.definition("auto") is latest for shard in reopened.shards)
+        assert reopened.deploy(auto_model()) == "auto:3"
         reopened.close()
 
 

@@ -127,7 +127,7 @@ def definition() -> ProcessDefinition:
 #: registered command name -> sample command
 COMMANDS: dict[str, cmds.Command] = {
     "deploy_definition": cmds.DeployDefinition(
-        definition=definition(), verify=True, force=True, pre_verified=True
+        definition=definition(), verify=True, force=True
     ),
     "start_instance": cmds.StartInstance(
         key="golden", variables={"amount": 12, "tags": ["a", "b"]},

@@ -223,6 +223,38 @@ class TestCommands:
         assert "status=applied" in out
         assert "dedup_key=req-1" in out
 
+    def test_lists_a_deploy_record_with_the_dropped_pre_verified_field(
+        self, tmp_path, capsys
+    ):
+        """Deploy records written while ``DeployDefinition`` carried a
+        ``pre_verified`` flag still decode and list."""
+        import json
+
+        from repro.clock import VirtualClock
+        from repro.engine.commands import DeployDefinition, command_from_dict
+        from repro.engine.engine import ProcessEngine
+        from repro.model.builder import ProcessBuilder
+        from repro.storage.kvstore import DurableKV
+
+        directory = str(tmp_path / "kv")
+        store = DurableKV(directory)
+        engine = ProcessEngine(clock=VirtualClock(0), store=store)
+        engine.deploy(ProcessBuilder("demo").start().end().build())
+        [(key, record)] = store.scan("dispatch/")
+        record["command"]["pre_verified"] = True
+        store.put(key, record)
+        store.close()
+
+        assert main(["commands", "--store", directory, "--json"]) == 0
+        [listed] = json.loads(capsys.readouterr().out)["history"]
+        assert listed["command"]["pre_verified"] is True
+        command = command_from_dict(listed["command"])
+        assert isinstance(command, DeployDefinition)
+        assert command.definition.key == "demo"
+        reopened = ProcessEngine(clock=VirtualClock(0), store=DurableKV(directory))
+        assert reopened.recover()["commands"] == 1
+        reopened.store.close()
+
     def test_json_output_with_limit(self, tmp_path, capsys):
         import json
 
