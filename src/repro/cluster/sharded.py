@@ -38,7 +38,7 @@ Cross-shard semantics:
   narrows to the key's home shard because instances are co-located by
   business key at start.
 * ``deploy`` — the shards share one definition repository
-  (:mod:`repro.deploy`); each records a deploy in its own store.
+  (:mod:`repro.deploy`); each serves what its own store has recorded.
 * ``recover()`` — reattaches each shard's partition from its own store
   and rejects a store whose persisted topology (shard count/index) does
   not match the cluster, so a 4-shard store set cannot be silently
@@ -124,7 +124,7 @@ class ShardedEngine(CommandClient):
         self.services = services if services is not None else ServiceRegistry()
         # one cluster-wide retained-message buffer: a message no shard
         # took is visible to a receiver activating later on any shard;
-        # one definition repository: every shard serves what it minted
+        # one definition repository: a shard serves what its store holds
         bus = MessageBus()
         self._repository = Repository(self.obs)
         self.shards: tuple[ProcessEngine, ...] = tuple(
@@ -440,7 +440,7 @@ class ShardedEngine(CommandClient):
         return identifier
 
     def definition(self, key: str, version: int | None = None) -> ProcessDefinition:
-        """Look up a deployed definition (identical on every shard)."""
+        """Look up a deployed definition (as shard 0, which a deploy reaches first)."""
         return self.shards[0].definition(key, version)
 
     def definitions(self) -> list[ProcessDefinition]:
@@ -546,13 +546,11 @@ class ShardedEngine(CommandClient):
                     for dedup_key in shard.dispatch_log.dedup:
                         self._dedup_route[dedup_key] = index
                 self._g_queue_depth[index].set(len(shard.scheduler))
-        # every store must hold every deployed definition, with the same
-        # content; recovery is the one moment a partially written
-        # partition could diverge
-        if not self._repository.held_by_all({s.shard_tag for s in self.shards}):
+        # every store must hold every deployed definition, with the same content
+        if not self._repository.held_by_all([s.shard_tag for s in self.shards]):
             raise EngineError(
-                "shards recovered divergent definition sets; "
-                "redeploy before serving traffic"
+                "shards recovered divergent definition sets; a redeploy "
+                "mints a new version and does not mend them"
             )
         self._drain_forwards()
         return totals

@@ -20,19 +20,23 @@ BEHAVIOURAL_RULES = {"SND001", "SND002", "SND003", "SND005"}
 
 
 class Repository:
-    """Reads take no lock (a definition is registered before its version
-    becomes the latest); :meth:`deploy` and :meth:`load` take the
-    innermost lock of the system, under a shard's dispatch lock."""
+    """Each engine, keyed by its shard tag (its *holder*), sees only the
+    versions its own store holds; engines holding one version share one
+    decoded object.  Reads take no lock (an engine holds a definition
+    before its version becomes that engine's latest); :meth:`deploy` and
+    :meth:`load` take the innermost lock of the system, under a shard's
+    dispatch lock."""
 
     def __init__(self, obs: Observability | None = None) -> None:
         self._obs = obs if obs is not None else Observability()
         self._lock = threading.Lock()
-        self._definitions: dict[str, ProcessDefinition] = {}
-        # identifier -> its stored record, and the shard tags of the
-        # engines whose store holds that record
+        # identifier -> its stored record, and the one object decoded from it
         self._records: dict[str, dict[str, Any]] = {}
-        self._holders: dict[str, set[str]] = {}
-        self._latest: dict[str, int] = {}
+        self._decoded: dict[str, ProcessDefinition] = {}
+        # holder -> the definitions its store holds by identifier, and
+        # the latest version of each key among them
+        self._held: dict[str, dict[str, ProcessDefinition]] = {}
+        self._latest: dict[str, dict[str, int]] = {}
         self._cache: Any | None = None  # an AnalysisCache, on the first gate
         counter = self._obs.registry.counter
         self._c_lint_warnings = counter("engine.lint.warnings")
@@ -40,39 +44,46 @@ class Repository:
         self._c_interproc_warnings = counter("engine.lint.interproc_warnings")
         self._c_interproc_blocked = counter("engine.lint.interproc_blocked")
 
-    def get(self, identifier: str) -> ProcessDefinition | None:
-        return self._definitions.get(identifier)
+    def held(self, holder: str) -> dict[str, ProcessDefinition]:
+        """Engine ``holder``'s definitions by identifier (a live view)."""
+        return self._held.setdefault(holder, {})
 
-    def latest_version(self, key: str) -> int:
-        return self._latest.get(key, 0)
+    def latest_version(self, holder: str, key: str) -> int:
+        return self._latest.get(holder, {}).get(key, 0)
 
-    def definitions(self) -> list[ProcessDefinition]:
-        """All deployed definitions, sorted by identifier."""
-        return [self._definitions[k] for k in sorted(self._definitions)]
-
-    def latest(self) -> list[ProcessDefinition]:
-        """The latest version of each deployed key."""
-        return [self._definitions[f"{k}:{v}"] for k, v in self._latest.items()]
+    def latest(self, holder: str = "") -> list[ProcessDefinition]:
+        """The latest version of each key engine ``holder`` holds."""
+        held = self.held(holder)
+        return [held[f"{k}:{v}"] for k, v in self._latest.get(holder, {}).items()]
 
     def deploy(self, engine: Any, cmd: Any) -> tuple[ProcessDefinition, dict]:
         """The deployed definition and store record ``engine`` records for
         a ``DeployDefinition``.
 
-        A version minted from the same content that ``engine``'s store
-        does not hold yet is this deploy reaching another shard: it is
-        recorded as minted.  Anything else passes the gate with
+        The newest version minted from the same content that ``engine``'s
+        store does not hold yet is this deploy reaching another shard: it
+        is recorded as minted.  Anything else passes the gate with
         ``engine``'s registries and is minted the next version of its key.
         """
         record = definition_to_dict(cmd.definition)
-        holder = engine.shard_tag
+        key, holder = record["key"], engine.shard_tag
+        held = self.held(holder)
         with self._lock:
-            identifier = self._minted_elsewhere(record, holder)
-            if identifier is None:
+            minted = [
+                r["version"]
+                for identifier, r in self._records.items()
+                if identifier not in held and r == {**record, "version": r["version"]}
+            ]
+            if minted:
+                identifier = f"{key}:{max(minted)}"
+            else:
                 self._gate(engine, cmd)
-                version = self._latest.get(record["key"], 0) + 1
+                version = 1 + max(
+                    (r["version"] for r in self._records.values() if r["key"] == key),
+                    default=0,
+                )
                 identifier = self._add({**record, "version": version})
-            self._holders[identifier].add(holder)
-            return self._definitions[identifier], self._records[identifier]
+            return self._hold(holder, identifier), self._records[identifier]
 
     def load(self, store: Any, holder: str = "") -> int:
         """Restore the ``definition/`` records of engine ``holder``'s
@@ -86,36 +97,28 @@ class Repository:
                 if identifier not in self._records:
                     self._add(raw)
                 if self._records[identifier] == raw:
-                    self._holders[identifier].add(holder)
+                    self._hold(holder, identifier)
                 count += 1
         return count
 
-    def held_by_all(self, holders: set[str]) -> bool:
+    def held_by_all(self, holders: list[str]) -> bool:
         """Whether the store of every engine in ``holders`` holds every
         deployed definition, with the same content."""
-        return all(holders <= held for held in self._holders.values())
+        return all(self._records.keys() <= self.held(h).keys() for h in holders)
 
     def _add(self, record: dict[str, Any]) -> str:
-        """Register the deployed definition ``record`` decodes to (one
-        immutable object, shared by every engine that records it)."""
         deployed = definition_from_dict(record)
-        identifier = deployed.identifier
-        self._definitions[identifier] = deployed
-        self._records[identifier] = record
-        self._holders[identifier] = set()
-        if deployed.version > self._latest.get(deployed.key, 0):
-            self._latest[deployed.key] = deployed.version
-        return identifier
+        self._decoded[deployed.identifier] = deployed
+        self._records[deployed.identifier] = record
+        return deployed.identifier
 
-    def _minted_elsewhere(self, record: dict[str, Any], holder: str) -> str | None:
-        """A version minted from ``record``'s content that engine
-        ``holder``'s store does not hold."""
-        for identifier, held in self._records.items():
-            if holder not in self._holders[identifier] and (
-                held == {**record, "version": held["version"]}
-            ):
-                return identifier
-        return None
+    def _hold(self, holder: str, identifier: str) -> ProcessDefinition:
+        """Engine ``holder``'s store holds ``identifier`` from now on."""
+        deployed = self._decoded[identifier]
+        self.held(holder)[identifier] = deployed
+        latest = self._latest.setdefault(holder, {})
+        latest[deployed.key] = max(latest.get(deployed.key, 0), deployed.version)
+        return deployed
 
     def _gate(self, engine: Any, cmd: Any) -> None:
         """Lint the candidate against ``engine``'s registries and the
@@ -137,7 +140,7 @@ class Repository:
         if self._cache is None:
             self._cache = AnalysisCache()
         interproc = candidate_findings(
-            definition, self.latest(), self._cache, overrides
+            definition, self.latest(engine.shard_tag), self._cache, overrides
         )
         # one observability event per non-info finding
         for event, found in (

@@ -221,6 +221,8 @@ class ProcessEngine(CommandClient):
         self._repository = (
             repository if repository is not None else Repository(self.obs)
         )
+        # the deployed definitions this engine's store holds, by identifier
+        self._definitions = self._repository.held(shard_tag)
         # live cases only (and finished ones until the views fold them): a
         # miss on .get() is a finished case — or none — and the lookups that
         # treat both alike (skip / resume nothing) need no read.  The views
@@ -307,24 +309,17 @@ class ProcessEngine(CommandClient):
     def definition(self, key: str, version: int | None = None) -> ProcessDefinition:
         """Look up a deployed definition (latest version by default)."""
         if version is None:
-            version = self._repository.latest_version(key)
-        identifier = f"{key}:{version}"
-        found = self._repository.get(identifier)
-        if found is None:
-            raise DefinitionNotFoundError(f"no deployed definition {identifier!r}")
-        return found
+            version = self._repository.latest_version(self.shard_tag, key)
+        return self._definition_of(f"{key}:{version}")
 
     def definitions(self) -> list[ProcessDefinition]:
         """All deployed definitions, sorted by identifier."""
-        return self._repository.definitions()
+        return [self._definitions[k] for k in sorted(self._definitions)]
 
-    def _definition_of(self, instance: ProcessInstance) -> ProcessDefinition:
-        found = self._repository.get(instance.definition_id)
+    def _definition_of(self, identifier: str) -> ProcessDefinition:
+        found = self._definitions.get(identifier)
         if found is None:
-            raise DefinitionNotFoundError(
-                f"instance {instance.id!r} references missing definition "
-                f"{instance.definition_id!r}"
-            )
+            raise DefinitionNotFoundError(f"no deployed definition {identifier!r}")
         return found
 
     # -- history plumbing ------------------------------------------------------
@@ -511,7 +506,7 @@ class ProcessEngine(CommandClient):
             on_finished = subprocesses.on_mi_child_finished
         else:
             return
-        definition = self._definition_of(parent)
+        definition = self._definition_of(parent.definition_id)
         node = definition.node(token.node_id)
         on_finished(self, parent, definition, token, node, child, failed)
 
@@ -534,7 +529,7 @@ class ProcessEngine(CommandClient):
                 f"cannot compensate running instance {cmd.instance_id!r}; "
                 "terminate or let it finish first"
             )
-        definition = self._definition_of(instance)
+        definition = self._definition_of(instance.definition_id)
         compensated = run_compensation(self, instance, definition)
         self._c_compensations.inc(len(compensated))
         return {
@@ -602,7 +597,7 @@ class ProcessEngine(CommandClient):
                     fire = JOB_KINDS.get(job.kind)
                     if fire is None:
                         raise EngineError(f"unknown job kind {job.kind!r}")
-                    fire(self, instance, self._definition_of(instance), token, job)
+                    fire(self, instance, self._definition_of(instance.definition_id), token, job)
         for job, instance in deferred:
             # a case this pump terminated (its parent's boundary fired)
             # has nothing left to defer
@@ -740,7 +735,7 @@ class ProcessEngine(CommandClient):
             and token.waiting_on.get("reason") == "service"
             and token.waiting_on.get("invocation_id") == cmd.invocation_id
         )
-        definition = self._definition_of(instance) if live else None
+        definition = self._definition_of(instance.definition_id) if live else None
         node = definition.nodes.get(record.node_id) if live else None
         if node is None:
             # the token moved on (cancelled, boundary-routed, migrated) or

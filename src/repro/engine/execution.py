@@ -58,7 +58,7 @@ def advance(engine, instance: ProcessInstance) -> None:
         return
     engine._advancing.add(instance.id)
     try:
-        definition = engine._definition_of(instance)
+        definition = engine._definition_of(instance.definition_id)
         steps = 0
         while instance.state is InstanceState.RUNNING:
             active = instance.active_tokens()
@@ -343,7 +343,7 @@ def release_waits(
 def cancel_token(
     engine, instance: ProcessInstance, token: Token, reason: str
 ) -> None:
-    definition = engine._definition_of(instance)
+    definition = engine._definition_of(instance.definition_id)
     release_waits(engine, instance, definition, token)
     engine._record(
         instance,
@@ -498,7 +498,7 @@ def deliver_message(
 ) -> None:
     """A message ends ``token``'s wait: a receive task or catch event
     completes, or the raced catch event wins its event race."""
-    definition = engine._definition_of(instance)
+    definition = engine._definition_of(instance.definition_id)
     engine._c_messages_delivered.inc()
     if wait.race_event is not None:
         node = definition.node(wait.race_event)

@@ -57,7 +57,7 @@ def complete_user_task(engine, item_id: str, result: dict[str, Any]):
     token = instance.token(item.data.get("token_id"))
     if token is None or token.waiting_on.get("work_item_id") != item.id:
         return item
-    definition = engine._definition_of(instance)
+    definition = engine._definition_of(instance.definition_id)
     node = definition.node(token.node_id)
     if item.result:
         instance.variables.update(item.result)

@@ -120,10 +120,6 @@ class ProcessInstance:
     def definition_key(self) -> str:
         return self.definition_id.rsplit(":", 1)[0]
 
-    @property
-    def definition_version(self) -> int:
-        return int(self.definition_id.rsplit(":", 1)[1])
-
     # -- tokens ----------------------------------------------------------------
 
     def new_token(self, node_id: str, arrived_via: str | None = None) -> Token:

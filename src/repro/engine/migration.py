@@ -71,7 +71,7 @@ def apply_migration(engine, instance: ProcessInstance, target: ProcessDefinition
             f"cannot migrate across process keys "
             f"({instance.definition_key!r} -> {target.key!r})"
         )
-    source = engine.definition(instance.definition_key, instance.definition_version)
+    source = engine._definition_of(instance.definition_id)
     problems = check_migratable(instance, source, target, plan)
     if problems:
         raise MigrationError("; ".join(problems))

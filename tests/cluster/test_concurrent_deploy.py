@@ -61,6 +61,8 @@ def test_interleaved_deploys_of_one_key_agree_on_every_shard(tmp_path):
     thread_a = threading.Thread(target=deploy, args=("A", model_a), name="A")
     thread_a.start()
     assert stalled.wait(10)
+    # mid-fan-out, shard 1 serves nothing its store does not hold yet
+    assert cluster.shards[1].definitions() == []
     deploy("B", model_b)  # runs to the end while A waits mid-fan-out
     resume.set()
     thread_a.join(10)

@@ -10,7 +10,7 @@ import pytest
 import repro.deploy as deploy_mod
 from repro.clock import VirtualClock
 from repro.cluster import TOPOLOGY_KEY, ShardedEngine, parse_shard_tag, shard_of_key
-from repro.engine.errors import EngineError
+from repro.engine.errors import DefinitionNotFoundError, EngineError
 from repro.engine.instance import InstanceState
 from repro.model.builder import ProcessBuilder
 from repro.storage.kvstore import DurableKV
@@ -162,8 +162,12 @@ class TestRecoveryTopologyChecks:
 
     def test_recover_rejects_divergent_definitions(self, tmp_path):
         def partial_deployment(cluster):
-            # one shard sees a definition the other missed
+            # one shard sees a definition the other missed, and alone serves it
             cluster.shards[0].deploy(approval_model())
+            with pytest.raises(DefinitionNotFoundError):
+                cluster.start_instance(
+                    "approval", business_key=business_key_for_shard(1, 2)
+                )
 
         def tampered_record(cluster):
             # the same identifiers, one shard's record with other content
@@ -187,6 +191,63 @@ class TestRecoveryTopologyChecks:
             with pytest.raises(EngineError, match="divergent definition"):
                 reopened.recover()
             reopened.close()
+
+    def test_a_deploy_whose_commit_fails_on_shard_0_shows_on_no_shard_1(
+        self, tmp_path
+    ):
+        class FailingKV(DurableKV):
+            failing = False
+
+            def commit(self):
+                if self.failing:
+                    self.rollback()
+                    raise OSError("disk full")
+                super().commit()
+
+        stores = []
+
+        def factory(index):
+            stores.append(FailingKV(str(tmp_path / f"shard-{index}")))
+            return stores[-1]
+
+        cluster = build_cluster(factory, VirtualClock(0))
+        stores[0].failing = True
+        with pytest.raises(OSError):
+            cluster.deploy(auto_model())
+        assert cluster.shards[1].definitions() == []
+        with pytest.raises(DefinitionNotFoundError):
+            cluster.start_instance(
+                "auto", {"n": 1}, business_key=business_key_for_shard(1, 2)
+            )
+        for store in stores:
+            store.close()
+
+    def test_a_redeploy_after_a_refused_restart_agrees_but_mends_nothing(
+        self, factory
+    ):
+        clock = VirtualClock(0)
+        cluster = build_cluster(factory, clock)
+        cluster.shards[0].deploy(auto_model())
+        cluster.close()
+
+        reopened = build_cluster(factory, clock)
+        with pytest.raises(EngineError, match="divergent definition sets; a redeploy"):
+            reopened.recover()
+        # the redeploy mints auto:2 on shard 0, and shard 1 records that
+        # same version, so both shards serve one latest version
+        assert reopened.deploy(auto_model()) == "auto:2"
+        assert [s.definition("auto").identifier for s in reopened.shards] == [
+            "auto:2",
+            "auto:2",
+        ]
+        reopened.close()
+
+        # shard 1's store still lacks auto:1, so the next restart refuses too
+        again = build_cluster(factory, clock)
+        assert again.shards[1].store.keys("definition/") == ["definition/auto:2"]
+        with pytest.raises(EngineError, match="divergent definition sets; a redeploy"):
+            again.recover()
+        again.close()
 
 
 class TestDefinitionDecodes:
