@@ -8,7 +8,7 @@ milliseconds, demonstrating why structural techniques matter.
 
 import time
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.invariants import p_invariants, place_invariant_cover
 from repro.petri.marking import Marking
 from repro.petri.reachability import build_reachability_graph

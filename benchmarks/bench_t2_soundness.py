@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.workflow_net import check_soundness
 
 SIZES = [5, 10, 20, 40, 80]

@@ -174,8 +174,7 @@ class ProcessEngine(CommandClient):
             ("instance_seq", "invocation_seq", "outbox_seq"),
         )
         self.decisions = DecisionRegistry()
-        self.scheduler = JobScheduler()
-        self.scheduler.bind_writes(self._writes)
+        self.scheduler = JobScheduler(self._writes)
         self.worklist = WorklistService(
             organization=self.organization,
             allocator=allocator,
@@ -260,6 +259,7 @@ class ProcessEngine(CommandClient):
         }
         self._dispatcher = Dispatcher(self, handlers)
         self.worklist.bind_lock(self._dispatch_lock, self._dispatcher)
+        self.scheduler.bind_lock(self._dispatch_lock, self._dispatcher)
         # the CQRS read side (repro.views) and the one instance and
         # work-item index: write-behind materialized projections whose
         # records persist inside the same store transaction as a group
@@ -905,9 +905,9 @@ class ProcessEngine(CommandClient):
             raw = store.get(INSTANCE_PREFIX + instance_id)
             self._instances[instance_id] = ProcessInstance.from_dict(raw)
         counts["instances"] = views.by_state.record_count()
-        counts["jobs"] = self.scheduler.load(store)
         self._dispatcher.restoring = True
         try:
+            counts["jobs"] = self.scheduler.load(store)
             self.worklist.load(store, views.worklist.live_ids(), views.worklist.top_rank())
         finally:
             self._dispatcher.restoring = False

@@ -374,8 +374,9 @@ class ProjectionManager:
         """Load, tail-replay, or rebuild the views from the store alone.
 
         Runs inside :meth:`ProcessEngine.recover` once the dispatch log is
-        restored (``dispatch_log.seq`` is the target, its retained records
-        the tail) and before any instance or work item is decoded.
+        restored (``dispatch_log.seq`` is the target, its retained entries
+        past the cursor the tail) and before any instance or work item is
+        decoded.
         Persists whatever catch-up it performed (tail replay or rebuild)
         in one transaction + sync, so the next recovery takes the fast
         load path.  A stale image is rebuilt, its old keys deleted in
@@ -396,7 +397,7 @@ class ProjectionManager:
                 self.applied_seq = self.persisted_seq = target
                 self.recovered_mode = "load"
                 return {"mode": "load", "records": loaded, "replayed": 0}
-            tail = [record for record in dispatch_log.records if record.get("seq", 0) > cursor]
+            tail = dispatch_log.since(cursor)  # reads only entries past the cursor
             covered = (
                 len(tail) == target - cursor
                 and bool(tail)

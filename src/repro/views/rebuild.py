@@ -4,7 +4,7 @@
 ``view/`` namespace of a closed store — after disabling/enabling views,
 after upgrading across a projection-schema change, or to repair a store
 whose view records are suspect.  The rebuild is linear in store size
-(one scan of ``instance/``, ``workitem/``, and ``dispatch/``) and
+(one scan of ``instance/`` and ``workitem/``; the ``dispatch/`` keys) and
 produces records byte-identical to incremental maintenance (the
 tables' determinism rules; see :mod:`repro.views.projections`).
 """
@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engine.dispatch import DISPATCH_PREFIX
+from repro.engine.dispatch import DISPATCH_PREFIX, entry_seq
 from repro.views.manager import VIEW_PREFIX, ProjectionManager
 
 
 def stored_dispatch_seq(store: Any) -> int:
-    """Highest persisted dispatch sequence in a store (0 when empty): the
-    last record's, since the keys are zero-padded seqs."""
+    """Highest persisted dispatch sequence in a store (0 when empty): read
+    off the last key, since every key starts with its zero-padded seq."""
     keys = store.keys(DISPATCH_PREFIX)
-    return int(store.get(keys[-1]).get("seq", 0)) if keys else 0
+    return entry_seq(keys[-1]) if keys else 0
 
 
 def rebuild_store_views(store: Any) -> dict[str, int]:

@@ -231,7 +231,8 @@ class TestDispatchLogRetention:
         assert len(log) == 4
         assert [r["seq"] for r in log] == [8, 9, 10, 11]
         stored = sorted(key for key, _ in store.scan("dispatch/"))
-        assert stored == [f"dispatch/{seq:010d}" for seq in (8, 9, 10, 11)]
+        # each key names its seq and, the command being applied, its dedup key
+        assert stored == [f"dispatch/{seq:010d}@req-{seq - 2}" for seq in (8, 9, 10, 11)]
         # dedup keys of pruned entries are evicted: the same key re-applies
         engine.start_instance("auto", {"n": 0}, dedup_key="req-0")
         assert len(engine.instances()) == 11
@@ -256,7 +257,7 @@ class TestDispatchLogRetention:
         reopened.start_instance("auto", {"n": 99})
         # the entries older than the new window go with the first commit
         assert store.keys("dispatch/") == [
-            f"dispatch/{seq:010d}" for seq in (19, 20, 21, 22)
+            f"dispatch/{seq:010d}." for seq in (19, 20, 21, 22)
         ]
         store.close()
 
@@ -299,7 +300,7 @@ class TestDispatchOrder:
         assert store.commits == 1
         seq = engine.dispatch_log.seq
         # the flush ran after the log step: the entry is in that commit
-        stored = store.get(f"dispatch/{seq:010d}")
+        stored = store.get(f"dispatch/{seq:010d}@k")
         assert stored["dedup_key"] == "k" and stored["status"] == "applied"
         before = self.counters(engine)
         store.reset_counts()
@@ -331,7 +332,8 @@ class TestDispatchOrder:
         assert store.commits == 1
         assert store.get(f"instance/{instance.id}") is not None
         seq = engine.dispatch_log.seq
-        stored = store.get(f"dispatch/{seq:010d}")
+        # an error entry's key names no dedup key: a retry must re-apply
+        stored = store.get(f"dispatch/{seq:010d}.")
         assert stored["status"] == "error"
         assert stored["error"] == "RuntimeError: boom"
         assert stored["touched"] == {

@@ -16,6 +16,7 @@ from repro.clock import VirtualClock
 from repro.cluster.sharded import ShardedEngine
 from repro.engine.engine import ProcessEngine
 from repro.engine.instance import InstanceState
+from repro.engine.jobs import JOBS_PREFIX, Job
 from repro.engine.migration import MigrationPlan
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import ScriptTask
@@ -338,7 +339,7 @@ class TestCommitPolicies:
             for _ in range(10):  # entries 2..11; 8..11 are retained
                 engine.start_instance("approval")
         dispatch_puts = [k for k in store.put_keys if k.startswith("dispatch/")]
-        assert dispatch_puts == [f"dispatch/{seq:010d}" for seq in range(8, 12)]
+        assert dispatch_puts == [f"dispatch/{seq:010d}." for seq in range(8, 12)]
         # entry 1 reached the store and is deleted; entries 2..7 were
         # appended and pruned inside the batch: no put, no delete
         assert store.deletes == 1
@@ -369,11 +370,16 @@ class TestCommitPolicies:
 class TestOrphanedJobs:
     def test_orphaned_jobs_skipped_and_counted(self):
         store = CountingKV()
+        first = build_engine(store)
+        first.deploy(timed_model())
+        first.start_instance("timed")
+        # fabricate a stored job for an instance the store does not hold;
+        # recover() loads it beside the real timer
+        ghost = Job("job-ghost", 10, "timer", "ghost-1", {"token_id": 1})
+        store.put(f"{JOBS_PREFIX}{ghost.id}", ghost.to_dict())
         engine = build_engine(store)
-        engine.deploy(timed_model())
-        engine.start_instance("timed")
-        # fabricate a job for an instance the engine does not know
-        engine.scheduler.schedule(10, "timer", "ghost-1", {"token_id": 1})
+        engine.recover()
+        assert len(engine.scheduler) == 2
         processed = engine.advance_time(61)
         assert processed == 1  # the real timer only
         assert engine.obs.registry.counter("engine.jobs.orphaned").value == 1

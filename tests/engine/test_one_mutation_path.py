@@ -5,11 +5,12 @@ case would change memory alone, and a restart would undo it.  This module
 holds the census of who may change case state:
 
 * every public name of ``ProcessEngine``, ``ShardedEngine`` and an
-  engine-bound ``WorklistService`` is classified below, by introspection,
-  so a new public name fails here until it is placed;
-* on a ``DurableKV`` engine, a worklist change called outside a command
-  (or a restore outside ``recover()``) is refused before anything
-  changes, and each ``CommandClient`` method
+  engine-bound ``WorklistService`` and ``JobScheduler`` is classified
+  below, by introspection, so a new public name fails here until it is
+  placed;
+* on a ``DurableKV`` engine, a worklist or scheduler change called
+  outside a command (or a restore outside ``recover()``) is refused
+  before anything changes, and each ``CommandClient`` method
   leaves memory equal to what reopening the store and ``recover()``
   rebuild.
 """
@@ -22,9 +23,11 @@ from repro.clock import VirtualClock
 from repro.cluster.sharded import ShardedEngine
 from repro.engine.commands import CommandClient, StartInstance
 from repro.engine.engine import ProcessEngine
+from repro.engine.errors import EngineError
+from repro.engine.jobs import JOBS_PREFIX
 from repro.model.builder import ProcessBuilder
 from repro.model.elements import RetryPolicy
-from repro.storage.kvstore import DurableKV
+from repro.storage.kvstore import DurableKV, MemoryKV
 from repro.workers import WorkerPool
 from repro.worklist.errors import WorklistError
 
@@ -115,6 +118,16 @@ WORKLIST_SURFACE = {
 }
 
 
+SCHEDULER_SURFACE = {
+    # refused on a bound scheduler unless a command runs
+    "change": {"schedule", "cancel", "cancel_where", "remap_nodes", "due_jobs"},
+    "read": {"next_due", "pending", "export"},
+    "wiring": {"bind_lock"},
+    # refused on a bound scheduler unless ProcessEngine.recover() runs
+    "recovery": {"load", "import_jobs"},
+}
+
+
 def public_names(obj):
     return {name for name in dir(obj) if not name.startswith("_")}
 
@@ -141,6 +154,10 @@ class TestEveryPublicNameIsClassified:
     def test_bound_worklist(self):
         worklist = ProcessEngine().worklist
         assert public_names(worklist) == classified(WORKLIST_SURFACE)
+
+    def test_bound_scheduler(self):
+        scheduler = ProcessEngine().scheduler
+        assert public_names(scheduler) == classified(SCHEDULER_SURFACE)
 
 
 # -- memory equals what recovery rebuilds -----------------------------------------
@@ -273,6 +290,43 @@ def test_a_worklist_change_outside_a_command_is_refused(name, path):
     before = digest(engine)
     with pytest.raises(WorklistError, match="commits nothing"):
         CHANGE_CALLS[name](engine.worklist, ids)
+    assert digest(engine) == before
+    assert recovered_digest(engine, path) == before
+
+
+# each would change a job if it ran: the one started case holds the
+# item's deadline job ``due`` (overdue) and its boundary timer ``timer``
+SCHEDULER_CALLS = {
+    "schedule": lambda s, ids: s.schedule(5, "timer", ids["instance"], {"token_id": 1}),
+    "cancel": lambda s, ids: s.cancel(ids["timer"]),
+    "cancel_where": lambda s, ids: s.cancel_where(lambda job: True),
+    "remap_nodes": lambda s, ids: s.remap_nodes(ids["instance"], lambda node: node + "2"),
+    "due_jobs": lambda s, ids: s.due_jobs(10),
+    # refused unless ProcessEngine.recover() runs them
+    "import_jobs": lambda s, ids: s.import_jobs([{**ids["job"], "id": "job-9"}]),
+    "load": lambda s, ids: s.load(ids["store"]),
+}
+
+
+def test_every_scheduler_change_has_a_row():
+    changes = SCHEDULER_SURFACE["change"] | SCHEDULER_SURFACE["recovery"]
+    assert set(SCHEDULER_CALLS) == changes
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULER_CALLS))
+def test_a_scheduler_change_outside_a_command_is_refused(name, path):
+    engine = build(path)
+    engine.deploy(sla_model())
+    instance = engine.start_instance("sla")
+    engine.clock.advance(10)
+    due, timer = engine.scheduler.export()
+    assert (due["kind"], timer["kind"]) == ("deadline", "boundary_timer")
+    other = MemoryKV()
+    other.put(f"{JOBS_PREFIX}job-9", {**timer, "id": "job-9"})
+    ids = {"instance": instance.id, "timer": timer["id"], "job": timer, "store": other}
+    before = digest(engine)
+    with pytest.raises(EngineError, match="commits nothing"):
+        SCHEDULER_CALLS[name](engine.scheduler, ids)
     assert digest(engine) == before
     assert recovered_digest(engine, path) == before
 

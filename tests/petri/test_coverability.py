@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.coverability import (
     OMEGA,
     ExtendedMarking,

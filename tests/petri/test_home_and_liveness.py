@@ -9,7 +9,7 @@ family and on drawn bounded nets.
 import pytest
 from hypothesis import given, settings
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.errors import AnalysisBudgetExceeded
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet

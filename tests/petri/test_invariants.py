@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.invariants import (
     incidence_matrix,
     invariant_value,

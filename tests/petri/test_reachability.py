@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.errors import AnalysisBudgetExceeded
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.errors import NotAWorkflowNetError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -145,7 +145,7 @@ class TestReportDiagnostics:
 # seed (and with it every set's iteration order) can differ between runs
 _WITNESS_SCRIPT = """
 import json
-from repro.petri import builders
+from tests.petri import builders
 from repro.petri.workflow_net import check_soundness
 out = {}
 for family in ("deadlocking_net", "improper_completion_net",
@@ -159,7 +159,10 @@ print(json.dumps(out))
 
 def _witnesses(hash_seed: str) -> dict:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    # src/ for repro, the repository root for tests.petri.builders
+    env["PYTHONPATH"] = os.pathsep.join(
+        (str(Path(repro.__file__).parents[1]), str(Path(__file__).parents[2]))
+    )
     done = subprocess.run(
         [sys.executable, "-c", _WITNESS_SCRIPT],
         env=env, capture_output=True, text=True, check=True, timeout=60,
